@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <bit>
-#ifdef TVG_TRACE_SWITCH
-#include <cstdio>
-#endif
 #include <limits>
 #include <set>
 #include <stdexcept>
 
 #include "tvg/delta_overlay.hpp"
+#include "tvg/departures.hpp"
 #include "tvg/query_engine.hpp"
+#include "tvg/read_core.hpp"
 #include "tvg/schedule_index.hpp"
 #include "tvg/visited.hpp"
 
@@ -115,108 +114,6 @@ class ArenaLease {
   bool leased_shared_{false};
 };
 
-/// The frozen-path model of the View concept the search kernels below
-/// are templated over: a (graph, compiled index) pair, forwarding every
-/// call straight to the index. The mutable path's OverlayView
-/// (delta_overlay.hpp) is the other model; both expose node_count /
-/// for_each_out (early-exit out-edge enumeration in CSR order) /
-/// edge_to / present / next_present(±cursor) / arrival /
-/// all_latency_constant with identical contracts, so each kernel is
-/// written once and an overlay read takes exactly the code path — and
-/// the exploration order, on which truncation depends — that a
-/// from-scratch rebuild would take.
-struct FrozenView {
-  const TimeVaryingGraph* g;
-  const ScheduleIndex* sx;
-
-  using EventCursor = ScheduleIndex::EventCursor;
-
-  [[nodiscard]] std::size_t node_count() const { return g->node_count(); }
-  template <typename Fn>
-  void for_each_out(NodeId v, Fn&& fn) const {
-    for (const EdgeId e : g->out_edges(v)) {
-      if (!fn(e)) return;
-    }
-  }
-  [[nodiscard]] NodeId edge_to(EdgeId e) const { return sx->record(e).to; }
-  [[nodiscard]] bool present(EdgeId e, Time t) const {
-    return sx->present(e, t);
-  }
-  [[nodiscard]] Time next_present(EdgeId e, Time from) const {
-    return sx->next_present(e, from);
-  }
-  [[nodiscard]] Time next_present(EdgeId e, Time from, EventCursor& c) const {
-    return sx->next_present(e, from, c);
-  }
-  [[nodiscard]] Time arrival(EdgeId e, Time dep) const {
-    return sx->arrival(e, dep);
-  }
-  [[nodiscard]] bool all_latency_constant() const {
-    return sx->all_latency_constant();
-  }
-};
-
-[[nodiscard]] FrozenView frozen_view(const TimeVaryingGraph& g) {
-  return FrozenView{&g, &g.schedule_index()};
-}
-
-/// Enumerates admissible departure times for edge `eid` when ready at `t`
-/// under `policy`, bounded by `horizon`, invoking `fn(dep)` for each.
-/// `fn` returns false to stop the enumeration early (searches use this
-/// when their config budget runs out: an unbounded departure window over
-/// an infinite schedule offers unboundedly many departures).
-///
-/// Schedule queries go through the compiled index, whose kTimeInfinity
-/// result is the "no such time" sentinel (a user-supplied
-/// predicate_with_next accelerator returning the literal kTimeInfinity is
-/// likewise treated as absence and never reaches `fn`).
-///
-/// `View` needs only the presence subset of the kernel View concept
-/// (present / next_present(±cursor) / EventCursor) — the raw
-/// ScheduleIndex satisfies it too, which is what the packed multi-source
-/// kernel passes.
-template <typename View, typename Fn>
-void for_each_departure(const View& sx, EdgeId eid, Time t,
-                        Policy policy, Time horizon, Fn&& fn) {
-  switch (policy.kind) {
-    case WaitingPolicy::kNoWait: {
-      if (t != kTimeInfinity && t <= horizon && sx.present(eid, t)) fn(t);
-      return;
-    }
-    case WaitingPolicy::kWait: {
-      // Only the earliest departure matters for foremost-style searches:
-      // any later presence yields a later-or-equal arrival for constant
-      // latency, but NOT for general latencies. We still enumerate just
-      // the earliest here; general-latency exactness is the business of
-      // the TvgAutomaton search (core/), which enumerates all departures.
-      if (t == kTimeInfinity) return;  // sentinel: never ready
-      const Time dep = sx.next_present(eid, t);
-      if (dep != kTimeInfinity && dep <= horizon) fn(dep);
-      return;
-    }
-    case WaitingPolicy::kBoundedWait: {
-      // Departure window [t, last]: the policy's waiting bound clamped to
-      // the horizon. `last` may be kTimeInfinity (unbounded wait within an
-      // infinite horizon); termination then rests on the schedule running
-      // out of events or `fn` cutting the enumeration off. The cursor
-      // makes the walk over the window's presence events amortized-O(1)
-      // per event.
-      if (t == kTimeInfinity) return;  // sentinel: never ready
-      const Time last = std::min(policy.max_departure(t), horizon);
-      typename View::EventCursor cursor;
-      Time at = t;
-      while (at <= last && at != kTimeInfinity) {
-        const Time dep = sx.next_present(eid, at, cursor);
-        if (dep == kTimeInfinity || dep > last) return;
-        if (!fn(dep)) return;
-        if (dep == last) return;
-        at = dep + 1;  // time-arith: dep < kTimeInfinity (guarded above)
-      }
-      return;
-    }
-  }
-}
-
 /// Per-expansion departure-enumeration budget shared by config_bfs's
 /// watchdog and the packed kernel's abort guard. ONE definition on
 /// purpose: packed_word's fallback-exactness argument (packed completes
@@ -263,8 +160,8 @@ void dijkstra_wait(const View& vw, std::span<const ConfigRec> initial,
       return false;
     }
     vw.for_each_out(v, [&](EdgeId eid) {
-      for_each_departure(vw, eid, t, Policy::wait(), limits.horizon,
-                         [&](Time dep) {
+      for_each_policy_departure(vw, eid, t, Policy::wait(), limits.horizon,
+                                1, [&](Time dep) {
         const Time arr = vw.arrival(eid, dep);
         if (arr == kTimeInfinity || arr > limits.horizon) return true;
         const NodeId to = vw.edge_to(eid);
@@ -404,7 +301,7 @@ void config_bfs(const View& vw, std::span<const ConfigRec> initial,
   const std::size_t max_expansion_steps = watchdog_steps(limits.max_configs);
 
   // Returns false once a budget is exhausted; that stops the departure
-  // enumeration feeding it (see for_each_departure).
+  // enumeration feeding it (see for_each_policy_departure).
   auto push = [&](const ConfigRec& c) -> bool {
     if (a.configs.size() >= limits.max_configs) {
       a.truncated = true;
@@ -433,8 +330,8 @@ void config_bfs(const View& vw, std::span<const ConfigRec> initial,
     const auto idx = static_cast<std::int64_t>(next);
     expansion_steps = 0;
     vw.for_each_out(cur.node, [&](EdgeId eid) {
-      for_each_departure(vw, eid, cur.time, policy, limits.horizon,
-                         [&](Time dep) {
+      for_each_policy_departure(vw, eid, cur.time, policy, limits.horizon, 1,
+                                [&](Time dep) {
         if (++expansion_steps > max_expansion_steps) {
           a.truncated = true;
           return false;
@@ -471,12 +368,6 @@ void run_search(const View& vw, std::span<const ConfigRec> initial,
     return;
   }
   config_bfs(vw, initial, policy, limits, a, goal);
-}
-
-void run_search(const TimeVaryingGraph& g, std::span<const ConfigRec> initial,
-                Policy policy, SearchLimits limits, SearchArenas& a,
-                std::optional<NodeId> goal = std::nullopt) {
-  run_search(frozen_view(g), initial, policy, limits, a, goal);
 }
 
 // ---------------------------------------------------------------------------
@@ -546,11 +437,18 @@ using detail::MsPacket;
 /// path. Packets queued before the
 /// switch still drain (they settle lanes without scattering; the
 /// reached-mask dedup makes any double delivery harmless).
-bool packed_word(const TimeVaryingGraph& g, const ScheduleIndex& sx,
-                 std::span<const NodeId> sources, Time start_time,
-                 Policy policy, SearchLimits limits, DirectionOptions dopt,
-                 SearchArenas& a, std::span<std::vector<Time>> rows) {
-  const std::size_t n = g.node_count();
+///
+/// Everything is read through the View, so a word over an OverlayView
+/// is the same computation as over the FrozenView of the rebuilt graph.
+/// The one asymmetry is deliberate: an overlay with added edges or
+/// latency overrides reports no uniform latency, which only gives up
+/// the pull switch (push and pull rows are bit-identical).
+template <typename View>
+bool packed_word(const View& vw, std::span<const NodeId> sources,
+                 Time start_time, Policy policy, SearchLimits limits,
+                 DirectionOptions dopt, SearchArenas& a,
+                 std::span<std::vector<Time>> rows) {
+  const std::size_t n = vw.node_count();
   const bool wait_mode = policy.kind == WaitingPolicy::kWait;
   a.ms_seen.assign(n, 0);
   a.ms_expanded.assign(n, 0);
@@ -584,11 +482,11 @@ bool packed_word(const TimeVaryingGraph& g, const ScheduleIndex& sx,
   // total grows with lane count, not config count) would otherwise
   // force spurious serial fallbacks at 10^5+ scale.
   const bool budget_unexhaustible =
-      wait_mode && limits.max_configs > sx.edge_count() + 1;
+      wait_mode && limits.max_configs > vw.edge_count() + 1;
 
   // Pull-gather eligibility — see the function comment. uniform_lat is
   // -1 unless every edge shares one constant latency.
-  const Time uniform_lat = sx.uniform_constant_latency();
+  const Time uniform_lat = vw.uniform_constant_latency();
   const bool pull_eligible = wait_mode && bucketed && uniform_lat >= 1 &&
                              budget_unexhaustible &&
                              dopt.mode != FrontierMode::kPushOnly;
@@ -694,19 +592,20 @@ bool packed_word(const TimeVaryingGraph& g, const ScheduleIndex& sx,
     }
     if (pull_active) return;  // gather delivers these lanes from t + L on
     std::size_t steps = 0;
-    for (const EdgeId eid : g.out_edges(v)) {
-      for_each_departure(sx, eid, t, policy, limits.horizon, [&](Time dep) {
+    vw.for_each_out(v, [&](EdgeId eid) {
+      for_each_policy_departure(vw, eid, t, policy, limits.horizon, 1,
+                                [&](Time dep) {
         if (++steps > max_expansion_steps) {
           ok = false;
           return false;
         }
-        const Time arr = sx.arrival(eid, dep);
+        const Time arr = vw.arrival(eid, dep);
         if (arr == kTimeInfinity || arr > limits.horizon) return true;
-        push_state(sx.record(eid).to, arr, delta);
+        push_state(vw.edge_to(eid), arr, delta);
         return ok;
       });
-      if (!ok) return;
-    }
+      return ok;
+    });
   };
 
   // Seed: every lane at its source at t_min (one packet per lane; equal
@@ -744,7 +643,9 @@ bool packed_word(const TimeVaryingGraph& g, const ScheduleIndex& sx,
   // Pull gather for one instant: fold settle events whose lanes are old
   // enough to have departed (event time <= t - L) into the per-node
   // settled words, then let every node still missing lanes OR them in
-  // over its in-edges present at the shared departure instant t - L.
+  // over its in-edges present at the shared departure instant t - L
+  // (a uniform latency implies no added edges on an overlay, so its
+  // in-edges are exactly the base CSR's).
   auto pull_gather = [&](Time t) {
     const Time dep = sat_sub(t, uniform_lat);  // uniform L >= 1, so dep < t
     auto& log = a.ms_settle_log;
@@ -766,13 +667,13 @@ bool packed_word(const TimeVaryingGraph& g, const ScheduleIndex& sx,
         continue;
       }
       std::uint64_t gathered = 0;
-      for (const EdgeId eid : g.in_edges(v)) {
+      vw.for_each_in(v, [&](EdgeId eid) {
         const std::uint64_t cand =
-            a.ms_settled[sx.record(eid).from] & want & ~gathered;
-        if (cand == 0 || !sx.present(eid, dep)) continue;
+            a.ms_settled[vw.edge_from(eid)] & want & ~gathered;
+        if (cand == 0 || !vw.present(eid, dep)) return true;
         gathered |= cand;
-        if (gathered == want) break;
-      }
+        return gathered != want;
+      });
       if (gathered != 0) {
         a.ms_reached[v] |= gathered;
         for (std::uint64_t f = gathered; f != 0; f &= f - 1) {
@@ -816,15 +717,6 @@ bool packed_word(const TimeVaryingGraph& g, const ScheduleIndex& sx,
         if (outstanding <= 8 * (settled_bits + n)) {
           switch_pending = false;
         } else {
-#ifdef TVG_TRACE_SWITCH
-          {
-            std::size_t ql = 0;
-            for (const MsPacket& p : bucket)
-              ql += static_cast<std::size_t>(std::popcount(p.mask));
-            std::fprintf(stderr, "b=%zu lanes=%zu settled=%zu outst=%zu complete=%zu\n",
-                         b, ql, settled_bits, outstanding, complete_nodes);
-          }
-#endif
           // unfinalized x lanes bounds the lane-bits still missing
           // anywhere; unfinalized x avg-in-degree bounds the gather's
           // per-instant in-edge scan (a complete-topology word has few
@@ -834,7 +726,7 @@ bool packed_word(const TimeVaryingGraph& g, const ScheduleIndex& sx,
           const double threshold =
               dopt.pull_density * static_cast<double>(n - complete_nodes) *
               std::max(static_cast<double>(sources.size()),
-                       static_cast<double>(sx.edge_count()) /
+                       static_cast<double>(vw.edge_count()) /
                            static_cast<double>(n));
           // 64 x packet count bounds the bucket's lane-deliveries, so
           // most instants skip the popcount pass outright.
@@ -900,10 +792,22 @@ Journey journey_from_config(const std::vector<ConfigRec>& configs,
   return Journey{source, start_time, std::move(legs)};
 }
 
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Kernel entry points over one View (declared in read_core.hpp). The
+// engines' read core calls them over FrozenView or OverlayView; the
+// frozen-graph functions further down are thin wrappers over the
+// FrozenView instantiation.
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
 template <typename View>
-ForemostTree foremost_arrivals_in(const View& vw, NodeId source,
-                                  Time start_time, Policy policy,
-                                  SearchLimits limits, SearchArenas& a) {
+ForemostTree Kernels<View>::foremost_arrivals(const View& vw, NodeId source,
+                                              Time start_time, Policy policy,
+                                              SearchLimits limits,
+                                              SearchArenas& a) {
   const ConfigRec root{source, start_time, -1, kInvalidEdge, 0};
   run_search(vw, {&root, 1}, policy, limits, a);
   ForemostTree tree;
@@ -919,80 +823,43 @@ ForemostTree foremost_arrivals_in(const View& vw, NodeId source,
   return tree;
 }
 
-}  // namespace
-
-std::optional<Journey> ForemostTree::journey_to(const TimeVaryingGraph& g,
-                                                NodeId target) const {
-  (void)g;
-  if (target >= best_config.size() || best_config[target] < 0)
-    return std::nullopt;
-  return journey_from_config(configs, best_config[target], source,
-                             start_time);
-}
-
-ForemostTree foremost_arrivals(const TimeVaryingGraph& g, NodeId source,
-                               Time start_time, Policy policy,
-                               SearchLimits limits) {
-  ArenaLease lease;
-  return foremost_arrivals_in(frozen_view(g), source, start_time, policy,
-                              limits, *lease);
-}
-
-ForemostTree foremost_arrivals(const TimeVaryingGraph& g, NodeId source,
-                               Time start_time, Policy policy,
-                               SearchLimits limits, SearchWorkspace& ws) {
-  return foremost_arrivals_in(frozen_view(g), source, start_time, policy,
-                              limits, ws.arenas());
-}
-
-ForemostScan foremost_scan(const TimeVaryingGraph& g, NodeId source,
-                           Time start_time, Policy policy,
-                           SearchLimits limits, SearchWorkspace& ws) {
-  SearchArenas& a = ws.arenas();
+template <typename View>
+ForemostScan Kernels<View>::foremost_scan(const View& vw, NodeId source,
+                                          Time start_time, Policy policy,
+                                          SearchLimits limits,
+                                          SearchArenas& a) {
   const ConfigRec root{source, start_time, -1, kInvalidEdge, 0};
-  run_search(g, {&root, 1}, policy, limits, a);
+  run_search(vw, {&root, 1}, policy, limits, a);
   return ForemostScan{std::span<const Time>(a.arrival), a.truncated};
 }
 
-void multi_source_foremost(const TimeVaryingGraph& g,
-                           std::span<const NodeId> sources, Time start_time,
-                           Policy policy, SearchLimits limits,
-                           SearchWorkspace& ws,
-                           std::span<std::vector<Time>> rows,
-                           std::span<char> truncated) {
-  multi_source_foremost(g, sources, start_time, policy, limits,
-                        DirectionOptions{}, ws, rows, truncated);
-}
-
-void multi_source_foremost(const TimeVaryingGraph& g,
-                           std::span<const NodeId> sources, Time start_time,
-                           Policy policy, SearchLimits limits,
-                           DirectionOptions direction, SearchWorkspace& ws,
-                           std::span<std::vector<Time>> rows,
-                           std::span<char> truncated) {
+template <typename View>
+void Kernels<View>::multi_source_foremost(
+    const View& vw, std::span<const NodeId> sources, Time start_time,
+    Policy policy, SearchLimits limits, DirectionOptions direction,
+    SearchArenas& a, std::span<std::vector<Time>> rows,
+    std::span<char> truncated) {
   if (rows.size() != sources.size() || truncated.size() != sources.size()) {
     throw std::invalid_argument(
         "multi_source_foremost: rows/truncated must have one entry per "
         "source");
   }
-  const std::size_t n = g.node_count();
+  const std::size_t n = vw.node_count();
   for (const NodeId u : sources) {
     if (u >= n) {
       throw std::out_of_range("multi_source_foremost: source out of range");
     }
   }
-  const ScheduleIndex& sx = g.schedule_index();
   // Lane-packing eligibility is graph-wide: exact-predicate schedules
   // may run user code (which could even re-enter a search), and
   // non-constant latencies break the Wait-mode dominance argument — both
   // take the per-source serial path below, which is exactly the code the
   // packed path is measured against.
-  const bool eligible = sx.all_semi_periodic() && sx.all_latency_constant();
+  const bool eligible = vw.all_semi_periodic() && vw.all_latency_constant();
   if (eligible) {
     // One up-front reservation per closure call: the packed scratch is
     // assign()ed per word, so sizing it here keeps the 10^6-node sweeps
     // free of mid-word growth (the leased arenas keep the capacity).
-    detail::SearchArenas& a = ws.arenas();
     a.ms_seen.reserve(n);
     a.ms_expanded.reserve(n);
     a.ms_reached.reserve(n);
@@ -1007,8 +874,8 @@ void multi_source_foremost(const TimeVaryingGraph& g,
     bool packed_ok = false;
     if (eligible) {
       for (auto& row : word_rows) row.assign(n, kTimeInfinity);
-      packed_ok = packed_word(g, sx, word_sources, start_time, policy, limits,
-                              direction, ws.arenas(), word_rows);
+      packed_ok = packed_word(vw, word_sources, start_time, policy, limits,
+                              direction, a, word_rows);
       if (packed_ok) {
         // The guards proved no per-source serial search could have been
         // truncated (see packed_word), so the serial flags are all false.
@@ -1017,9 +884,8 @@ void multi_source_foremost(const TimeVaryingGraph& g,
     }
     if (!packed_ok) {
       for (std::size_t i = 0; i < count; ++i) {
-        const ForemostScan scan = foremost_scan(g, word_sources[i],
-                                                start_time, policy, limits,
-                                                ws);
+        const ForemostScan scan = foremost_scan(vw, word_sources[i],
+                                                start_time, policy, limits, a);
         word_rows[i].assign(scan.arrival.begin(), scan.arrival.end());
         truncated[base + i] = scan.truncated ? 1 : 0;
       }
@@ -1027,21 +893,10 @@ void multi_source_foremost(const TimeVaryingGraph& g,
   }
 }
 
-std::optional<Journey> foremost_journey(const TimeVaryingGraph& g,
-                                        NodeId source, NodeId target,
-                                        Time start_time, Policy policy,
-                                        SearchLimits limits) {
-  return foremost_arrivals(g, source, start_time, policy, limits)
-      .journey_to(g, target);
-}
-
-namespace {
-
 template <typename View>
-std::optional<Journey> shortest_journey_in(const View& vw, NodeId source,
-                                           NodeId target, Time start_time,
-                                           Policy policy, SearchLimits limits,
-                                           SearchArenas& arenas) {
+std::optional<Journey> Kernels<View>::shortest_journey(
+    const View& vw, NodeId source, NodeId target, Time start_time,
+    Policy policy, SearchLimits limits, SearchArenas& a) {
   if (source == target) return Journey{source, start_time, {}};
   if (policy.kind == WaitingPolicy::kWait && vw.all_latency_constant()) {
     // Hop-layered DP: under Wait a min-hop journey never revisits a node,
@@ -1060,22 +915,20 @@ std::optional<Journey> shortest_journey_in(const View& vw, NodeId source,
       for (NodeId v = 0; v < n; ++v) {
         if (cur[v] == kTimeInfinity) continue;
         vw.for_each_out(v, [&](EdgeId eid) {
-          for_each_departure(vw, eid, cur[v], Policy::wait(), limits.horizon,
-                             [&](Time dep) {
-                               const Time a = vw.arrival(eid, dep);
-                               if (a == kTimeInfinity || a > limits.horizon)
-                                 return true;
-                               const NodeId to = vw.edge_to(eid);
-                               if (a < next[to]) {
-                                 next[to] = a;
-                                 parents.push_back(ConfigRec{
-                                     to, a, cfg_of[v], eid, dep});
-                                 next_cfg[to] = static_cast<std::int64_t>(
-                                                    parents.size()) -
-                                                1;
-                               }
-                               return true;
-                             });
+          for_each_policy_departure(
+              vw, eid, cur[v], Policy::wait(), limits.horizon, 1,
+              [&](Time dep) {
+                const Time at = vw.arrival(eid, dep);
+                if (at == kTimeInfinity || at > limits.horizon) return true;
+                const NodeId to = vw.edge_to(eid);
+                if (at < next[to]) {
+                  next[to] = at;
+                  parents.push_back(ConfigRec{to, at, cfg_of[v], eid, dep});
+                  next_cfg[to] =
+                      static_cast<std::int64_t>(parents.size()) - 1;
+                }
+                return true;
+              });
           return true;
         });
       }
@@ -1092,28 +945,16 @@ std::optional<Journey> shortest_journey_in(const View& vw, NodeId source,
     }
     return std::nullopt;
   }
-  SearchArenas& a = arenas;
   const ConfigRec root{source, start_time, -1, kInvalidEdge, 0};
   run_search(vw, {&root, 1}, policy, limits, a, target);
   if (a.first_goal < 0) return std::nullopt;
   return journey_from_config(a.configs, a.first_goal, source, start_time);
 }
 
-/// Journey::arrival evaluated through the view instead of the graph's
-/// edge table (which cannot resolve an overlay-added edge id). For a
-/// frozen view this is the same value: the compiled index's arrival is
-/// the documented exact mirror of Edge::arrival.
 template <typename View>
-[[nodiscard]] Time journey_arrival_in(const View& vw, const Journey& j) {
-  if (j.legs.empty()) return j.start_time;
-  const JourneyLeg& last = j.legs.back();
-  return vw.arrival(last.edge, last.departure);
-}
-
-template <typename View>
-FastestJourneyResult fastest_journey_checked_in(
+FastestJourneyResult Kernels<View>::fastest_journey_checked(
     const View& vw, NodeId source, NodeId target, Time depart_lo,
-    Time depart_hi, Policy policy, SearchLimits limits, SearchArenas& arenas) {
+    Time depart_hi, Policy policy, SearchLimits limits, SearchArenas& a) {
   FastestJourneyResult result;
   if (source == target) {
     result.journey = Journey{source, depart_lo, {}};
@@ -1145,7 +986,6 @@ FastestJourneyResult fastest_journey_checked_in(
     return true;
   });
 
-  SearchArenas& a = arenas;
   std::optional<Journey> best;
   Time best_duration = kTimeInfinity;
   for (Time s : candidates) {
@@ -1161,7 +1001,7 @@ FastestJourneyResult fastest_journey_checked_in(
     if (j.legs.front().departure != s) continue;
     // Journey::duration through the view — same raw subtraction.
     const Time duration =  // time-arith: mirrors Journey::duration exactly
-        journey_arrival_in(vw, j) - j.legs.front().departure;
+        journey_arrival(vw, j) - j.legs.front().departure;
     if (duration < best_duration) {
       best_duration = duration;
       best = std::move(j);
@@ -1171,24 +1011,73 @@ FastestJourneyResult fastest_journey_checked_in(
   return result;
 }
 
-}  // namespace
+template struct Kernels<FrozenView>;
+template struct Kernels<OverlayView>;
+
+}  // namespace detail
+
+using FrozenKernels = detail::Kernels<FrozenView>;
+
+std::optional<Journey> ForemostTree::journey_to(const TimeVaryingGraph& g,
+                                                NodeId target) const {
+  (void)g;
+  if (target >= best_config.size() || best_config[target] < 0)
+    return std::nullopt;
+  return journey_from_config(configs, best_config[target], source,
+                             start_time);
+}
+
+ForemostTree foremost_arrivals(const TimeVaryingGraph& g, NodeId source,
+                               Time start_time, Policy policy,
+                               SearchLimits limits) {
+  ArenaLease lease;
+  return FrozenKernels::foremost_arrivals(FrozenView(g), source, start_time,
+                                          policy, limits, *lease);
+}
+
+ForemostScan foremost_scan(const TimeVaryingGraph& g, NodeId source,
+                           Time start_time, Policy policy,
+                           SearchLimits limits, SearchWorkspace& ws) {
+  return FrozenKernels::foremost_scan(FrozenView(g), source, start_time,
+                                      policy, limits, ws.arenas());
+}
+
+void multi_source_foremost(const TimeVaryingGraph& g,
+                           std::span<const NodeId> sources, Time start_time,
+                           Policy policy, SearchLimits limits,
+                           SearchWorkspace& ws,
+                           std::span<std::vector<Time>> rows,
+                           std::span<char> truncated) {
+  multi_source_foremost(g, sources, start_time, policy, limits,
+                        DirectionOptions{}, ws, rows, truncated);
+}
+
+void multi_source_foremost(const TimeVaryingGraph& g,
+                           std::span<const NodeId> sources, Time start_time,
+                           Policy policy, SearchLimits limits,
+                           DirectionOptions direction, SearchWorkspace& ws,
+                           std::span<std::vector<Time>> rows,
+                           std::span<char> truncated) {
+  FrozenKernels::multi_source_foremost(FrozenView(g), sources, start_time,
+                                       policy, limits, direction, ws.arenas(),
+                                       rows, truncated);
+}
+
+std::optional<Journey> foremost_journey(const TimeVaryingGraph& g,
+                                        NodeId source, NodeId target,
+                                        Time start_time, Policy policy,
+                                        SearchLimits limits) {
+  return foremost_arrivals(g, source, start_time, policy, limits)
+      .journey_to(g, target);
+}
 
 std::optional<Journey> shortest_journey(const TimeVaryingGraph& g,
                                         NodeId source, NodeId target,
                                         Time start_time, Policy policy,
                                         SearchLimits limits) {
   ArenaLease lease;
-  return shortest_journey_in(frozen_view(g), source, target, start_time,
-                             policy, limits, *lease);
-}
-
-std::optional<Journey> shortest_journey(const TimeVaryingGraph& g,
-                                        NodeId source, NodeId target,
-                                        Time start_time, Policy policy,
-                                        SearchLimits limits,
-                                        SearchWorkspace& ws) {
-  return shortest_journey_in(frozen_view(g), source, target, start_time,
-                             policy, limits, ws.arenas());
+  return FrozenKernels::shortest_journey(FrozenView(g), source, target,
+                                         start_time, policy, limits, *lease);
 }
 
 FastestJourneyResult fastest_journey_checked(const TimeVaryingGraph& g,
@@ -1197,18 +1086,9 @@ FastestJourneyResult fastest_journey_checked(const TimeVaryingGraph& g,
                                              Policy policy,
                                              SearchLimits limits) {
   ArenaLease lease;
-  return fastest_journey_checked_in(frozen_view(g), source, target, depart_lo,
-                                    depart_hi, policy, limits, *lease);
-}
-
-FastestJourneyResult fastest_journey_checked(const TimeVaryingGraph& g,
-                                             NodeId source, NodeId target,
-                                             Time depart_lo, Time depart_hi,
-                                             Policy policy,
-                                             SearchLimits limits,
-                                             SearchWorkspace& ws) {
-  return fastest_journey_checked_in(frozen_view(g), source, target, depart_lo,
-                                    depart_hi, policy, limits, ws.arenas());
+  return FrozenKernels::fastest_journey_checked(FrozenView(g), source, target,
+                                                depart_lo, depart_hi, policy,
+                                                limits, *lease);
 }
 
 std::optional<Journey> fastest_journey(const TimeVaryingGraph& g,
@@ -1224,12 +1104,11 @@ std::vector<bool> reachable_set(const TimeVaryingGraph& g, NodeId source,
                                 Time start_time, Policy policy,
                                 SearchLimits limits) {
   ArenaLease lease;
-  SearchArenas& a = *lease;
-  const ConfigRec root{source, start_time, -1, kInvalidEdge, 0};
-  run_search(g, {&root, 1}, policy, limits, a);
+  const ForemostScan scan = FrozenKernels::foremost_scan(
+      FrozenView(g), source, start_time, policy, limits, *lease);
   std::vector<bool> reach(g.node_count(), false);
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    reach[v] = a.arrival[v] != kTimeInfinity;
+    reach[v] = scan.arrival[v] != kTimeInfinity;
   }
   return reach;
 }
@@ -1331,53 +1210,5 @@ std::optional<Time> temporal_diameter(const TimeVaryingGraph& g,
   if (!connected) return std::nullopt;
   return diameter;
 }
-
-// ---------------------------------------------------------------------------
-// Overlay-aware entry points (declared in delta_overlay.hpp): the same
-// kernel templates instantiated over OverlayView instead of FrozenView.
-// Defined here, next to the kernels, so the two instantiations can never
-// drift apart.
-// ---------------------------------------------------------------------------
-
-namespace overlay {
-
-ForemostTree foremost_arrivals(const OverlayView& view, NodeId source,
-                               Time start_time, Policy policy,
-                               SearchLimits limits, SearchWorkspace& ws) {
-  return foremost_arrivals_in(view, source, start_time, policy, limits,
-                              ws.arenas());
-}
-
-ForemostScan foremost_scan(const OverlayView& view, NodeId source,
-                           Time start_time, Policy policy, SearchLimits limits,
-                           SearchWorkspace& ws) {
-  SearchArenas& a = ws.arenas();
-  const ConfigRec root{source, start_time, -1, kInvalidEdge, 0};
-  run_search(view, {&root, 1}, policy, limits, a);
-  return ForemostScan{std::span<const Time>(a.arrival), a.truncated};
-}
-
-std::optional<Journey> shortest_journey(const OverlayView& view, NodeId source,
-                                        NodeId target, Time start_time,
-                                        Policy policy, SearchLimits limits,
-                                        SearchWorkspace& ws) {
-  return shortest_journey_in(view, source, target, start_time, policy, limits,
-                             ws.arenas());
-}
-
-FastestJourneyResult fastest_journey_checked(const OverlayView& view,
-                                             NodeId source, NodeId target,
-                                             Time depart_lo, Time depart_hi,
-                                             Policy policy, SearchLimits limits,
-                                             SearchWorkspace& ws) {
-  return fastest_journey_checked_in(view, source, target, depart_lo, depart_hi,
-                                    policy, limits, ws.arenas());
-}
-
-Time journey_arrival(const OverlayView& view, const Journey& j) {
-  return journey_arrival_in(view, j);
-}
-
-}  // namespace overlay
 
 }  // namespace tvg

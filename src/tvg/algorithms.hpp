@@ -159,15 +159,6 @@ struct ForemostTree {
                                              Policy policy,
                                              SearchLimits limits = {});
 
-/// As above, but runs in the caller's workspace. The returned tree takes
-/// ownership of the workspace's result arrays (they are rebuilt on the
-/// next search); the visited set, heap, and cursors stay reusable.
-[[nodiscard]] ForemostTree foremost_arrivals(const TimeVaryingGraph& g,
-                                             NodeId source, Time start_time,
-                                             Policy policy,
-                                             SearchLimits limits,
-                                             SearchWorkspace& ws);
-
 /// Arrival row of a single-source search without extracting the witness
 /// forest — the cheap form multi-source sweeps want.
 struct ForemostScan {
@@ -233,11 +224,6 @@ void multi_source_foremost(const TimeVaryingGraph& g,
     const TimeVaryingGraph& g, NodeId source, NodeId target, Time start_time,
     Policy policy, SearchLimits limits = {});
 
-/// As above, in the caller's workspace (the QueryEngine form).
-[[nodiscard]] std::optional<Journey> shortest_journey(
-    const TimeVaryingGraph& g, NodeId source, NodeId target, Time start_time,
-    Policy policy, SearchLimits limits, SearchWorkspace& ws);
-
 /// Minimum-duration (fastest) journey source -> target whose first edge
 /// departs in [depart_lo, depart_hi], under `policy`. Scans candidate
 /// first departures (presence events of source out-edges) and minimizes
@@ -260,11 +246,6 @@ struct FastestJourneyResult {
 [[nodiscard]] FastestJourneyResult fastest_journey_checked(
     const TimeVaryingGraph& g, NodeId source, NodeId target, Time depart_lo,
     Time depart_hi, Policy policy, SearchLimits limits = {});
-
-/// As above, in the caller's workspace (the QueryEngine form).
-[[nodiscard]] FastestJourneyResult fastest_journey_checked(
-    const TimeVaryingGraph& g, NodeId source, NodeId target, Time depart_lo,
-    Time depart_hi, Policy policy, SearchLimits limits, SearchWorkspace& ws);
 
 /// Nodes reachable from `source` (including itself).
 [[nodiscard]] std::vector<bool> reachable_set(const TimeVaryingGraph& g,

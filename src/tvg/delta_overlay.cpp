@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
+
+#include "tvg/read_core.hpp"
 
 namespace tvg {
 
@@ -78,9 +79,11 @@ OverlaySnapshot::OverlaySnapshot(const TimeVaryingGraph& base,
   const ScheduleIndex& sx = base.schedule_index();
   std::size_t non_constant = sx.non_constant_latency_count();
   std::size_t non_semi_periodic = sx.non_semi_periodic_count();
+  bool latency_overridden = false;
   for (const auto& [eid, rec] : overrides_) {
     const Edge& e = base.edge(eid);
     if (rec.has_latency) {
+      latency_overridden = true;
       if (!e.latency.is_constant()) --non_constant;
       if (!rec.latency.is_constant()) ++non_constant;
     }
@@ -95,6 +98,11 @@ OverlaySnapshot::OverlaySnapshot(const TimeVaryingGraph& base,
   }
   all_latency_constant_ = non_constant == 0;
   all_semi_periodic_ = non_semi_periodic == 0;
+  // Presence patches and tombstones leave every latency alone, so the
+  // base's uniform latency survives them; anything else forgoes it.
+  if (added_.empty() && !latency_overridden) {
+    uniform_constant_latency_ = sx.uniform_constant_latency();
+  }
 }
 
 namespace {
@@ -202,45 +210,44 @@ TimeVaryingGraph materialize(const TimeVaryingGraph& base,
 
 namespace {
 
-/// Approximate heap footprint of a cached journey result (the engine's
-/// own accounting lives in query_engine.cpp's internal namespace; this
-/// mirrors its shape — exactness is not required, the number only feeds
-/// the cache's byte budget).
-[[nodiscard]] std::size_t approx_bytes(const JourneyResult& r) {
-  std::size_t bytes = sizeof(JourneyResult);
-  bytes += r.arrivals.capacity() * sizeof(Time);
-  if (r.journey) bytes += r.journey->legs.capacity() * sizeof(JourneyLeg);
-  return bytes;
-}
-
 /// Bounded mutation-mask history (see MutableEngine::MaskRec): enough to
 /// cover any realistic in-flight query against a busy mutation stream;
 /// an insert whose capture fell off the window is skipped, never served.
 constexpr std::size_t kMaskHistoryCap = 4096;
 
+/// Calls `read(view)` with the View that serves {graph, overlay}:
+/// FrozenView while the overlay is empty (the frozen engine's exact
+/// path), OverlayView otherwise.
+template <typename Read>
+decltype(auto) with_view(const TimeVaryingGraph& graph,
+                         const OverlaySnapshot& overlay, Read&& read) {
+  if (overlay.empty()) return read(FrozenView(graph));
+  return read(OverlayView(graph, overlay));
+}
+
 }  // namespace
+
+MutableEngine::Epoch::Epoch(TimeVaryingGraph g) : graph(std::move(g)) {
+  freeze_compiled(graph);
+}
 
 MutableEngine::MutableEngine(TimeVaryingGraph base, unsigned default_threads,
                              CacheConfig cache)
-    : default_threads_(default_threads != 0
-                           ? default_threads
-                           : std::max(1u,
-                                      std::thread::hardware_concurrency())) {
+    : workers_(default_threads) {
   // Constructor: no concurrent access yet (clang's analysis exempts
   // construction), so the guarded members initialize without mu_.
-  auto epoch = std::make_shared<Epoch>(std::move(base), default_threads_);
+  auto epoch = std::make_shared<Epoch>(std::move(base));
   delta_.emplace(epoch->graph);
   state_.epoch = std::move(epoch);
   state_.overlay = delta_->snapshot();
   if (cache.enabled && cache.capacity > 0) {
     cache_ = std::make_unique<ResultCache>(cache);
-    generation_ = ResultCache::next_generation();
   }
 }
 
 MutableEngine::~MutableEngine() {
   // Wait out an in-flight background compaction before any member dies;
-  // pool_ is declared last, so its destructor (which joins the worker
+  // workers_ is declared last, so its destructor (which joins the worker
   // actually running that task's tail) runs before the state the task
   // touched is destroyed.
   const MutexLock lock(mu_);
@@ -308,12 +315,18 @@ JourneyResult MutableEngine::run(const JourneyQuery& q) const {
   QueryKey key;
   if (cache_) {
     key = QueryKey::journey(q);
-    if (const auto hit = cache_->find(key, generation_)) {
+    if (const auto hit = cache_->find(key)) {
       return *static_cast<const JourneyResult*>(hit.get());
     }
   }
   std::uint64_t footprint = kFootprintAll;
-  JourneyResult result = run_state(s, q, cache_ ? &footprint : nullptr);
+  JourneyResult result;
+  {
+    auto ws = workers_.lease();
+    result = with_view(s.epoch->graph, *s.overlay, [&](const auto& view) {
+      return read_journey(view, q, *ws, &footprint);
+    });
+  }
   if (cache_) {
     const auto owned = std::make_shared<const JourneyResult>(result);
     const std::size_t bytes = approx_bytes(*owned);
@@ -322,153 +335,22 @@ JourneyResult MutableEngine::run(const JourneyQuery& q) const {
     // this entry exists, and the entry would survive as a stale hit.
     const MutexLock lock(mu_);
     if (insert_allowed_locked(seq, footprint)) {
-      cache_->insert(key, generation_, owned, bytes, footprint);
+      cache_->insert(key, owned, bytes, footprint);
     }
   }
-  return result;
-}
-
-JourneyResult MutableEngine::run_state(const State& s, const JourneyQuery& q,
-                                       std::uint64_t* footprint_out) const {
-  const TimeVaryingGraph& g = s.epoch->graph;
-  if (q.source >= g.node_count()) {
-    throw std::out_of_range("MutableEngine::run: source out of range");
-  }
-  if (q.target && *q.target >= g.node_count()) {
-    throw std::out_of_range("MutableEngine::run: target out of range");
-  }
-  // Always read through the view — an empty overlay degenerates to the
-  // frozen path's exact behavior (same kernels, same order), so there is
-  // no separate fast path to keep consistent.
-  const OverlayView view(g, g.schedule_index(), *s.overlay);
-  auto ws = lease_ws();
-  JourneyResult result;
-  std::uint64_t footprint = kFootprintAll;
-  switch (q.objective) {
-    case JourneyObjective::kForemost: {
-      if (q.target) {
-        const ForemostTree tree = overlay::foremost_arrivals(
-            view, q.source, q.start_time, q.policy, q.limits, *ws);
-        result.truncated = tree.truncated;
-        result.arrival = tree.arrival[*q.target];
-        result.journey = tree.journey_to(g, *q.target);
-        if (!tree.truncated) {
-          footprint = footprint_bit(q.source);
-          for (NodeId v = 0; v < tree.arrival.size(); ++v) {
-            if (tree.arrival[v] != kTimeInfinity) {
-              footprint |= footprint_bit(v);
-            }
-          }
-        }
-      } else {
-        const ForemostScan scan = overlay::foremost_scan(
-            view, q.source, q.start_time, q.policy, q.limits, *ws);
-        result.truncated = scan.truncated;
-        result.arrivals.assign(scan.arrival.begin(), scan.arrival.end());
-        if (!scan.truncated) {
-          footprint = footprint_bit(q.source);
-          for (NodeId v = 0; v < scan.arrival.size(); ++v) {
-            if (scan.arrival[v] != kTimeInfinity) {
-              footprint |= footprint_bit(v);
-            }
-          }
-        }
-      }
-      break;
-    }
-    case JourneyObjective::kShortest: {
-      if (!q.target) {
-        throw std::invalid_argument(
-            "MutableEngine::run: shortest objective requires a target");
-      }
-      result.journey = overlay::shortest_journey(
-          view, q.source, *q.target, q.start_time, q.policy, q.limits, *ws);
-      if (result.journey) {
-        result.arrival = overlay::journey_arrival(view, *result.journey);
-      }
-      // Shortest/fastest results have no cheap reached-set by-product;
-      // they keep the all-partitions stamp and die on the first
-      // invalidation (sound, just conservative).
-      break;
-    }
-    case JourneyObjective::kFastest: {
-      if (!q.target) {
-        throw std::invalid_argument(
-            "MutableEngine::run: fastest objective requires a target");
-      }
-      if (q.depart_hi < q.start_time) {
-        throw std::invalid_argument(
-            "MutableEngine::run: fastest depart_hi precedes start_time "
-            "(empty departure window)");
-      }
-      FastestJourneyResult fastest = overlay::fastest_journey_checked(
-          view, q.source, *q.target, q.start_time, q.depart_hi, q.policy,
-          q.limits, *ws);
-      result.truncated = fastest.truncated;
-      result.journey = std::move(fastest.journey);
-      if (result.journey) {
-        result.arrival = overlay::journey_arrival(view, *result.journey);
-        result.duration =  // time-arith: mirrors Journey::duration exactly
-            result.journey->legs.empty()
-                ? 0
-                : result.arrival - result.journey->legs.front().departure;
-      }
-      break;
-    }
-  }
-  return_ws(std::move(ws));
-  if (footprint_out) *footprint_out = footprint;
   return result;
 }
 
 ClosureResult MutableEngine::closure(const ClosureQuery& q) const {
   const State s = capture(nullptr);
-  const TimeVaryingGraph& g = s.epoch->graph;
-  if (s.overlay->empty()) {
-    // No pending delta: the epoch's own engine runs the bit-parallel
-    // packed kernel (its cache is disabled, so nothing sticks).
-    return s.epoch->engine.closure(q);
-  }
-  std::vector<NodeId> sources = q.sources;
-  if (sources.empty()) {
-    sources.resize(g.node_count());
-    for (NodeId v = 0; v < g.node_count(); ++v) sources[v] = v;
-  }
-  for (const NodeId u : sources) {
-    if (u >= g.node_count()) {
-      throw std::out_of_range("MutableEngine::closure: source out of range");
-    }
-  }
-  // Overlay closure rows are served uncached and per-source serial (the
-  // packed kernel is frozen-only); sharding is by source, and each task
-  // writes only its own row, so the matrix is bit-identical at any
-  // thread count to the serial sweep — which multi_source_foremost's
-  // fallback path guarantees equals the packed rows a rebuilt engine
-  // would produce.
-  const OverlayView view(g, g.schedule_index(), *s.overlay);
-  const unsigned threads = q.threads != 0 ? q.threads : default_threads_;
-  const unsigned parallelism = static_cast<unsigned>(std::max<std::size_t>(
-      1, std::min<std::size_t>(threads, sources.size())));
-  std::vector<std::unique_ptr<SearchWorkspace>> workspaces;
-  workspaces.reserve(parallelism);
-  for (unsigned i = 0; i < parallelism; ++i) {
-    workspaces.push_back(lease_ws());
-  }
-  ClosureResult result;
-  result.rows.resize(sources.size());
-  std::vector<char> truncated(sources.size(), 0);
-  pool_.parallel_for(
-      sources.size(), parallelism, [&](std::size_t i, unsigned slot) {
-        const ForemostScan scan =
-            overlay::foremost_scan(view, sources[i], q.start_time, q.policy,
-                                   q.limits, *workspaces[slot]);
-        result.rows[i].assign(scan.arrival.begin(), scan.arrival.end());
-        truncated[i] = scan.truncated ? 1 : 0;
-      });
-  for (auto& ws : workspaces) return_ws(std::move(ws));
-  result.truncated = std::any_of(truncated.begin(), truncated.end(),
-                                 [](char c) { return c != 0; });
-  return result;
+  const std::vector<NodeId> sources =
+      materialize_sources(s.epoch->graph.node_count(), q.sources,
+                          "MutableEngine::closure: source out of range");
+  // Uncached (see the class comment): rows come straight from the read
+  // core, bit-identical to a rebuilt engine's at any thread count.
+  return with_view(s.epoch->graph, *s.overlay, [&](const auto& view) {
+    return read_closure(view, sources, q, workers_);
+  });
 }
 
 void MutableEngine::compact() {
@@ -487,7 +369,7 @@ bool MutableEngine::compact_async() {
     if (compacting_ || delta_->pending_mutations() == 0) return false;
     compacting_ = true;
   }
-  pool_.submit([this] { do_compact(); });
+  workers_.workers().submit([this] { do_compact(); });
   return true;
 }
 
@@ -517,8 +399,8 @@ void MutableEngine::do_compact() {
     // The snapshot captured above covers exactly the first `folded` log
     // entries (apply republishes under the same lock), so mutations
     // landing during this build are untouched remainder.
-    auto next_epoch = std::make_shared<Epoch>(
-        tvg::materialize(s.epoch->graph, *s.overlay), default_threads_);
+    auto next_epoch =
+        std::make_shared<Epoch>(tvg::materialize(s.epoch->graph, *s.overlay));
     {
       const MutexLock lock(mu_);
       state_.epoch = next_epoch;
@@ -565,23 +447,6 @@ std::vector<EdgeMutation> MutableEngine::pending_log() const {
 TimeVaryingGraph MutableEngine::materialize() const {
   const State s = capture(nullptr);
   return tvg::materialize(s.epoch->graph, *s.overlay);
-}
-
-std::unique_ptr<SearchWorkspace> MutableEngine::lease_ws() const {
-  {
-    const MutexLock lock(ws_mu_);
-    if (!ws_pool_.empty()) {
-      auto ws = std::move(ws_pool_.back());
-      ws_pool_.pop_back();
-      return ws;
-    }
-  }
-  return std::make_unique<SearchWorkspace>();
-}
-
-void MutableEngine::return_ws(std::unique_ptr<SearchWorkspace> ws) const {
-  const MutexLock lock(ws_mu_);
-  ws_pool_.push_back(std::move(ws));
 }
 
 }  // namespace tvg

@@ -20,7 +20,7 @@
 //    Published behind a shared_ptr: readers grab it once and never see
 //    a half-applied mutation.
 //  * OverlayView — the merged read interface the search kernels are
-//    templated over (algorithms.cpp). It mirrors the ScheduleIndex
+//    templated over (read_core.hpp). It mirrors the ScheduleIndex
 //    contract bit for bit: overridden and added edges dispatch to their
 //    Presence/Latency values (whose compiled forms the index documents
 //    as exact mirrors), everything else goes straight to the base
@@ -34,10 +34,10 @@
 //    fine single-threaded, e.g. the serialization round-trip).
 //  * MutableEngine — the serving façade: epoch-pointer concurrency
 //    (readers copy {epoch, overlay} under a mutex and then run lock-
-//    free), per-edge cache invalidation through footprint stamps
-//    (result_cache.hpp), and background compaction on a WorkerPool that
-//    folds the delta into a fresh epoch while readers keep serving the
-//    old one.
+//    free through the engines' shared read core), per-edge cache
+//    invalidation through footprint stamps (result_cache.hpp), and
+//    background compaction on the engine's WorkerPool that folds the
+//    delta into a fresh epoch while readers keep serving the old one.
 //
 // Compaction keeps tombstoned edges (as never-present records), so an
 // EdgeId handed out by add_edge stays valid across any number of
@@ -72,8 +72,7 @@
 namespace tvg {
 
 /// One buffered schedule mutation. Build with the named constructors;
-/// `apply_update` on the Server and `apply` on MutableEngine/DeltaOverlay
-/// consume them.
+/// `apply` on DurableEngine / MutableEngine / DeltaOverlay consumes them.
 struct EdgeMutation {
   enum class Kind : std::uint8_t {
     kAddEdge,          // append a new edge (id = current edge_count())
@@ -226,6 +225,11 @@ class OverlaySnapshot {
   [[nodiscard]] bool all_semi_periodic() const noexcept {
     return all_semi_periodic_;
   }
+  /// The base's uniform constant latency while no added edge or latency
+  /// override could break it, -1 otherwise (see OverlayView).
+  [[nodiscard]] Time uniform_constant_latency() const noexcept {
+    return uniform_constant_latency_;
+  }
 
  private:
   std::size_t base_edges_{0};
@@ -235,29 +239,28 @@ class OverlaySnapshot {
   std::vector<std::pair<NodeId, EdgeId>> added_adj_;  // sorted (from, id)
   bool all_latency_constant_{true};
   bool all_semi_periodic_{true};
+  Time uniform_constant_latency_{-1};
   std::uint64_t sequence_{0};
 };
 
 /// The merged base ∪ delta read interface the search kernels are
 /// templated over. Satisfies the same contract as (graph, ScheduleIndex)
 /// on the materialized graph — see the header comment for the
-/// bit-identity argument. Cheap to construct (three references); build
-/// one per query against a consistent {epoch, snapshot} pair.
+/// bit-identity argument. Cheap to construct (three pointers); build
+/// one per query against a consistent {epoch, snapshot} pair whose base
+/// is already compiled.
 class OverlayView {
  public:
   using EventCursor = ScheduleIndex::EventCursor;
 
-  OverlayView(const TimeVaryingGraph& base, const ScheduleIndex& index,
-              const OverlaySnapshot& overlay) noexcept
-      : g_(&base), sx_(&index), ov_(&overlay),
+  OverlayView(const TimeVaryingGraph& base, const OverlaySnapshot& overlay)
+      : g_(&base), sx_(&base.schedule_index()), ov_(&overlay),
         base_edges_(overlay.base_edge_count()) {}
 
   [[nodiscard]] std::size_t node_count() const { return g_->node_count(); }
   [[nodiscard]] std::size_t edge_count() const { return ov_->edge_count(); }
+  /// The frozen base under the delta.
   [[nodiscard]] const TimeVaryingGraph& base() const noexcept { return *g_; }
-  [[nodiscard]] const OverlaySnapshot& overlay() const noexcept {
-    return *ov_;
-  }
 
   /// Enumerates v's out-edges — base CSR segment first, then added
   /// edges ascending by id (= rebuild CSR order). `fn(eid)` returns
@@ -271,6 +274,22 @@ class OverlayView {
     for (const auto* it = lo; it != hi; ++it) {
       if (!fn(it->second)) return;
     }
+  }
+
+  /// Enumerates v's BASE in-edges in CSR order (`fn(eid)` returns false
+  /// to stop). Exact whenever uniform_constant_latency() >= 0, which
+  /// implies no added edges — the only regime in which the kernels read
+  /// in-edges (the packed kernel's pull gather).
+  template <typename Fn>
+  void for_each_in(NodeId v, Fn&& fn) const {
+    for (const EdgeId e : g_->in_edges(v)) {
+      if (!fn(e)) return;
+    }
+  }
+
+  [[nodiscard]] NodeId edge_from(EdgeId e) const {
+    if (e < base_edges_) return sx_->record(e).from;
+    return ov_->added(e).from;
   }
 
   [[nodiscard]] NodeId edge_to(EdgeId e) const {
@@ -322,10 +341,20 @@ class OverlayView {
     return ov_->added(e).latency.arrival(dep);
   }
 
-  /// Effective fact of base ∪ delta: picks the same kernel (Dijkstra vs
-  /// configuration BFS) a rebuild would pick.
+  /// Effective facts of base ∪ delta: pick the same kernel (Dijkstra vs
+  /// configuration BFS, packed vs per-source) a rebuild would pick.
   [[nodiscard]] bool all_latency_constant() const {
     return ov_->all_latency_constant();
+  }
+  [[nodiscard]] bool all_semi_periodic() const {
+    return ov_->all_semi_periodic();
+  }
+  /// The base's uniform constant latency while the snapshot adds no edge
+  /// and overrides no latency, -1 otherwise. A rebuild may still report
+  /// a uniform latency where this says -1; that only gives up the packed
+  /// kernel's pull switch, whose rows are bit-identical to push.
+  [[nodiscard]] Time uniform_constant_latency() const {
+    return ov_->uniform_constant_latency();
   }
 
  private:
@@ -405,64 +434,36 @@ class DeltaOverlay {
                                            const OverlaySnapshot& overlay);
 
 // ---------------------------------------------------------------------------
-// Overlay-aware search entry points (defined in algorithms.cpp, next to
-// the kernels they template). Same contracts as their frozen-graph
-// namesakes in algorithms.hpp, evaluated over base ∪ delta.
-// ---------------------------------------------------------------------------
-
-namespace overlay {
-
-[[nodiscard]] ForemostTree foremost_arrivals(const OverlayView& view,
-                                             NodeId source, Time start_time,
-                                             Policy policy, SearchLimits limits,
-                                             SearchWorkspace& ws);
-
-[[nodiscard]] ForemostScan foremost_scan(const OverlayView& view,
-                                         NodeId source, Time start_time,
-                                         Policy policy, SearchLimits limits,
-                                         SearchWorkspace& ws);
-
-[[nodiscard]] std::optional<Journey> shortest_journey(
-    const OverlayView& view, NodeId source, NodeId target, Time start_time,
-    Policy policy, SearchLimits limits, SearchWorkspace& ws);
-
-[[nodiscard]] FastestJourneyResult fastest_journey_checked(
-    const OverlayView& view, NodeId source, NodeId target, Time depart_lo,
-    Time depart_hi, Policy policy, SearchLimits limits, SearchWorkspace& ws);
-
-/// Journey::arrival evaluated through the view (Journey's own methods
-/// consult the base graph's edge table, which cannot resolve added-edge
-/// ids).
-[[nodiscard]] Time journey_arrival(const OverlayView& view, const Journey& j);
-
-}  // namespace overlay
-
-// ---------------------------------------------------------------------------
 // MutableEngine — the serving façade.
 // ---------------------------------------------------------------------------
 
-/// Mutable serving engine: a frozen epoch (graph + cache-disabled
-/// QueryEngine) plus a DeltaOverlay, swapped atomically under a mutex.
+/// Mutable serving engine: a frozen epoch graph plus a DeltaOverlay,
+/// swapped atomically under a mutex. Only the write side, the journey
+/// cache and compaction live here; reads go through the read core
+/// (read_core.hpp) that QueryEngine uses too.
 ///
 ///  * Reads copy the {epoch, overlay} pair under the lock and then run
 ///    entirely on immutable state — a concurrent mutation or compaction
-///    never blocks or torments an in-flight query.
+///    never blocks or torments an in-flight query. An empty snapshot
+///    reads through FrozenView, exactly like QueryEngine; a pending
+///    delta reads through OverlayView, on the same kernels (packed
+///    closure included).
 ///  * Mutations append to the delta, publish a fresh snapshot, and
 ///    invalidate exactly the cached results whose footprint intersects
 ///    the touched edge's endpoint partitions
 ///    (ResultCache::invalidate_keys_touching) — no generation bump.
-///  * The journey cache lives HERE (not in the epoch engines) with one
-///    fixed generation for the engine's lifetime: compaction is
+///  * The journey cache lives for the engine's lifetime: compaction is
 ///    semantics-preserving, so surviving entries stay valid across it.
 ///    A stale-insert race (mutation lands between a reader's snapshot
 ///    capture and its insert) is closed by re-checking the mutation
 ///    masks published since the capture. Closure results are served
 ///    uncached (their footprint is the whole reached cone of every
-///    source; per-edge invalidation would drop them almost always).
+///    source, so per-edge invalidation would drop them almost always,
+///    and one cached row block can weigh tens of megabytes).
 ///  * compact() folds the pending delta into a fresh epoch;
-///    compact_async() does the same on the engine's WorkerPool while
-///    readers keep serving the old epoch. The destructor waits for an
-///    in-flight compaction.
+///    compact_async() does the same on the engine's WorkerPool (the one
+///    its reads shard over) while readers keep serving the old epoch.
+///    The destructor waits for an in-flight compaction.
 ///
 /// Thread-safe: all public methods may be called concurrently.
 class MutableEngine {
@@ -537,24 +538,19 @@ class MutableEngine {
     return cache_ ? cache_->stats() : CacheStats{};
   }
   [[nodiscard]] WorkerPool::Stats worker_stats() const {
-    return pool_.stats();
+    return workers_.workers().stats();
   }
   [[nodiscard]] unsigned default_threads() const noexcept {
-    return default_threads_;
+    return workers_.default_threads();
   }
 
  private:
-  /// One frozen generation of the graph: the compiled graph plus a
-  /// cache-disabled QueryEngine over it (the MutableEngine-level cache
-  /// is the only cache — epoch engines must not keep entries a later
-  /// epoch could not serve). Immovable once built; held via shared_ptr
-  /// so readers outlive a swap.
+  /// One frozen generation of the graph, its ScheduleIndex and CSR
+  /// compiled at construction (before the epoch is shared) and immutable
+  /// after. Held via shared_ptr so readers outlive a swap.
   struct Epoch {
     TimeVaryingGraph graph;
-    QueryEngine engine;
-    Epoch(TimeVaryingGraph g, unsigned threads)
-        : graph(std::move(g)),
-          engine(graph, threads, CacheConfig::disabled()) {}
+    explicit Epoch(TimeVaryingGraph g);
   };
 
   /// What a reader copies under mu_: a consistent epoch/snapshot pair.
@@ -573,8 +569,6 @@ class MutableEngine {
   };
 
   [[nodiscard]] State capture(std::uint64_t* seq_out) const TVG_EXCLUDES(mu_);
-  [[nodiscard]] JourneyResult run_state(const State& s, const JourneyQuery& q,
-                                        std::uint64_t* footprint_out) const;
   /// True iff no mutation with an intersecting mask landed in
   /// (captured_seq, now].
   [[nodiscard]] bool insert_allowed_locked(std::uint64_t captured_seq,
@@ -582,13 +576,6 @@ class MutableEngine {
       TVG_REQUIRES(mu_);
   void do_compact();  // one capture → fold → swap cycle (flag already set)
 
-  // Workspace pool (same lease discipline as QueryEngine's).
-  [[nodiscard]] std::unique_ptr<SearchWorkspace> lease_ws() const
-      TVG_EXCLUDES(ws_mu_);
-  void return_ws(std::unique_ptr<SearchWorkspace> ws) const
-      TVG_EXCLUDES(ws_mu_);
-
-  unsigned default_threads_{1};
   mutable Mutex mu_;
   State state_ TVG_GUARDED_BY(mu_);
   std::optional<DeltaOverlay> delta_ TVG_GUARDED_BY(mu_);
@@ -596,15 +583,10 @@ class MutableEngine {
   mutable CondVar compaction_cv_;
   std::deque<MaskRec> mask_history_ TVG_GUARDED_BY(mu_);
 
-  mutable Mutex ws_mu_;
-  mutable std::vector<std::unique_ptr<SearchWorkspace>> ws_pool_
-      TVG_GUARDED_BY(ws_mu_);
-
   std::unique_ptr<ResultCache> cache_;
-  ResultCache::Generation generation_{0};
   /// Declared last: destroyed first, so a just-finished background
   /// compaction's worker is joined before any state it touched dies.
-  mutable WorkerPool pool_;
+  WorkspacePool workers_;
 };
 
 }  // namespace tvg

@@ -1,18 +1,19 @@
-// Shared departure enumeration for the configuration walkers (batched
-// acceptance, constrained journeys, exhaustive enumeration).
+// The one departure enumerator: the search kernels (algorithms.cpp) and
+// the configuration walkers (batched acceptance, constrained journeys,
+// exhaustive enumeration) all take their admissible departures from it.
 //
 // One policy switch instead of a hand-rolled copy per walker: admissible
-// departures for an edge when ready at t, clamped to the horizon, with
-// the compiled index's kTimeInfinity next_present result treated as the
-// "no such time" sentinel (see the for_each_departure contract note in
-// algorithms.cpp — the search kernels keep their own specialized
-// enumerator there because Wait dominance lets them take only the
-// earliest departure).
+// departures for an edge when ready at t, clamped to the horizon. The
+// index's kTimeInfinity next_present result is the "no such time"
+// sentinel (a user-supplied predicate_with_next accelerator returning
+// the literal kTimeInfinity is likewise treated as absence and never
+// reaches `fn`).
 //
 // Under Wait the departure window is unbounded, so the enumeration is
 // capped at `wait_budget` candidates: pass 1 when arrival is monotone in
 // the departure (affine ζ — the earliest departure dominates and the cap
-// is exact), or the caller's departures-per-edge budget otherwise.
+// is exact; the foremost kernels under constant ζ), or the caller's
+// departures-per-edge budget otherwise.
 // Latencies are non-negative, so clamping departures to the horizon
 // never hides an in-horizon arrival.
 #pragma once
@@ -61,6 +62,13 @@ void for_each_policy_departure(const Index& sx, EdgeId eid, Time t,
     }
     case WaitingPolicy::kWait: {
       if (t == kTimeInfinity) return;  // see the bounded-wait note
+      if (wait_budget == 1) {
+        // Earliest departure only (the kernels' hot path): one direct
+        // lookup, no cursor to seed.
+        const Time dep = sx.next_present(eid, t);
+        if (dep != kTimeInfinity && dep <= horizon) fn(dep);
+        return;
+      }
       typename Index::EventCursor cursor;
       Time at = t;
       for (std::size_t k = 0; k < wait_budget; ++k) {

@@ -157,11 +157,10 @@ class DurableEngine {
   }
 
   /// The wrapped engine, for wiring into read-side front ends (a
-  /// tvg::Server serving this graph takes it as its mutable backend).
-  /// Mutations MUST still go through apply() — writing to the wrapped
-  /// engine directly bypasses the log and forfeits the crash guarantee
-  /// (Server::apply_update falls in that category; route live updates
-  /// through this class instead).
+  /// tvg::Server serving this graph takes it as its mutable backend and
+  /// only reads from it). Mutations MUST still go through apply() —
+  /// writing to the wrapped engine directly bypasses the log and
+  /// forfeits the crash guarantee.
   [[nodiscard]] MutableEngine& mutable_engine() noexcept { return engine_; }
 
   // --- compaction passthrough (in-memory; durability is unaffected) ---

@@ -12,8 +12,8 @@ std::vector<Journey> enumerate_journeys(const TimeVaryingGraph& g,
                                         Policy policy,
                                         const EnumerateOptions& options) {
   // Schedule queries run on the compiled index; a next_present result of
-  // kTimeInfinity is the "no such time" sentinel (see the
-  // for_each_departure contract note in algorithms.cpp).
+  // kTimeInfinity is the "no such time" sentinel (see
+  // for_each_policy_departure in departures.hpp).
   const ScheduleIndex& sx = g.schedule_index();
   std::vector<Journey> result;
   std::queue<Journey> frontier;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "tvg/departures.hpp"
+#include "tvg/read_core.hpp"
 #include "tvg/schedule_index.hpp"
 #include "tvg/visited.hpp"
 
@@ -14,19 +15,8 @@ namespace tvg {
 
 namespace {
 
-// Approximate heap footprints of the cached result snapshots — the byte
-// weights behind CacheConfig::max_bytes accounting. Deliberately rough
-// (struct size + owned array payloads): the budget guards against
-// closure-row blowup, not malloc-exact bookkeeping.
-
-[[nodiscard]] std::size_t approx_bytes(const Journey& j) {
-  return sizeof(Journey) + j.legs.size() * sizeof(JourneyLeg);
-}
-
-[[nodiscard]] std::size_t approx_bytes(const JourneyResult& r) {
-  return sizeof(JourneyResult) + r.arrivals.size() * sizeof(Time) +
-         (r.journey ? approx_bytes(*r.journey) : 0);
-}
+// Approximate heap footprints of the remaining cached result kinds (the
+// journey ones live in read_core.hpp, shared with MutableEngine).
 
 [[nodiscard]] std::size_t approx_bytes(const ClosureResult& r) {
   std::size_t total = sizeof(ClosureResult);
@@ -67,6 +57,27 @@ namespace {
   return total;
 }
 
+/// Typed lookup in an engine's private cache: the entry point's result
+/// snapshot, or null on a miss or with caching off.
+template <typename Result>
+[[nodiscard]] std::shared_ptr<const Result> find_cached(ResultCache* cache,
+                                                        const QueryKey& key) {
+  if (cache == nullptr) return nullptr;
+  return std::static_pointer_cast<const Result>(cache->find(key));
+}
+
+/// Caches a freshly computed result (when caching is on) and returns it.
+/// Only results of successful runs get here, so a hit can never mask a
+/// validation throw: a query that would throw has no entry to hit.
+template <typename Result>
+[[nodiscard]] Result remember(ResultCache* cache, const QueryKey& key,
+                              Result result) {
+  if (cache == nullptr) return result;
+  const auto owned = std::make_shared<const Result>(std::move(result));
+  cache->insert(key, owned, approx_bytes(*owned));
+  return *owned;
+}
+
 /// Witness reconstruction shared by the batched acceptance search and
 /// its single-word fast path: walks a parent-linked config forest back
 /// from `idx`, collecting the crossed legs. Any config type with
@@ -96,158 +107,62 @@ template <typename Config>
 // Construction and the workspace pool
 // ---------------------------------------------------------------------------
 
-QueryEngine::QueryEngine(const TimeVaryingGraph& g, unsigned default_threads,
-                         CacheConfig cache)
-    : g_(g), default_threads_(default_threads) {
-  if (default_threads_ == 0) {
-    default_threads_ = std::max(1u, std::thread::hardware_concurrency());
-  }
-  // Freeze both compiled representations now, while we are certainly
-  // single-threaded: the lazy rebuilds inside TimeVaryingGraph are not
-  // safe to race, and every engine entry point may run on worker threads.
-  (void)g_.schedule_index();
-  if (g_.node_count() > 0) (void)g_.out_edges(0);
-  if (cache.enabled && cache.capacity > 0) {
-    cache_ = std::make_unique<ResultCache>(cache);
-    generation_ = ResultCache::next_generation();
-  }
-}
+WorkspacePool::WorkspacePool(unsigned default_threads)
+    : default_threads_(default_threads != 0
+                           ? default_threads
+                           : std::max(1u,
+                                      std::thread::hardware_concurrency())) {}
 
-QueryEngine::~QueryEngine() = default;
-
-QueryEngine::Lease::~Lease() {
+WorkspacePool::Lease::~Lease() {
   if (!ws_) return;
-  const MutexLock lock(engine_.pool_mu_);
-  engine_.pool_.push_back(std::move(ws_));
+  const MutexLock lock(owner_.mu_);
+  owner_.free_.push_back(std::move(ws_));
 }
 
-QueryEngine::Lease QueryEngine::lease() const {
+WorkspacePool::Lease WorkspacePool::lease() const {
   {
-    const MutexLock lock(pool_mu_);
-    if (!pool_.empty()) {
-      auto ws = std::move(pool_.back());
-      pool_.pop_back();
+    const MutexLock lock(mu_);
+    if (!free_.empty()) {
+      auto ws = std::move(free_.back());
+      free_.pop_back();
       return Lease(*this, std::move(ws));
     }
   }
   return Lease(*this, std::make_unique<SearchWorkspace>());
 }
 
-template <typename Fn>
-void QueryEngine::parallel_for(std::size_t n, unsigned threads,
-                               Fn&& fn) const {
-  if (threads == 0) threads = default_threads_;
-  threads = static_cast<unsigned>(
-      std::min<std::size_t>(threads, std::max<std::size_t>(n, 1)));
-  if (threads <= 1) {
-    Lease ws = lease();
-    for (std::size_t i = 0; i < n; ++i) fn(i, *ws);
-    return;
+QueryEngine::QueryEngine(const TimeVaryingGraph& g, unsigned default_threads,
+                         CacheConfig cache)
+    : g_(g), workers_(default_threads) {
+  freeze_compiled(g_);
+  if (cache.enabled && cache.capacity > 0) {
+    cache_ = std::make_unique<ResultCache>(cache);
   }
-  // One leased workspace per participant slot, held for the whole batch
-  // (a slot's claim loop reuses it across every index it runs — same
-  // lease discipline as the per-call threads this pool replaced, minus
-  // the thread-creation latency). The pool's abort-flag semantics are
-  // unchanged: the first failing index stops further claiming and its
-  // exception is rethrown here after the batch drains.
-  std::vector<Lease> leases;
-  leases.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) leases.push_back(lease());
-  workers_.parallel_for(n, threads, [&](std::size_t i, unsigned slot) {
-    fn(i, *leases[slot]);
-  });
 }
+
+QueryEngine::~QueryEngine() = default;
 
 // ---------------------------------------------------------------------------
 // Journey queries
 // ---------------------------------------------------------------------------
 
-JourneyResult QueryEngine::run_on(const JourneyQuery& q,
-                                  SearchWorkspace& ws) const {
-  if (q.source >= g_.node_count()) {
-    throw std::out_of_range("QueryEngine::run: source out of range");
-  }
-  if (q.target && *q.target >= g_.node_count()) {
-    throw std::out_of_range("QueryEngine::run: target out of range");
-  }
-  JourneyResult result;
-  switch (q.objective) {
-    case JourneyObjective::kForemost: {
-      if (q.target) {
-        const ForemostTree tree = foremost_arrivals(
-            g_, q.source, q.start_time, q.policy, q.limits, ws);
-        result.truncated = tree.truncated;
-        result.arrival = tree.arrival[*q.target];
-        result.journey = tree.journey_to(g_, *q.target);
-      } else {
-        const ForemostScan scan = foremost_scan(g_, q.source, q.start_time,
-                                                q.policy, q.limits, ws);
-        result.truncated = scan.truncated;
-        result.arrivals.assign(scan.arrival.begin(), scan.arrival.end());
-      }
-      return result;
-    }
-    case JourneyObjective::kShortest: {
-      if (!q.target) {
-        throw std::invalid_argument(
-            "QueryEngine::run: shortest objective requires a target");
-      }
-      result.journey = shortest_journey(g_, q.source, *q.target,
-                                        q.start_time, q.policy, q.limits, ws);
-      if (result.journey) result.arrival = result.journey->arrival(g_);
-      return result;
-    }
-    case JourneyObjective::kFastest: {
-      if (!q.target) {
-        throw std::invalid_argument(
-            "QueryEngine::run: fastest objective requires a target");
-      }
-      if (q.depart_hi < q.start_time) {
-        throw std::invalid_argument(
-            "QueryEngine::run: fastest depart_hi precedes start_time "
-            "(empty departure window)");
-      }
-      FastestJourneyResult fastest = fastest_journey_checked(
-          g_, q.source, *q.target, q.start_time, q.depart_hi, q.policy,
-          q.limits, ws);
-      result.truncated = fastest.truncated;
-      result.journey = std::move(fastest.journey);
-      if (result.journey) {
-        result.arrival = result.journey->arrival(g_);
-        result.duration = result.journey->duration(g_);
-      }
-      return result;
-    }
-  }
-  return result;
-}
-
 JourneyResult QueryEngine::run(const JourneyQuery& q) const {
-  // Only results of successful runs are ever inserted, so a cache hit
-  // can never mask the validation throws in run_on: a query that would
-  // throw has no entry to hit.
-  if (cache_) {
-    const QueryKey key = QueryKey::journey(q);
-    if (const auto hit = cache_->find(key, generation_)) {
-      return *static_cast<const JourneyResult*>(hit.get());
-    }
-    Lease ws = lease();
-    const auto owned = std::make_shared<const JourneyResult>(run_on(q, *ws));
-    cache_->insert(key, generation_, owned, approx_bytes(*owned));
-    return *owned;
+  const QueryKey key = cache_ ? QueryKey::journey(q) : QueryKey{};
+  if (const auto hit = find_cached<JourneyResult>(cache_.get(), key)) {
+    return *hit;
   }
-  Lease ws = lease();
-  return run_on(q, *ws);
+  auto ws = workers_.lease();
+  return remember(cache_.get(), key, read_journey(FrozenView(g_), q, *ws));
 }
 
 std::vector<JourneyResult> QueryEngine::run(
     std::span<const JourneyQuery> queries, unsigned threads) const {
   std::vector<JourneyResult> results(queries.size());
   if (!cache_) {
-    parallel_for(queries.size(), threads, [&](std::size_t i,
-                                              SearchWorkspace& ws) {
-      results[i] = run_on(queries[i], ws);
-    });
+    workers_.parallel_for(
+        queries.size(), threads, [&](std::size_t i, SearchWorkspace& ws) {
+          results[i] = read_journey(FrozenView(g_), queries[i], ws);
+        });
     return results;
   }
   // Serve hits up front, dedupe identical misses (a skewed batch can
@@ -261,8 +176,8 @@ std::vector<JourneyResult> QueryEngine::run(
   misses.reserve(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     keys[i] = QueryKey::journey(queries[i]);
-    if (const auto hit = cache_->find(keys[i], generation_)) {
-      results[i] = *static_cast<const JourneyResult*>(hit.get());
+    if (const auto hit = find_cached<JourneyResult>(cache_.get(), keys[i])) {
+      results[i] = *hit;
       continue;
     }
     const auto [it, inserted] = leaders.try_emplace(keys[i], i);
@@ -272,13 +187,11 @@ std::vector<JourneyResult> QueryEngine::run(
       dups.emplace_back(i, it->second);
     }
   }
-  parallel_for(misses.size(), threads, [&](std::size_t k,
-                                           SearchWorkspace& ws) {
+  workers_.parallel_for(misses.size(), threads, [&](std::size_t k,
+                                                    SearchWorkspace& ws) {
     const std::size_t i = misses[k];
-    const auto owned =
-        std::make_shared<const JourneyResult>(run_on(queries[i], ws));
-    cache_->insert(keys[i], generation_, owned, approx_bytes(*owned));
-    results[i] = *owned;
+    results[i] = remember(cache_.get(), keys[i],
+                          read_journey(FrozenView(g_), queries[i], ws));
   });
   for (const auto& [follower, lead] : dups) {
     results[follower] = results[lead];
@@ -291,56 +204,17 @@ std::vector<JourneyResult> QueryEngine::run(
 // ---------------------------------------------------------------------------
 
 ClosureResult QueryEngine::closure(const ClosureQuery& q) const {
-  std::vector<NodeId> sources = q.sources;
-  if (sources.empty()) {
-    sources.resize(g_.node_count());
-    for (NodeId v = 0; v < g_.node_count(); ++v) sources[v] = v;
-  }
-  for (const NodeId u : sources) {
-    if (u >= g_.node_count()) {
-      throw std::out_of_range("QueryEngine::closure: source out of range");
-    }
-  }
+  const std::vector<NodeId> sources = materialize_sources(
+      g_.node_count(), q.sources, "QueryEngine::closure: source out of range");
   // Keyed on the materialized source list (so the implicit "all nodes"
   // spelling shares an entry with the explicit one) and without the
   // threads knob (rows are bit-identical at any thread count).
-  QueryKey key;
-  if (cache_) {
-    key = QueryKey::closure(q, sources);
-    if (const auto hit = cache_->find(key, generation_)) {
-      return *static_cast<const ClosureResult*>(hit.get());
-    }
+  const QueryKey key = cache_ ? QueryKey::closure(q, sources) : QueryKey{};
+  if (const auto hit = find_cached<ClosureResult>(cache_.get(), key)) {
+    return *hit;
   }
-  ClosureResult result;
-  result.rows.resize(sources.size());
-  std::vector<char> truncated(sources.size(), 0);
-  // Bit-parallel kernel: sources pack 64 per lane word, and the shard
-  // unit is the WORD-GROUP, not the source — each task runs one packed
-  // word (or its per-source fallback) and writes only its own 64-row
-  // slice, so the merged matrix is independent of scheduling:
-  // bit-identical at any thread count to the serial per-source sweep
-  // (which multi_source_foremost itself guarantees to reproduce).
-  const std::size_t words = (sources.size() + 63) / 64;
-  parallel_for(words, q.threads, [&](std::size_t w, SearchWorkspace& ws) {
-    const std::size_t lo = w * 64;
-    const std::size_t count = std::min<std::size_t>(64, sources.size() - lo);
-    multi_source_foremost(
-        g_, std::span<const NodeId>(sources).subspan(lo, count),
-        q.start_time, q.policy, q.limits, q.direction, ws,
-        std::span<std::vector<Time>>(result.rows).subspan(lo, count),
-        std::span<char>(truncated).subspan(lo, count));
-  });
-  result.truncated =
-      std::any_of(truncated.begin(), truncated.end(), [](char c) {
-        return c != 0;
-      });
-  if (cache_) {
-    const auto owned =
-        std::make_shared<const ClosureResult>(std::move(result));
-    cache_->insert(key, generation_, owned, approx_bytes(*owned));
-    return *owned;
-  }
-  return result;
+  return remember(cache_.get(), key,
+                  read_closure(FrozenView(g_), sources, q, workers_));
 }
 
 // ---------------------------------------------------------------------------
@@ -352,22 +226,6 @@ ClosureResult QueryEngine::closure(const ClosureQuery& q) const {
 
 namespace {
 
-/// The "empty = every node" expansion + bounds check shared by closure()
-/// and the analytics entry points.
-[[nodiscard]] std::vector<NodeId> materialize_sources(
-    const TimeVaryingGraph& g, const std::vector<NodeId>& sources,
-    const char* what) {
-  std::vector<NodeId> out = sources;
-  if (out.empty()) {
-    out.resize(g.node_count());
-    for (NodeId v = 0; v < g.node_count(); ++v) out[v] = v;
-  }
-  for (const NodeId u : out) {
-    if (u >= g.node_count()) throw std::out_of_range(what);
-  }
-  return out;
-}
-
 /// Column-shard width for the analytics reduces: wide enough that a task
 /// streams whole cache lines, narrow enough to load-balance 10^5-node
 /// graphs over any pool size.
@@ -378,14 +236,12 @@ constexpr std::size_t kColumnChunk = 4096;
 KReachabilityResult QueryEngine::k_reachability(
     const KReachabilityQuery& q) const {
   const std::vector<NodeId> sources =
-      materialize_sources(g_, q.closure.sources,
+      materialize_sources(g_.node_count(), q.closure.sources,
                           "QueryEngine::k_reachability: source out of range");
-  QueryKey key;
-  if (cache_) {
-    key = QueryKey::k_reachability(q, sources);
-    if (const auto hit = cache_->find(key, generation_)) {
-      return *static_cast<const KReachabilityResult*>(hit.get());
-    }
+  const QueryKey key =
+      cache_ ? QueryKey::k_reachability(q, sources) : QueryKey{};
+  if (const auto hit = find_cached<KReachabilityResult>(cache_.get(), key)) {
+    return *hit;
   }
   const ClosureResult swept = closure(q.closure);
   const std::size_t n = g_.node_count();
@@ -395,28 +251,22 @@ KReachabilityResult QueryEngine::k_reachability(
   // Each task owns a contiguous column range: writes are disjoint and
   // every count is a plain integer sum — identical at any thread count.
   const std::size_t chunks = (n + kColumnChunk - 1) / kColumnChunk;
-  parallel_for(chunks, q.closure.threads,
-               [&](std::size_t c, SearchWorkspace&) {
-                 const std::size_t lo = c * kColumnChunk;
-                 const std::size_t hi = std::min(n, lo + kColumnChunk);
-                 for (const std::vector<Time>& row : swept.rows) {
-                   for (std::size_t v = lo; v < hi; ++v) {
-                     result.counts[v] += row[v] != kTimeInfinity ? 1u : 0u;
-                   }
-                 }
-               });
+  workers_.parallel_for(
+      chunks, q.closure.threads, [&](std::size_t c, SearchWorkspace&) {
+        const std::size_t lo = c * kColumnChunk;
+        const std::size_t hi = std::min(n, lo + kColumnChunk);
+        for (const std::vector<Time>& row : swept.rows) {
+          for (std::size_t v = lo; v < hi; ++v) {
+            result.counts[v] += row[v] != kTimeInfinity ? 1u : 0u;
+          }
+        }
+      });
   for (std::size_t v = 0; v < n; ++v) {
     if (result.counts[v] >= q.k) {
       result.nodes.push_back(static_cast<NodeId>(v));
     }
   }
-  if (cache_) {
-    const auto owned =
-        std::make_shared<const KReachabilityResult>(std::move(result));
-    cache_->insert(key, generation_, owned, approx_bytes(*owned));
-    return *owned;
-  }
-  return result;
+  return remember(cache_.get(), key, std::move(result));
 }
 
 InfluenceResult QueryEngine::influence_spread(const InfluenceQuery& q) const {
@@ -428,12 +278,9 @@ InfluenceResult QueryEngine::influence_spread(const InfluenceQuery& q) const {
       }
     }
   }
-  QueryKey key;
-  if (cache_) {
-    key = QueryKey::influence(q);
-    if (const auto hit = cache_->find(key, generation_)) {
-      return *static_cast<const InfluenceResult*>(hit.get());
-    }
+  const QueryKey key = cache_ ? QueryKey::influence(q) : QueryKey{};
+  if (const auto hit = find_cached<InfluenceResult>(cache_.get(), key)) {
+    return *hit;
   }
   const std::size_t n = g_.node_count();
   const std::size_t samples = q.sample_times.size();
@@ -458,7 +305,8 @@ InfluenceResult QueryEngine::influence_spread(const InfluenceQuery& q) const {
     // cone's min-fold and the threshold counts are all integral, so the
     // curve is identical at any thread count.
     std::vector<std::vector<std::size_t>> partial(chunks);
-    parallel_for(chunks, q.threads, [&](std::size_t c, SearchWorkspace&) {
+    workers_.parallel_for(chunks, q.threads, [&](std::size_t c,
+                                                 SearchWorkspace&) {
       auto& p = partial[c];
       p.assign(samples + 1, 0);
       const std::size_t lo = c * kColumnChunk;
@@ -483,24 +331,16 @@ InfluenceResult QueryEngine::influence_spread(const InfluenceQuery& q) const {
       }
     }
   }
-  if (cache_) {
-    const auto owned =
-        std::make_shared<const InfluenceResult>(std::move(result));
-    cache_->insert(key, generation_, owned, approx_bytes(*owned));
-    return *owned;
-  }
-  return result;
+  return remember(cache_.get(), key, std::move(result));
 }
 
 BetweennessResult QueryEngine::betweenness(const BetweennessQuery& q) const {
-  const std::vector<NodeId> sources = materialize_sources(
-      g_, q.sources, "QueryEngine::betweenness: source out of range");
-  QueryKey key;
-  if (cache_) {
-    key = QueryKey::betweenness(q, sources);
-    if (const auto hit = cache_->find(key, generation_)) {
-      return *static_cast<const BetweennessResult*>(hit.get());
-    }
+  const std::vector<NodeId> sources =
+      materialize_sources(g_.node_count(), q.sources,
+                          "QueryEngine::betweenness: source out of range");
+  const QueryKey key = cache_ ? QueryKey::betweenness(q, sources) : QueryKey{};
+  if (const auto hit = find_cached<BetweennessResult>(cache_.get(), key)) {
+    return *hit;
   }
   const std::size_t n = g_.node_count();
   BetweennessResult result;
@@ -510,10 +350,12 @@ BetweennessResult QueryEngine::betweenness(const BetweennessQuery& q) const {
   // contribution is an integer-valued double (witness-path counts), so
   // the commutative merge cannot change any score bit.
   Mutex merge_mu;
-  parallel_for(
+  workers_.parallel_for(
       sources.size(), q.threads, [&](std::size_t i, SearchWorkspace& ws) {
-        const ForemostTree tree = foremost_arrivals(
-            g_, sources[i], q.start_time, q.policy, q.limits, ws);
+        const ForemostTree tree =
+            detail::Kernels<FrozenView>::foremost_arrivals(
+                FrozenView(g_), sources[i], q.start_time, q.policy, q.limits,
+                ws.arenas());
         truncated[i] = tree.truncated ? 1 : 0;
         // Brandes-style subtree fold over the witness forest: seed one
         // unit at every reachable target's best config, fold children
@@ -544,24 +386,16 @@ BetweennessResult QueryEngine::betweenness(const BetweennessQuery& q) const {
   result.truncated =
       std::any_of(truncated.begin(), truncated.end(),
                   [](char c) { return c != 0; });
-  if (cache_) {
-    const auto owned =
-        std::make_shared<const BetweennessResult>(std::move(result));
-    cache_->insert(key, generation_, owned, approx_bytes(*owned));
-    return *owned;
-  }
-  return result;
+  return remember(cache_.get(), key, std::move(result));
 }
 
 CentralityResult QueryEngine::centrality(const CentralityQuery& q) const {
-  const std::vector<NodeId> sources = materialize_sources(
-      g_, q.closure.sources, "QueryEngine::centrality: source out of range");
-  QueryKey key;
-  if (cache_) {
-    key = QueryKey::centrality(q, sources);
-    if (const auto hit = cache_->find(key, generation_)) {
-      return *static_cast<const CentralityResult*>(hit.get());
-    }
+  const std::vector<NodeId> sources =
+      materialize_sources(g_.node_count(), q.closure.sources,
+                          "QueryEngine::centrality: source out of range");
+  const QueryKey key = cache_ ? QueryKey::centrality(q, sources) : QueryKey{};
+  if (const auto hit = find_cached<CentralityResult>(cache_.get(), key)) {
+    return *hit;
   }
   const ClosureResult swept = closure(q.closure);
   const std::size_t n = g_.node_count();
@@ -571,18 +405,18 @@ CentralityResult QueryEngine::centrality(const CentralityQuery& q) const {
   // round so the iteration never materializes an S x n double matrix on
   // top of the row block.
   std::vector<double> mass(s_count, 0.0);
-  parallel_for(s_count, q.closure.threads,
-               [&](std::size_t s, SearchWorkspace&) {
-                 const std::vector<Time>& row = swept.rows[s];
-                 double m = 0.0;
-                 for (std::size_t v = 0; v < n; ++v) {
-                   if (row[v] == kTimeInfinity) continue;
-                   // time-arith: double accumulation (delta via sat_sub)
-                   m += 1.0 / (1.0 + static_cast<double>(sat_sub(
-                                         row[v], q.closure.start_time)));
-                 }
-                 mass[s] = m;
-               });
+  workers_.parallel_for(
+      s_count, q.closure.threads, [&](std::size_t s, SearchWorkspace&) {
+        const std::vector<Time>& row = swept.rows[s];
+        double m = 0.0;
+        for (std::size_t v = 0; v < n; ++v) {
+          if (row[v] == kTimeInfinity) continue;
+          // time-arith: double accumulation (delta via sat_sub)
+          m += 1.0 / (1.0 + static_cast<double>(sat_sub(
+                                row[v], q.closure.start_time)));
+        }
+        mass[s] = m;
+      });
   CentralityResult result;
   result.truncated = swept.truncated;
   result.score.assign(n, 1.0);
@@ -597,33 +431,27 @@ CentralityResult QueryEngine::centrality(const CentralityQuery& q) const {
     for (std::size_t s = 0; s < s_count; ++s) {
       source_score[s] = result.score[sources[s]];
     }
-    parallel_for(chunks, q.closure.threads,
-                 [&](std::size_t c, SearchWorkspace&) {
-                   const std::size_t lo = c * kColumnChunk;
-                   const std::size_t hi = std::min(n, lo + kColumnChunk);
-                   for (std::size_t v = lo; v < hi; ++v) {
-                     double acc = 0.0;
-                     for (std::size_t s = 0; s < s_count; ++s) {
-                       if (mass[s] == 0.0) continue;
-                       const Time arr = swept.rows[s][v];
-                       if (arr == kTimeInfinity) continue;
-                       const double w =
-                           1.0 / (1.0 + static_cast<double>(sat_sub(
-                                            arr, q.closure.start_time)));
-                       acc += (w / mass[s]) * source_score[s];
-                     }
-                     next[v] = (1.0 - q.damping) + q.damping * acc;
-                   }
-                 });
+    workers_.parallel_for(
+        chunks, q.closure.threads, [&](std::size_t c, SearchWorkspace&) {
+          const std::size_t lo = c * kColumnChunk;
+          const std::size_t hi = std::min(n, lo + kColumnChunk);
+          for (std::size_t v = lo; v < hi; ++v) {
+            double acc = 0.0;
+            for (std::size_t s = 0; s < s_count; ++s) {
+              if (mass[s] == 0.0) continue;
+              const Time arr = swept.rows[s][v];
+              if (arr == kTimeInfinity) continue;
+              const double w =
+                  1.0 / (1.0 + static_cast<double>(sat_sub(
+                                   arr, q.closure.start_time)));
+              acc += (w / mass[s]) * source_score[s];
+            }
+            next[v] = (1.0 - q.damping) + q.damping * acc;
+          }
+        });
     result.score.swap(next);
   }
-  if (cache_) {
-    const auto owned =
-        std::make_shared<const CentralityResult>(std::move(result));
-    cache_->insert(key, generation_, owned, approx_bytes(*owned));
-    return *owned;
-  }
-  return result;
+  return remember(cache_.get(), key, std::move(result));
 }
 
 // ---------------------------------------------------------------------------
@@ -732,27 +560,16 @@ std::vector<AcceptOutcome> QueryEngine::accepts(
   // Key = spec + exact word sequence (outcomes are positional). Checked
   // right after validation so a hit pays no search setup (no accepting
   // bitmap, no trie).
-  QueryKey key;
-  if (cache_) {
-    key = QueryKey::accept(spec, words);
-    if (const auto hit = cache_->find(key, generation_)) {
-      return *static_cast<const std::vector<AcceptOutcome>*>(hit.get());
-    }
-  }
+  using Outcomes = std::vector<AcceptOutcome>;
+  const QueryKey key = cache_ ? QueryKey::accept(spec, words) : QueryKey{};
+  if (const auto hit = find_cached<Outcomes>(cache_.get(), key)) return *hit;
 
   // Point queries skip the trie machinery entirely (the ROADMAP's
   // single-word fast path); the chain walk reproduces the batch-of-one
   // outcome bit for bit.
   if (words.size() == 1) {
-    std::vector<AcceptOutcome> outcomes;
-    outcomes.push_back(accepts_single(spec, words.front()));
-    if (cache_) {
-      const auto owned = std::make_shared<const std::vector<AcceptOutcome>>(
-          std::move(outcomes));
-      cache_->insert(key, generation_, owned, approx_bytes(*owned));
-      return *owned;
-    }
-    return outcomes;
+    return remember(cache_.get(), key,
+                    Outcomes{accepts_single(spec, words.front())});
   }
 
   std::vector<char> accepting(g_.node_count(), 0);
@@ -827,13 +644,7 @@ std::vector<AcceptOutcome> QueryEngine::accepts(
     outcomes[w].configs_explored = configs.size();
     if (!outcomes[w].accepted) outcomes[w].truncated = truncated;
   }
-  if (cache_) {
-    const auto owned = std::make_shared<const std::vector<AcceptOutcome>>(
-        std::move(outcomes));
-    cache_->insert(key, generation_, owned, approx_bytes(*owned));
-    return *owned;
-  }
-  return outcomes;
+  return remember(cache_.get(), key, std::move(outcomes));
 }
 
 AcceptOutcome QueryEngine::accepts_single(const AcceptSpec& spec,

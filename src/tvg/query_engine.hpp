@@ -41,6 +41,7 @@
 // new code and anything batching more than one query should come here.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -339,6 +340,82 @@ struct AcceptOutcome {
   friend bool operator==(const AcceptOutcome&, const AcceptOutcome&) = default;
 };
 
+/// The shard machinery both engines hold: a persistent WorkerPool plus a
+/// free list of SearchWorkspaces that its batches lease, one per
+/// participant slot, so callers never pay per-query arena allocation.
+/// Thread-safe: the free list is guarded by mu_ (lock discipline proved
+/// by -Wthread-safety on the CI clang lane), the pool by its own locks.
+class WorkspacePool {
+ public:
+  /// `default_threads` = 0 picks the hardware concurrency.
+  explicit WorkspacePool(unsigned default_threads);
+
+  /// RAII lease of a pooled workspace (returned on destruction).
+  class Lease {
+   public:
+    Lease(const WorkspacePool& owner, std::unique_ptr<SearchWorkspace> ws)
+        : owner_(owner), ws_(std::move(ws)) {}
+    ~Lease();
+    Lease(Lease&&) noexcept = default;
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    Lease& operator=(Lease&&) = delete;
+    [[nodiscard]] SearchWorkspace& operator*() noexcept { return *ws_; }
+
+   private:
+    const WorkspacePool& owner_;
+    std::unique_ptr<SearchWorkspace> ws_;
+  };
+  [[nodiscard]] Lease lease() const TVG_EXCLUDES(mu_);
+
+  /// Runs fn(index, workspace) for index in [0, n), sharded over
+  /// `threads` (0 = default) participants of the worker pool, each
+  /// holding one leased workspace for the whole batch. Rethrows the
+  /// first worker exception after the batch drains.
+  template <typename Fn>
+  void parallel_for(std::size_t n, unsigned threads, Fn&& fn) const;
+
+  [[nodiscard]] unsigned default_threads() const noexcept {
+    return default_threads_;
+  }
+  /// The persistent workers: lazily started on the first multi-threaded
+  /// batch, reused across calls, joined on destruction. Also the lane
+  /// for fire-and-forget work (MutableEngine's background compaction).
+  [[nodiscard]] WorkerPool& workers() const noexcept { return workers_; }
+
+ private:
+  unsigned default_threads_;
+  mutable Mutex mu_;
+  mutable std::vector<std::unique_ptr<SearchWorkspace>> free_
+      TVG_GUARDED_BY(mu_);
+  /// Declared last: destroyed first, so every worker is joined before
+  /// the free list dies.
+  mutable WorkerPool workers_;
+};
+
+template <typename Fn>
+void WorkspacePool::parallel_for(std::size_t n, unsigned threads,
+                                 Fn&& fn) const {
+  if (threads == 0) threads = default_threads_;
+  threads = static_cast<unsigned>(
+      std::min<std::size_t>(threads, std::max<std::size_t>(n, 1)));
+  if (threads <= 1) {
+    Lease ws = lease();
+    for (std::size_t i = 0; i < n; ++i) fn(i, *ws);
+    return;
+  }
+  // One leased workspace per participant slot, held for the whole batch:
+  // a slot's claim loop reuses it across every index it runs. The pool's
+  // abort-flag semantics hold: the first failing index stops further
+  // claiming and its exception is rethrown here after the batch drains.
+  std::vector<Lease> leases;
+  leases.reserve(threads);
+  for (unsigned t = 0; t < threads; ++t) leases.push_back(lease());
+  workers_.parallel_for(n, threads, [&](std::size_t i, unsigned slot) {
+    fn(i, *leases[slot]);
+  });
+}
+
 /// The engine. See the header comment for the API and the guarantees.
 class QueryEngine {
  public:
@@ -354,13 +431,15 @@ class QueryEngine {
   /// internals. Pass CacheConfig::disabled() for one-shot engines.
   explicit QueryEngine(const TimeVaryingGraph& g, unsigned default_threads = 0,
                        CacheConfig cache = CacheConfig{});
+  /// The engine borrows its graph, so a temporary would dangle.
+  QueryEngine(TimeVaryingGraph&&, unsigned = 0, CacheConfig = {}) = delete;
   ~QueryEngine();
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
   [[nodiscard]] const TimeVaryingGraph& graph() const noexcept { return g_; }
   [[nodiscard]] unsigned default_threads() const noexcept {
-    return default_threads_;
+    return workers_.default_threads();
   }
 
   /// Worker threads the engine's persistent pool has spawned so far
@@ -368,7 +447,7 @@ class QueryEngine {
   /// batches REUSE these workers — the count growing between two equal
   /// batches would mean the pool regressed to per-call spawning.
   [[nodiscard]] std::size_t worker_threads_spawned() const noexcept {
-    return workers_.threads_spawned();
+    return workers_.workers().threads_spawned();
   }
 
   /// Observability snapshot of the engine's persistent pool (batches,
@@ -376,7 +455,7 @@ class QueryEngine {
   /// The serving layer samples this around a load interval to separate
   /// shard-scheduling pressure from query-queueing pressure.
   [[nodiscard]] WorkerPool::Stats worker_stats() const {
-    return workers_.stats();
+    return workers_.workers().stats();
   }
 
   /// True when this engine memoizes results (CacheConfig::enabled with a
@@ -433,27 +512,6 @@ class QueryEngine {
       const AcceptSpec& spec, std::span<const Word> words) const;
 
  private:
-  /// RAII lease of a pooled workspace (returned on destruction).
-  class Lease {
-   public:
-    Lease(const QueryEngine& engine, std::unique_ptr<SearchWorkspace> ws)
-        : engine_(engine), ws_(std::move(ws)) {}
-    ~Lease();
-    Lease(Lease&&) noexcept = default;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Lease& operator=(Lease&&) = delete;
-    [[nodiscard]] SearchWorkspace& operator*() noexcept { return *ws_; }
-
-   private:
-    const QueryEngine& engine_;
-    std::unique_ptr<SearchWorkspace> ws_;
-  };
-  [[nodiscard]] Lease lease() const;
-
-  [[nodiscard]] JourneyResult run_on(const JourneyQuery& q,
-                                     SearchWorkspace& ws) const;
-
   /// Batch-of-one acceptance fast path: a chain-specialized walk that
   /// skips the trie build and the pending-subtree bookkeeping. Outcome
   /// fields (accepted, truncated, configs_explored, witness) match the
@@ -461,31 +519,12 @@ class QueryEngine {
   [[nodiscard]] AcceptOutcome accepts_single(const AcceptSpec& spec,
                                              const Word& word) const;
 
-  /// Runs fn(index, workspace) for index in [0, n), sharded over
-  /// `threads` participants of the persistent worker pool, each holding
-  /// one leased workspace for the whole batch. Rethrows the first
-  /// worker exception after the batch drains.
-  template <typename Fn>
-  void parallel_for(std::size_t n, unsigned threads, Fn&& fn) const;
-
   const TimeVaryingGraph& g_;
-  unsigned default_threads_;
-  /// pool_mu_ guards the workspace free list; leases are handed out and
-  /// returned under it (lock discipline proved by -Wthread-safety on the
-  /// CI clang lane).
-  mutable Mutex pool_mu_;
-  mutable std::vector<std::unique_ptr<SearchWorkspace>> pool_
-      TVG_GUARDED_BY(pool_mu_);
-  /// Persistent workers behind every batch entry point: lazily started
-  /// on the first multi-threaded batch, reused across calls (batches no
-  /// longer pay per-query thread creation), joined in ~QueryEngine.
-  mutable WorkerPool workers_;
-  /// Engine-level result cache (null when disabled) and the generation
-  /// tag stamped into its entries: drawn fresh per engine, so an entry
-  /// can only ever be served by the engine incarnation (and therefore
-  /// the frozen graph) that computed it.
+  /// Engine-level result cache (null when disabled). Private to this
+  /// engine, whose compiled state never changes, so an entry can only be
+  /// served back to the graph that computed it.
   std::unique_ptr<ResultCache> cache_;
-  ResultCache::Generation generation_{0};
+  WorkspacePool workers_;
 };
 
 }  // namespace tvg

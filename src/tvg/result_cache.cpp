@@ -1,6 +1,5 @@
 #include "tvg/result_cache.hpp"
 
-#include <atomic>
 #include <bit>
 #include <list>
 #include <unordered_map>
@@ -207,7 +206,6 @@ namespace {
 struct ResultCache::Shard {
   struct Entry {
     QueryKey key;
-    Generation generation{0};
     ValuePtr value;
     std::size_t bytes{0};
     std::uint64_t footprint{kFootprintAll};
@@ -228,7 +226,6 @@ struct ResultCache::Shard {
   std::uint64_t hits TVG_GUARDED_BY(mu){0};
   std::uint64_t misses TVG_GUARDED_BY(mu){0};
   std::uint64_t evictions TVG_GUARDED_BY(mu){0};
-  std::uint64_t generation_drops TVG_GUARDED_BY(mu){0};
   std::uint64_t oversized_rejects TVG_GUARDED_BY(mu){0};
   std::uint64_t invalidations TVG_GUARDED_BY(mu){0};
   std::uint64_t survivors TVG_GUARDED_BY(mu){0};
@@ -254,7 +251,6 @@ struct ResultCache::Shard {
     s.hits = hits;
     s.misses = misses;
     s.evictions = evictions;
-    s.generation_drops = generation_drops;
     s.oversized_rejects = oversized_rejects;
     s.invalidations = invalidations;
     s.survivors = survivors;
@@ -284,29 +280,15 @@ ResultCache::ResultCache(CacheConfig config) {
 
 ResultCache::~ResultCache() = default;
 
-ResultCache::Generation ResultCache::next_generation() noexcept {
-  static std::atomic<Generation> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 ResultCache::Shard& ResultCache::shard_for(const QueryKey& key) noexcept {
   return *shards_[key.hash() & (shards_.size() - 1)];
 }
 
-ResultCache::ValuePtr ResultCache::find(const QueryKey& key,
-                                        Generation generation) {
+ResultCache::ValuePtr ResultCache::find(const QueryKey& key) {
   Shard& s = shard_for(key);
   const MutexLock lock(s.mu);
   const auto it = s.map.find(key);
   if (it == s.map.end()) {
-    ++s.misses;
-    return nullptr;
-  }
-  if (it->second->generation != generation) {
-    s.bytes -= it->second->bytes;
-    s.lru.erase(it->second);
-    s.map.erase(it);
-    ++s.generation_drops;
     ++s.misses;
     return nullptr;
   }
@@ -315,9 +297,8 @@ ResultCache::ValuePtr ResultCache::find(const QueryKey& key,
   return it->second->value;
 }
 
-void ResultCache::insert(const QueryKey& key, Generation generation,
-                         ValuePtr value, std::size_t bytes,
-                         std::uint64_t footprint) {
+void ResultCache::insert(const QueryKey& key, ValuePtr value,
+                         std::size_t bytes, std::uint64_t footprint) {
   if (key.empty() || value == nullptr) return;
   Shard& s = shard_for(key);
   const MutexLock lock(s.mu);
@@ -326,8 +307,8 @@ void ResultCache::insert(const QueryKey& key, Generation generation,
   if (s.max_bytes > 0 && bytes > s.max_bytes) {
     // One value larger than the shard's whole byte budget: caching it
     // would evict everything else and still leave the shard over budget.
-    // Reject instead (a stale same-key entry, if any, is left to the
-    // generation check at find time).
+    // Reject instead (a same-key entry, if any, stays: it holds the
+    // same result).
     ++s.oversized_rejects;
     return;
   }
@@ -335,13 +316,11 @@ void ResultCache::insert(const QueryKey& key, Generation generation,
   if (it != s.map.end()) {
     s.bytes += bytes - it->second->bytes;
     it->second->bytes = bytes;
-    it->second->generation = generation;
     it->second->value = std::move(value);
     it->second->footprint = footprint;
     s.lru.splice(s.lru.begin(), s.lru, it->second);
   } else {
-    s.lru.push_front(Shard::Entry{key, generation, std::move(value), bytes,
-                                  footprint});
+    s.lru.push_front(Shard::Entry{key, std::move(value), bytes, footprint});
     s.map.emplace(key, s.lru.begin());
     s.bytes += bytes;
   }
@@ -395,7 +374,6 @@ CacheStats ResultCache::stats() const {
     total.hits += s.hits;
     total.misses += s.misses;
     total.evictions += s.evictions;
-    total.generation_drops += s.generation_drops;
     total.oversized_rejects += s.oversized_rejects;
     total.invalidations += s.invalidations;
     total.survivors += s.survivors;

@@ -18,16 +18,14 @@
 //    contends only per shard;
 //  * LRU-bounded: `capacity` entries total (split across shards); an
 //    insert past capacity evicts the shard's least-recently-used entry;
-//  * generation-tagged: every entry carries the Generation of the engine
-//    that produced it, and lookups require an exact match — a rebuilt
-//    engine draws a fresh generation (next_generation()), so an entry
-//    surviving an engine swap (or a future shared cache) can never serve
-//    rows computed against a different frozen graph;
+//  * private to one engine: QueryEngine's compiled state never changes,
+//    and MutableEngine drops every entry a mutation could change
+//    (footprint invalidation, below), so a hit always equals a cold run;
 //  * value-owning: entries hold shared_ptr<const T> snapshots, hits are
 //    copied out by the engine, so cached data never aliases anything a
 //    caller can mutate.
 //
-// Stats (hits / misses / evictions / generation drops / live entries)
+// Stats (hits / misses / evictions / invalidations / live entries)
 // are aggregated over the shards under their locks — TSan-clean — and
 // exposed through QueryEngine::cache_stats().
 //
@@ -36,8 +34,8 @@
 // Bloom footprint (bit v & 63 set for the query's source and every node
 // its result reached), a mutation publishes the touched edges'
 // endpoints, and invalidate_keys_touching drops exactly the entries
-// whose footprint intersects the touched partitions — instead of the
-// engine-wide generation bump a rebuild costs. The stamp is
+// whose footprint intersects the touched partitions — instead of
+// dropping the whole cache as a rebuild would. The stamp is
 // conservative (a partition collision drops a still-valid entry, never
 // the reverse): a mutation on edge (u → v) can only change a query
 // whose pre-mutation reachable cone contains u, and u's partition bit
@@ -95,8 +93,6 @@ struct CacheStats {
   std::uint64_t hits{0};
   std::uint64_t misses{0};
   std::uint64_t evictions{0};
-  /// Entries dropped by a generation mismatch (counted as misses too).
-  std::uint64_t generation_drops{0};
   /// Inserts rejected because one value exceeded a shard's whole byte
   /// budget (only possible when CacheConfig::max_bytes is set).
   std::uint64_t oversized_rejects{0};
@@ -203,13 +199,12 @@ class QueryKey {
   std::size_t hash_{0};
 };
 
-/// The sharded, lock-striped, generation-checked LRU store. Thread-safe;
+/// The sharded, lock-striped LRU store. Thread-safe;
 /// value payloads are type-erased shared_ptr<const void> snapshots (each
 /// QueryKey kind maps to exactly one result type, so the engine's typed
 /// wrappers recover the static type from the key it built).
 class ResultCache {
  public:
-  using Generation = std::uint64_t;
   using ValuePtr = std::shared_ptr<const void>;
 
   explicit ResultCache(CacheConfig config);
@@ -217,18 +212,11 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Draws a fresh, process-unique generation tag (monotonic atomic).
-  /// QueryEngine stamps one at construction: entries are only served
-  /// back to the exact engine incarnation that computed them.
-  [[nodiscard]] static Generation next_generation() noexcept;
+  /// Returns the cached value for `key`, or null (a miss). A hit
+  /// refreshes LRU recency.
+  [[nodiscard]] ValuePtr find(const QueryKey& key);
 
-  /// Returns the cached value for `key` if present AND stamped with
-  /// `generation`; a stale-generation entry is dropped on sight (counted
-  /// in generation_drops) and reported as a miss. A hit refreshes LRU
-  /// recency.
-  [[nodiscard]] ValuePtr find(const QueryKey& key, Generation generation);
-
-  /// Inserts (or refreshes) `key` → `value` under `generation`, evicting
+  /// Inserts (or refreshes) `key` → `value`, evicting
   /// the shard's LRU tail while over the entry capacity or (when
   /// CacheConfig::max_bytes is set) over the shard's byte budget.
   /// `bytes` is the value's approximate heap footprint — only read by
@@ -240,12 +228,12 @@ class ResultCache {
   /// header comment): OR of footprint_bit(v) over the query's source and
   /// every node its result reached. The default kFootprintAll is always
   /// sound — such an entry just dies on the first invalidation.
-  void insert(const QueryKey& key, Generation generation, ValuePtr value,
-              std::size_t bytes = 1, std::uint64_t footprint = kFootprintAll);
+  void insert(const QueryKey& key, ValuePtr value, std::size_t bytes = 1,
+              std::uint64_t footprint = kFootprintAll);
 
   /// Drops every entry whose footprint intersects the partitions of the
   /// touched edges' endpoints (per-edge incremental invalidation — the
-  /// mutable engine's alternative to a generation bump). Each shard is
+  /// mutable engine's alternative to clearing the cache). Each shard is
   /// swept under its own lock; dropped entries count in
   /// CacheStats::invalidations, inspected-and-kept entries in
   /// CacheStats::survivors. No-op for an empty touch set.

@@ -121,7 +121,7 @@ class ScheduleIndex {
 
   /// min { t' >= from : ρ_e(t') } with kTimeInfinity as the "no such
   /// time" sentinel (the searches already treat a kTimeInfinity result as
-  /// absence — see the for_each_departure contract note in algorithms.cpp).
+  /// absence — see for_each_policy_departure in departures.hpp).
   [[nodiscard]] Time next_present(EdgeId e, Time from) const;
 
   /// optional-returning wrapper with Presence::next_present's signature

@@ -14,7 +14,7 @@ Server::Server(const QueryEngine& engine, ServerConfig config)
   start();
 }
 
-Server::Server(MutableEngine& engine, ServerConfig config)
+Server::Server(const MutableEngine& engine, ServerConfig config)
     : mutable_engine_(&engine), config_(std::move(config)) {
   start();
 }
@@ -223,21 +223,6 @@ std::future<std::vector<AcceptOutcome>> Server::submit(
               "a QueryEngine for language queries)");
         }
         return engine_->accepts(spec, words);
-      },
-      options);
-}
-
-std::future<EdgeId> Server::apply_update(const EdgeMutation& m,
-                                         SubmitOptions options) {
-  return enqueue<EdgeId>(
-      [this, m] {
-        if (mutable_engine_ == nullptr) {
-          throw std::logic_error(
-              "tvg::Server::apply_update: server fronts an immutable "
-              "QueryEngine (construct it over a tvg::MutableEngine to "
-              "accept live updates)");
-        }
-        return mutable_engine_->apply(m);
       },
       options);
 }

@@ -26,11 +26,10 @@
 //    without executing and its future fails with DeadlineExceeded, so
 //    a backlog of stale work can't pin a serving worker;
 //  * a mutable-backend mode: constructed over a tvg::MutableEngine
-//    (delta_overlay.hpp) instead of a QueryEngine, the same lanes also
-//    carry apply_update() submissions — live schedule mutations ride
-//    the priority machinery (shedding, deadlines, weighted dequeue)
-//    exactly like queries, so an update burst cannot starve interactive
-//    reads and vice versa;
+//    (delta_overlay.hpp) instead of a QueryEngine, the server serves
+//    journeys and closures over the live graph. It only reads: writes go
+//    to the engine (or its DurableEngine, which logs them first), never
+//    through the server;
 //  * a drain()/stop() lifecycle mirroring WorkerPool::parallel_for's
 //    abort/first-error semantics: drain() blocks until every accepted
 //    query completed; stop() stops dequeuing (like the pool's abort
@@ -62,8 +61,7 @@
 
 namespace tvg {
 
-class MutableEngine;   // delta_overlay.hpp
-struct EdgeMutation;   // delta_overlay.hpp
+class MutableEngine;  // delta_overlay.hpp
 
 /// Thrown into a future when admission control sheds the submission
 /// (its lane was at capacity). The query never entered the queue.
@@ -174,10 +172,10 @@ struct ServerStats {
 class Server {
  public:
   explicit Server(const QueryEngine& engine, ServerConfig config = {});
-  /// Mutable backend: queries route to MutableEngine::run / closure and
-  /// apply_update() becomes available. accepts() submissions fail their
-  /// future (the mutable engine serves journeys and closures only).
-  explicit Server(MutableEngine& engine, ServerConfig config = {});
+  /// Mutable backend: queries route to MutableEngine::run / closure.
+  /// accepts() submissions fail their future (the mutable engine serves
+  /// journeys and closures only).
+  explicit Server(const MutableEngine& engine, ServerConfig config = {});
   /// Equivalent to stop().
   ~Server();
   Server(const Server&) = delete;
@@ -205,17 +203,6 @@ class Server {
   [[nodiscard]] std::future<std::vector<AcceptOutcome>> submit(
       const AcceptSpec& spec, std::vector<Word> words,
       SubmitOptions options = {}) TVG_EXCLUDES(mu_);
-
-  /// Async MutableEngine::apply: the mutation rides a lane like any
-  /// query (default kNormal — pass SubmitOptions::in_lane(Lane::kHigh)
-  /// for updates that must beat queued reads) and the future yields the
-  /// mutated/created EdgeId, the mutation's own validation error, or
-  /// std::logic_error when the server fronts an immutable QueryEngine.
-  /// Updates already applied keep their effect if the server is later
-  /// stopped; queued ones fail with ServerStopped like any submission.
-  [[nodiscard]] std::future<EdgeId> apply_update(const EdgeMutation& m,
-                                                 SubmitOptions options = {})
-      TVG_EXCLUDES(mu_);
 
   /// Runs at most one queued task on the calling thread, honoring the
   /// weighted lane order and the deadline check exactly like a serving
@@ -275,7 +262,7 @@ class Server {
   /// Exactly one backend is set, at construction, for the server's whole
   /// lifetime (no lock needed to read them).
   const QueryEngine* engine_{nullptr};
-  MutableEngine* mutable_engine_{nullptr};
+  const MutableEngine* mutable_engine_{nullptr};
   const ServerConfig config_;
 
   mutable Mutex mu_;

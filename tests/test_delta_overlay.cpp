@@ -5,7 +5,8 @@
 // The randomized tests below drive seeded mutation streams and compare
 // against MutableEngine::materialize() + a fresh QueryEngine after
 // every batch, across waiting policies, objectives, thread counts and
-// compactions.
+// compactions. Dirty closures get their own oracle suite: the packed
+// kernel over the overlay, across lane words, budgets and the pull path.
 #include "tvg/delta_overlay.hpp"
 
 #include <gtest/gtest.h>
@@ -277,6 +278,132 @@ TEST(DeltaOverlay, ConcurrentMutateQueryCompactStress) {
   for (auto& t : readers) t.join();
   me.wait_for_compaction();
   expect_reads_match(me, "after concurrent stress");
+}
+
+// ---------------------------------------------------------------------------
+// Packed dirty closures: with a delta pending, closure() runs the same
+// bit-parallel kernel over the overlay that a rebuilt engine runs over
+// materialize(), so every row and truncation flag must match it.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kWordsNodes = 130;  // three 64-source lane words
+
+/// Leaves every mutation kind pending on a kWordsNodes-node engine.
+void make_dirty(MutableEngine& me, std::uint64_t seed) {
+  std::mt19937_64 rng(seed * 1000 + 3);
+  me.add_edge(0, kWordsNodes - 1, 'a', random_presence(rng), Latency::constant(2));
+  me.remove_edge(3);
+  me.patch_presence(5, random_presence(rng));
+  me.override_latency(7, Latency::constant(3));
+  for (int i = 0; i < 12; ++i) {
+    me.apply(random_mutation(rng, kWordsNodes, me.edge_count()));
+  }
+}
+
+TEST(DeltaOverlay, PackedDirtyClosureMatchesRebuildAcrossThreeWords) {
+  MutableEngine me(base_graph(17, kWordsNodes, 420), 2);
+  make_dirty(me, 17);
+  ASSERT_GT(me.pending_mutations(), 0u);
+  const TimeVaryingGraph rebuilt = me.materialize();
+  const QueryEngine ref(rebuilt, 1, CacheConfig::disabled());
+  for (const Policy& pol :
+       {Policy::wait(), Policy::no_wait(), Policy::bounded_wait(3)}) {
+    ClosureQuery cq;
+    cq.policy = pol;
+    cq.limits = SearchLimits::up_to(48);
+    const ClosureResult expected = ref.closure(cq);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      cq.threads = threads;
+      EXPECT_EQ(me.closure(cq), expected)
+          << pol.to_string() << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(DeltaOverlay, TightBudgetDirtyClosureFallsBackBitIdentical) {
+  // max_configs far below what one source explores: every packed word
+  // trips its guard and reruns per source, reproducing the serial
+  // truncation of a rebuilt engine flag for flag.
+  MutableEngine me(base_graph(41, kWordsNodes, 420), 2);
+  make_dirty(me, 41);
+  const TimeVaryingGraph rebuilt = me.materialize();
+  const QueryEngine ref(rebuilt, 1, CacheConfig::disabled());
+  SearchLimits tight = SearchLimits::up_to(48);
+  tight.max_configs = 24;
+  for (const Policy& pol :
+       {Policy::wait(), Policy::no_wait(), Policy::bounded_wait(3)}) {
+    ClosureQuery cq;
+    cq.policy = pol;
+    cq.limits = tight;
+    cq.threads = 2;
+    const ClosureResult expected = ref.closure(cq);
+    EXPECT_TRUE(expected.truncated) << pol.to_string();
+    EXPECT_EQ(me.closure(cq), expected) << pol.to_string();
+  }
+}
+
+TEST(DeltaOverlay, PullGatherOverPresencePatchesMatchesRebuild) {
+  // One uniform latency, a bounded horizon and presence patches only:
+  // the overlay keeps the base's uniform latency, so the packed kernel's
+  // pull gather runs over it (walking the base in-CSR).
+  RandomPeriodicParams params;
+  params.nodes = 130;
+  params.edges = 1200;
+  params.period = 8;
+  params.density = 0.5;
+  params.max_latency = 1;
+  params.seed = 23;
+  const TimeVaryingGraph g = make_random_periodic(params);
+  ASSERT_EQ(g.schedule_index().uniform_constant_latency(), 1);
+  std::mt19937_64 rng(2323);
+  std::vector<EdgeMutation> patches;
+  for (int i = 0; i < 8; ++i) {
+    patches.push_back(EdgeMutation::patch_presence(
+        static_cast<EdgeId>(rng() % g.edge_count()), random_presence(rng)));
+  }
+
+  DeltaOverlay ov(g);
+  for (const EdgeMutation& m : patches) ov.apply(m);
+  EXPECT_EQ(ov.snapshot()->uniform_constant_latency(), 1);
+
+  MutableEngine me(g, 2);
+  for (const EdgeMutation& m : patches) me.apply(m);
+  const TimeVaryingGraph rebuilt = me.materialize();
+  const QueryEngine ref(rebuilt, 1, CacheConfig::disabled());
+  for (const FrontierMode mode : {FrontierMode::kPullOnly, FrontierMode::kAuto}) {
+    ClosureQuery cq;
+    cq.policy = Policy::wait();
+    cq.limits = SearchLimits::up_to(40);
+    cq.direction.mode = mode;
+    for (const unsigned threads : {1u, 2u}) {
+      cq.threads = threads;
+      EXPECT_EQ(me.closure(cq), ref.closure(cq))
+          << "mode " << static_cast<int>(mode) << " at " << threads
+          << " threads";
+    }
+  }
+
+  // A latency override or an added edge forgoes the uniform latency
+  // (pull is then skipped; push rows are the same), even where a
+  // rebuild would still report one.
+  ov.override_latency(0, Latency::constant(1));
+  EXPECT_EQ(ov.snapshot()->uniform_constant_latency(), -1);
+  DeltaOverlay added(g);
+  added.add_edge(0, 1, 'a', Presence::always(), Latency::constant(1));
+  EXPECT_EQ(added.snapshot()->uniform_constant_latency(), -1);
+}
+
+TEST(DeltaOverlay, DirtyClosureShardsOneTaskPerWordGroup) {
+  // 130 sources = 3 lane words: the dirty closure claims exactly one
+  // pool task per word group, like the frozen engine.
+  MutableEngine me(base_graph(5, kWordsNodes, 420), 2);
+  me.patch_presence(0, Presence::never());
+  ClosureQuery cq;
+  cq.limits = SearchLimits::up_to(48);
+  cq.threads = 2;
+  const std::uint64_t before = me.worker_stats().tasks_claimed;
+  (void)me.closure(cq);
+  EXPECT_EQ(me.worker_stats().tasks_claimed - before, 3u);
 }
 
 TEST(DeltaSerialization, GraphPlusPendingLogRoundTrips) {

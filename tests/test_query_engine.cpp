@@ -8,10 +8,13 @@
 //  * batched accepts() agrees word-for-word with per-word acceptance
 //    across policies on randomized graphs (trie sharing is a pure
 //    optimization, never a semantic change);
-//  * budget truncation and bad-argument guards behave.
+//  * budget truncation and bad-argument guards behave, and an engine
+//    over a temporary graph (which it would borrow past its death) does
+//    not compile.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 #include "core/tvg_automaton.hpp"
@@ -280,6 +283,11 @@ TEST(QueryEngineAccepts, BatchTruncationFallsBackToPerWordBudget) {
     EXPECT_FALSE(batch[i].truncated) << words[i];
   }
 }
+
+// The engine borrows its graph: `QueryEngine e(make_graph())` would
+// dangle, so binding a temporary is a compile error.
+static_assert(!std::is_constructible_v<QueryEngine, TimeVaryingGraph&&>);
+static_assert(std::is_constructible_v<QueryEngine, const TimeVaryingGraph&>);
 
 TEST(QueryEngine, GuardsBadArguments) {
   TimeVaryingGraph g;

@@ -7,8 +7,8 @@
 //  * hit/miss stats counters are exact on a deterministic sequence;
 //  * closure keys canonicalize (implicit "all sources" = explicit list,
 //    thread count excluded);
-//  * the generation tag keeps a cache from serving entries stamped by a
-//    different engine incarnation;
+//  * per-edge invalidation drops exactly the entries whose footprint a
+//    mutation touches;
 //  * concurrent hammering of one hot key is safe (run under TSan/ASan in
 //    CI) and every thread sees the cold-run value;
 //  * property test: a caching engine and a cache-disabled engine agree
@@ -146,37 +146,36 @@ TEST(ResultCache, ByteBudgetEvictsLruTail) {
   config.max_bytes = 100;
   config.shards = 1;
   ResultCache cache(config);
-  const auto generation = ResultCache::next_generation();
   auto key_for = [](NodeId target) {
     return QueryKey::journey(JourneyQuery::foremost(0, 0).to(target));
   };
   auto value = std::make_shared<const int>(7);
   for (NodeId target = 0; target < 3; ++target) {
-    cache.insert(key_for(target), generation, value, 30);
+    cache.insert(key_for(target), value, 30);
   }
   CacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 3u);
   EXPECT_EQ(stats.bytes, 90u);
   EXPECT_EQ(stats.evictions, 0u);
-  cache.insert(key_for(3), generation, value, 30);  // 120 > 100: evict one
+  cache.insert(key_for(3), value, 30);  // 120 > 100: evict one
   stats = cache.stats();
   EXPECT_EQ(stats.entries, 3u);
   EXPECT_EQ(stats.bytes, 90u);
   EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(cache.find(key_for(0), generation), nullptr);  // the LRU tail
-  EXPECT_NE(cache.find(key_for(3), generation), nullptr);
+  EXPECT_EQ(cache.find(key_for(0)), nullptr);  // the LRU tail
+  EXPECT_NE(cache.find(key_for(3)), nullptr);
   // A single value over the whole shard budget is rejected outright —
   // caching it would wipe the shard and still not fit.
-  cache.insert(key_for(4), generation, value, 101);
+  cache.insert(key_for(4), value, 101);
   stats = cache.stats();
   EXPECT_EQ(stats.oversized_rejects, 1u);
   EXPECT_EQ(stats.entries, 3u);
-  EXPECT_EQ(cache.find(key_for(4), generation), nullptr);
+  EXPECT_EQ(cache.find(key_for(4)), nullptr);
   // A refresh that grows an entry re-balances the budget.
-  cache.insert(key_for(3), generation, value, 80);  // 80 + 2*30 > 100
+  cache.insert(key_for(3), value, 80);  // 80 + 2*30 > 100
   stats = cache.stats();
   EXPECT_LE(stats.bytes, 100u);
-  EXPECT_NE(cache.find(key_for(3), generation), nullptr);
+  EXPECT_NE(cache.find(key_for(3)), nullptr);
 }
 
 TEST(ResultCache, ByteBudgetBoundsClosureHeavyEngines) {
@@ -227,24 +226,6 @@ TEST(ResultCache, ClearDropsEntriesAndKeepsCounters) {
   EXPECT_EQ(stats.misses, 1u);
   (void)engine.run(JourneyQuery::foremost(0, 0).to(1));
   EXPECT_EQ(engine.cache_stats().misses, 2u);
-}
-
-TEST(ResultCache, GenerationMismatchDropsEntry) {
-  // Direct store-level check of the staleness guard: an entry stamped by
-  // one generation is never served to another, even for an equal key.
-  const TimeVaryingGraph g = test_graph(6);
-  ResultCache cache(CacheConfig{});
-  const auto gen_a = ResultCache::next_generation();
-  const auto gen_b = ResultCache::next_generation();
-  ASSERT_NE(gen_a, gen_b);
-  const QueryKey key = QueryKey::journey(JourneyQuery::foremost(0, 0).to(1));
-  cache.insert(key, gen_a, std::make_shared<const int>(42));
-  ASSERT_NE(cache.find(key, gen_a), nullptr);
-  EXPECT_EQ(cache.find(key, gen_b), nullptr);  // dropped on sight
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.generation_drops, 1u);
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(cache.find(key, gen_a), nullptr);  // really gone
 }
 
 TEST(ResultCache, QueryKeyDistinguishesQueriesAndWordOrder) {
@@ -461,16 +442,13 @@ TEST(ResultCache, InvalidateKeysTouchingDropsByFootprintOnly) {
   // Store-level check of the per-edge invalidation contract: an entry
   // dies iff its footprint intersects a touched endpoint's partition.
   ResultCache cache(CacheConfig{});
-  const auto generation = ResultCache::next_generation();
   auto key_for = [](NodeId target) {
     return QueryKey::journey(JourneyQuery::foremost(0, 0).to(target));
   };
   auto value = std::make_shared<const int>(1);
-  cache.insert(key_for(0), generation, value, 1,
-               footprint_bit(0) | footprint_bit(1));
-  cache.insert(key_for(1), generation, value, 1,
-               footprint_bit(2) | footprint_bit(3));
-  cache.insert(key_for(2), generation, value, 1, kFootprintAll);
+  cache.insert(key_for(0), value, 1, footprint_bit(0) | footprint_bit(1));
+  cache.insert(key_for(1), value, 1, footprint_bit(2) | footprint_bit(3));
+  cache.insert(key_for(2), value, 1, kFootprintAll);
   ASSERT_EQ(cache.stats().entries, 3u);
 
   const EdgeTouch touch{/*edge=*/5, /*from=*/2, /*to=*/3};
@@ -480,15 +458,15 @@ TEST(ResultCache, InvalidateKeysTouchingDropsByFootprintOnly) {
   EXPECT_EQ(stats.invalidations, 2u);
   EXPECT_EQ(stats.survivors, 1u);
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_NE(cache.find(key_for(0), generation), nullptr);
-  EXPECT_EQ(cache.find(key_for(1), generation), nullptr);
-  EXPECT_EQ(cache.find(key_for(2), generation), nullptr);
+  EXPECT_NE(cache.find(key_for(0)), nullptr);
+  EXPECT_EQ(cache.find(key_for(1)), nullptr);
+  EXPECT_EQ(cache.find(key_for(2)), nullptr);
 
   // Partitions alias mod 64: node 65 lands in partition 1, so the {0,1}
   // entry is (conservatively, correctly) dropped by a far-away edge.
   const EdgeTouch aliased{/*edge=*/6, /*from=*/65, /*to=*/70};
   cache.invalidate_keys_touching({&aliased, 1});
-  EXPECT_EQ(cache.find(key_for(0), generation), nullptr);
+  EXPECT_EQ(cache.find(key_for(0)), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 3u);
 }
 
@@ -500,7 +478,6 @@ TEST(ResultCache, ConcurrentInvalidationUnderTrafficIsSafeAndAccounted) {
   config.shards = 4;
   config.capacity = 4096;  // never binds: evictions stay out of the way
   ResultCache cache(config);
-  const auto generation = ResultCache::next_generation();
   constexpr int kWriters = 4;
   constexpr int kIters = 400;
   std::atomic<bool> stop{false};
@@ -526,9 +503,8 @@ TEST(ResultCache, ConcurrentInvalidationUnderTrafficIsSafeAndAccounted) {
           const auto target = static_cast<NodeId>(t * kIters + i);
           const QueryKey key =
               QueryKey::journey(JourneyQuery::foremost(0, 0).to(target));
-          cache.insert(key, generation, value, 1,
-                       footprint_bit(target) | footprint_bit(0));
-          (void)cache.find(key, generation);
+          cache.insert(key, value, 1, footprint_bit(target) | footprint_bit(0));
+          (void)cache.find(key);
         }
       });
     }
@@ -537,12 +513,11 @@ TEST(ResultCache, ConcurrentInvalidationUnderTrafficIsSafeAndAccounted) {
   stop.store(true, std::memory_order_release);
   invalidator.join();
 
-  // Nothing was evicted or generation-dropped, so every entry ever
+  // Nothing was evicted, so every entry ever
   // inserted is either resident now or was invalidated; survivors count
   // inspections, never entries, so they can only exceed residents.
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(stats.generation_drops, 0u);
   EXPECT_EQ(stats.entries + stats.invalidations,
             std::uint64_t{kWriters} * kIters);
 }

@@ -336,25 +336,25 @@ TEST(Server, WorkerPoolStatsObserveServedTraffic) {
 // ---------------------------------------------------------------------------
 
 TEST(Server, MutableBackendServesQueriesAndLiveUpdates) {
+  // The server only reads; writes go straight to the engine, and every
+  // query dequeued after a write sees it.
   MutableEngine engine(serving_graph(), 2);
   Server server(engine, manual_config());
 
   const JourneyQuery jq = query_for(0);
   auto before = server.submit(jq);
-  // High-lane update: dequeued before the normal-lane query behind it.
-  auto update = server.apply_update(
-      EdgeMutation::add_edge(0, 5, 'a', Presence::always(),
-                             Latency::constant(1), "hotfix"),
-      SubmitOptions{}.in_lane(Lane::kHigh));
+  ASSERT_TRUE(server.run_one());
+  (void)before.get();
+  const EdgeId added = engine.add_edge(0, 5, 'a', Presence::always(),
+                                       Latency::constant(1), "hotfix");
+  EXPECT_EQ(added, engine.edge_count() - 1);  // the appended id
   auto after = server.submit(jq);
   while (server.run_one()) {
   }
-  EXPECT_EQ(update.get(), engine.edge_count() - 1);  // the appended id
-  // Queue order (manual server): `before` was dequeued first, so only
-  // `after` sees the patched graph; both match direct engine calls.
-  EXPECT_TRUE(after.get() == engine.run(jq));
+  const JourneyResult fresh = after.get();
+  EXPECT_TRUE(fresh == engine.run(jq));
+  EXPECT_LE(fresh.arrivals[5], 1);  // over the new always-present edge
   EXPECT_EQ(engine.pending_mutations(), 1u);
-  (void)before.get();
 
   ClosureQuery cq;
   cq.limits = SearchLimits::up_to(96);
@@ -363,13 +363,13 @@ TEST(Server, MutableBackendServesQueriesAndLiveUpdates) {
   }
   EXPECT_TRUE(cf.get() == engine.closure(cq));
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.submitted, 4u);
-  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.completed, 3u);
 }
 
 TEST(Server, BackendMismatchFailsTheFutureNotTheServer) {
-  // accepts() needs the frozen language machinery; updates need the
-  // mutable backend. Either mismatch fails only its own future.
+  // accepts() needs the frozen language machinery: on a mutable backend
+  // it fails only its own future, and the server keeps serving.
   MutableEngine mutable_engine(serving_graph(), 1);
   Server mutable_server(mutable_engine, manual_config());
   AcceptSpec spec;
@@ -381,22 +381,16 @@ TEST(Server, BackendMismatchFailsTheFutureNotTheServer) {
   }
   EXPECT_THROW(af.get(), std::logic_error);
   EXPECT_TRUE(jf.get() == mutable_engine.run(query_for(1)));
-
-  const TimeVaryingGraph g = serving_graph();
-  const QueryEngine frozen(g, 1);
-  Server frozen_server(frozen, manual_config());
-  auto uf = frozen_server.apply_update(
-      EdgeMutation::patch_presence(0, Presence::never()));
-  while (frozen_server.run_one()) {
-  }
-  EXPECT_THROW(uf.get(), std::logic_error);
   // The failure is the task's, not the transport's: accounted as failed.
-  EXPECT_EQ(frozen_server.stats().failed, 1u);
+  const ServerStats stats = mutable_server.stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed, 1u);
 }
 
 TEST(ServerStress, LiveUpdatesRaceQueriesThroughTheLanes) {
-  // Worker-backed server over a mutable engine: updates and queries
-  // interleave arbitrarily; every future must resolve and every update
+  // Worker-backed server over a mutable engine: client threads write
+  // through MutableEngine::apply while their reads go through the server,
+  // interleaving arbitrarily; every future must resolve and every update
   // must land exactly once (sequence() counts them).
   MutableEngine engine(serving_graph(), 2);
   ServerConfig config;
@@ -405,22 +399,21 @@ TEST(ServerStress, LiveUpdatesRaceQueriesThroughTheLanes) {
   constexpr int kClients = 4;
   constexpr int kPerClient = 30;
   std::atomic<int> update_oks{0};
+  std::atomic<int> reads{0};
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int i = 0; i < kPerClient; ++i) {
         if (i % 3 == 0) {
-          auto f = server.apply_update(
-              EdgeMutation::patch_presence(
-                  static_cast<EdgeId>((c * kPerClient + i) % 28),
-                  Presence::eventually_always(static_cast<Time>(i % 7))),
-              SubmitOptions{}.in_lane(Lane::kHigh));
-          f.get();
+          engine.apply(EdgeMutation::patch_presence(
+              static_cast<EdgeId>((c * kPerClient + i) % 28),
+              Presence::eventually_always(static_cast<Time>(i % 7))));
           update_oks.fetch_add(1);
         } else {
           auto f =
               server.submit(query_for(static_cast<NodeId>((c + i) % 10)));
+          reads.fetch_add(1);
           const JourneyResult r = f.get();
           ASSERT_EQ(r.arrivals.size(), 10u);
         }
@@ -432,7 +425,7 @@ TEST(ServerStress, LiveUpdatesRaceQueriesThroughTheLanes) {
   EXPECT_EQ(engine.sequence(),
             static_cast<std::uint64_t>(update_oks.load()));
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.submitted, std::uint64_t{kClients} * kPerClient);
+  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(reads.load()));
   EXPECT_EQ(stats.completed, stats.submitted);
 }
 

@@ -59,6 +59,10 @@ struct MachineCase {
   int max_len;
 };
 
+// Without this, gtest prints the case as raw bytes, heap pointers included,
+// so the listed test names would change from one run to the next.
+void PrintTo(const MachineCase& c, std::ostream* os) { *os << c.name; }
+
 class MachineVsOracle : public ::testing::TestWithParam<MachineCase> {};
 
 TEST_P(MachineVsOracle, AgreesExhaustively) {
