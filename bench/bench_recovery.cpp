@@ -18,8 +18,15 @@
 // BM_Recovery/<n> times DurableEngine::recover() of a directory whose
 // WAL holds <n> records past checkpoint-0 (so recovery = read + verify
 // + decode + replay of exactly <n> mutations). The baseline half
-// rebuilds the same state in memory (apply the <n> mutations to a fresh
-// MutableEngine), isolating what the disk format adds over raw replay.
+// rebuilds the same state in memory (one batch apply of the <n>
+// mutations to a fresh MutableEngine, the call recovery replays
+// through), isolating what the disk format adds over raw replay.
+//
+// BM_CheckpointLoad/<nodes> times from_text of a checkpoint body: the
+// parse half of recovery, on its own. <nodes> picks the graph shape of
+// the full-stack benchmark's stacks: 8192 = the serving graph (60k
+// edges, period 64), 20000 = the Zipf closure graph (average degree 8,
+// period 8). It reads no environment knob: both halves run it alike.
 //
 // Regenerating the committed baseline:
 //
@@ -49,6 +56,7 @@
 #include "tvg/delta_overlay.hpp"
 #include "tvg/durable_engine.hpp"
 #include "tvg/generators.hpp"
+#include "tvg/serialization.hpp"
 #include "tvg/wal.hpp"
 
 namespace {
@@ -202,7 +210,7 @@ void BM_Recovery(benchmark::State& state) {
     // approach once decode + verification were free.
     for (auto _ : state) {
       MutableEngine engine(g, /*default_threads=*/1);
-      for (const EdgeMutation& m : stream) engine.apply(m);
+      benchmark::DoNotOptimize(engine.apply(stream).size());
       benchmark::DoNotOptimize(engine.materialize().edge_count());
     }
   }
@@ -211,6 +219,42 @@ void BM_Recovery(benchmark::State& state) {
   state.counters["log_records"] =
       benchmark::Counter(static_cast<double>(n));
   state.counters["durable"] = benchmark::Counter(durable ? 1.0 : 0.0);
+}
+
+/// A checkpoint-sized graph of the shape `nodes` selects (see the header).
+TimeVaryingGraph checkpoint_graph(std::size_t nodes) {
+  if (nodes == 8192) {
+    tvg::RandomPeriodicParams params;
+    params.nodes = nodes;
+    params.edges = 60000;
+    params.period = 64;
+    params.density = 0.03;
+    params.max_latency = 2;
+    params.seed = 1;
+    return tvg::make_random_periodic(params);
+  }
+  tvg::ZipfPeriodicParams params;
+  params.nodes = nodes;
+  params.avg_degree = 8.0;
+  params.period = 8;
+  params.density = 0.5;
+  params.seed = 1;
+  return tvg::make_zipf_periodic(params);
+}
+
+void BM_CheckpointLoad(benchmark::State& state) {
+  const std::string text =
+      tvg::to_text(checkpoint_graph(static_cast<std::size_t>(state.range(0))));
+  std::size_t edges = 0;
+  for (auto _ : state) {
+    edges = tvg::from_text(text).edge_count();
+    benchmark::DoNotOptimize(edges);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(
+      state.iterations() * static_cast<std::int64_t>(text.size())));
+  state.counters["edges"] = benchmark::Counter(static_cast<double>(edges));
+  state.counters["text_mb"] =
+      benchmark::Counter(static_cast<double>(text.size()) / 1e6);
 }
 
 BENCHMARK(BM_DurableApply)
@@ -223,6 +267,11 @@ BENCHMARK(BM_Recovery)
     ->Arg(256)
     ->Arg(1024)
     ->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_CheckpointLoad)
+    ->Arg(8192)   // serving stack
+    ->Arg(20000)  // Zipf closure stack
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

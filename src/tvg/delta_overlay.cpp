@@ -158,6 +158,32 @@ EdgeId DeltaOverlay::apply(EdgeMutation m) {
   return id;
 }
 
+std::vector<EdgeId> DeltaOverlay::apply(std::span<const EdgeMutation> batch) {
+  std::vector<EdgeId> ids;
+  if (batch.empty()) return ids;
+  ids.reserve(batch.size());
+  std::size_t edges = snapshot_->edge_count();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    try {
+      ids.push_back(validate_mutation(batch[i], base_->node_count(), edges));
+    } catch (const std::out_of_range& e) {
+      throw MutationBatchError(i, e.what());
+    }
+    if (batch[i].kind == EdgeMutation::Kind::kAddEdge) ++edges;
+  }
+  const auto old_size = static_cast<std::ptrdiff_t>(log_.size());
+  try {
+    log_.insert(log_.end(), batch.begin(), batch.end());
+    snapshot_ = std::make_shared<OverlaySnapshot>(*base_, log_,
+                                                  sequence_ + batch.size());
+  } catch (...) {
+    log_.erase(log_.begin() + old_size, log_.end());
+    throw;
+  }
+  sequence_ += batch.size();
+  return ids;
+}
+
 void DeltaOverlay::rebase(const TimeVaryingGraph& new_base,
                           std::size_t folded) {
   base_ = &new_base;
@@ -254,6 +280,24 @@ MutableEngine::~MutableEngine() {
   while (compacting_) compaction_cv_.wait(mu_);
 }
 
+EdgeTouch MutableEngine::record_touch_locked(const EdgeMutation& m, EdgeId id,
+                                             std::uint64_t seq) {
+  EdgeTouch touch;
+  if (m.kind == EdgeMutation::Kind::kAddEdge) {
+    touch = EdgeTouch{id, m.from, m.to};
+  } else if (id < state_.overlay->base_edge_count()) {
+    const Edge& e = state_.epoch->graph.edge(id);
+    touch = EdgeTouch{id, e.from, e.to};
+  } else {
+    const OverlaySnapshot::AddedEdge& ae = state_.overlay->added(id);
+    touch = EdgeTouch{id, ae.from, ae.to};
+  }
+  mask_history_.push_back(
+      MaskRec{seq, footprint_bit(touch.from) | footprint_bit(touch.to)});
+  if (mask_history_.size() > kMaskHistoryCap) mask_history_.pop_front();
+  return touch;
+}
+
 EdgeId MutableEngine::apply(const EdgeMutation& m) {
   EdgeId id = kInvalidEdge;
   EdgeTouch touch;
@@ -261,19 +305,7 @@ EdgeId MutableEngine::apply(const EdgeMutation& m) {
     const MutexLock lock(mu_);
     id = delta_->apply(m);  // throws on bad ids with the log unchanged
     state_.overlay = delta_->snapshot();
-    if (m.kind == EdgeMutation::Kind::kAddEdge) {
-      touch = EdgeTouch{id, m.from, m.to};
-    } else if (id < state_.overlay->base_edge_count()) {
-      const Edge& e = state_.epoch->graph.edge(id);
-      touch = EdgeTouch{id, e.from, e.to};
-    } else {
-      const OverlaySnapshot::AddedEdge& ae = state_.overlay->added(id);
-      touch = EdgeTouch{id, ae.from, ae.to};
-    }
-    mask_history_.push_back(
-        MaskRec{delta_->sequence(),
-                footprint_bit(touch.from) | footprint_bit(touch.to)});
-    if (mask_history_.size() > kMaskHistoryCap) mask_history_.pop_front();
+    touch = record_touch_locked(m, id, delta_->sequence());
   }
   // Invalidation runs outside mu_ (it takes the shard locks; the lock
   // order is mu_ -> shard, never the reverse). Publishing first is
@@ -284,6 +316,26 @@ EdgeId MutableEngine::apply(const EdgeMutation& m) {
     cache_->invalidate_keys_touching(std::span<const EdgeTouch>(&touch, 1));
   }
   return id;
+}
+
+std::vector<EdgeId> MutableEngine::apply(std::span<const EdgeMutation> batch) {
+  std::vector<EdgeId> ids;
+  std::vector<EdgeTouch> touches;
+  {
+    const MutexLock lock(mu_);
+    ids = delta_->apply(batch);  // throws with no state change
+    state_.overlay = delta_->snapshot();
+    // One mask record per mutation, under the sequence one-by-one apply
+    // would have given it, so the stale-insert check reads the same
+    // history either way.
+    const std::uint64_t first_seq = delta_->sequence() - ids.size() + 1;
+    touches.reserve(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      touches.push_back(record_touch_locked(batch[i], ids[i], first_seq + i));
+    }
+  }
+  if (cache_ && !touches.empty()) cache_->invalidate_keys_touching(touches);
+  return ids;
 }
 
 MutableEngine::State MutableEngine::capture(std::uint64_t* seq_out) const {

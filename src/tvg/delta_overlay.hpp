@@ -50,6 +50,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -144,6 +145,20 @@ struct EdgeMutation {
 [[nodiscard]] EdgeId validate_mutation(const EdgeMutation& m,
                                        std::size_t node_count,
                                        std::size_t edge_count);
+
+/// What a batch apply throws on a bad node/edge id: the
+/// validate_mutation error of the record at `index()` in the batch.
+class MutationBatchError : public std::out_of_range {
+ public:
+  MutationBatchError(std::size_t index, const std::string& what)
+      : std::out_of_range("batch record " + std::to_string(index) + ": " +
+                          what),
+        index_(index) {}
+  [[nodiscard]] std::size_t index() const noexcept { return index_; }
+
+ private:
+  std::size_t index_;
+};
 
 /// Immutable compiled form of a pending delta over one frozen base.
 /// Rebuilt (O(pending + E/64)) and republished behind a shared_ptr on
@@ -386,6 +401,14 @@ class DeltaOverlay {
   /// std::out_of_range on a bad node/edge id (the log is unchanged).
   EdgeId apply(EdgeMutation m);
 
+  /// Applies `batch` in order as one step, with the ids, log and
+  /// sequence one-by-one apply would produce: validates every record
+  /// against the running edge count first, then appends them all and
+  /// compiles ONE snapshot (one-by-one costs a snapshot per record).
+  /// Returns each record's id. Throws MutationBatchError naming the
+  /// first bad record, with log, sequence and snapshot unchanged.
+  std::vector<EdgeId> apply(std::span<const EdgeMutation> batch);
+
   EdgeId add_edge(NodeId from, NodeId to, Symbol label, Presence presence,
                   Latency latency, std::string name = "") {
     return apply(EdgeMutation::add_edge(from, to, label, std::move(presence),
@@ -484,6 +507,13 @@ class MutableEngine {
   /// id otherwise. Completes the per-edge cache invalidation before
   /// returning.
   EdgeId apply(const EdgeMutation& m) TVG_EXCLUDES(mu_);
+  /// Applies `batch` as one step (DeltaOverlay's batch apply: one
+  /// snapshot, MutationBatchError with no state change on a bad id) and
+  /// makes one invalidation pass for all of it. Readers see the state
+  /// before the batch or after it, never in between. Returns each
+  /// record's id.
+  std::vector<EdgeId> apply(std::span<const EdgeMutation> batch)
+      TVG_EXCLUDES(mu_);
 
   EdgeId add_edge(NodeId from, NodeId to, Symbol label, Presence presence,
                   Latency latency, std::string name = "") {
@@ -569,6 +599,10 @@ class MutableEngine {
   };
 
   [[nodiscard]] State capture(std::uint64_t* seq_out) const TVG_EXCLUDES(mu_);
+  /// The edge mutation `m` (already applied, id `id`) touched, recorded
+  /// in the mask history under `seq`.
+  EdgeTouch record_touch_locked(const EdgeMutation& m, EdgeId id,
+                                std::uint64_t seq) TVG_REQUIRES(mu_);
   /// True iff no mutation with an intersecting mask landed in
   /// (captured_seq, now].
   [[nodiscard]] bool insert_allowed_locked(std::uint64_t captured_seq,

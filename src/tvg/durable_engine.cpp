@@ -330,19 +330,26 @@ DurableEngine::DurableEngine(Recovered&& r, std::string dir,
       options_(options),
       recovery_(r.info),
       engine_(std::move(r.graph), options.threads) {
-  for (const Wal::Record& rec : r.records) {
-    EdgeId id = kInvalidEdge;
-    try {
-      id = engine_.apply(rec.mutation);
-    } catch (const std::out_of_range& e) {
-      throw RecoveryError("recover: replaying record " +
-                          std::to_string(rec.sequence) + ": " + e.what());
-    }
-    if (id != rec.assigned_edge) {
+  // One batch apply for the whole chain: a single snapshot build instead
+  // of one per record. Ids are then checked record by record.
+  std::vector<EdgeMutation> batch;
+  batch.reserve(r.records.size());
+  for (Wal::Record& rec : r.records) batch.push_back(std::move(rec.mutation));
+  std::vector<EdgeId> ids;
+  try {
+    ids = engine_.apply(batch);
+  } catch (const MutationBatchError& e) {
+    throw RecoveryError("recover: replaying record " +
+                        std::to_string(r.records[e.index()].sequence) + ": " +
+                        e.what());
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const Wal::Record& rec = r.records[i];
+    if (ids[i] != rec.assigned_edge) {
       throw RecoveryError(
           "recover: record " + std::to_string(rec.sequence) +
           " logged edge id " + std::to_string(rec.assigned_edge) +
-          " but replay assigned " + std::to_string(id) +
+          " but replay assigned " + std::to_string(ids[i]) +
           " — edge-id stability violated, derived state would be wrong");
     }
   }

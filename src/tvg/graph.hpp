@@ -92,6 +92,9 @@ class TimeVaryingGraph {
   [[nodiscard]] const std::string& node_name(NodeId v) const {
     return node_names_.at(v);
   }
+  /// The first node named `name`. A linear scan over every node name,
+  /// meant for diagnostics and tests: bulk name resolution (the text
+  /// parser) keeps its own hash index instead.
   [[nodiscard]] std::optional<NodeId> find_node(std::string_view name) const;
 
   /// Ids of edges leaving / entering v, in insertion order. The spans

@@ -1,10 +1,12 @@
 #include "tvg/serialization.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "tvg/delta_overlay.hpp"
@@ -174,12 +176,22 @@ Latency parse_latency(std::string_view spec, std::size_t line) {
   p.fail("unknown latency spec");
 }
 
-std::vector<std::string> split_ws(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) tokens.push_back(token);
-  return tokens;
+/// Whitespace as `>>` on a classic-locale stream skips it (std::isspace):
+/// space and '\t' '\n' '\v' '\f' '\r'.
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Splits `line` into whitespace-separated tokens viewing into it; `out`
+/// is cleared first and keeps its capacity across lines.
+void split_ws(std::string_view line, std::vector<std::string_view>& out) {
+  out.clear();
+  std::size_t i = 0;
+  for (;;) {
+    while (i < line.size() && is_space(line[i])) ++i;
+    if (i == line.size()) return;
+    const std::size_t start = i;
+    while (i < line.size() && !is_space(line[i])) ++i;
+    out.push_back(line.substr(start, i - start));
+  }
 }
 
 }  // namespace
@@ -250,23 +262,78 @@ std::string to_text(const TimeVaryingGraph& g,
 
 namespace {
 
+[[noreturn]] void fail_line(std::size_t line_no, const std::string& what) {
+  throw std::invalid_argument("from_text: line " + std::to_string(line_no) +
+                              ": " + what);
+}
+
+/// The `from to label attr...` tail shared by `edge` and `delta add_edge`
+/// lines, as an add_edge mutation. Endpoints resolve through `nodes`
+/// (name -> id); `directive` names the line kind in the missing-attribute
+/// error.
+EdgeMutation parse_edge_tail(
+    std::span<const std::string_view> tokens,
+    const std::unordered_map<std::string_view, NodeId>& nodes,
+    std::string_view directive, std::size_t line_no) {
+  auto endpoint = [&](std::string_view name) {
+    const auto it = nodes.find(name);
+    if (it == nodes.end()) {
+      fail_line(line_no, "unknown node '" + std::string(name) + "'");
+    }
+    return it->second;
+  };
+  const NodeId from = endpoint(tokens[0]);
+  const NodeId to = endpoint(tokens[1]);
+  if (tokens[2].size() != 1) {
+    fail_line(line_no, "label must be a single character");
+  }
+  Presence presence = Presence::always();
+  Latency latency = Latency::constant(1);
+  std::string name;
+  bool presence_seen = false;
+  bool latency_seen = false;
+  for (const std::string_view tok : tokens.subspan(3)) {
+    if (tok.starts_with("presence=")) {
+      presence = parse_presence(tok.substr(9), line_no);
+      presence_seen = true;
+    } else if (tok.starts_with("latency=")) {
+      latency = parse_latency(tok.substr(8), line_no);
+      latency_seen = true;
+    } else if (tok.starts_with("name=")) {
+      name = tok.substr(5);
+    } else {
+      fail_line(line_no, "unknown attribute '" + std::string(tok) + "'");
+    }
+  }
+  if (!presence_seen || !latency_seen) {
+    fail_line(line_no,
+              std::string(directive) + " needs both presence= and latency=");
+  }
+  return EdgeMutation::add_edge(from, to, tokens[2][0], std::move(presence),
+                                std::move(latency), std::move(name));
+}
+
 /// Shared parser: `delta_out == nullptr` is the strict mode (from_text),
-/// where a delta line falls through to "unknown directive".
-TimeVaryingGraph parse_text(const std::string& text,
+/// where a delta line falls through to "unknown directive". Linear in
+/// the input: lines and tokens are views into `text`, and node names
+/// resolve through a hash index keyed by those views (`text` outlives
+/// the parse; the graph's own name strings may move as it grows).
+TimeVaryingGraph parse_text(std::string_view text,
                             std::vector<EdgeMutation>* delta_out) {
   TimeVaryingGraph g;
-  std::istringstream is(text);
-  std::string line;
+  std::unordered_map<std::string_view, NodeId> nodes;
+  std::vector<std::string_view> tokens;
   std::size_t line_no = 0;
   bool header_seen = false;
   EdgeId delta_adds = 0;
-  auto fail = [&](const std::string& what) -> void {
-    throw std::invalid_argument("from_text: line " +
-                                std::to_string(line_no) + ": " + what);
-  };
-  while (std::getline(is, line)) {
+  auto fail = [&](const std::string& what) { fail_line(line_no, what); };
+  // Lines as std::getline cuts them: a final line without '\n' counts,
+  // a trailing '\n' opens no extra line.
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t nl = std::min(text.find('\n', pos), text.size());
+    split_ws(text.substr(pos, nl - pos), tokens);
+    pos = nl + 1;
     ++line_no;
-    const auto tokens = split_ws(line);
     if (tokens.empty() || tokens[0].starts_with('#')) continue;
     if (!header_seen) {
       if (tokens.size() != 2 || tokens[0] != "tvg" || tokens[1] != "1") {
@@ -277,50 +344,30 @@ TimeVaryingGraph parse_text(const std::string& text,
     }
     if (tokens[0] == "node") {
       if (tokens.size() != 2) fail("node wants exactly one name");
-      if (g.find_node(tokens[1])) fail("duplicate node '" + tokens[1] + "'");
-      g.add_node(tokens[1]);
+      const auto id = static_cast<NodeId>(g.node_count());
+      if (!nodes.emplace(tokens[1], id).second) {
+        fail("duplicate node '" + std::string(tokens[1]) + "'");
+      }
+      g.add_node(std::string(tokens[1]));
     } else if (tokens[0] == "edge") {
       if (tokens.size() < 5) fail("edge wants: from to label presence= ...");
-      const auto from = g.find_node(tokens[1]);
-      const auto to = g.find_node(tokens[2]);
-      if (!from) fail("unknown node '" + tokens[1] + "'");
-      if (!to) fail("unknown node '" + tokens[2] + "'");
-      if (tokens[3].size() != 1) fail("label must be a single character");
-      Presence presence = Presence::always();
-      Latency latency = Latency::constant(1);
-      std::string name;
-      bool presence_seen = false;
-      bool latency_seen = false;
-      for (std::size_t i = 4; i < tokens.size(); ++i) {
-        const std::string& tok = tokens[i];
-        if (tok.starts_with("presence=")) {
-          presence = parse_presence(tok.substr(9), line_no);
-          presence_seen = true;
-        } else if (tok.starts_with("latency=")) {
-          latency = parse_latency(tok.substr(8), line_no);
-          latency_seen = true;
-        } else if (tok.starts_with("name=")) {
-          name = tok.substr(5);
-        } else {
-          fail("unknown attribute '" + tok + "'");
-        }
-      }
-      if (!presence_seen || !latency_seen) {
-        fail("edge needs both presence= and latency=");
-      }
-      g.add_edge(*from, *to, tokens[3][0], std::move(presence),
-                 std::move(latency), std::move(name));
+      EdgeMutation e = parse_edge_tail(std::span(tokens).subspan(1), nodes,
+                                       "edge", line_no);
+      g.add_edge(e.from, e.to, e.label, std::move(e.presence),
+                 std::move(e.latency), std::move(e.name));
     } else if (delta_out != nullptr && tokens[0] == "delta") {
       if (tokens.size() < 2) fail("delta wants an operation");
       // Ids defined so far under replay: base edges + adds parsed above.
       const EdgeId live_edges = g.edge_count() + delta_adds;
-      auto parse_edge_id = [&](const std::string& tok) -> EdgeId {
+      auto parse_edge_id = [&](std::string_view tok) -> EdgeId {
         EdgeId id = 0;
-        const char* begin = tok.data();
         const char* end = tok.data() + tok.size();
-        const auto [ptr, ec] = std::from_chars(begin, end, id);
+        const auto [ptr, ec] = std::from_chars(tok.data(), end, id);
         if (ec != std::errc{} || ptr != end) {
-          fail("expected an edge id, got '" + tok + "'");
+          fail("expected an edge id, got '" + std::string(tok) + "'");
+        }
+        if (id >= live_edges) {
+          fail("delta references unknown edge " + std::string(tok));
         }
         return id;
       };
@@ -328,48 +375,19 @@ TimeVaryingGraph parse_text(const std::string& text,
         if (tokens.size() < 6) {
           fail("delta add_edge wants: from to label presence= latency= ...");
         }
-        const auto from = g.find_node(tokens[2]);
-        const auto to = g.find_node(tokens[3]);
-        if (!from) fail("unknown node '" + tokens[2] + "'");
-        if (!to) fail("unknown node '" + tokens[3] + "'");
-        if (tokens[4].size() != 1) fail("label must be a single character");
-        Presence presence = Presence::always();
-        Latency latency = Latency::constant(1);
-        std::string name;
-        bool presence_seen = false;
-        bool latency_seen = false;
-        for (std::size_t i = 5; i < tokens.size(); ++i) {
-          const std::string& tok = tokens[i];
-          if (tok.starts_with("presence=")) {
-            presence = parse_presence(tok.substr(9), line_no);
-            presence_seen = true;
-          } else if (tok.starts_with("latency=")) {
-            latency = parse_latency(tok.substr(8), line_no);
-            latency_seen = true;
-          } else if (tok.starts_with("name=")) {
-            name = tok.substr(5);
-          } else {
-            fail("unknown attribute '" + tok + "'");
-          }
-        }
-        if (!presence_seen || !latency_seen) {
-          fail("delta add_edge needs both presence= and latency=");
-        }
-        delta_out->push_back(EdgeMutation::add_edge(
-            *from, *to, tokens[4][0], std::move(presence), std::move(latency),
-            std::move(name)));
+        delta_out->push_back(parse_edge_tail(std::span(tokens).subspan(2),
+                                             nodes, "delta add_edge",
+                                             line_no));
         ++delta_adds;
       } else if (tokens[1] == "remove_edge") {
         if (tokens.size() != 3) fail("delta remove_edge wants an edge id");
-        const EdgeId id = parse_edge_id(tokens[2]);
-        if (id >= live_edges) fail("delta references unknown edge " + tokens[2]);
-        delta_out->push_back(EdgeMutation::remove_edge(id));
+        delta_out->push_back(
+            EdgeMutation::remove_edge(parse_edge_id(tokens[2])));
       } else if (tokens[1] == "patch_presence") {
         if (tokens.size() != 4 || !tokens[3].starts_with("presence=")) {
           fail("delta patch_presence wants: <edge id> presence=...");
         }
         const EdgeId id = parse_edge_id(tokens[2]);
-        if (id >= live_edges) fail("delta references unknown edge " + tokens[2]);
         delta_out->push_back(EdgeMutation::patch_presence(
             id, parse_presence(tokens[3].substr(9), line_no)));
       } else if (tokens[1] == "override_latency") {
@@ -377,14 +395,13 @@ TimeVaryingGraph parse_text(const std::string& text,
           fail("delta override_latency wants: <edge id> latency=...");
         }
         const EdgeId id = parse_edge_id(tokens[2]);
-        if (id >= live_edges) fail("delta references unknown edge " + tokens[2]);
         delta_out->push_back(EdgeMutation::override_latency(
             id, parse_latency(tokens[3].substr(8), line_no)));
       } else {
-        fail("unknown delta operation '" + tokens[1] + "'");
+        fail("unknown delta operation '" + std::string(tokens[1]) + "'");
       }
     } else {
-      fail("unknown directive '" + tokens[0] + "'");
+      fail("unknown directive '" + std::string(tokens[0]) + "'");
     }
   }
   if (!header_seen) {

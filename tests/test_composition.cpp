@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "tvg/composition.hpp"
+#include "tvg/delta_overlay.hpp"
 #include "tvg/generators.hpp"
 #include "tvg/serialization.hpp"
 
@@ -194,6 +195,79 @@ TEST(Serialization, ErrorsCarryLineNumbers) {
               "missing latency");
   // Empty input fails too (without a line number — there is no line).
   EXPECT_THROW((void)from_text(""), std::invalid_argument);
+}
+
+TEST(Serialization, WhitespaceAndCommentsParseLikeTheCleanForm) {
+  const std::string clean =
+      "tvg 1\n"
+      "node a\n"
+      "node b\n"
+      "edge a b x presence=periodic:6:{0,[2,4)} latency=const:3 name=e_one\n"
+      "edge b a y presence=always latency=affine:2,1 name=e1\n";
+  // CRLF endings, tab separators, leading/trailing blanks, blank lines
+  // and `#` comment lines (indented or not) are all layout.
+  const std::string messy =
+      "# leading comment\r\n"
+      "  tvg\t1 \r\n"
+      "\r\n"
+      "node\ta\t\r\n"
+      "   # indented comment\r\n"
+      "node b   \r\n"
+      " \t \r\n"
+      "edge\ta  b\tx presence=periodic:6:{0,[2,4)}\t\tlatency=const:3 "
+      "name=e_one \r\n"
+      "\tedge b a y  presence=always latency=affine:2,1\r\n"
+      "#trailing comment";
+  EXPECT_EQ(to_text(from_text(clean)), clean);
+  EXPECT_EQ(to_text(from_text(messy)), clean);
+}
+
+TEST(Serialization, NodeErrorsNameTheirLine) {
+  auto message_of = [](const std::string& text, bool with_delta) {
+    try {
+      if (with_delta) {
+        (void)from_text_with_delta(text);
+      } else {
+        (void)from_text(text);
+      }
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("<no throw>");
+  };
+  // A duplicate declared after edges is still caught, on its own line.
+  EXPECT_EQ(message_of("tvg 1\nnode a\nnode b\n"
+                       "edge a b x presence=always latency=const:1\n"
+                       "edge b a x presence=always latency=const:1\n"
+                       "node a\n",
+                       false),
+            "from_text: line 6: duplicate node 'a'");
+  EXPECT_EQ(message_of("tvg 1\nnode a\n# gap\n\nnode b\n"
+                       "edge a zz x presence=always latency=const:1\n",
+                       false),
+            "from_text: line 6: unknown node 'zz'");
+  EXPECT_EQ(message_of("tvg 1\nnode a\nnode b\n"
+                       "edge qq b x presence=always latency=const:1\n",
+                       false),
+            "from_text: line 4: unknown node 'qq'");
+  EXPECT_EQ(message_of("tvg 1\nnode a\nnode b\n"
+                       "delta add_edge a nope x presence=always "
+                       "latency=const:1\n",
+                       true),
+            "from_text: line 4: unknown node 'nope'");
+}
+
+TEST(Serialization, ZipfGraphRoundTripsExactly) {
+  ZipfPeriodicParams params;
+  params.nodes = 20000;
+  params.avg_degree = 8.0;
+  params.period = 8;
+  params.density = 0.5;
+  params.seed = 1;
+  const std::string text = to_text(make_zipf_periodic(params));
+  const TimeVaryingGraph back = from_text(text);
+  EXPECT_EQ(back.node_count(), params.nodes);
+  EXPECT_EQ(to_text(back), text);
 }
 
 TEST(Serialization, RefusesRuntimeOnlySchedules) {

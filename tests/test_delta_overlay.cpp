@@ -203,6 +203,146 @@ TEST(DeltaOverlay, ValidationRejectsBadIdsWithoutStateChange) {
                std::out_of_range);
 }
 
+/// A batch exercising every kind: adds, removes, presence patches and
+/// latency overrides of base edges, and patches of edges added earlier
+/// in the same batch, then a seeded tail tracked against the counts.
+std::vector<EdgeMutation> mixed_batch(std::size_t nodes, EdgeId edges,
+                                      std::uint64_t seed) {
+  std::vector<EdgeMutation> batch;
+  batch.push_back(EdgeMutation::add_edge(0, 1, 'a', Presence::always(),
+                                         Latency::constant(2), "fresh"));
+  batch.push_back(EdgeMutation::patch_presence(
+      edges, Presence::periodic(4, IntervalSet::from_points({1, 3}))));
+  batch.push_back(EdgeMutation::override_latency(edges, Latency::constant(3)));
+  batch.push_back(EdgeMutation::remove_edge(2));
+  batch.push_back(
+      EdgeMutation::patch_presence(5, Presence::eventually_always(4)));
+  batch.push_back(EdgeMutation::override_latency(5, Latency::constant(4)));
+  batch.push_back(EdgeMutation::add_edge(3, 0, 'b', Presence::always(),
+                                         Latency::constant(1)));
+  batch.push_back(EdgeMutation::remove_edge(edges + 1));
+  std::size_t live = edges + 2;
+  std::mt19937_64 rng(seed);
+  for (int i = 0; i < 40; ++i) {
+    batch.push_back(random_mutation(rng, nodes, live));
+    if (batch.back().kind == EdgeMutation::Kind::kAddEdge) ++live;
+  }
+  return batch;
+}
+
+TEST(DeltaOverlay, BatchApplyMatchesOneByOne) {
+  const TimeVaryingGraph g = base_graph(11);
+  const auto edges = static_cast<EdgeId>(g.edge_count());
+  MutableEngine one(g, 2);
+  MutableEngine batched(g, 2);
+  // A shared one-by-one prefix: the batch lands on a non-empty log.
+  std::mt19937_64 rng(5);
+  for (int i = 0; i < 6; ++i) {
+    const EdgeMutation m = random_mutation(rng, g.node_count(), edges);
+    EXPECT_EQ(one.apply(m), batched.apply(m));
+  }
+  const std::vector<EdgeMutation> batch =
+      mixed_batch(g.node_count(), static_cast<EdgeId>(one.edge_count()), 17);
+
+  std::vector<EdgeId> want;
+  for (const EdgeMutation& m : batch) want.push_back(one.apply(m));
+  EXPECT_EQ(batched.apply(batch), want);
+
+  EXPECT_EQ(batched.sequence(), one.sequence());
+  EXPECT_EQ(batched.pending_mutations(), one.pending_mutations());
+  EXPECT_EQ(to_text(g, batched.pending_log()), to_text(g, one.pending_log()));
+  EXPECT_EQ(to_text(batched.materialize()), to_text(one.materialize()));
+  const SearchLimits lim = SearchLimits::up_to(48);
+  for (NodeId s = 0; s < g.node_count(); ++s) {
+    for (const Policy& pol : {Policy::wait(), Policy::no_wait()}) {
+      const auto q = JourneyQuery::foremost(s, 0).under(pol).within(lim);
+      EXPECT_EQ(batched.run(q), one.run(q)) << "scan from " << s;
+    }
+  }
+  ClosureQuery cq;
+  cq.limits = lim;
+  EXPECT_EQ(batched.closure(cq), one.closure(cq));
+  expect_reads_match(batched, "after batch apply");
+}
+
+TEST(DeltaOverlay, BatchApplyRejectsBadRecordAtomically) {
+  const TimeVaryingGraph g = base_graph(4);
+  const auto edges = static_cast<EdgeId>(g.edge_count());
+  DeltaOverlay overlay(g);
+  (void)overlay.patch_presence(1, Presence::never());
+  const auto snapshot = overlay.snapshot();
+  // Index 1's add makes id `edges` valid for index 2; index 3 aims one
+  // past it and must sink the whole batch.
+  const std::vector<EdgeMutation> batch = {
+      EdgeMutation::override_latency(0, Latency::constant(2)),
+      EdgeMutation::add_edge(0, 1, 'a', Presence::always(),
+                             Latency::constant(1)),
+      EdgeMutation::patch_presence(edges, Presence::always()),
+      EdgeMutation::remove_edge(edges + 1),
+      EdgeMutation::remove_edge(0),
+  };
+  try {
+    (void)overlay.apply(batch);
+    FAIL() << "bad record accepted";
+  } catch (const MutationBatchError& e) {
+    EXPECT_EQ(e.index(), 3u);
+    EXPECT_NE(std::string(e.what()).find("batch record 3"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(overlay.sequence(), 1u);
+  EXPECT_EQ(overlay.pending_mutations(), 1u);
+  EXPECT_EQ(overlay.snapshot(), snapshot);
+
+  MutableEngine me(g, 1);
+  me.patch_presence(1, Presence::never());
+  const std::string before = to_text(me.materialize());
+  EXPECT_THROW((void)me.apply(batch), std::out_of_range);
+  EXPECT_EQ(me.sequence(), 1u);
+  EXPECT_EQ(me.pending_mutations(), 1u);
+  EXPECT_EQ(to_text(me.materialize()), before);
+  // The same batch minus the bad record goes through whole.
+  std::vector<EdgeMutation> good = batch;
+  good.erase(good.begin() + 3);
+  EXPECT_EQ(me.apply(good), (std::vector<EdgeId>{0, edges, edges, 0}));
+  EXPECT_EQ(me.sequence(), 5u);
+}
+
+TEST(DeltaOverlay, BatchApplyDropsExactlyTheTouchedJourneys) {
+  // Three disconnected components on distinct footprint partitions.
+  TimeVaryingGraph g;
+  g.add_nodes(6);
+  (void)g.add_edge(0, 1, 'a', Presence::always(), Latency::constant(1));
+  const EdgeId b = g.add_edge(2, 3, 'a', Presence::always(),
+                              Latency::constant(1));
+  (void)g.add_edge(4, 5, 'a', Presence::always(), Latency::constant(1));
+  MutableEngine me(std::move(g), 1);
+  const auto q01 = JourneyQuery::foremost(0, 0).to(1);
+  const auto q23 = JourneyQuery::foremost(2, 0).to(3);
+  const auto q45 = JourneyQuery::foremost(4, 0).to(5);
+  const auto r01 = me.run(q01);
+  (void)me.run(q23);
+  (void)me.run(q45);
+  EXPECT_EQ(me.cache_stats().entries, 3u);
+
+  // One batch touching the {2,3} and {4,5} components only.
+  const std::vector<EdgeMutation> batch = {
+      EdgeMutation::override_latency(b, Latency::constant(6)),
+      EdgeMutation::add_edge(4, 5, 'a', Presence::always(),
+                             Latency::constant(0)),
+  };
+  (void)me.apply(batch);
+  const CacheStats after = me.cache_stats();
+  EXPECT_EQ(after.invalidations, 2u);
+  EXPECT_EQ(after.entries, 1u);
+
+  EXPECT_EQ(me.run(q01), r01);
+  EXPECT_EQ(me.cache_stats().hits, after.hits + 1);  // survivor served
+  EXPECT_EQ(me.run(q23).arrival, 6);                 // recomputed
+  EXPECT_EQ(me.run(q45).arrival, 0);
+  EXPECT_EQ(me.cache_stats().hits, after.hits + 1);
+  expect_reads_match(me, "after invalidating batch");
+}
+
 TEST(DeltaOverlay, PerEdgeCacheInvalidationHitsSurvivorsAndDrops) {
   // Two disconnected components on distinct footprint partitions
   // (node ids < 64, so every node owns its own bit).

@@ -258,22 +258,61 @@ TEST(DurableEngine, FallbackChainsThroughRotatedWals) {
   expect_bit_identical(*recovered, oracle_at(13, stream, 10), "chain");
 }
 
+/// Appends `bad` (logged with `assigned_edge`) to wal-0 of `dir` after
+/// three valid patches, and returns the bad record's sequence.
+std::uint64_t append_after_valid_records(const std::string& dir,
+                                         const EdgeMutation& bad,
+                                         EdgeId assigned_edge) {
+  const auto replayed = Wal::replay(DurableEngine::wal_path(dir, 0));
+  std::uint64_t seq =
+      replayed.records.empty() ? 1 : replayed.records.back().sequence + 1;
+  Wal wal(DurableEngine::wal_path(dir, 0), WalOptions{}, 0, seq);
+  for (EdgeId e = 0; e < 3; ++e, ++seq) {
+    wal.append(EdgeMutation::override_latency(e, Latency::constant(2)), e);
+  }
+  wal.append(bad, assigned_edge);
+  wal.sync();
+  return seq;
+}
+
+std::string recovery_error_of(const std::string& dir) {
+  try {
+    (void)DurableEngine::recover(dir);
+  } catch (const RecoveryError& e) {
+    return e.what();
+  }
+  return "<recovered>";
+}
+
 TEST(DurableEngine, EdgeIdMismatchInLogIsRefused) {
   const std::string dir = fresh_dir("id_mismatch");
   { DurableEngine engine(base_graph(5), dir, {}); }
-  {
-    // Forge a record whose assigned id does not match what replay will
-    // hand out (an add on a 24-edge base must get id 24, not 99).
-    const auto replayed = Wal::replay(DurableEngine::wal_path(dir, 0));
-    Wal wal(DurableEngine::wal_path(dir, 0), WalOptions{}, 0,
-            replayed.records.empty() ? 1
-                                     : replayed.records.back().sequence + 1);
-    wal.append(EdgeMutation::add_edge(0, 1, 'a', Presence::always(),
-                                      Latency::constant(1)),
-               /*assigned_edge=*/99);
-    wal.sync();
-  }
-  EXPECT_THROW((void)DurableEngine::recover(dir), RecoveryError);
+  // Forge a record whose assigned id does not match what replay will
+  // hand out (an add on a 24-edge base must get id 24, not 99). The
+  // whole log replays as one batch; the error still names the record.
+  const std::uint64_t seq = append_after_valid_records(
+      dir,
+      EdgeMutation::add_edge(0, 1, 'a', Presence::always(),
+                             Latency::constant(1)),
+      /*assigned_edge=*/99);
+  EXPECT_EQ(seq, 4u);
+  const std::string what = recovery_error_of(dir);
+  EXPECT_NE(what.find("record 4 logged edge id 99 but replay assigned 24"),
+            std::string::npos)
+      << what;
+}
+
+TEST(DurableEngine, OutOfRangeRecordInLogIsRefused) {
+  const std::string dir = fresh_dir("out_of_range");
+  { DurableEngine engine(base_graph(5), dir, {}); }
+  const std::uint64_t seq = append_after_valid_records(
+      dir, EdgeMutation::patch_presence(500, Presence::always()),
+      /*assigned_edge=*/500);
+  const std::string what = recovery_error_of(dir);
+  EXPECT_NE(what.find("replaying record " + std::to_string(seq) + ":"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("edge out of range"), std::string::npos) << what;
 }
 
 TEST(DurableEngine, SyncPolicyLagIsVisibleAndRecoveryKeepsSyncedPrefix) {
