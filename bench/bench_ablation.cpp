@@ -44,13 +44,14 @@ void print_reproduction() {
     const TimeVaryingGraph g = ablation_graph(nodes, 5);
     SearchLimits limits;
     limits.horizon = 80;
+    SearchWorkspace ws;
     // Dijkstra path (the default for Wait on constant latencies).
     const ForemostTree fast =
-        foremost_arrivals(g, 0, 0, Policy::wait(), limits);
+        foremost_arrivals(g, 0, 0, Policy::wait(), limits, ws);
     // Brute force: emulate Wait by a bounded wait covering the horizon
     // (forces the configuration-BFS code path).
     const ForemostTree brute =
-        foremost_arrivals(g, 0, 0, Policy::bounded_wait(80), limits);
+        foremost_arrivals(g, 0, 0, Policy::bounded_wait(80), limits, ws);
     bool agree = true;
     for (NodeId v = 0; v < g.node_count(); ++v) {
       // BFS explores every (node,time); its best arrival must match.
@@ -104,9 +105,11 @@ void BM_A1DijkstraWait(benchmark::State& state) {
       ablation_graph(static_cast<std::size_t>(state.range(0)), 5);
   SearchLimits limits;
   limits.horizon = 80;
+  SearchWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        foremost_arrivals(g, 0, 0, Policy::wait(), limits).configs.size());
+        foremost_arrivals(g, 0, 0, Policy::wait(), limits, ws)
+            .configs.size());
   }
 }
 BENCHMARK(BM_A1DijkstraWait)->Arg(16)->Arg(32)->Arg(64);
@@ -116,9 +119,10 @@ void BM_A1BruteConfigBfs(benchmark::State& state) {
       ablation_graph(static_cast<std::size_t>(state.range(0)), 5);
   SearchLimits limits;
   limits.horizon = 80;
+  SearchWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        foremost_arrivals(g, 0, 0, Policy::bounded_wait(80), limits)
+        foremost_arrivals(g, 0, 0, Policy::bounded_wait(80), limits, ws)
             .configs.size());
   }
 }

@@ -43,12 +43,16 @@ void print_reproduction() {
     const int seeds = 4;
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       const TimeVaryingGraph g = make_workload(nodes, seed);
+      const QueryEngine engine(g, 1, CacheConfig::disabled());
       SearchLimits limits;
       limits.horizon = 120;
       auto frac = [&](Policy p) {
-        const auto reach = reachable_set(g, 0, 0, p, limits);
-        return static_cast<double>(
-                   std::count(reach.begin(), reach.end(), true)) /
+        const auto row =
+            engine.run(JourneyQuery::foremost(0, 0).under(p).within(limits))
+                .arrivals;
+        return static_cast<double>(std::count_if(
+                   row.begin(), row.end(),
+                   [](Time t) { return t != kTimeInfinity; })) /
                static_cast<double>(nodes);
       };
       nowait_total += frac(Policy::no_wait());
@@ -69,18 +73,21 @@ void BM_ForemostWait(benchmark::State& state) {
       make_workload(static_cast<std::size_t>(state.range(0)), 1);
   SearchLimits limits;
   limits.horizon = 120;
+  SearchWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        foremost_arrivals(g, 0, 0, Policy::wait(), limits).arrival.size());
+        foremost_arrivals(g, 0, 0, Policy::wait(), limits, ws)
+            .arrival.size());
   }
   state.counters["nodes"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_ForemostWait)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
-// The workspace-reusing scan API: same search, but the config arena,
-// visited set, and queue persist across calls (the multi-source closure
-// path). The delta against BM_ForemostWait is the per-call allocation +
-// result-extraction cost.
+// The witness-free scan: same search on a reused workspace, but the
+// arrival row stays in the workspace (the multi-source closure path).
+// foremost_arrivals moves the config forest and arrival row out of the
+// workspace, so each call regrows them: the delta against
+// BM_ForemostWait is that allocation + result-extraction cost.
 void BM_ForemostWaitWorkspace(benchmark::State& state) {
   const TimeVaryingGraph g =
       make_workload(static_cast<std::size_t>(state.range(0)), 1);
@@ -100,9 +107,10 @@ void BM_ForemostNoWait(benchmark::State& state) {
       make_workload(static_cast<std::size_t>(state.range(0)), 1);
   SearchLimits limits;
   limits.horizon = 120;
+  SearchWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        foremost_arrivals(g, 0, 0, Policy::no_wait(), limits)
+        foremost_arrivals(g, 0, 0, Policy::no_wait(), limits, ws)
             .arrival.size());
   }
 }
@@ -113,9 +121,10 @@ void BM_ForemostBoundedWait(benchmark::State& state) {
   SearchLimits limits;
   limits.horizon = 120;
   const Time d = state.range(0);
+  SearchWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        foremost_arrivals(g, 0, 0, Policy::bounded_wait(d), limits)
+        foremost_arrivals(g, 0, 0, Policy::bounded_wait(d), limits, ws)
             .arrival.size());
   }
   state.counters["d"] = static_cast<double>(d);
@@ -128,9 +137,11 @@ void BM_ShortestJourney(benchmark::State& state) {
   SearchLimits limits;
   limits.horizon = 120;
   const auto target = static_cast<NodeId>(state.range(0) - 1);
+  // Cache off: every iteration must run the search, not a cache hit.
+  const QueryEngine engine(g, 1, CacheConfig::disabled());
+  const JourneyQuery q = JourneyQuery::shortest(0, target, 0).within(limits);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        shortest_journey(g, 0, target, 0, Policy::wait(), limits));
+    benchmark::DoNotOptimize(engine.run(q));
   }
 }
 BENCHMARK(BM_ShortestJourney)->Arg(16)->Arg(64)->Arg(128);
@@ -141,33 +152,39 @@ void BM_FastestJourney(benchmark::State& state) {
   SearchLimits limits;
   limits.horizon = 120;
   const auto target = static_cast<NodeId>(state.range(0) - 1);
+  const QueryEngine engine(g, 1, CacheConfig::disabled());
+  const JourneyQuery q =
+      JourneyQuery::fastest(0, target, 0, 40).within(limits);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fastest_journey(g, 0, target, 0, 40, Policy::wait(), limits));
+    benchmark::DoNotOptimize(engine.run(q));
   }
 }
 BENCHMARK(BM_FastestJourney)->Arg(16)->Arg(32);
 
 void BM_TemporalCloseness(benchmark::State& state) {
   const TimeVaryingGraph g = make_workload(24, 4, 0.2);
-  SearchLimits limits;
-  limits.horizon = 120;
+  const QueryEngine engine(g, 1, CacheConfig::disabled());
+  ClosureQuery q;
+  q.limits.horizon = 120;
+  q.threads = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(temporal_closure(g, 0, Policy::wait(), limits));
+    benchmark::DoNotOptimize(engine.closure(q));
   }
 }
 BENCHMARK(BM_TemporalCloseness);
 
 // Serial all-pairs closure on the 128-node bench graph: the baseline
-// the engine's thread-sharded closure is measured against.
+// the engine's thread-sharded closure is measured against. The engine
+// is built once, outside the timed loop.
 void BM_ClosureSerial(benchmark::State& state) {
   const TimeVaryingGraph g =
       make_workload(static_cast<std::size_t>(state.range(0)), 1, 0.15);
-  SearchLimits limits;
-  limits.horizon = 120;
+  const QueryEngine engine(g, 1, CacheConfig::disabled());
+  ClosureQuery q;
+  q.limits.horizon = 120;
+  q.threads = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        temporal_closure(g, 0, Policy::wait(), limits).size());
+    benchmark::DoNotOptimize(engine.closure(q).rows.size());
   }
   state.counters["nodes"] = static_cast<double>(state.range(0));
 }

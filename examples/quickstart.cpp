@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "core/tvg_automaton.hpp"
-#include "tvg/algorithms.hpp"
 #include "tvg/dot.hpp"
+#include "tvg/query_engine.hpp"
 
 using namespace tvg;
 using tvg::core::TvgAutomaton;
@@ -27,11 +27,16 @@ int main() {
   std::printf("The network:\n%s\n", g.to_string().c_str());
 
   // 2. No path ever exists end-to-end, but a journey does — if the relay
-  //    may buffer ("waiting").
+  //    may buffer ("waiting"). Journey queries go through a QueryEngine.
+  const QueryEngine engine(g);
   for (const Policy policy : {Policy::no_wait(), Policy::bounded_wait(5),
                               Policy::wait()}) {
-    const auto journey = foremost_journey(g, alice, bob, 0, policy,
-                                          SearchLimits::up_to(100));
+    const auto journey = engine
+                             .run(JourneyQuery::foremost(alice, 0)
+                                      .to(bob)
+                                      .under(policy)
+                                      .within(SearchLimits::up_to(100)))
+                             .journey;
     if (journey) {
       std::printf("%-10s alice -> bob arrives at t=%lld via %s\n",
                   policy.to_string().c_str(),

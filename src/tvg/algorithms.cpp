@@ -8,7 +8,6 @@
 
 #include "tvg/delta_overlay.hpp"
 #include "tvg/departures.hpp"
-#include "tvg/query_engine.hpp"
 #include "tvg/read_core.hpp"
 #include "tvg/schedule_index.hpp"
 #include "tvg/visited.hpp"
@@ -47,7 +46,6 @@ struct SearchArenas {
   std::vector<std::vector<std::int64_t>> buckets;
   bool truncated{false};
   std::int64_t first_goal{-1};  // first config hitting `goal` (BFS only)
-  bool in_use{false};           // re-entrancy guard for the shared arena
 
   /// Bit-parallel multi-source kernel state (multi_source_foremost);
   /// disjoint from the per-source fields above so a packed word that
@@ -82,37 +80,6 @@ SearchWorkspace& SearchWorkspace::operator=(SearchWorkspace&&) noexcept =
 namespace {
 
 using detail::SearchArenas;
-
-/// Leases the per-thread shared arena for API entry points that take no
-/// explicit workspace. If the arena is already leased (a predicate ρ/ζ
-/// re-entered the engine mid-search), falls back to a fresh private one
-/// so nested searches never corrupt the outer run.
-class ArenaLease {
- public:
-  ArenaLease() {
-    thread_local SearchArenas shared;
-    if (!shared.in_use) {
-      shared.in_use = true;
-      arenas_ = &shared;
-      leased_shared_ = true;
-    } else {
-      fallback_ = std::make_unique<SearchArenas>();
-      arenas_ = fallback_.get();
-    }
-  }
-  ~ArenaLease() {
-    if (leased_shared_) arenas_->in_use = false;
-  }
-  ArenaLease(const ArenaLease&) = delete;
-  ArenaLease& operator=(const ArenaLease&) = delete;
-
-  [[nodiscard]] SearchArenas& operator*() noexcept { return *arenas_; }
-
- private:
-  SearchArenas* arenas_{nullptr};
-  std::unique_ptr<SearchArenas> fallback_;
-  bool leased_shared_{false};
-};
 
 /// Per-expansion departure-enumeration budget shared by config_bfs's
 /// watchdog and the packed kernel's abort guard. ONE definition on
@@ -797,7 +764,7 @@ Journey journey_from_config(const std::vector<ConfigRec>& configs,
 // ---------------------------------------------------------------------------
 // Kernel entry points over one View (declared in read_core.hpp). The
 // engines' read core calls them over FrozenView or OverlayView; the
-// frozen-graph functions further down are thin wrappers over the
+// frozen-graph entry points further down are thin wrappers over the
 // FrozenView instantiation.
 // ---------------------------------------------------------------------------
 
@@ -1018,9 +985,7 @@ template struct Kernels<OverlayView>;
 
 using FrozenKernels = detail::Kernels<FrozenView>;
 
-std::optional<Journey> ForemostTree::journey_to(const TimeVaryingGraph& g,
-                                                NodeId target) const {
-  (void)g;
+std::optional<Journey> ForemostTree::journey_to(NodeId target) const {
   if (target >= best_config.size() || best_config[target] < 0)
     return std::nullopt;
   return journey_from_config(configs, best_config[target], source,
@@ -1029,15 +994,22 @@ std::optional<Journey> ForemostTree::journey_to(const TimeVaryingGraph& g,
 
 ForemostTree foremost_arrivals(const TimeVaryingGraph& g, NodeId source,
                                Time start_time, Policy policy,
-                               SearchLimits limits) {
-  ArenaLease lease;
+                               SearchLimits limits, SearchWorkspace& ws) {
+  // The engine's read core validates its sources; this entry point
+  // bypasses it, and the kernels index per-node arrays by `source`.
+  if (source >= g.node_count()) {
+    throw std::out_of_range("foremost_arrivals: source out of range");
+  }
   return FrozenKernels::foremost_arrivals(FrozenView(g), source, start_time,
-                                          policy, limits, *lease);
+                                          policy, limits, ws.arenas());
 }
 
 ForemostScan foremost_scan(const TimeVaryingGraph& g, NodeId source,
                            Time start_time, Policy policy,
                            SearchLimits limits, SearchWorkspace& ws) {
+  if (source >= g.node_count()) {
+    throw std::out_of_range("foremost_scan: source out of range");
+  }
   return FrozenKernels::foremost_scan(FrozenView(g), source, start_time,
                                       policy, limits, ws.arenas());
 }
@@ -1047,85 +1019,11 @@ void multi_source_foremost(const TimeVaryingGraph& g,
                            Policy policy, SearchLimits limits,
                            SearchWorkspace& ws,
                            std::span<std::vector<Time>> rows,
-                           std::span<char> truncated) {
-  multi_source_foremost(g, sources, start_time, policy, limits,
-                        DirectionOptions{}, ws, rows, truncated);
-}
-
-void multi_source_foremost(const TimeVaryingGraph& g,
-                           std::span<const NodeId> sources, Time start_time,
-                           Policy policy, SearchLimits limits,
-                           DirectionOptions direction, SearchWorkspace& ws,
-                           std::span<std::vector<Time>> rows,
-                           std::span<char> truncated) {
+                           std::span<char> truncated,
+                           DirectionOptions direction) {
   FrozenKernels::multi_source_foremost(FrozenView(g), sources, start_time,
                                        policy, limits, direction, ws.arenas(),
                                        rows, truncated);
-}
-
-std::optional<Journey> foremost_journey(const TimeVaryingGraph& g,
-                                        NodeId source, NodeId target,
-                                        Time start_time, Policy policy,
-                                        SearchLimits limits) {
-  return foremost_arrivals(g, source, start_time, policy, limits)
-      .journey_to(g, target);
-}
-
-std::optional<Journey> shortest_journey(const TimeVaryingGraph& g,
-                                        NodeId source, NodeId target,
-                                        Time start_time, Policy policy,
-                                        SearchLimits limits) {
-  ArenaLease lease;
-  return FrozenKernels::shortest_journey(FrozenView(g), source, target,
-                                         start_time, policy, limits, *lease);
-}
-
-FastestJourneyResult fastest_journey_checked(const TimeVaryingGraph& g,
-                                             NodeId source, NodeId target,
-                                             Time depart_lo, Time depart_hi,
-                                             Policy policy,
-                                             SearchLimits limits) {
-  ArenaLease lease;
-  return FrozenKernels::fastest_journey_checked(FrozenView(g), source, target,
-                                                depart_lo, depart_hi, policy,
-                                                limits, *lease);
-}
-
-std::optional<Journey> fastest_journey(const TimeVaryingGraph& g,
-                                       NodeId source, NodeId target,
-                                       Time depart_lo, Time depart_hi,
-                                       Policy policy, SearchLimits limits) {
-  return fastest_journey_checked(g, source, target, depart_lo, depart_hi,
-                                 policy, limits)
-      .journey;
-}
-
-std::vector<bool> reachable_set(const TimeVaryingGraph& g, NodeId source,
-                                Time start_time, Policy policy,
-                                SearchLimits limits) {
-  ArenaLease lease;
-  const ForemostScan scan = FrozenKernels::foremost_scan(
-      FrozenView(g), source, start_time, policy, limits, *lease);
-  std::vector<bool> reach(g.node_count(), false);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    reach[v] = scan.arrival[v] != kTimeInfinity;
-  }
-  return reach;
-}
-
-std::vector<std::vector<Time>> temporal_closure(const TimeVaryingGraph& g,
-                                                Time start_time, Policy policy,
-                                                SearchLimits limits) {
-  // Thin serial wrapper over the engine: one worker, all sources. The
-  // engine's parallel form produces bit-identical rows (each row is
-  // written only by the worker that ran its source).
-  QueryEngine engine(g, /*default_threads=*/1, CacheConfig::disabled());
-  ClosureQuery q;
-  q.start_time = start_time;
-  q.policy = policy;
-  q.limits = limits;
-  q.threads = 1;
-  return std::move(engine.closure(q).rows);
 }
 
 namespace {

@@ -20,26 +20,23 @@
 //
 // Execution model: every search kernel runs over the graph's compiled
 // ScheduleIndex + frozen CSR adjacency (schedule_index.hpp) and writes
-// into a reusable SearchWorkspace — no per-search allocation on the hot
-// path. The single-query free functions below are kept as the convenient
-// one-shot entry points (they lease a per-thread arena); anything issuing
-// MANY queries — batches, multi-source sweeps, acceptance sets — should
-// use tvg::QueryEngine (query_engine.hpp), which owns the compiled state
-// plus a workspace pool and shards batches across threads. The
-// multi-source sweeps at the bottom of this header are thin wrappers over
-// that engine.
+// into a SearchWorkspace — no per-search allocation on the hot path.
+// The frozen-graph kernel entry points below (foremost_arrivals,
+// foremost_scan, multi_source_foremost) take that workspace explicitly;
+// the streaming all-pairs sweeps (temporally_connected,
+// temporal_diameter) own one for the call. Journey, reachability and
+// closure queries otherwise go through tvg::QueryEngine
+// (query_engine.hpp), which validates them, caches results, owns a
+// workspace pool and shards batches across threads.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "tvg/graph.hpp"
-#include "tvg/hashing.hpp"
 #include "tvg/journey.hpp"
 #include "tvg/policy.hpp"
 
@@ -53,7 +50,7 @@ struct SearchArenas;  // algorithms.cpp
 /// arrival/witness arrays, the exact visited set, and the priority queue
 /// (calendar buckets or binary heap). One workspace serves any number of
 /// sequential searches; buffers grow to the high-water mark and are
-/// reused, so multi-source sweeps (temporal_closure and friends) stop
+/// reused, so multi-source sweeps (QueryEngine::closure and friends) stop
 /// paying per-source allocation. Not thread-safe: use one per thread.
 class SearchWorkspace {
  public:
@@ -75,7 +72,7 @@ class SearchWorkspace {
 struct SearchLimits {
   Time horizon{kTimeInfinity};       // ignore departures/arrivals beyond
   std::size_t max_configs{1 << 20};  // cap on explored (node,time) configs
-  /// Cap on candidate first departures scanned by fastest_journey; hitting
+  /// Cap on candidate first departures scanned by a fastest query; hitting
   /// it is reported via FastestJourneyResult::truncated.
   std::size_t max_fastest_candidates{4096};
 
@@ -147,17 +144,19 @@ struct ForemostTree {
   std::vector<std::int64_t> best_config;
 
   /// Reconstructs the foremost journey to `target`, if reachable.
-  [[nodiscard]] std::optional<Journey> journey_to(const TimeVaryingGraph& g,
-                                                  NodeId target) const;
+  [[nodiscard]] std::optional<Journey> journey_to(NodeId target) const;
 };
 
 /// Single-source earliest-arrival under `policy`, departing `source` at
 /// `start_time`. Exact under Wait (Dijkstra over monotone arrivals);
 /// exact-up-to-horizon under NoWait / BoundedWait (configuration BFS).
+/// The witness forest is moved out of `ws`, so the tree stays valid
+/// across later searches. Throws std::out_of_range for a bad source.
 [[nodiscard]] ForemostTree foremost_arrivals(const TimeVaryingGraph& g,
                                              NodeId source, Time start_time,
                                              Policy policy,
-                                             SearchLimits limits = {});
+                                             SearchLimits limits,
+                                             SearchWorkspace& ws);
 
 /// Arrival row of a single-source search without extracting the witness
 /// forest — the cheap form multi-source sweeps want.
@@ -168,6 +167,7 @@ struct ForemostScan {
   bool truncated{false};
 };
 
+/// Throws std::out_of_range for a bad source.
 [[nodiscard]] ForemostScan foremost_scan(const TimeVaryingGraph& g,
                                          NodeId source, Time start_time,
                                          Policy policy, SearchLimits limits,
@@ -195,46 +195,21 @@ struct ForemostScan {
 /// shows the serial search could have hit SearchLimits::max_configs or
 /// its departure watchdog. Both spans must have sources.size() entries.
 /// Not thread-safe per workspace; shard distinct WORDS (64-source
-/// groups), not sources, across threads.
+/// groups), not sources, across threads. `direction` picks the
+/// push/pull frontier strategy; rows and truncation flags are
+/// bit-identical across every mode (see DirectionOptions).
 void multi_source_foremost(const TimeVaryingGraph& g,
                            std::span<const NodeId> sources, Time start_time,
                            Policy policy, SearchLimits limits,
                            SearchWorkspace& ws,
                            std::span<std::vector<Time>> rows,
-                           std::span<char> truncated);
+                           std::span<char> truncated,
+                           DirectionOptions direction = {});
 
-/// As above with explicit direction-optimization knobs (the two-argument
-/// form runs FrontierMode::kAuto). Rows and truncation flags are
-/// bit-identical across every mode — pull is an execution strategy, not
-/// a semantics change (see DirectionOptions).
-void multi_source_foremost(const TimeVaryingGraph& g,
-                           std::span<const NodeId> sources, Time start_time,
-                           Policy policy, SearchLimits limits,
-                           DirectionOptions direction, SearchWorkspace& ws,
-                           std::span<std::vector<Time>> rows,
-                           std::span<char> truncated);
-
-/// The foremost journey source -> target, if any.
-[[nodiscard]] std::optional<Journey> foremost_journey(
-    const TimeVaryingGraph& g, NodeId source, NodeId target, Time start_time,
-    Policy policy, SearchLimits limits = {});
-
-/// Minimum-hop journey source -> target under `policy`.
-[[nodiscard]] std::optional<Journey> shortest_journey(
-    const TimeVaryingGraph& g, NodeId source, NodeId target, Time start_time,
-    Policy policy, SearchLimits limits = {});
-
-/// Minimum-duration (fastest) journey source -> target whose first edge
-/// departs in [depart_lo, depart_hi], under `policy`. Scans candidate
-/// first departures (presence events of source out-edges) and minimizes
-/// arrival − departure.
-[[nodiscard]] std::optional<Journey> fastest_journey(
-    const TimeVaryingGraph& g, NodeId source, NodeId target, Time depart_lo,
-    Time depart_hi, Policy policy, SearchLimits limits = {});
-
-/// fastest_journey with truncation reporting (mirrors
-/// ForemostTree::truncated): `journey` may be non-optimal — or absent
-/// despite the target being reachable — only when `truncated` is true.
+/// Outcome of a fastest (minimum-duration) search, with truncation
+/// reporting (mirrors ForemostTree::truncated): `journey` may be
+/// non-optimal — or absent despite the target being reachable — only
+/// when `truncated` is true.
 struct FastestJourneyResult {
   std::optional<Journey> journey;
   /// True if the candidate-departure enumeration hit
@@ -243,71 +218,22 @@ struct FastestJourneyResult {
   bool truncated{false};
 };
 
-[[nodiscard]] FastestJourneyResult fastest_journey_checked(
-    const TimeVaryingGraph& g, NodeId source, NodeId target, Time depart_lo,
-    Time depart_hi, Policy policy, SearchLimits limits = {});
-
-/// Nodes reachable from `source` (including itself).
-[[nodiscard]] std::vector<bool> reachable_set(const TimeVaryingGraph& g,
-                                              NodeId source, Time start_time,
-                                              Policy policy,
-                                              SearchLimits limits = {});
-
-/// All-pairs earliest arrivals: closure[u][v].
-///
-/// @deprecated-style guidance: thin serial wrapper over
-/// QueryEngine::closure() (query_engine.hpp). Construct an engine and
-/// call closure() directly to shard the source rows across threads; the
-/// rows are bit-identical to this function at any thread count.
-[[nodiscard]] std::vector<std::vector<Time>> temporal_closure(
-    const TimeVaryingGraph& g, Time start_time, Policy policy,
-    SearchLimits limits = {});
-
 /// True iff every ordered pair (u, v) is connected by a feasible journey
 /// starting at `start_time` (the class "temporally connected" of [1]).
 ///
-/// @deprecated-style guidance: wrapper over QueryEngine row queries;
-/// prefer the engine when asking more than one question of the graph.
+/// Streams the sources through multi_source_foremost one 64-source word
+/// at a time (O(64 · n) memory, never the n × n closure) and returns at
+/// the first unreachable pair.
 [[nodiscard]] bool temporally_connected(const TimeVaryingGraph& g,
                                         Time start_time, Policy policy,
                                         SearchLimits limits = {});
 
 /// max over ordered pairs of (foremost arrival − start_time);
-/// nullopt if some pair is unreachable.
-///
-/// @deprecated-style guidance: wrapper over QueryEngine row queries;
-/// prefer the engine when asking more than one question of the graph.
+/// nullopt if some pair is unreachable. Streams words exactly like
+/// temporally_connected.
 [[nodiscard]] std::optional<Time> temporal_diameter(const TimeVaryingGraph& g,
                                                     Time start_time,
                                                     Policy policy,
                                                     SearchLimits limits = {});
 
 }  // namespace tvg
-
-/// Hashing consistent with SearchLimits::operator== (all three knobs);
-/// feeds the query cache's composite keys.
-template <>
-struct std::hash<tvg::SearchLimits> {
-  [[nodiscard]] std::size_t operator()(
-      const tvg::SearchLimits& l) const noexcept {
-    std::uint64_t h = tvg::hash_mix(tvg::kHashSeed,
-                                    static_cast<std::uint64_t>(l.horizon));
-    h = tvg::hash_mix(h, static_cast<std::uint64_t>(l.max_configs));
-    h = tvg::hash_mix(h, static_cast<std::uint64_t>(l.max_fastest_candidates));
-    return static_cast<std::size_t>(h);
-  }
-};
-
-/// Hashing consistent with DirectionOptions::operator== (both knobs);
-/// feeds the hashes of query structs that embed it. The engine's cache
-/// keys still canonicalize it away (rows are mode-independent).
-template <>
-struct std::hash<tvg::DirectionOptions> {
-  [[nodiscard]] std::size_t operator()(
-      const tvg::DirectionOptions& d) const noexcept {
-    std::uint64_t h =
-        tvg::hash_mix(tvg::kHashSeed, static_cast<std::uint64_t>(d.mode));
-    h = tvg::hash_mix(h, std::bit_cast<std::uint64_t>(d.pull_density));
-    return static_cast<std::size_t>(h);
-  }
-};

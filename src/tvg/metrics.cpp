@@ -9,13 +9,14 @@ namespace tvg {
 std::optional<Time> temporal_eccentricity(const TimeVaryingGraph& g,
                                           NodeId v, Time start_time,
                                           Policy policy, Time horizon) {
-  // Single-source point query: the arena-leasing kernel entry point is
-  // the cheap form here (no engine/workspace setup per call). Batched
+  // Single-source point query: only the arrival row is read, so the
+  // witness-free scan on a local workspace is the cheap form. Batched
   // callers should take rows from QueryEngine::closure() instead.
-  const ForemostTree tree = foremost_arrivals(
-      g, v, start_time, policy, SearchLimits::up_to(horizon));
+  SearchWorkspace ws;
+  const ForemostScan scan = foremost_scan(
+      g, v, start_time, policy, SearchLimits::up_to(horizon), ws);
   Time ecc = 0;
-  for (Time arrival : tree.arrival) {
+  for (Time arrival : scan.arrival) {
     if (arrival == kTimeInfinity) return std::nullopt;
     // sat_sub: a finite-but-huge arrival minus a negative start_time is
     // the PR-4 overflow class (UB pre-fix, saturates now).
@@ -37,9 +38,12 @@ double temporal_closeness(std::span<const Time> row, NodeId v,
 
 double temporal_closeness(const TimeVaryingGraph& g, NodeId v,
                           Time start_time, Policy policy, Time horizon) {
-  const ForemostTree tree = foremost_arrivals(
-      g, v, start_time, policy, SearchLimits::up_to(horizon));
-  return temporal_closeness(tree.arrival, v, start_time);
+  SearchWorkspace ws;
+  return temporal_closeness(
+      foremost_scan(g, v, start_time, policy, SearchLimits::up_to(horizon),
+                    ws)
+          .arrival,
+      v, start_time);
 }
 
 std::size_t contact_count(const Edge& e, Time horizon) {

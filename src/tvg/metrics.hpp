@@ -57,7 +57,7 @@ struct SearchLimits;  // from algorithms.hpp
     Time horizon = kTimeInfinity);
 
 /// As above, from precomputed all-source closure rows
-/// (QueryEngine::closure() / temporal_closure output) — rows[u][v] is
+/// (QueryEngine::closure() output) — rows[u][v] is
 /// the foremost arrival at v from u.
 [[nodiscard]] std::optional<double> characteristic_temporal_distance(
     const std::vector<std::vector<Time>>& rows, Time start_time);

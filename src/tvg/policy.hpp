@@ -10,10 +10,9 @@
 //                    Theorem 2.3).
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <string>
 
-#include "tvg/hashing.hpp"
 #include "tvg/time.hpp"
 
 namespace tvg {
@@ -70,16 +69,3 @@ struct Policy {
 };
 
 }  // namespace tvg
-
-/// Hashing consistent with operator== (both fields, including the bound
-/// of non-bounded kinds); lets Policy key hash maps and feed the query
-/// cache's composite keys.
-template <>
-struct std::hash<tvg::Policy> {
-  [[nodiscard]] std::size_t operator()(const tvg::Policy& p) const noexcept {
-    std::uint64_t h = tvg::hash_mix(tvg::kHashSeed,
-                                    static_cast<std::uint64_t>(p.kind));
-    h = tvg::hash_mix(h, static_cast<std::uint64_t>(p.bound));
-    return static_cast<std::size_t>(h);
-  }
-};

@@ -36,9 +36,12 @@
 //    semantically invisible because the engine's compiled state is
 //    frozen for its whole lifetime.
 //
-// The pre-engine free functions (foremost_journey, temporal_closure,
-// TvgAutomaton::accepts, ...) remain as thin wrappers over this engine;
-// new code and anything batching more than one query should come here.
+// The engine is the one front door for journey, reachability and
+// closure queries. Below it sit the frozen-graph kernel entry points of
+// algorithms.hpp (foremost_arrivals, foremost_scan,
+// multi_source_foremost), which take a caller-owned SearchWorkspace and
+// neither cache nor shard; TvgAutomaton::accepts is a thin wrapper over
+// accepts().
 #pragma once
 
 #include <algorithm>
@@ -51,7 +54,6 @@
 #include "tvg/algorithms.hpp"
 #include "tvg/annotations.hpp"
 #include "tvg/graph.hpp"
-#include "tvg/hashing.hpp"
 #include "tvg/journey.hpp"
 #include "tvg/policy.hpp"
 #include "tvg/result_cache.hpp"
@@ -124,9 +126,9 @@ struct JourneyQuery {
     return *this;
   }
 
-  /// Field-wise equality (with the matching std::hash below): two equal
-  /// queries always produce equal results on one engine, which is what
-  /// lets the engine's result cache treat the query as the key.
+  /// Field-wise equality: two equal queries always produce equal results
+  /// on one engine. The result cache keys on QueryKey::journey, which
+  /// also canonicalizes fields the query's shape never reads.
   friend bool operator==(const JourneyQuery&, const JourneyQuery&) = default;
 };
 
@@ -151,7 +153,7 @@ struct JourneyResult {
 };
 
 /// Multi-source foremost-closure request (the all-pairs sweep behind
-/// temporal_closure / temporally_connected / temporal_diameter).
+/// the analytics and characteristic_temporal_distance).
 struct ClosureQuery {
   /// Sources to scan; empty = every node, in NodeId order.
   std::vector<NodeId> sources;
@@ -320,8 +322,8 @@ struct AcceptSpec {
   /// (affine ζ needs only the earliest — arrival is monotone there).
   std::size_t departures_per_edge{16};
 
-  /// Field-wise equality (with the matching std::hash below); the word
-  /// batch is keyed alongside the spec by the engine's result cache.
+  /// Field-wise equality; the word batch is keyed alongside the spec by
+  /// the engine's result cache (QueryKey::accept).
   friend bool operator==(const AcceptSpec&, const AcceptSpec&) = default;
 };
 
@@ -528,114 +530,3 @@ class QueryEngine {
 };
 
 }  // namespace tvg
-
-// ---------------------------------------------------------------------------
-// Hashing for the query value types, consistent with their field-wise
-// operator== (hash maps, user-side memoization, test cross-checks; the
-// engine's own cache keys flatten through QueryKey, which additionally
-// canonicalizes scheduling-only fields away).
-// ---------------------------------------------------------------------------
-
-template <>
-struct std::hash<tvg::JourneyQuery> {
-  [[nodiscard]] std::size_t operator()(
-      const tvg::JourneyQuery& q) const noexcept {
-    std::uint64_t h = tvg::hash_mix(tvg::kHashSeed,
-                                    static_cast<std::uint64_t>(q.objective));
-    h = tvg::hash_mix(h, q.source);
-    h = tvg::hash_mix(h, q.target.has_value() ? 1 : 0);
-    h = tvg::hash_mix(h, q.target.value_or(0));
-    h = tvg::hash_mix(h, static_cast<std::uint64_t>(q.start_time));
-    h = tvg::hash_mix(h, static_cast<std::uint64_t>(q.depart_hi));
-    h = tvg::hash_mix(h, std::hash<tvg::Policy>{}(q.policy));
-    h = tvg::hash_mix(h, std::hash<tvg::SearchLimits>{}(q.limits));
-    return static_cast<std::size_t>(h);
-  }
-};
-
-template <>
-struct std::hash<tvg::ClosureQuery> {
-  [[nodiscard]] std::size_t operator()(
-      const tvg::ClosureQuery& q) const noexcept {
-    std::uint64_t h = tvg::hash_mix(tvg::kHashSeed, q.sources.size());
-    for (const tvg::NodeId v : q.sources) h = tvg::hash_mix(h, v);
-    h = tvg::hash_mix(h, static_cast<std::uint64_t>(q.start_time));
-    h = tvg::hash_mix(h, std::hash<tvg::Policy>{}(q.policy));
-    h = tvg::hash_mix(h, std::hash<tvg::SearchLimits>{}(q.limits));
-    h = tvg::hash_mix(h, q.threads);
-    h = tvg::hash_mix(h, std::hash<tvg::DirectionOptions>{}(q.direction));
-    return static_cast<std::size_t>(h);
-  }
-};
-
-template <>
-struct std::hash<tvg::KReachabilityQuery> {
-  [[nodiscard]] std::size_t operator()(
-      const tvg::KReachabilityQuery& q) const noexcept {
-    return static_cast<std::size_t>(
-        tvg::hash_mix(std::hash<tvg::ClosureQuery>{}(q.closure), q.k));
-  }
-};
-
-template <>
-struct std::hash<tvg::InfluenceQuery> {
-  [[nodiscard]] std::size_t operator()(
-      const tvg::InfluenceQuery& q) const noexcept {
-    std::uint64_t h = tvg::hash_mix(tvg::kHashSeed, q.source_sets.size());
-    for (const auto& set : q.source_sets) {
-      h = tvg::hash_mix(h, set.size());
-      for (const tvg::NodeId v : set) h = tvg::hash_mix(h, v);
-    }
-    h = tvg::hash_mix(h, q.sample_times.size());
-    for (const tvg::Time t : q.sample_times) {
-      h = tvg::hash_mix(h, static_cast<std::uint64_t>(t));
-    }
-    h = tvg::hash_mix(h, static_cast<std::uint64_t>(q.start_time));
-    h = tvg::hash_mix(h, std::hash<tvg::Policy>{}(q.policy));
-    h = tvg::hash_mix(h, std::hash<tvg::SearchLimits>{}(q.limits));
-    h = tvg::hash_mix(h, q.threads);
-    return static_cast<std::size_t>(h);
-  }
-};
-
-template <>
-struct std::hash<tvg::BetweennessQuery> {
-  [[nodiscard]] std::size_t operator()(
-      const tvg::BetweennessQuery& q) const noexcept {
-    std::uint64_t h = tvg::hash_mix(tvg::kHashSeed, q.sources.size());
-    for (const tvg::NodeId v : q.sources) h = tvg::hash_mix(h, v);
-    h = tvg::hash_mix(h, static_cast<std::uint64_t>(q.start_time));
-    h = tvg::hash_mix(h, std::hash<tvg::Policy>{}(q.policy));
-    h = tvg::hash_mix(h, std::hash<tvg::SearchLimits>{}(q.limits));
-    h = tvg::hash_mix(h, q.threads);
-    return static_cast<std::size_t>(h);
-  }
-};
-
-template <>
-struct std::hash<tvg::CentralityQuery> {
-  [[nodiscard]] std::size_t operator()(
-      const tvg::CentralityQuery& q) const noexcept {
-    std::uint64_t h = std::hash<tvg::ClosureQuery>{}(q.closure);
-    h = tvg::hash_mix(h, std::bit_cast<std::uint64_t>(q.damping));
-    h = tvg::hash_mix(h, q.iterations);
-    return static_cast<std::size_t>(h);
-  }
-};
-
-template <>
-struct std::hash<tvg::AcceptSpec> {
-  [[nodiscard]] std::size_t operator()(
-      const tvg::AcceptSpec& s) const noexcept {
-    std::uint64_t h = tvg::hash_mix(tvg::kHashSeed, s.initial.size());
-    for (const tvg::NodeId v : s.initial) h = tvg::hash_mix(h, v);
-    h = tvg::hash_mix(h, s.accepting.size());
-    for (const tvg::NodeId v : s.accepting) h = tvg::hash_mix(h, v);
-    h = tvg::hash_mix(h, static_cast<std::uint64_t>(s.start_time));
-    h = tvg::hash_mix(h, std::hash<tvg::Policy>{}(s.policy));
-    h = tvg::hash_mix(h, static_cast<std::uint64_t>(s.horizon));
-    h = tvg::hash_mix(h, s.max_configs);
-    h = tvg::hash_mix(h, s.departures_per_edge);
-    return static_cast<std::size_t>(h);
-  }
-};

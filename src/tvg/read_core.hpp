@@ -99,8 +99,14 @@ namespace detail {
 
 /// The search kernels' entry points over one View model, defined in
 /// algorithms.cpp and explicitly instantiated there for FrozenView and
-/// OverlayView. Same contracts as the frozen-graph functions of the same
-/// names in algorithms.hpp.
+/// OverlayView. foremost_arrivals / foremost_scan / multi_source_foremost
+/// have the contracts of the frozen-graph functions of the same names in
+/// algorithms.hpp, except that the two single-source kernels do not
+/// bounds-check `source` (the read core validates first).
+/// shortest_journey is the minimum-hop journey and
+/// fastest_journey_checked the minimum-duration journey whose first
+/// edge departs in [depart_lo, depart_hi], scanning the presence events
+/// of the source's out-edges as candidate first departures.
 template <typename View>
 struct Kernels {
   static ForemostTree foremost_arrivals(const View& vw, NodeId source,
@@ -204,7 +210,7 @@ template <typename View>
             view, q.source, q.start_time, q.policy, q.limits, a);
         result.truncated = tree.truncated;
         result.arrival = tree.arrival[*q.target];
-        result.journey = tree.journey_to(view.base(), *q.target);
+        result.journey = tree.journey_to(*q.target);
         if (footprint) {
           *footprint =
               foremost_footprint(q.source, tree.arrival, tree.truncated);

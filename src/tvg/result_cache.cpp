@@ -6,11 +6,32 @@
 #include <utility>
 
 #include "tvg/annotations.hpp"
-#include "tvg/hashing.hpp"
 #include "tvg/query_engine.hpp"
 #include "tvg/sync.hpp"
 
 namespace tvg {
+
+namespace {
+
+constexpr std::uint64_t kHashSeed = 0xcbf29ce484222325ull;
+
+/// Mixes one 64-bit word into a running hash: an xor-multiply step
+/// followed by the splitmix64 finalizer. Cheap, deterministic across
+/// platforms (no pointer or locale state), and with enough diffusion
+/// that the cache can derive its shard choice and its bucket index from
+/// the same value.
+[[nodiscard]] constexpr std::uint64_t hash_mix(std::uint64_t h,
+                                               std::uint64_t v) noexcept {
+  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ull;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebull;
+  h ^= h >> 31;
+  return h;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // QueryKey: canonical flat encodings. Every variable-length field is

@@ -130,7 +130,7 @@ struct EdgeTouch {
 
 /// Canonical cache key: one query kind tag plus the flattened request
 /// payload. Equality is exact payload equality; the hash is precomputed
-/// at construction (hash_mix over the payload words).
+/// at construction (a splitmix64-style mix over the payload words).
 class QueryKey {
  public:
   enum class Kind : std::uint8_t {

@@ -1,10 +1,15 @@
 // Unit tests for temporal reachability and journey optimization —
 // foremost / shortest / fastest under all three waiting policies, and the
-// dominance asymmetry that separates Wait from the others.
+// dominance asymmetry that separates Wait from the others. Witness
+// forests come from the frozen-graph kernel entry points; shortest,
+// fastest and reachability rows come through the QueryEngine.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "tvg/algorithms.hpp"
 #include "tvg/generators.hpp"
+#include "tvg/query_engine.hpp"
 
 namespace tvg {
 namespace {
@@ -27,10 +32,24 @@ Relay make_relay() {
   return r;
 }
 
+/// reached[v] iff v's foremost arrival from `src` (departing at 0) is
+/// finite: the engine's untargeted foremost row.
+std::vector<bool> reached(const QueryEngine& engine, NodeId src,
+                          Policy policy, SearchLimits limits) {
+  const JourneyResult row = engine.run(
+      JourneyQuery::foremost(src, 0).under(policy).within(limits));
+  std::vector<bool> out(row.arrivals.size());
+  for (std::size_t v = 0; v < out.size(); ++v) {
+    out[v] = row.arrivals[v] != kTimeInfinity;
+  }
+  return out;
+}
+
 TEST(Foremost, WaitBridgesTemporalGaps) {
   const Relay r = make_relay();
+  SearchWorkspace ws;
   const ForemostTree t =
-      foremost_arrivals(r.g, r.u, 0, Policy::wait());
+      foremost_arrivals(r.g, r.u, 0, Policy::wait(), {}, ws);
   EXPECT_EQ(t.arrival[r.u], 0);
   EXPECT_EQ(t.arrival[r.v], 1);
   EXPECT_EQ(t.arrival[r.w], 9);  // waits at v until 8
@@ -38,8 +57,9 @@ TEST(Foremost, WaitBridgesTemporalGaps) {
 
 TEST(Foremost, NoWaitCannotBridge) {
   const Relay r = make_relay();
+  SearchWorkspace ws;
   const ForemostTree t = foremost_arrivals(
-      r.g, r.u, 0, Policy::no_wait(), SearchLimits::up_to(100));
+      r.g, r.u, 0, Policy::no_wait(), SearchLimits::up_to(100), ws);
   EXPECT_EQ(t.arrival[r.v], 1);
   EXPECT_EQ(t.arrival[r.w], kTimeInfinity);
 }
@@ -49,31 +69,34 @@ TEST(Foremost, BoundedWaitBridgesIffBoundSuffices) {
   // The LATEST arrival at v is 2 (departing uv at 1 — bounded-wait
   // reachability is non-monotone in arrival time!), so the vw window
   // [8,10) is reachable iff 2 + d >= 8, i.e. d >= 6.
+  SearchWorkspace ws;
   const ForemostTree t5 = foremost_arrivals(
-      r.g, r.u, 0, Policy::bounded_wait(5), SearchLimits::up_to(100));
+      r.g, r.u, 0, Policy::bounded_wait(5), SearchLimits::up_to(100), ws);
   EXPECT_EQ(t5.arrival[r.w], kTimeInfinity);
   const ForemostTree t6 = foremost_arrivals(
-      r.g, r.u, 0, Policy::bounded_wait(6), SearchLimits::up_to(100));
+      r.g, r.u, 0, Policy::bounded_wait(6), SearchLimits::up_to(100), ws);
   EXPECT_EQ(t6.arrival[r.w], 9);
 }
 
 TEST(Foremost, WitnessJourneysValidate) {
   const Relay r = make_relay();
-  const ForemostTree t = foremost_arrivals(r.g, r.u, 0, Policy::wait());
-  const auto j = t.journey_to(r.g, r.w);
+  SearchWorkspace ws;
+  const ForemostTree t = foremost_arrivals(r.g, r.u, 0, Policy::wait(), {}, ws);
+  const auto j = t.journey_to(r.w);
   ASSERT_TRUE(j.has_value());
   EXPECT_TRUE(validate_journey(r.g, *j, Policy::wait()).ok);
   EXPECT_EQ(j->arrival(r.g), 9);
   EXPECT_EQ(j->hops(), 2u);
-  EXPECT_EQ(t.journey_to(r.g, r.u)->hops(), 0u);
+  EXPECT_EQ(t.journey_to(r.u)->hops(), 0u);
 }
 
 TEST(Foremost, UnreachableGivesNoJourney) {
   const Relay r = make_relay();
+  SearchWorkspace ws;
   const ForemostTree t = foremost_arrivals(
-      r.g, r.w, 0, Policy::wait(), SearchLimits::up_to(1000));
+      r.g, r.w, 0, Policy::wait(), SearchLimits::up_to(1000), ws);
   EXPECT_EQ(t.arrival[r.u], kTimeInfinity);
-  EXPECT_EQ(t.journey_to(r.g, r.u), std::nullopt);
+  EXPECT_EQ(t.journey_to(r.u), std::nullopt);
 }
 
 TEST(Foremost, LaterArrivalCanWinUnderNoWait) {
@@ -87,11 +110,12 @@ TEST(Foremost, LaterArrivalCanWinUnderNoWait) {
   g.add_edge(s, m, 'a', Presence::always(), Latency::constant(1));  // m @1
   g.add_edge(s, m, 'b', Presence::always(), Latency::constant(5));  // m @5
   g.add_edge(m, z, 'c', Presence::at_times({5}), Latency::constant(1));
+  SearchWorkspace ws;
   const ForemostTree t = foremost_arrivals(
-      g, s, 0, Policy::no_wait(), SearchLimits::up_to(100));
+      g, s, 0, Policy::no_wait(), SearchLimits::up_to(100), ws);
   EXPECT_EQ(t.arrival[m], 1);  // earliest arrival at m...
   EXPECT_EQ(t.arrival[z], 6);  // ...but z is reached via the @5 arrival
-  const auto j = t.journey_to(g, z);
+  const auto j = t.journey_to(z);
   ASSERT_TRUE(j.has_value());
   EXPECT_TRUE(validate_journey(g, *j, Policy::no_wait()).ok);
   EXPECT_EQ(j->word(g), "bc");
@@ -106,7 +130,8 @@ TEST(Shortest, PrefersFewerHopsOverEarlierArrival) {
   g.add_edge(s, a, 'x', Presence::always(), Latency::constant(1));
   g.add_edge(a, t, 'x', Presence::always(), Latency::constant(1));
   g.add_edge(s, t, 'y', Presence::always(), Latency::constant(50));
-  const auto j = shortest_journey(g, s, t, 0, Policy::wait());
+  const QueryEngine engine(g);
+  const auto j = engine.run(JourneyQuery::shortest(s, t, 0)).journey;
   ASSERT_TRUE(j.has_value());
   EXPECT_EQ(j->hops(), 1u);
   EXPECT_EQ(j->word(g), "y");
@@ -114,17 +139,22 @@ TEST(Shortest, PrefersFewerHopsOverEarlierArrival) {
 
 TEST(Shortest, WorksUnderNoWait) {
   const Relay r = make_relay();
-  EXPECT_EQ(shortest_journey(r.g, r.u, r.w, 0, Policy::no_wait(),
-                             SearchLimits::up_to(50)),
+  const QueryEngine engine(r.g);
+  EXPECT_EQ(engine
+                .run(JourneyQuery::shortest(r.u, r.w, 0)
+                         .under(Policy::no_wait())
+                         .within(SearchLimits::up_to(50)))
+                .journey,
             std::nullopt);
-  const auto j = shortest_journey(r.g, r.u, r.w, 0, Policy::wait());
+  const auto j = engine.run(JourneyQuery::shortest(r.u, r.w, 0)).journey;
   ASSERT_TRUE(j.has_value());
   EXPECT_EQ(j->hops(), 2u);
 }
 
 TEST(Shortest, SourceEqualsTargetIsEmpty) {
   const Relay r = make_relay();
-  const auto j = shortest_journey(r.g, r.u, r.u, 3, Policy::wait());
+  const QueryEngine engine(r.g);
+  const auto j = engine.run(JourneyQuery::shortest(r.u, r.u, 3)).journey;
   ASSERT_TRUE(j.has_value());
   EXPECT_TRUE(j->empty());
 }
@@ -136,8 +166,10 @@ TEST(Fastest, MinimizesDurationNotArrival) {
   const NodeId t = g.add_node();
   g.add_edge(s, t, 'a', Presence::at_times({0}), Latency::constant(20));
   g.add_edge(s, t, 'b', Presence::at_times({10}), Latency::constant(2));
+  const QueryEngine engine(g);
   const auto j =
-      fastest_journey(g, s, t, 0, 15, Policy::wait(), SearchLimits::up_to(64));
+      engine.run(JourneyQuery::fastest(s, t, 0, 15).within(SearchLimits::up_to(64)))
+          .journey;
   ASSERT_TRUE(j.has_value());
   EXPECT_EQ(j->word(g), "b");
   EXPECT_EQ(j->duration(g), 2);
@@ -147,8 +179,11 @@ TEST(Fastest, MinimizesDurationNotArrival) {
 TEST(Fastest, MultiHopDuration) {
   const Relay r = make_relay();
   // Departing at 1 (last uv instant) minimizes time spent waiting at v.
-  const auto j = fastest_journey(r.g, r.u, r.w, 0, 20, Policy::wait(),
-                                 SearchLimits::up_to(200));
+  const QueryEngine engine(r.g);
+  const auto j = engine
+                     .run(JourneyQuery::fastest(r.u, r.w, 0, 20)
+                              .within(SearchLimits::up_to(200)))
+                     .journey;
   ASSERT_TRUE(j.has_value());
   EXPECT_EQ(j->legs.front().departure, 1);
   EXPECT_EQ(j->duration(r.g), 9 - 1);
@@ -156,11 +191,12 @@ TEST(Fastest, MultiHopDuration) {
 
 TEST(Reachability, SetAndClosureAgree) {
   const Relay r = make_relay();
-  const auto reach = reachable_set(r.g, r.u, 0, Policy::wait());
+  const QueryEngine engine(r.g);
+  const auto reach = reached(engine, r.u, Policy::wait(), {});
   EXPECT_TRUE(reach[r.u]);
   EXPECT_TRUE(reach[r.v]);
   EXPECT_TRUE(reach[r.w]);
-  const auto closure = temporal_closure(r.g, 0, Policy::wait());
+  const auto closure = engine.closure({}).rows;
   EXPECT_EQ(closure[r.u][r.w], 9);
   EXPECT_EQ(closure[r.w][r.u], kTimeInfinity);
 }
@@ -212,11 +248,12 @@ TEST(Reachability, WaitDominatesNoWaitOnRandomGraphs) {
     params.horizon = 40;
     params.seed = seed;
     const TimeVaryingGraph g = make_edge_markovian(params);
+    const QueryEngine engine(g);
     for (NodeId src = 0; src < 3 && src < g.node_count(); ++src) {
-      const auto nowait = reachable_set(g, src, 0, Policy::no_wait(),
-                                        SearchLimits::up_to(60));
-      const auto wait = reachable_set(g, src, 0, Policy::wait(),
-                                      SearchLimits::up_to(60));
+      const auto nowait = reached(engine, src, Policy::no_wait(),
+                                  SearchLimits::up_to(60));
+      const auto wait =
+          reached(engine, src, Policy::wait(), SearchLimits::up_to(60));
       for (NodeId v = 0; v < g.node_count(); ++v) {
         EXPECT_LE(nowait[v], wait[v])
             << "seed=" << seed << " src=" << src << " v=" << v;
@@ -232,10 +269,11 @@ TEST(Reachability, BoundedWaitIsMonotoneInBound) {
     params.horizon = 30;
     params.seed = seed;
     const TimeVaryingGraph g = make_edge_markovian(params);
+    const QueryEngine engine(g);
     std::size_t prev = 0;
     for (Time d : {0, 2, 5, 10, 30}) {
-      const auto reach = reachable_set(g, 0, 0, Policy::bounded_wait(d),
-                                       SearchLimits::up_to(50));
+      const auto reach = reached(engine, 0, Policy::bounded_wait(d),
+                                 SearchLimits::up_to(50));
       const auto count = static_cast<std::size_t>(
           std::count(reach.begin(), reach.end(), true));
       EXPECT_GE(count, prev) << "seed=" << seed << " d=" << d;
@@ -258,8 +296,9 @@ TEST(SearchLimits, TruncationIsReported) {
   SearchLimits limits;
   limits.horizon = 1000;
   limits.max_configs = 16;
+  SearchWorkspace ws;
   const ForemostTree t =
-      foremost_arrivals(g, 0, 0, Policy::bounded_wait(3), limits);
+      foremost_arrivals(g, 0, 0, Policy::bounded_wait(3), limits, ws);
   EXPECT_TRUE(t.truncated);
 }
 
@@ -276,23 +315,22 @@ TEST(Fastest, ReportsCandidateTruncation) {
   SearchLimits limits;
   limits.horizon = 300;
   limits.max_fastest_candidates = 8;
-  const FastestJourneyResult truncated =
-      fastest_journey_checked(g, s, t, 0, 99, Policy::wait(), limits);
+  const QueryEngine engine(g);
+  const JourneyResult truncated =
+      engine.run(JourneyQuery::fastest(s, t, 0, 99).within(limits));
   EXPECT_TRUE(truncated.truncated);
   ASSERT_TRUE(truncated.journey.has_value());
   EXPECT_GT(truncated.journey->duration(g), 1);
 
   SearchLimits full = limits;
   full.max_fastest_candidates = 4096;
-  const FastestJourneyResult exact =
-      fastest_journey_checked(g, s, t, 0, 99, Policy::wait(), full);
+  const JourneyResult exact =
+      engine.run(JourneyQuery::fastest(s, t, 0, 99).within(full));
   EXPECT_FALSE(exact.truncated);
   ASSERT_TRUE(exact.journey.has_value());
   EXPECT_EQ(exact.journey->legs.front().departure, 99);
   EXPECT_EQ(exact.journey->duration(g), 1);
-  // The unchecked wrapper returns the same journey.
-  EXPECT_EQ(fastest_journey(g, s, t, 0, 99, Policy::wait(), full),
-            exact.journey);
+  EXPECT_EQ(exact.duration, 1);
 }
 
 TEST(BoundedWait, HorizonClampsDepartureWindow) {
@@ -302,11 +340,12 @@ TEST(BoundedWait, HorizonClampsDepartureWindow) {
   const NodeId u = g.add_node();
   const NodeId v = g.add_node();
   g.add_edge(u, v, 'a', Presence::eventually_always(6), Latency::constant(1));
+  SearchWorkspace ws;
   const ForemostTree clipped = foremost_arrivals(
-      g, u, 0, Policy::bounded_wait(10), SearchLimits::up_to(5));
+      g, u, 0, Policy::bounded_wait(10), SearchLimits::up_to(5), ws);
   EXPECT_EQ(clipped.arrival[v], kTimeInfinity);
   const ForemostTree open = foremost_arrivals(
-      g, u, 0, Policy::bounded_wait(10), SearchLimits::up_to(7));
+      g, u, 0, Policy::bounded_wait(10), SearchLimits::up_to(7), ws);
   EXPECT_EQ(open.arrival[v], 7);
 }
 
@@ -317,11 +356,13 @@ TEST(BoundedWait, InfiniteHorizonEnumeratesFiniteSchedules) {
   const NodeId u = g.add_node();
   const NodeId v = g.add_node();
   g.add_edge(u, v, 'a', Presence::at_times({40}), Latency::constant(2));
-  const ForemostTree t = foremost_arrivals(g, u, 0, Policy::bounded_wait(50));
+  SearchWorkspace ws;
+  const ForemostTree t =
+      foremost_arrivals(g, u, 0, Policy::bounded_wait(50), {}, ws);
   EXPECT_EQ(t.arrival[v], 42);
   EXPECT_FALSE(t.truncated);
   const ForemostTree miss =
-      foremost_arrivals(g, u, 0, Policy::bounded_wait(30));
+      foremost_arrivals(g, u, 0, Policy::bounded_wait(30), {}, ws);
   EXPECT_EQ(miss.arrival[v], kTimeInfinity);
 }
 
@@ -339,7 +380,9 @@ TEST(BoundedWait, InfiniteWindowOverInfiniteScheduleHitsBudgetNotLivelock) {
                                "parity"));
   SearchLimits limits;  // horizon stays kTimeInfinity
   limits.max_configs = 64;
-  const ForemostTree t = foremost_arrivals(g, u, 0, Policy::wait(), limits);
+  SearchWorkspace ws;
+  const ForemostTree t =
+      foremost_arrivals(g, u, 0, Policy::wait(), limits, ws);
   EXPECT_TRUE(t.truncated);
   EXPECT_EQ(t.arrival[v], 2);
 }
@@ -356,7 +399,9 @@ TEST(BoundedWait, AllRejectedArrivalsStillTerminateViaStepBudget) {
              Latency::function([](Time) { return kTimeInfinity; }, "stuck"));
   SearchLimits limits;  // horizon stays kTimeInfinity
   limits.max_configs = 64;
-  const ForemostTree t = foremost_arrivals(g, u, 0, Policy::wait(), limits);
+  SearchWorkspace ws;
+  const ForemostTree t =
+      foremost_arrivals(g, u, 0, Policy::wait(), limits, ws);
   EXPECT_TRUE(t.truncated);
   EXPECT_EQ(t.arrival[v], kTimeInfinity);
 }
@@ -376,8 +421,9 @@ TEST(BoundedWait, DuplicateHeavyFiniteSearchIsNotSpuriouslyTruncated) {
   SearchLimits limits;
   limits.horizon = 2000;
   limits.max_configs = 8192;  // 4000 configs actually explored
+  SearchWorkspace ws;
   const ForemostTree t =
-      foremost_arrivals(g, u, 0, Policy::bounded_wait(2000), limits);
+      foremost_arrivals(g, u, 0, Policy::bounded_wait(2000), limits, ws);
   EXPECT_FALSE(t.truncated);
   EXPECT_EQ(t.arrival[v], 1);
   EXPECT_EQ(t.configs.size(), 4000u);
@@ -396,8 +442,9 @@ TEST(Fastest, SharedSchedulesDoNotChargeCandidateBudgetTwice) {
   SearchLimits limits;
   limits.horizon = 50;
   limits.max_fastest_candidates = 15;
-  const FastestJourneyResult res =
-      fastest_journey_checked(g, s, t, 0, 20, Policy::wait(), limits);
+  const QueryEngine engine(g);
+  const JourneyResult res =
+      engine.run(JourneyQuery::fastest(s, t, 0, 20).within(limits));
   EXPECT_FALSE(res.truncated);
   ASSERT_TRUE(res.journey.has_value());
   EXPECT_EQ(res.journey->duration(g), 3);
@@ -420,10 +467,29 @@ TEST(BoundedWait, InfinitySentinelFromNextPresentIsAbsence) {
                    return kTimeInfinity;  // sentinel instead of nullopt
                  }),
              Latency::constant(1));
-  const ForemostTree t =
-      foremost_arrivals(g, u, 0, Policy::bounded_wait(kTimeInfinity));
+  SearchWorkspace ws;
+  const ForemostTree t = foremost_arrivals(
+      g, u, 0, Policy::bounded_wait(kTimeInfinity), {}, ws);
   EXPECT_EQ(t.arrival[v], 4);
   EXPECT_FALSE(t.truncated);
+}
+
+TEST(SearchEntryPoints, OutOfRangeSourceThrows) {
+  // The frozen-graph entry points bypass the engine's query validation;
+  // a bad source must be a typed error, never an out-of-bounds write.
+  TimeVaryingGraph g;
+  g.add_nodes(2);
+  g.add_edge(0, 1, 'a', Presence::always(), Latency::constant(1));
+  SearchWorkspace ws;
+  const NodeId bad = NodeId{1u << 30};
+  EXPECT_THROW((void)foremost_scan(g, bad, 0, Policy::wait(), {}, ws),
+               std::out_of_range);
+  EXPECT_THROW((void)foremost_arrivals(g, bad, 0, Policy::wait(), {}, ws),
+               std::out_of_range);
+  EXPECT_THROW((void)foremost_scan(g, 2, 0, Policy::no_wait(), {}, ws),
+               std::out_of_range);
+  // The workspace is still usable after the rejected calls.
+  EXPECT_EQ(foremost_scan(g, 0, 0, Policy::wait(), {}, ws).arrival[1], 1);
 }
 
 }  // namespace

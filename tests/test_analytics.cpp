@@ -56,8 +56,8 @@ Rows packed_rows(const TimeVaryingGraph& g, const std::vector<NodeId>& sources,
   out.rows.resize(sources.size());
   out.truncated.resize(sources.size());
   SearchWorkspace ws;
-  multi_source_foremost(g, sources, start_time, policy, limits, direction, ws,
-                        out.rows, out.truncated);
+  multi_source_foremost(g, sources, start_time, policy, limits, ws, out.rows,
+                        out.truncated, direction);
   return out;
 }
 

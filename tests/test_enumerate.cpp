@@ -65,8 +65,9 @@ TEST(Enumerate, AgreesWithForemostArrival) {
     limits.horizon = 50;
     const auto journeys =
         enumerate_journeys(g, 0, 0, Policy::no_wait(), opt);
+    SearchWorkspace ws;
     const ForemostTree tree =
-        foremost_arrivals(g, 0, 0, Policy::no_wait(), limits);
+        foremost_arrivals(g, 0, 0, Policy::no_wait(), limits, ws);
     // Brute-force earliest arrival per node (within the hop bound) can
     // never beat the search's answer.
     std::vector<Time> brute(g.node_count(), kTimeInfinity);
@@ -78,7 +79,7 @@ TEST(Enumerate, AgreesWithForemostArrival) {
       EXPECT_LE(tree.arrival[v], brute[v]) << "seed=" << seed << " v=" << v;
       // And within 4 hops they usually coincide; verify consistency when
       // the search's witness fits the hop bound.
-      if (const auto j = tree.journey_to(g, v); j && j->hops() <= 4) {
+      if (const auto j = tree.journey_to(v); j && j->hops() <= 4) {
         EXPECT_EQ(tree.arrival[v], brute[v])
             << "seed=" << seed << " v=" << v;
       }

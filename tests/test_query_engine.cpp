@@ -1,10 +1,11 @@
 // Property tests for tvg::QueryEngine, the batched / thread-parallel
 // query façade:
-//  * closure() at 1, 2, and 8 threads is bit-identical to the serial
-//    temporal_closure on randomized semi-periodic and edge-Markovian
-//    graphs (the determinism guarantee the parallel sharding makes);
-//  * run() agrees with the single-query free functions on every
-//    objective, one at a time and in threaded batches;
+//  * closure() at 1, 2, and 8 threads is bit-identical to a serial
+//    per-source foremost_scan sweep on randomized semi-periodic and
+//    edge-Markovian graphs (the determinism guarantee the parallel
+//    sharding makes);
+//  * run() agrees with the bare FrozenView kernels on every objective,
+//    one at a time and in threaded batches;
 //  * batched accepts() agrees word-for-word with per-word acceptance
 //    across policies on randomized graphs (trie sharing is a pure
 //    optimization, never a semantic change);
@@ -21,10 +22,25 @@
 #include "tvg/algorithms.hpp"
 #include "tvg/generators.hpp"
 #include "tvg/query_engine.hpp"
+#include "tvg/read_core.hpp"
 
 namespace {
 
 using namespace tvg;
+
+/// Serial reference closure: one foremost_scan row per source, in NodeId
+/// order, on one workspace (no packing, no threads, no cache).
+std::vector<std::vector<Time>> serial_closure(const TimeVaryingGraph& g,
+                                              Policy policy,
+                                              SearchLimits limits) {
+  SearchWorkspace ws;
+  std::vector<std::vector<Time>> rows;
+  for (NodeId s = 0; s < g.node_count(); ++s) {
+    const ForemostScan scan = foremost_scan(g, s, 0, policy, limits, ws);
+    rows.emplace_back(scan.arrival.begin(), scan.arrival.end());
+  }
+  return rows;
+}
 
 std::vector<Word> all_words_up_to(const std::string& alphabet,
                                   std::size_t max_len) {
@@ -52,7 +68,7 @@ TEST(QueryEngineClosure, ParallelRowsBitIdenticalToSerialOnPeriodic) {
     for (const Policy policy :
          {Policy::no_wait(), Policy::bounded_wait(3), Policy::wait()}) {
       const SearchLimits limits = SearchLimits::up_to(200);
-      const auto serial = temporal_closure(g, 0, policy, limits);
+      const auto serial = serial_closure(g, policy, limits);
       QueryEngine engine(g);
       for (const unsigned threads : {1u, 2u, 8u}) {
         ClosureQuery q;
@@ -78,7 +94,7 @@ TEST(QueryEngineClosure, ParallelRowsBitIdenticalToSerialOnMarkovian) {
   params.seed = 9;
   const TimeVaryingGraph g = make_edge_markovian(params);
   const SearchLimits limits = SearchLimits::up_to(120);
-  const auto serial = temporal_closure(g, 0, Policy::wait(), limits);
+  const auto serial = serial_closure(g, Policy::wait(), limits);
   QueryEngine engine(g);
   for (const unsigned threads : {1u, 2u, 8u}) {
     ClosureQuery q;
@@ -99,13 +115,17 @@ TEST(QueryEngineClosure, ExplicitSourceSubsetAndOrder) {
   q.limits = SearchLimits::up_to(100);
   const ClosureResult result = engine.closure(q);
   ASSERT_EQ(result.rows.size(), 3u);
-  const auto full = temporal_closure(g, 0, Policy::wait(), q.limits);
+  const auto full = serial_closure(g, Policy::wait(), q.limits);
   EXPECT_EQ(result.rows[0], full[5]);
   EXPECT_EQ(result.rows[1], full[1]);
   EXPECT_EQ(result.rows[2], full[5]);
 }
 
-TEST(QueryEngineRun, AgreesWithFreeFunctionsOnEveryObjective) {
+TEST(QueryEngineRun, AgreesWithTheBareKernelsOnEveryObjective) {
+  // The oracle is the kernels themselves over FrozenView on a local
+  // workspace: no validation, no cache, no pool.
+  using K = detail::Kernels<FrozenView>;
+  SearchWorkspace ws;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     RandomScheduledParams params;
     params.nodes = 7;
@@ -115,31 +135,38 @@ TEST(QueryEngineRun, AgreesWithFreeFunctionsOnEveryObjective) {
     const TimeVaryingGraph g = make_random_scheduled(params);
     const SearchLimits limits = SearchLimits::up_to(80);
     QueryEngine engine(g);
+    const FrozenView view(g);
     for (const Policy policy :
          {Policy::no_wait(), Policy::bounded_wait(4), Policy::wait()}) {
       for (NodeId target = 1; target < g.node_count(); ++target) {
         const auto fj =
-            foremost_journey(g, 0, target, 0, policy, limits);
+            K::foremost_arrivals(view, 0, 0, policy, limits, ws.arenas())
+                .journey_to(target);
         const JourneyResult fr = engine.run(
             JourneyQuery::foremost(0, 0).to(target).under(policy).within(
                 limits));
         EXPECT_EQ(fr.journey, fj) << "seed=" << seed << " t=" << target;
 
-        const auto sj = shortest_journey(g, 0, target, 0, policy, limits);
+        const auto sj = K::shortest_journey(view, 0, target, 0, policy,
+                                            limits, ws.arenas());
         const JourneyResult sr = engine.run(
             JourneyQuery::shortest(0, target, 0).under(policy).within(
                 limits));
         EXPECT_EQ(sr.journey, sj) << "seed=" << seed << " t=" << target;
 
-        const auto qj =
-            fastest_journey(g, 0, target, 0, 30, policy, limits);
+        const FastestJourneyResult qj = K::fastest_journey_checked(
+            view, 0, target, 0, 30, policy, limits, ws.arenas());
         const JourneyResult qr = engine.run(
             JourneyQuery::fastest(0, target, 0, 30).under(policy).within(
                 limits));
-        EXPECT_EQ(qr.journey, qj) << "seed=" << seed << " t=" << target;
+        EXPECT_EQ(qr.journey, qj.journey)
+            << "seed=" << seed << " t=" << target;
+        EXPECT_EQ(qr.truncated, qj.truncated)
+            << "seed=" << seed << " t=" << target;
       }
       // Untargeted foremost returns the full arrival row.
-      const ForemostTree tree = foremost_arrivals(g, 0, 0, policy, limits);
+      const ForemostTree tree =
+          K::foremost_arrivals(view, 0, 0, policy, limits, ws.arenas());
       const JourneyResult row =
           engine.run(JourneyQuery::foremost(0, 0).under(policy).within(
               limits));

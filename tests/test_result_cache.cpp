@@ -261,35 +261,52 @@ TEST(ResultCache, QueryKeyDistinguishesQueriesAndWordOrder) {
   EXPECT_FALSE(QueryKey::accept(spec, ab) == QueryKey::accept(spec, joined));
 }
 
-TEST(ResultCache, StructHashesAreConsistentWithEquality) {
+TEST(ResultCache, QueryKeysAreConsistentWithEquality) {
+  // QueryKey is the one canonical encoding of a request: equal queries
+  // key equal, a semantic field change splits the key, and a field the
+  // query's shape never reads does not.
   const auto q1 = JourneyQuery::fastest(0, 1, 2, 9).under(Policy::wait());
   auto q2 = q1;
   EXPECT_EQ(q1, q2);
-  EXPECT_EQ(std::hash<JourneyQuery>{}(q1), std::hash<JourneyQuery>{}(q2));
+  EXPECT_EQ(QueryKey::journey(q1), QueryKey::journey(q2));
   q2.depart_hi = 10;
   EXPECT_FALSE(q1 == q2);
+  EXPECT_FALSE(QueryKey::journey(q1) == QueryKey::journey(q2));
 
+  const auto under = [](Policy p) {
+    return QueryKey::journey(JourneyQuery::foremost(0, 0).under(p));
+  };
   const Policy p1 = Policy::bounded_wait(4);
-  EXPECT_EQ(std::hash<Policy>{}(p1), std::hash<Policy>{}(Policy::bounded_wait(4)));
-  EXPECT_NE(std::hash<Policy>{}(Policy::wait()),
-            std::hash<Policy>{}(Policy::no_wait()));
+  EXPECT_EQ(p1, Policy::bounded_wait(4));
+  EXPECT_EQ(under(p1), under(Policy::bounded_wait(4)));
+  EXPECT_FALSE(under(Policy::wait()) == under(Policy::no_wait()));
+  EXPECT_FALSE(under(Policy::bounded_wait(4)) ==
+               under(Policy::bounded_wait(5)));
+  // Policy::bound is only read by kBoundedWait: a stale bound differs
+  // under ==, yet keys the same entry.
+  const Policy stale{WaitingPolicy::kWait, /*bound=*/7};
+  EXPECT_FALSE(stale == Policy::wait());
+  EXPECT_EQ(under(stale), under(Policy::wait()));
 
   const SearchLimits l1 = SearchLimits::up_to(100);
   EXPECT_EQ(l1, SearchLimits::up_to(100));
-  EXPECT_EQ(std::hash<SearchLimits>{}(l1),
-            std::hash<SearchLimits>{}(SearchLimits::up_to(100)));
+  EXPECT_EQ(QueryKey::journey(JourneyQuery::foremost(0, 0).within(l1)),
+            QueryKey::journey(
+                JourneyQuery::foremost(0, 0).within(SearchLimits::up_to(100))));
 
   AcceptSpec s1;
   s1.initial = {0, 2};
   AcceptSpec s2 = s1;
   EXPECT_EQ(s1, s2);
-  EXPECT_EQ(std::hash<AcceptSpec>{}(s1), std::hash<AcceptSpec>{}(s2));
+  const std::vector<Word> words{"ab"};
+  EXPECT_EQ(QueryKey::accept(s1, words), QueryKey::accept(s2, words));
 
   ClosureQuery c1;
   c1.sources = {3, 1};
   ClosureQuery c2 = c1;
   EXPECT_EQ(c1, c2);
-  EXPECT_EQ(std::hash<ClosureQuery>{}(c1), std::hash<ClosureQuery>{}(c2));
+  EXPECT_EQ(QueryKey::closure(c1, c1.sources),
+            QueryKey::closure(c2, c2.sources));
 }
 
 TEST(ResultCache, ConcurrentHotKeyHammeringIsSafeAndConsistent) {

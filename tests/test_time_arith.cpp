@@ -123,8 +123,9 @@ TEST(TimeArithSearch, BucketWindowGuardSaturatesSingleSource) {
   g.add_edge(a, b, 'x', Presence::eventually_always(10),
              Latency::constant(0), "e");
   const auto limits = SearchLimits::up_to(kTimeInfinity - 1);
+  SearchWorkspace ws;
   const ForemostTree tree = foremost_arrivals(
-      g, a, /*start_time=*/-4, Policy::bounded_wait(20), limits);
+      g, a, /*start_time=*/-4, Policy::bounded_wait(20), limits, ws);
   ASSERT_EQ(tree.arrival.size(), 2u);
   EXPECT_EQ(tree.arrival[a], -4);
   EXPECT_EQ(tree.arrival[b], 10);

@@ -136,17 +136,19 @@ TEST(ConfigBfsRegression, BoundedWaitAgreesWithWaitDijkstra) {
     limits.horizon = 64;
     const Policy bounded = Policy::bounded_wait(limits.horizon);
 
+    SearchWorkspace ws;
     for (NodeId src = 0; src < g.node_count(); ++src) {
-      const ForemostTree bfs = foremost_arrivals(g, src, 0, bounded, limits);
+      const ForemostTree bfs =
+          foremost_arrivals(g, src, 0, bounded, limits, ws);
       const ForemostTree dij =
-          foremost_arrivals(g, src, 0, Policy::wait(), limits);
+          foremost_arrivals(g, src, 0, Policy::wait(), limits, ws);
       ASSERT_FALSE(bfs.truncated) << "seed=" << seed << " src=" << src;
       ASSERT_FALSE(dij.truncated) << "seed=" << seed << " src=" << src;
       for (NodeId v = 0; v < g.node_count(); ++v) {
         EXPECT_EQ(bfs.arrival[v], dij.arrival[v])
             << "seed=" << seed << " src=" << src << " node=" << v;
         if (bfs.arrival[v] == kTimeInfinity) continue;
-        const auto j = bfs.journey_to(g, v);
+        const auto j = bfs.journey_to(v);
         ASSERT_TRUE(j.has_value())
             << "seed=" << seed << " src=" << src << " node=" << v;
         const auto valid = validate_journey(g, *j, bounded);
@@ -176,8 +178,9 @@ TEST(ConfigBfsRegression, ExploredConfigsAreDuplicateFree) {
 
   SearchLimits limits;
   limits.horizon = 96;
+  SearchWorkspace ws;
   const ForemostTree tree =
-      foremost_arrivals(g, 0, 0, Policy::bounded_wait(7), limits);
+      foremost_arrivals(g, 0, 0, Policy::bounded_wait(7), limits, ws);
   ASSERT_FALSE(tree.truncated);
 
   std::set<std::pair<NodeId, Time>> seen;
