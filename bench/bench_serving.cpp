@@ -40,6 +40,12 @@
 // not drift when cache PRs land. Priority mixes assign whole clients to
 // lanes: mix 0 = {1 high, 7 normal} of 8 clients; mix 1 = {1 high,
 // 2 normal, 5 batch}.
+//
+// The one exception is BM_ServingCachedHit: a single client re-submits
+// one warm journey to a cache-enabled engine over the same graph, so
+// every submission is a result-cache hit. It prices the path a hit takes
+// through submit() (answered on the caller, no lane or worker) in
+// p50_us / p99_us.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -345,6 +351,29 @@ void BM_ServingOpenLoop(benchmark::State& state) {
 BENCHMARK(BM_ServingOpenLoop)
     ->Args({50, 0})->Args({50, 1})->Args({200, 0})->Args({200, 1})
     ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
+
+/// Single client, one warm journey, cache-enabled engine: every
+/// submit(q).get() is a hit (see the header comment).
+void BM_ServingCachedHit(benchmark::State& state) {
+  const TimeVaryingGraph& g = shared_engine().graph();
+  const QueryEngine engine(g, 1);
+  Server server(engine, config_for_mode(/*lanes=*/true));
+  const JourneyQuery q =
+      make_query_pool(WorkloadSpec{}, g)[zipf_order(WorkloadSpec{})[0]];
+  (void)server.submit(q).get();  // warm the cache
+  std::vector<double> lat;
+  for (auto _ : state) {
+    const auto t0 = Clock::now();
+    benchmark::DoNotOptimize(server.submit(q).get());
+    lat.push_back(us_between(t0, Clock::now()));
+  }
+  std::sort(lat.begin(), lat.end());
+  state.counters["p50_us"] = percentile(lat, 0.50);
+  state.counters["p99_us"] = percentile(lat, 0.99);
+  state.counters["served_inline"] =
+      static_cast<double>(server.stats().served_inline);
+}
+BENCHMARK(BM_ServingCachedHit)->Unit(benchmark::kMicrosecond);
 
 void print_reproduction() {
   std::printf("=== tvg::Server latency distribution, open loop, overload "

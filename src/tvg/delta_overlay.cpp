@@ -393,6 +393,15 @@ JourneyResult MutableEngine::run(const JourneyQuery& q) const {
   return result;
 }
 
+std::optional<JourneyResult> MutableEngine::try_cached(
+    const JourneyQuery& q) const {
+  // No capture(): like run(), a hit never reads the captured state. An
+  // entry lives only while no mutation touched its footprint, so a hit
+  // equals a cold run over the graph as of the last apply() that
+  // returned.
+  return probe_journey(cache_.get(), q);
+}
+
 ClosureResult MutableEngine::closure(const ClosureQuery& q) const {
   const State s = capture(nullptr);
   const std::vector<NodeId> sources =

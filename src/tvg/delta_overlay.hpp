@@ -532,6 +532,10 @@ class MutableEngine {
 
   [[nodiscard]] JourneyResult run(const JourneyQuery& q) const
       TVG_EXCLUDES(mu_);
+  /// QueryEngine::try_cached over the live graph: run(q)'s cached
+  /// answer or nullopt, without taking mu_ or capturing a snapshot.
+  [[nodiscard]] std::optional<JourneyResult> try_cached(
+      const JourneyQuery& q) const;
   [[nodiscard]] ClosureResult closure(const ClosureQuery& q) const
       TVG_EXCLUDES(mu_);
 

@@ -155,6 +155,11 @@ JourneyResult QueryEngine::run(const JourneyQuery& q) const {
   return remember(cache_.get(), key, read_journey(FrozenView(g_), q, *ws));
 }
 
+std::optional<JourneyResult> QueryEngine::try_cached(
+    const JourneyQuery& q) const {
+  return probe_journey(cache_.get(), q);
+}
+
 std::vector<JourneyResult> QueryEngine::run(
     std::span<const JourneyQuery> queries, unsigned threads) const {
   std::vector<JourneyResult> results(queries.size());

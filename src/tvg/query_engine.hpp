@@ -479,6 +479,13 @@ class QueryEngine {
   /// Executes one journey query on a leased workspace.
   [[nodiscard]] JourneyResult run(const JourneyQuery& q) const;
 
+  /// run(q)'s cached answer, or nullopt on a miss or with caching off.
+  /// One cache lookup and a copy: no search, no workspace. A hit counts
+  /// in cache_stats(); a miss does not (the run(q) a caller falls back
+  /// to counts it), so probe-then-run adds one to hits + misses.
+  [[nodiscard]] std::optional<JourneyResult> try_cached(
+      const JourneyQuery& q) const;
+
   /// Executes a batch of independent journey queries, sharded across
   /// `threads` workers (0 = engine default). Results are in request
   /// order and identical to running each query alone.

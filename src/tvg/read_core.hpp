@@ -171,6 +171,17 @@ template <typename View>
          (r.journey ? approx_bytes(*r.journey) : 0);
 }
 
+/// Both engines' try_cached: one ResultCache::probe for q's journey
+/// entry (a hit is counted, a miss is left to the run() that follows),
+/// the hit copied out. No kernel work, no workspace, no engine lock.
+[[nodiscard]] inline std::optional<JourneyResult> probe_journey(
+    ResultCache* cache, const JourneyQuery& q) {
+  if (cache == nullptr) return std::nullopt;
+  const auto hit = cache->probe(QueryKey::journey(q));
+  if (hit == nullptr) return std::nullopt;
+  return *static_cast<const JourneyResult*>(hit.get());
+}
+
 /// Cache footprint of a foremost search (see result_cache.hpp): the
 /// source's partition plus every reached node's, or kFootprintAll when
 /// the search was truncated (its reached set is then incomplete).

@@ -305,17 +305,26 @@ ResultCache::Shard& ResultCache::shard_for(const QueryKey& key) noexcept {
   return *shards_[key.hash() & (shards_.size() - 1)];
 }
 
-ResultCache::ValuePtr ResultCache::find(const QueryKey& key) {
+ResultCache::ValuePtr ResultCache::lookup(const QueryKey& key,
+                                          bool count_miss) {
   Shard& s = shard_for(key);
   const MutexLock lock(s.mu);
   const auto it = s.map.find(key);
   if (it == s.map.end()) {
-    ++s.misses;
+    if (count_miss) ++s.misses;
     return nullptr;
   }
   s.lru.splice(s.lru.begin(), s.lru, it->second);
   ++s.hits;
   return it->second->value;
+}
+
+ResultCache::ValuePtr ResultCache::find(const QueryKey& key) {
+  return lookup(key, /*count_miss=*/true);
+}
+
+ResultCache::ValuePtr ResultCache::probe(const QueryKey& key) {
+  return lookup(key, /*count_miss=*/false);
 }
 
 void ResultCache::insert(const QueryKey& key, ValuePtr value,

@@ -216,6 +216,12 @@ class ResultCache {
   /// refreshes LRU recency.
   [[nodiscard]] ValuePtr find(const QueryKey& key);
 
+  /// find() for a fast-path lookup that falls back to one that counts:
+  /// a hit is counted and refreshes recency, a miss is NOT counted (the
+  /// fallback's own find() counts it), so every request still adds
+  /// exactly one to hits + misses.
+  [[nodiscard]] ValuePtr probe(const QueryKey& key);
+
   /// Inserts (or refreshes) `key` → `value`, evicting
   /// the shard's LRU tail while over the entry capacity or (when
   /// CacheConfig::max_bytes is set) over the shard's byte budget.
@@ -252,6 +258,7 @@ class ResultCache {
   struct Shard;
 
   [[nodiscard]] Shard& shard_for(const QueryKey& key) noexcept;
+  [[nodiscard]] ValuePtr lookup(const QueryKey& key, bool count_miss);
 
   std::size_t capacity_{0};
   std::vector<std::unique_ptr<Shard>> shards_;

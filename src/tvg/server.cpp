@@ -2,12 +2,48 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "tvg/delta_overlay.hpp"
 #include "tvg/failpoint.hpp"
 
 namespace tvg {
+
+namespace {
+
+/// The lane index of a submission; throws on an out-of-range lane.
+std::size_t lane_of(const SubmitOptions& options) {
+  const auto lane = static_cast<std::size_t>(options.lane);
+  if (lane >= kLaneCount) {
+    throw std::invalid_argument("Server::submit: invalid lane");
+  }
+  return lane;
+}
+
+}  // namespace
+
+template <typename Result, typename Execute>
+struct Server::TypedTask final : Server::Task {
+  TypedTask(SubmitOptions::Clock::time_point d, Execute q)
+      : Task(d), query(std::move(q)) {}
+
+  bool run() override {
+    try {
+      promise.set_value(query());
+      return true;
+    } catch (...) {
+      promise.set_exception(std::current_exception());
+      return false;
+    }
+  }
+  void fail(std::exception_ptr error) override {
+    promise.set_exception(std::move(error));
+  }
+
+  std::promise<Result> promise;
+  Execute query;
+};
 
 Server::Server(const QueryEngine& engine, ServerConfig config)
     : engine_(&engine), config_(std::move(config)) {
@@ -48,7 +84,7 @@ std::size_t Server::queued_locked() const {
   return total;
 }
 
-bool Server::pop_next(Task& out) {
+bool Server::pop_next(TaskPtr& out) {
   if (queued_locked() == 0) return false;
   // Weighted round-robin: spend the current lane's credit while it has
   // work, otherwise advance (an empty lane forfeits its turn — credit
@@ -104,7 +140,7 @@ void Server::execute(Task& task) {
 
 void Server::worker_loop() {
   for (;;) {
-    Task task;
+    TaskPtr task;
     bool have = false;
     {
       const MutexLock lock(mu_);
@@ -113,30 +149,29 @@ void Server::worker_loop() {
       have = pop_next(task);
       if (have) ++in_flight_;
     }
-    if (have) execute(task);
+    if (have) execute(*task);
   }
 }
 
 bool Server::run_one() {
-  Task task;
+  TaskPtr task;
   {
     const MutexLock lock(mu_);
     if (!pop_next(task)) return false;
     ++in_flight_;
   }
-  execute(task);
+  execute(*task);
   return true;
 }
 
 template <typename Result, typename Execute>
-std::future<Result> Server::enqueue(Execute run_query,
-                                    const SubmitOptions& options) {
-  const auto lane = static_cast<std::size_t>(options.lane);
-  if (lane >= kLaneCount) {
-    throw std::invalid_argument("Server::submit: invalid lane");
-  }
-  auto promise = std::make_shared<std::promise<Result>>();
-  std::future<Result> future = promise->get_future();
+std::future<Result> Server::enqueue(Execute query, std::size_t lane,
+                                    SubmitOptions::Clock::time_point deadline) {
+  // Allocated before mu_ is taken; a shed or stopped submission fails it
+  // below instead of queueing it.
+  auto task = std::make_unique<TypedTask<Result, Execute>>(
+      deadline, std::move(query));
+  std::future<Result> future = task->promise.get_future();
 
   enum class Verdict { kAccepted, kShed, kStopped };
   Verdict verdict;
@@ -152,20 +187,6 @@ std::future<Result> Server::enqueue(Execute run_query,
       ++stats_.shed_per_lane[lane];
       verdict = Verdict::kShed;
     } else {
-      Task task;
-      task.deadline = options.deadline;
-      task.run = [promise, query = std::move(run_query)]() -> bool {
-        try {
-          promise->set_value(query());
-          return true;
-        } catch (...) {
-          promise->set_exception(std::current_exception());
-          return false;
-        }
-      };
-      task.fail = [promise](std::exception_ptr error) {
-        promise->set_exception(std::move(error));
-      };
       lanes_[lane].push_back(std::move(task));
       ++stats_.accepted;
       ++stats_.accepted_per_lane[lane];
@@ -182,12 +203,12 @@ std::future<Result> Server::enqueue(Execute run_query,
       work_cv_.notify_one();
       break;
     case Verdict::kShed:
-      promise->set_exception(std::make_exception_ptr(Overloaded(
+      task->fail(std::make_exception_ptr(Overloaded(
           "tvg::Server: lane at capacity, submission shed (resize "
           "ServerConfig::queue_capacity or slow the client)")));
       break;
     case Verdict::kStopped:
-      promise->set_exception(std::make_exception_ptr(
+      task->fail(std::make_exception_ptr(
           ServerStopped("tvg::Server: submit after stop()")));
       break;
   }
@@ -196,11 +217,28 @@ std::future<Result> Server::enqueue(Execute run_query,
 
 std::future<JourneyResult> Server::submit(const JourneyQuery& q,
                                           SubmitOptions options) {
+  const std::size_t lane = lane_of(options);
+  // Cache hits skip the lanes: answered here, on the caller, when a
+  // serving worker would otherwise have to wake for them. A stopped
+  // server and a passed deadline take the queued path, which rejects or
+  // expires the submission exactly as it would a miss.
+  if (config_.workers > 0 && !stopping_.load(std::memory_order_acquire) &&
+      (options.deadline == SubmitOptions::Clock::time_point::max() ||
+       SubmitOptions::Clock::now() <= options.deadline)) {
+    std::optional<JourneyResult> hit =
+        engine_ ? engine_->try_cached(q) : mutable_engine_->try_cached(q);
+    if (hit) {
+      std::promise<JourneyResult> ready;
+      ready.set_value(std::move(*hit));
+      served_inline_[lane].n.fetch_add(1, std::memory_order_relaxed);
+      return ready.get_future();
+    }
+  }
   return enqueue<JourneyResult>(
       [this, q] {
         return engine_ ? engine_->run(q) : mutable_engine_->run(q);
       },
-      options);
+      lane, options.deadline);
 }
 
 std::future<ClosureResult> Server::submit(const ClosureQuery& q,
@@ -209,7 +247,7 @@ std::future<ClosureResult> Server::submit(const ClosureQuery& q,
       [this, q] {
         return engine_ ? engine_->closure(q) : mutable_engine_->closure(q);
       },
-      options);
+      lane_of(options), options.deadline);
 }
 
 std::future<std::vector<AcceptOutcome>> Server::submit(
@@ -224,7 +262,7 @@ std::future<std::vector<AcceptOutcome>> Server::submit(
         }
         return engine_->accepts(spec, words);
       },
-      options);
+      lane_of(options), options.deadline);
 }
 
 void Server::drain() {
@@ -240,21 +278,21 @@ void Server::drain() {
 }
 
 void Server::stop() {
-  std::vector<Task> discarded;
+  std::vector<TaskPtr> discarded;
   std::vector<std::thread> workers;
   {
     const MutexLock lock(mu_);
     stopping_ = true;
     for (auto& lane : lanes_) {
-      for (Task& t : lane) discarded.push_back(std::move(t));
+      for (TaskPtr& t : lane) discarded.push_back(std::move(t));
       lane.clear();
     }
     stats_.discarded_on_stop += discarded.size();
     workers.swap(workers_);
   }
   work_cv_.notify_all();
-  for (Task& t : discarded) {
-    t.fail(std::make_exception_ptr(
+  for (TaskPtr& t : discarded) {
+    t->fail(std::make_exception_ptr(
         ServerStopped("tvg::Server: stopped before the query was served")));
   }
   for (std::thread& t : workers) t.join();
@@ -272,6 +310,15 @@ ServerStats Server::stats() const {
   snapshot.in_flight_now = in_flight_;
   for (std::size_t i = 0; i < kLaneCount; ++i) {
     snapshot.lane_depth_now[i] = lanes_[i].size();
+    // One read per lane: the hit counts in all five counters or none, so
+    // the accounting identities hold in every snapshot.
+    const std::uint64_t hits =
+        served_inline_[i].n.load(std::memory_order_relaxed);
+    snapshot.submitted += hits;
+    snapshot.accepted += hits;
+    snapshot.accepted_per_lane[i] += hits;
+    snapshot.completed += hits;
+    snapshot.served_inline += hits;
   }
   return snapshot;
 }

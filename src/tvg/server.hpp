@@ -11,6 +11,12 @@
 //    serving workers (which in turn fan batch work into the engine's
 //    own WorkerPool — the server schedules *queries*, the pool
 //    schedules *shards*);
+//  * cache hits skip the lanes: with serving workers running, a journey
+//    whose result the engine already caches (try_cached) is answered on
+//    the submitting thread with an already-ready future. It takes no
+//    lane, no lock and no thread hop, so it is never shed. A stopped
+//    server or a passed deadline still goes the queued way, and with
+//    workers == 0 every submission queues;
 //  * three priority lanes — kHigh / kNormal / kBatch — drained by
 //    weighted round-robin (ServerConfig::weights): a flood of batch
 //    traffic cannot starve interactive queries, and an idle lane's
@@ -40,17 +46,18 @@
 //
 // Locks are the annotated tvg::Mutex / tvg::CondVar (sync.hpp): the
 // clang -Wthread-safety -Werror lane proves mu_ guards the lanes,
-// counters, and lifecycle flags; the TSan lane runs the multi-client
+// counters, and worker set; the TSan lane runs the multi-client
 // stress suite (tests/test_server.cpp) over this code.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -140,16 +147,20 @@ struct SubmitOptions {
 /// Monotone counter snapshot (all counted since construction).
 /// submitted = accepted + shed + rejected_stopped; every accepted
 /// submission ends in exactly one of completed / failed / expired /
-/// discarded_on_stop.
+/// discarded_on_stop. A cache hit served on the submitting thread counts
+/// as submitted, accepted (in its lane) and completed, and in
+/// served_inline; it never enters a lane queue, so it never moves the
+/// lane depths.
 struct ServerStats {
   std::uint64_t submitted{0};  // submit() calls, whatever their outcome
-  std::uint64_t accepted{0};   // entered a lane queue
-  std::uint64_t completed{0};  // executed; future holds a value
+  std::uint64_t accepted{0};   // entered a lane queue, or served inline
+  std::uint64_t completed{0};  // ran or served inline; future holds a value
   std::uint64_t failed{0};     // executed; future holds the query's error
   std::uint64_t shed{0};       // admission control: future = Overloaded
   std::uint64_t expired{0};    // deadline at dequeue: future = DeadlineExceeded
   std::uint64_t rejected_stopped{0};  // submit() on a stopped server
   std::uint64_t discarded_on_stop{0};  // queued at stop(): future = ServerStopped
+  std::uint64_t served_inline{0};  // cache hits answered inside submit()
   /// Per-lane accepted submissions (index = Lane).
   std::array<std::uint64_t, kLaneCount> accepted_per_lane{};
   /// Per-lane sheds (index = Lane).
@@ -188,7 +199,8 @@ class Server {
   /// Async QueryEngine::run. The future yields the JourneyResult or the
   /// query's own exception; shed / expired / stopped submissions fail
   /// the future with Overloaded / DeadlineExceeded / ServerStopped.
-  /// Never blocks on a full queue.
+  /// Never blocks on a full queue. With workers > 0, a cached result is
+  /// returned ready (see the header comment) and never shed.
   [[nodiscard]] std::future<JourneyResult> submit(const JourneyQuery& q,
                                                   SubmitOptions options = {})
       TVG_EXCLUDES(mu_);
@@ -226,25 +238,35 @@ class Server {
   [[nodiscard]] ServerStats stats() const TVG_EXCLUDES(mu_);
 
  private:
-  /// One queued submission: the execution closure (fulfills the
-  /// promise; true = value set, false = the query's exception set), the
-  /// shed/expire closure (fails it), and the deadline.
+  /// One queued submission, one allocation: the typed subclass
+  /// (server.cpp) owns the promise and the query. run() executes the
+  /// query into the promise (true = value set, false = the query's
+  /// exception set) and never throws; fail() resolves the promise with a
+  /// server-side error (shed, expired, stopped) instead.
   struct Task {
-    std::function<bool()> run;
-    std::function<void(std::exception_ptr)> fail;
-    SubmitOptions::Clock::time_point deadline;
+    explicit Task(SubmitOptions::Clock::time_point d) : deadline(d) {}
+    virtual ~Task() = default;
+    Task(const Task&) = delete;
+    Task& operator=(const Task&) = delete;
+    virtual bool run() = 0;
+    virtual void fail(std::exception_ptr error) = 0;
+    const SubmitOptions::Clock::time_point deadline;
   };
+  template <typename Result, typename Execute>
+  struct TypedTask;
+  using TaskPtr = std::unique_ptr<Task>;
 
   /// Type-erasing submit core shared by the three public overloads:
-  /// admission control, lane bookkeeping, worker wakeup.
+  /// admission control, lane bookkeeping, worker wakeup. `lane` is
+  /// already validated.
   template <typename Result, typename Execute>
-  [[nodiscard]] std::future<Result> enqueue(Execute execute,
-                                            const SubmitOptions& options)
-      TVG_EXCLUDES(mu_);
+  [[nodiscard]] std::future<Result> enqueue(
+      Execute query, std::size_t lane,
+      SubmitOptions::Clock::time_point deadline) TVG_EXCLUDES(mu_);
 
   /// Pops the next task by weighted round-robin into `out`; false when
   /// every lane is empty. Advances the lane credit state.
-  [[nodiscard]] bool pop_next(Task& out) TVG_REQUIRES(mu_);
+  [[nodiscard]] bool pop_next(TaskPtr& out) TVG_REQUIRES(mu_);
 
   /// Runs (or expires) one dequeued task and retires it: outcome
   /// counter, in-flight decrement, idle signal. The caller already
@@ -268,11 +290,19 @@ class Server {
   mutable Mutex mu_;
   CondVar work_cv_;   // workers: "a task was queued" / "stopping"
   CondVar idle_cv_;   // drain(): "queues empty and nothing in flight"
-  std::array<std::deque<Task>, kLaneCount> lanes_ TVG_GUARDED_BY(mu_);
+  std::array<std::deque<TaskPtr>, kLaneCount> lanes_ TVG_GUARDED_BY(mu_);
   /// Weighted round-robin cursor: credit left for lane `rr_lane_`.
   std::size_t rr_lane_ TVG_GUARDED_BY(mu_){0};
   unsigned rr_credit_ TVG_GUARDED_BY(mu_){0};
-  bool stopping_ TVG_GUARDED_BY(mu_){false};
+  /// Set once, by stop(), under mu_ (the workers' wait predicate reads
+  /// it there); the cache-hit path in submit() reads it without the lock.
+  std::atomic<bool> stopping_{false};
+  /// Cache hits served inside submit(), per lane. Relaxed atomics, one
+  /// cache line each, that stats() folds into its snapshot.
+  struct alignas(64) InlineCount {
+    std::atomic<std::uint64_t> n{0};
+  };
+  std::array<InlineCount, kLaneCount> served_inline_{};
   std::size_t in_flight_ TVG_GUARDED_BY(mu_){0};
   ServerStats stats_ TVG_GUARDED_BY(mu_);
   /// Spawned in the constructor; stop() swaps the vector out under mu_

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -60,6 +61,29 @@ TEST(ResultCache, JourneyHitEqualsColdRun) {
   EXPECT_EQ(stats.misses, 4u);
   EXPECT_EQ(stats.entries, 4u);
   EXPECT_EQ(cold.cache_stats().hits + cold.cache_stats().misses, 0u);
+}
+
+TEST(ResultCache, TryCachedCountsOnlyHitsAndEqualsRun) {
+  const TimeVaryingGraph g = test_graph(1);
+  const QueryEngine engine(g);
+  const JourneyQuery q = JourneyQuery::foremost(0, 0).under(Policy::wait());
+
+  // A probe miss is left for the run() that follows it to count.
+  EXPECT_FALSE(engine.try_cached(q).has_value());
+  EXPECT_EQ(engine.cache_stats().misses, 0u);
+  const JourneyResult cold = engine.run(q);
+  EXPECT_EQ(engine.cache_stats().misses, 1u);
+
+  const std::optional<JourneyResult> hit = engine.try_cached(q);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, cold);
+  const CacheStats stats = engine.cache_stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+
+  const QueryEngine uncached(g, 1, CacheConfig::disabled());
+  (void)uncached.run(q);
+  EXPECT_FALSE(uncached.try_cached(q).has_value());
 }
 
 TEST(ResultCache, ClosureAndAcceptHitsEqualColdRuns) {

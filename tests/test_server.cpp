@@ -387,6 +387,130 @@ TEST(Server, BackendMismatchFailsTheFutureNotTheServer) {
   EXPECT_EQ(stats.completed, 1u);
 }
 
+// ---------------------------------------------------------------------------
+// Cache hits served on the submitting thread (workers > 0 only).
+// ---------------------------------------------------------------------------
+
+ServerConfig worker_config() {
+  ServerConfig config;
+  config.workers = 2;
+  return config;
+}
+
+bool ready_now(std::future<JourneyResult>& f) {
+  return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
+TEST(Server, CachedJourneyIsReadyWhenSubmitReturns) {
+  const TimeVaryingGraph g = serving_graph();
+  const QueryEngine engine(g, 1);
+  const JourneyResult cold = engine.run(query_for(0));
+  Server server(engine, worker_config());
+
+  auto f = server.submit(query_for(0));
+  ASSERT_TRUE(ready_now(f));
+  EXPECT_TRUE(f.get() == cold);
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.served_inline, 1u);
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.accepted_per_lane[static_cast<std::size_t>(Lane::kNormal)],
+            1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.lane_depth_high_water, 0u);
+}
+
+TEST(Server, MutationTouchingACachedJourneySendsItBackThroughTheLanes) {
+  MutableEngine engine(serving_graph(), 2);
+  const JourneyQuery jq = query_for(0);
+  (void)engine.run(jq);
+  Server server(engine, worker_config());
+  (void)server.submit(jq).get();
+  ASSERT_EQ(server.stats().served_inline, 1u);
+
+  // The new edge leaves the query's own source: it touches the entry's
+  // footprint, so apply() drops the entry before it returns.
+  engine.add_edge(0, 5, 'a', Presence::always(), Latency::constant(1),
+                  "hotfix");
+  const JourneyResult fresh = server.submit(jq).get();
+  EXPECT_EQ(server.stats().served_inline, 1u);  // this one queued
+  EXPECT_TRUE(fresh == engine.run(jq));
+  EXPECT_LE(fresh.arrivals[5], 1);
+  server.drain();
+  EXPECT_EQ(server.stats().completed, 2u);
+}
+
+TEST(Server, CachedJourneyPastItsDeadlineExpires) {
+  const TimeVaryingGraph g = serving_graph();
+  const QueryEngine engine(g, 1);
+  (void)engine.run(query_for(0));
+  Server server(engine, worker_config());
+
+  auto f = server.submit(query_for(0),
+                         SubmitOptions{}.by(SubmitOptions::Clock::now() -
+                                            milliseconds(1)));
+  EXPECT_THROW(f.get(), DeadlineExceeded);
+  server.drain();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.expired, 1u);
+  EXPECT_EQ(stats.served_inline, 0u);
+  EXPECT_EQ(stats.completed, 0u);
+}
+
+TEST(Server, CachedJourneyAfterStopIsRejected) {
+  const TimeVaryingGraph g = serving_graph();
+  const QueryEngine engine(g, 1);
+  (void)engine.run(query_for(0));
+  Server server(engine, worker_config());
+  server.stop();
+
+  auto f = server.submit(query_for(0));
+  EXPECT_THROW(f.get(), ServerStopped);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.rejected_stopped, 1u);
+  EXPECT_EQ(stats.served_inline, 0u);
+}
+
+TEST(Server, CachedJourneyQueuesWithoutWorkers) {
+  // workers == 0 has no thread hop to save: every submission stacks up
+  // for run_one(), cached or not.
+  const TimeVaryingGraph g = serving_graph();
+  const QueryEngine engine(g, 1);
+  const JourneyResult cold = engine.run(query_for(0));
+  Server server(engine, manual_config());
+
+  auto f = server.submit(query_for(0));
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.queued_now, 1u);
+  EXPECT_EQ(stats.served_inline, 0u);
+  ASSERT_TRUE(server.run_one());
+  EXPECT_TRUE(f.get() == cold);
+}
+
+TEST(Server, CacheCountsEachSubmissionOnce) {
+  // Each submission is one cache lookup: an inline hit counts one hit, a
+  // miss counts one miss in the run() its queued task makes, never a
+  // second one for the probe in front of it.
+  constexpr std::uint64_t kSubmits = 40;
+  const auto check = [&](const auto& engine) {
+    Server server(engine, worker_config());
+    for (std::uint64_t i = 0; i < kSubmits; ++i) {
+      (void)server.submit(query_for(static_cast<NodeId>(i % 4))).get();
+    }
+    server.drain();
+    const CacheStats cache = engine.cache_stats();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(cache.hits + cache.misses, kSubmits);
+    EXPECT_EQ(stats.served_inline, cache.hits);
+    EXPECT_EQ(cache.misses, 4u);  // one cold run per distinct query
+    EXPECT_EQ(stats.completed, kSubmits);
+  };
+  const TimeVaryingGraph g = serving_graph();
+  check(QueryEngine(g, 1));
+  check(MutableEngine(serving_graph(), 1));
+}
+
 TEST(ServerStress, LiveUpdatesRaceQueriesThroughTheLanes) {
   // Worker-backed server over a mutable engine: client threads write
   // through MutableEngine::apply while their reads go through the server,
