@@ -10,7 +10,7 @@
 // the same benchmark names:
 //
 //   TVG_BENCH_DURABLE=0  in-memory baseline: the same stream through a
-//                        bare MutableEngine — no WAL, no fsync, the
+//                        bare QueryEngine — no WAL, no fsync, the
 //                        pre-durability cost of an accepted mutation.
 //   unset / any other    DurableEngine: validate -> WAL append -> apply
 //                        -> policy fsync.
@@ -19,7 +19,7 @@
 // WAL holds <n> records past checkpoint-0 (so recovery = read + verify
 // + decode + replay of exactly <n> mutations). The baseline half
 // rebuilds the same state in memory (one batch apply of the <n>
-// mutations to a fresh MutableEngine, the call recovery replays
+// mutations to a fresh QueryEngine, the call recovery replays
 // through), isolating what the disk format adds over raw replay.
 //
 // BM_CheckpointLoad/<nodes> times from_text of a checkpoint body: the
@@ -34,7 +34,7 @@
 //   TVG_BENCH_DURABLE=1 TVG_BENCH_JSON=/tmp/durable.json ./build/bench_recovery
 //   python3 scripts/merge_bench_json.py /tmp/memory.json /tmp/durable.json
 //       BENCH_recovery.json --bench bench_recovery
-//       --note "in-memory MutableEngine vs DurableEngine (WAL + recovery)"
+//       --note "in-memory QueryEngine vs DurableEngine (WAL + recovery)"
 //   (the merge command is one line)
 //
 // The merged "speedup" map therefore reads baseline-vs-durable: values
@@ -56,6 +56,7 @@
 #include "tvg/delta_overlay.hpp"
 #include "tvg/durable_engine.hpp"
 #include "tvg/generators.hpp"
+#include "tvg/query_engine.hpp"
 #include "tvg/serialization.hpp"
 #include "tvg/wal.hpp"
 
@@ -69,8 +70,8 @@ using tvg::EdgeId;
 using tvg::EdgeMutation;
 using tvg::IntervalSet;
 using tvg::Latency;
-using tvg::MutableEngine;
 using tvg::Presence;
+using tvg::QueryEngine;
 using tvg::SyncPolicy;
 using tvg::Time;
 using tvg::TimeVaryingGraph;
@@ -167,7 +168,7 @@ void BM_DurableApply(benchmark::State& state) {
         engine.sequence() - engine.stats().wal.synced_sequence));
     fs::remove_all(dir);
   } else {
-    MutableEngine engine(g, /*default_threads=*/1);
+    QueryEngine engine(g, /*default_threads=*/1);
     for (auto _ : state) {
       engine.apply(stream[cursor]);
       cursor = (cursor + 1) % stream.size();
@@ -209,7 +210,8 @@ void BM_Recovery(benchmark::State& state) {
     // In-memory rebuild of the same state: the floor recovery can
     // approach once decode + verification were free.
     for (auto _ : state) {
-      MutableEngine engine(g, /*default_threads=*/1);
+      // An owned copy, as recovery's engine owns its parsed graph.
+      QueryEngine engine(TimeVaryingGraph(g), /*default_threads=*/1);
       benchmark::DoNotOptimize(engine.apply(stream).size());
       benchmark::DoNotOptimize(engine.materialize().edge_count());
     }

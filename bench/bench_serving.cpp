@@ -131,6 +131,12 @@ struct LatencyReport {
   }
 };
 
+/// The workload graph every benchmark below serves, built once.
+const TimeVaryingGraph& workload_graph() {
+  static const TimeVaryingGraph g = make_workload_graph(WorkloadSpec{});
+  return g;
+}
+
 double us_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
@@ -141,7 +147,7 @@ double us_between(Clock::time_point a, Clock::time_point b) {
 LatencyReport run_closed_loop(const QueryEngine& engine, bool lanes, int mix,
                               unsigned clients, std::size_t stream_length) {
   Server server(engine, config_for_mode(lanes));
-  const TimeVaryingGraph& g = engine.graph();
+  const TimeVaryingGraph& g = workload_graph();
   WorkloadSpec spec;
   spec.stream_length = stream_length;
   const auto pool = make_query_pool(spec, g);
@@ -196,7 +202,7 @@ LatencyReport run_closed_loop(const QueryEngine& engine, bool lanes, int mix,
 LatencyReport run_open_loop(const QueryEngine& engine, bool lanes, int mix,
                             double rate_qps, std::size_t stream_length) {
   Server server(engine, config_for_mode(lanes));
-  const TimeVaryingGraph& g = engine.graph();
+  const TimeVaryingGraph& g = workload_graph();
   WorkloadSpec spec;
   spec.stream_length = stream_length;
   const auto pool = make_query_pool(spec, g);
@@ -289,10 +295,10 @@ LatencyReport run_open_loop(const QueryEngine& engine, bool lanes, int mix,
 }
 
 const QueryEngine& shared_engine() {
-  // Cache disabled: see the header comment. Built once — the workload
-  // graph is shared by every benchmark below.
-  static const TimeVaryingGraph g = make_workload_graph(WorkloadSpec{});
-  static const QueryEngine engine(g, 1, CacheConfig::disabled());
+  // Cache disabled: see the header comment. Built once over the shared
+  // workload graph.
+  static const QueryEngine engine(workload_graph(), 1,
+                                  CacheConfig::disabled());
   return engine;
 }
 
@@ -355,7 +361,7 @@ BENCHMARK(BM_ServingOpenLoop)
 /// Single client, one warm journey, cache-enabled engine: every
 /// submit(q).get() is a hit (see the header comment).
 void BM_ServingCachedHit(benchmark::State& state) {
-  const TimeVaryingGraph& g = shared_engine().graph();
+  const TimeVaryingGraph& g = workload_graph();
   const QueryEngine engine(g, 1);
   Server server(engine, config_for_mode(/*lanes=*/true));
   const JourneyQuery q =

@@ -1,7 +1,7 @@
 // Live-update serving mix: interleaved mutations and journey queries
 // over the same seeded stream, comparing the LSM-style delta overlay
-// (tvg::MutableEngine) against the rebuild-per-update baseline that a
-// frozen QueryEngine forces.
+// (writes applied to one tvg::QueryEngine) against the
+// rebuild-per-update baseline: a fresh engine over the patched graph.
 //
 // BM_InterleavedUpdateQueryMix/<per_mille> runs a 2048-op stream where
 // <per_mille> out of every 1000 ops are presence patches on seeded
@@ -24,7 +24,7 @@
 //                        graph, then construct a fresh QueryEngine
 //                        (full index rebuild + cold cache) before the
 //                        stream continues.
-//   unset / any other    delta overlay: MutableEngine::patch_presence
+//   unset / any other    delta overlay: QueryEngine::patch_presence
 //                        recompiles only the overlay snapshot, the
 //                        result cache drops only entries whose Bloom
 //                        footprint the edge touches, and compaction
@@ -37,7 +37,7 @@
 //   TVG_BENCH_MUTABLE=1 TVG_BENCH_JSON=/tmp/overlay.json ./build/bench_updates
 //   python3 scripts/merge_bench_json.py /tmp/rebuild.json /tmp/overlay.json
 //       BENCH_updates.json --bench BM_InterleavedUpdateQueryMix
-//       --note "rebuild-per-update vs MutableEngine delta overlay"
+//       --note "rebuild-per-update vs QueryEngine delta overlay"
 //   (the merge command is one line)
 //
 // The merged "speedup" map reads overlay-vs-rebuild (>1 = overlay
@@ -63,7 +63,6 @@ using tvg::CacheConfig;
 using tvg::EdgeId;
 using tvg::IntervalSet;
 using tvg::JourneyQuery;
-using tvg::MutableEngine;
 using tvg::NodeId;
 using tvg::Policy;
 using tvg::Presence;
@@ -181,7 +180,7 @@ void BM_InterleavedUpdateQueryMix(benchmark::State& state) {
 
   double hit_rate = 0.0;
   if (use_overlay) {
-    MutableEngine engine(g, /*default_threads=*/1, CacheConfig{});
+    QueryEngine engine(g, /*default_threads=*/1, CacheConfig{});
     for (auto _ : state) {
       for (const Op& op : ops) {
         if (op.is_update) {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "tvg/read_core.hpp"
+#include "tvg/failpoint.hpp"
 
 namespace tvg {
 
@@ -149,15 +149,6 @@ EdgeId validate_mutation(const EdgeMutation& m, std::size_t node_count,
   return m.edge;
 }
 
-EdgeId DeltaOverlay::apply(EdgeMutation m) {
-  const EdgeId id =
-      validate_mutation(m, base_->node_count(), snapshot_->edge_count());
-  log_.push_back(std::move(m));
-  ++sequence_;
-  snapshot_ = std::make_shared<OverlaySnapshot>(*base_, log_, sequence_);
-  return id;
-}
-
 std::vector<EdgeId> DeltaOverlay::apply(std::span<const EdgeMutation> batch) {
   std::vector<EdgeId> ids;
   if (batch.empty()) return ids;
@@ -174,6 +165,7 @@ std::vector<EdgeId> DeltaOverlay::apply(std::span<const EdgeMutation> batch) {
   const auto old_size = static_cast<std::ptrdiff_t>(log_.size());
   try {
     log_.insert(log_.end(), batch.begin(), batch.end());
+    TVG_FAILPOINT("delta_overlay.publish");
     snapshot_ = std::make_shared<OverlaySnapshot>(*base_, log_,
                                                   sequence_ + batch.size());
   } catch (...) {
@@ -191,7 +183,7 @@ void DeltaOverlay::rebase(const TimeVaryingGraph& new_base,
              log_.begin() + static_cast<std::ptrdiff_t>(
                                 std::min(folded, log_.size())));
   // Sequence is NOT reset: it counts mutations ever applied, and the
-  // stale-insert mask history keys on it.
+  // engine's stale-insert stamps key on it.
   snapshot_ = std::make_shared<OverlaySnapshot>(*base_, log_, sequence_);
 }
 
@@ -228,286 +220,6 @@ TimeVaryingGraph materialize(const TimeVaryingGraph& base,
     g.add_edge(ae.from, ae.to, ae.label, ae.presence, ae.latency, ae.name);
   }
   return g;
-}
-
-// ---------------------------------------------------------------------------
-// MutableEngine
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Bounded mutation-mask history (see MutableEngine::MaskRec): enough to
-/// cover any realistic in-flight query against a busy mutation stream;
-/// an insert whose capture fell off the window is skipped, never served.
-constexpr std::size_t kMaskHistoryCap = 4096;
-
-/// Calls `read(view)` with the View that serves {graph, overlay}:
-/// FrozenView while the overlay is empty (the frozen engine's exact
-/// path), OverlayView otherwise.
-template <typename Read>
-decltype(auto) with_view(const TimeVaryingGraph& graph,
-                         const OverlaySnapshot& overlay, Read&& read) {
-  if (overlay.empty()) return read(FrozenView(graph));
-  return read(OverlayView(graph, overlay));
-}
-
-}  // namespace
-
-MutableEngine::Epoch::Epoch(TimeVaryingGraph g) : graph(std::move(g)) {
-  freeze_compiled(graph);
-}
-
-MutableEngine::MutableEngine(TimeVaryingGraph base, unsigned default_threads,
-                             CacheConfig cache)
-    : workers_(default_threads) {
-  // Constructor: no concurrent access yet (clang's analysis exempts
-  // construction), so the guarded members initialize without mu_.
-  auto epoch = std::make_shared<Epoch>(std::move(base));
-  delta_.emplace(epoch->graph);
-  state_.epoch = std::move(epoch);
-  state_.overlay = delta_->snapshot();
-  if (cache.enabled && cache.capacity > 0) {
-    cache_ = std::make_unique<ResultCache>(cache);
-  }
-}
-
-MutableEngine::~MutableEngine() {
-  // Wait out an in-flight background compaction before any member dies;
-  // workers_ is declared last, so its destructor (which joins the worker
-  // actually running that task's tail) runs before the state the task
-  // touched is destroyed.
-  const MutexLock lock(mu_);
-  while (compacting_) compaction_cv_.wait(mu_);
-}
-
-EdgeTouch MutableEngine::record_touch_locked(const EdgeMutation& m, EdgeId id,
-                                             std::uint64_t seq) {
-  EdgeTouch touch;
-  if (m.kind == EdgeMutation::Kind::kAddEdge) {
-    touch = EdgeTouch{id, m.from, m.to};
-  } else if (id < state_.overlay->base_edge_count()) {
-    const Edge& e = state_.epoch->graph.edge(id);
-    touch = EdgeTouch{id, e.from, e.to};
-  } else {
-    const OverlaySnapshot::AddedEdge& ae = state_.overlay->added(id);
-    touch = EdgeTouch{id, ae.from, ae.to};
-  }
-  mask_history_.push_back(
-      MaskRec{seq, footprint_bit(touch.from) | footprint_bit(touch.to)});
-  if (mask_history_.size() > kMaskHistoryCap) mask_history_.pop_front();
-  return touch;
-}
-
-EdgeId MutableEngine::apply(const EdgeMutation& m) {
-  EdgeId id = kInvalidEdge;
-  EdgeTouch touch;
-  {
-    const MutexLock lock(mu_);
-    id = delta_->apply(m);  // throws on bad ids with the log unchanged
-    state_.overlay = delta_->snapshot();
-    touch = record_touch_locked(m, id, delta_->sequence());
-  }
-  // Invalidation runs outside mu_ (it takes the shard locks; the lock
-  // order is mu_ -> shard, never the reverse). Publishing first is
-  // sound: any reader inserting after the publish re-checks the mask
-  // history under mu_ and skips an entry this mutation would have had
-  // to drop.
-  if (cache_) {
-    cache_->invalidate_keys_touching(std::span<const EdgeTouch>(&touch, 1));
-  }
-  return id;
-}
-
-std::vector<EdgeId> MutableEngine::apply(std::span<const EdgeMutation> batch) {
-  std::vector<EdgeId> ids;
-  std::vector<EdgeTouch> touches;
-  {
-    const MutexLock lock(mu_);
-    ids = delta_->apply(batch);  // throws with no state change
-    state_.overlay = delta_->snapshot();
-    // One mask record per mutation, under the sequence one-by-one apply
-    // would have given it, so the stale-insert check reads the same
-    // history either way.
-    const std::uint64_t first_seq = delta_->sequence() - ids.size() + 1;
-    touches.reserve(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      touches.push_back(record_touch_locked(batch[i], ids[i], first_seq + i));
-    }
-  }
-  if (cache_ && !touches.empty()) cache_->invalidate_keys_touching(touches);
-  return ids;
-}
-
-MutableEngine::State MutableEngine::capture(std::uint64_t* seq_out) const {
-  const MutexLock lock(mu_);
-  if (seq_out) *seq_out = state_.overlay->sequence();
-  return state_;
-}
-
-bool MutableEngine::insert_allowed_locked(std::uint64_t captured_seq,
-                                          std::uint64_t footprint) const {
-  const std::uint64_t now = state_.overlay->sequence();
-  if (now == captured_seq) return true;  // nothing landed since capture
-  // Every mutation in (captured_seq, now] must be retained in the
-  // history and miss the entry's footprint; a gap (history overflowed)
-  // conservatively rejects the insert.
-  if (mask_history_.empty() || mask_history_.front().seq > captured_seq + 1) {
-    return false;
-  }
-  for (auto it = mask_history_.rbegin();
-       it != mask_history_.rend() && it->seq > captured_seq; ++it) {
-    if ((it->mask & footprint) != 0) return false;
-  }
-  return true;
-}
-
-JourneyResult MutableEngine::run(const JourneyQuery& q) const {
-  std::uint64_t seq = 0;
-  const State s = capture(&seq);
-  QueryKey key;
-  if (cache_) {
-    key = QueryKey::journey(q);
-    if (const auto hit = cache_->find(key)) {
-      return *static_cast<const JourneyResult*>(hit.get());
-    }
-  }
-  std::uint64_t footprint = kFootprintAll;
-  JourneyResult result;
-  {
-    auto ws = workers_.lease();
-    result = with_view(s.epoch->graph, *s.overlay, [&](const auto& view) {
-      return read_journey(view, q, *ws, &footprint);
-    });
-  }
-  if (cache_) {
-    const auto owned = std::make_shared<const JourneyResult>(result);
-    const std::size_t bytes = approx_bytes(*owned);
-    // The staleness check and the insert are one critical section: a
-    // mutation published between them would invalidate the cache BEFORE
-    // this entry exists, and the entry would survive as a stale hit.
-    const MutexLock lock(mu_);
-    if (insert_allowed_locked(seq, footprint)) {
-      cache_->insert(key, owned, bytes, footprint);
-    }
-  }
-  return result;
-}
-
-std::optional<JourneyResult> MutableEngine::try_cached(
-    const JourneyQuery& q) const {
-  // No capture(): like run(), a hit never reads the captured state. An
-  // entry lives only while no mutation touched its footprint, so a hit
-  // equals a cold run over the graph as of the last apply() that
-  // returned.
-  return probe_journey(cache_.get(), q);
-}
-
-ClosureResult MutableEngine::closure(const ClosureQuery& q) const {
-  const State s = capture(nullptr);
-  const std::vector<NodeId> sources =
-      materialize_sources(s.epoch->graph.node_count(), q.sources,
-                          "MutableEngine::closure: source out of range");
-  // Uncached (see the class comment): rows come straight from the read
-  // core, bit-identical to a rebuilt engine's at any thread count.
-  return with_view(s.epoch->graph, *s.overlay, [&](const auto& view) {
-    return read_closure(view, sources, q, workers_);
-  });
-}
-
-void MutableEngine::compact() {
-  {
-    const MutexLock lock(mu_);
-    while (compacting_) compaction_cv_.wait(mu_);
-    if (delta_->pending_mutations() == 0) return;
-    compacting_ = true;
-  }
-  do_compact();
-}
-
-bool MutableEngine::compact_async() {
-  {
-    const MutexLock lock(mu_);
-    if (compacting_ || delta_->pending_mutations() == 0) return false;
-    compacting_ = true;
-  }
-  workers_.workers().submit([this] { do_compact(); });
-  return true;
-}
-
-void MutableEngine::wait_for_compaction() const {
-  const MutexLock lock(mu_);
-  while (compacting_) compaction_cv_.wait(mu_);
-}
-
-bool MutableEngine::compaction_in_flight() const {
-  const MutexLock lock(mu_);
-  return compacting_;
-}
-
-void MutableEngine::do_compact() {
-  // compacting_ is already set (by compact or compact_async), so there
-  // is exactly one of these running; mutations and reads proceed freely
-  // against the OLD epoch while the fold below builds the new one.
-  try {
-    State s;
-    std::size_t folded = 0;
-    {
-      const MutexLock lock(mu_);
-      s = state_;
-      folded = delta_->pending_mutations();
-    }
-    // Off-lock: materialize base ∪ delta and compile its index + CSR.
-    // The snapshot captured above covers exactly the first `folded` log
-    // entries (apply republishes under the same lock), so mutations
-    // landing during this build are untouched remainder.
-    auto next_epoch =
-        std::make_shared<Epoch>(tvg::materialize(s.epoch->graph, *s.overlay));
-    {
-      const MutexLock lock(mu_);
-      state_.epoch = next_epoch;
-      delta_->rebase(next_epoch->graph, folded);
-      state_.overlay = delta_->snapshot();
-      compacting_ = false;
-    }
-  } catch (...) {
-    // Best-effort: a failed fold (allocation, pathological ρ/ζ copy)
-    // leaves the old epoch + full delta serving correct results; just
-    // clear the flag so compaction can be retried.
-    const MutexLock lock(mu_);
-    compacting_ = false;
-  }
-  compaction_cv_.notify_all();
-}
-
-std::size_t MutableEngine::node_count() const {
-  const MutexLock lock(mu_);
-  return state_.epoch->graph.node_count();
-}
-
-std::size_t MutableEngine::edge_count() const {
-  const MutexLock lock(mu_);
-  return state_.overlay->edge_count();
-}
-
-std::size_t MutableEngine::pending_mutations() const {
-  const MutexLock lock(mu_);
-  return delta_->pending_mutations();
-}
-
-std::uint64_t MutableEngine::sequence() const {
-  const MutexLock lock(mu_);
-  return delta_->sequence();
-}
-
-std::vector<EdgeMutation> MutableEngine::pending_log() const {
-  const MutexLock lock(mu_);
-  const auto log = delta_->log();
-  return {log.begin(), log.end()};
-}
-
-TimeVaryingGraph MutableEngine::materialize() const {
-  const State s = capture(nullptr);
-  return tvg::materialize(s.epoch->graph, *s.overlay);
 }
 
 }  // namespace tvg

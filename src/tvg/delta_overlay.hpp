@@ -1,15 +1,16 @@
 // LSM-style mutability for temporal graphs: a delta overlay over the
-// frozen ScheduleIndex + CSR, and the tvg::MutableEngine façade that
-// serves live updates without ever rebuilding per mutation.
+// frozen ScheduleIndex + CSR, which the one engine (tvg::QueryEngine,
+// query_engine.hpp) reads through so it can serve live updates without
+// ever rebuilding per mutation.
 //
 // The frozen read path (graph.hpp / schedule_index.hpp) is deliberately
-// immutable: QueryEngine compiles ρ/ζ once and every kernel assumes the
-// tables never move. Mutating a served graph therefore used to mean
-// "rebuild the index and the engine" — O(E) work and an engine-wide
-// cache generation bump per edit. This header adds the standard LSM
-// answer: keep the frozen base as the big immutable run, buffer edits
-// in a small in-memory delta, consult base ∪ delta on every read, and
-// fold the delta into a fresh base in the background when it grows.
+// immutable: every kernel assumes the compiled ρ/ζ tables never move.
+// Mutating a served graph therefore used to mean "rebuild the index and
+// the engine" — O(E) work and an engine-wide cache generation bump per
+// edit. This header adds the standard LSM answer: keep the frozen base
+// as the big immutable run, buffer edits in a small in-memory delta,
+// consult base ∪ delta on every read, and fold the delta into a fresh
+// base in the background when it grows.
 //
 //  * EdgeMutation — one buffered edit: add edge, remove edge (a
 //    tombstone: presence overridden to never(), so EdgeIds stay stable
@@ -19,36 +20,31 @@
 //    own sorted out-adjacency, and the recomputed graph-wide facts).
 //    Published behind a shared_ptr: readers grab it once and never see
 //    a half-applied mutation.
-//  * OverlayView — the merged read interface the search kernels are
-//    templated over (read_core.hpp). It mirrors the ScheduleIndex
-//    contract bit for bit: overridden and added edges dispatch to their
-//    Presence/Latency values (whose compiled forms the index documents
-//    as exact mirrors), everything else goes straight to the base
-//    index, and per-node edge enumeration yields base edges in CSR
-//    order then added edges in id order — exactly the order a from-
-//    scratch rebuild would produce, so overlay reads are bit-identical
-//    to rebuild reads (including truncation, which is exploration-order
-//    dependent).
+//  * OverlayView — the merged read interface the search kernels and the
+//    acceptance search are templated over (read_core.hpp). It mirrors
+//    the ScheduleIndex contract bit for bit: overridden and added edges
+//    dispatch to their Presence/Latency values (whose compiled forms the
+//    index documents as exact mirrors), everything else goes straight to
+//    the base index, and per-node edge enumeration (plain and labeled)
+//    yields base edges in CSR order then added edges in id order —
+//    exactly the order a from-scratch rebuild would produce, so overlay
+//    reads are bit-identical to rebuild reads (including truncation,
+//    which is exploration-order dependent).
 //  * DeltaOverlay — the mutation log plus its current snapshot. NOT
-//    thread-safe on its own; MutableEngine guards it (standalone use is
+//    thread-safe on its own; QueryEngine guards it (standalone use is
 //    fine single-threaded, e.g. the serialization round-trip).
-//  * MutableEngine — the serving façade: epoch-pointer concurrency
-//    (readers copy {epoch, overlay} under a mutex and then run lock-
-//    free through the engines' shared read core), per-edge cache
-//    invalidation through footprint stamps (result_cache.hpp), and
-//    background compaction on the engine's WorkerPool that folds the
-//    delta into a fresh epoch while readers keep serving the old one.
 //
-// Compaction keeps tombstoned edges (as never-present records), so an
-// EdgeId handed out by add_edge stays valid across any number of
-// compactions, and a compacted graph's CSR lists each node's edges in
-// the same order the overlay enumerated them.
+// The engine owns the concurrency around these pieces: epoch-pointer
+// reads, per-partition cache invalidation and background compaction
+// (see QueryEngine in query_engine.hpp). Compaction keeps tombstoned
+// edges (as never-present records), so an EdgeId handed out by add_edge
+// stays valid across any number of compactions, and a compacted graph's
+// CSR lists each node's edges in the same order the overlay enumerated
+// them.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -56,24 +52,16 @@
 #include <utility>
 #include <vector>
 
-#include "tvg/algorithms.hpp"
-#include "tvg/annotations.hpp"
 #include "tvg/graph.hpp"
-#include "tvg/journey.hpp"
 #include "tvg/latency.hpp"
-#include "tvg/policy.hpp"
 #include "tvg/presence.hpp"
-#include "tvg/query_engine.hpp"
-#include "tvg/result_cache.hpp"
 #include "tvg/schedule_index.hpp"
-#include "tvg/sync.hpp"
 #include "tvg/time.hpp"
-#include "tvg/worker_pool.hpp"
 
 namespace tvg {
 
 /// One buffered schedule mutation. Build with the named constructors;
-/// `apply` on DurableEngine / MutableEngine / DeltaOverlay consumes them.
+/// `apply` on DurableEngine / QueryEngine / DeltaOverlay consumes them.
 struct EdgeMutation {
   enum class Kind : std::uint8_t {
     kAddEdge,          // append a new edge (id = current edge_count())
@@ -186,7 +174,7 @@ class OverlaySnapshot {
   };
 
   /// Compiles `log` against `base` (whose ScheduleIndex must already be
-  /// frozen — MutableEngine's epochs guarantee this). The effective
+  /// frozen — QueryEngine's epochs guarantee this). The effective
   /// graph-wide facts (all-latency-constant, all-semi-periodic) are
   /// recomputed from the base index's non-conforming-edge counters
   /// adjusted by the delta, USING THE SAME Latency::is_constant() /
@@ -274,8 +262,6 @@ class OverlayView {
 
   [[nodiscard]] std::size_t node_count() const { return g_->node_count(); }
   [[nodiscard]] std::size_t edge_count() const { return ov_->edge_count(); }
-  /// The frozen base under the delta.
-  [[nodiscard]] const TimeVaryingGraph& base() const noexcept { return *g_; }
 
   /// Enumerates v's out-edges — base CSR segment first, then added
   /// edges ascending by id (= rebuild CSR order). `fn(eid)` returns
@@ -288,6 +274,21 @@ class OverlayView {
     const auto [lo, hi] = ov_->added_out_range(v);
     for (const auto* it = lo; it != hi; ++it) {
       if (!fn(it->second)) return;
+    }
+  }
+
+  /// Enumerates v's out-edges labeled `label` — the base label bucket
+  /// first, then the added edges with that label ascending by id: the
+  /// order a rebuild's stable label sort of its CSR segment produces.
+  /// `fn(eid)` returns false to stop early.
+  template <typename Fn>
+  void for_each_out_labeled(NodeId v, Symbol label, Fn&& fn) const {
+    for (const EdgeId e : g_->out_edges_labeled(v, label)) {
+      if (!fn(e)) return;
+    }
+    const auto [lo, hi] = ov_->added_out_range(v);
+    for (const auto* it = lo; it != hi; ++it) {
+      if (ov_->added(it->second).label == label && !fn(it->second)) return;
     }
   }
 
@@ -356,6 +357,18 @@ class OverlayView {
     return ov_->added(e).latency.arrival(dep);
   }
 
+  /// True iff e's effective ζ is affine — the predicate ScheduleIndex
+  /// compiles its lat_affine flag from (Latency::affine_coefficients).
+  [[nodiscard]] bool latency_affine(EdgeId e) const {
+    if (e < base_edges_) {
+      if (!ov_->has_override(e)) return sx_->record(e).lat_affine;
+      const OverlaySnapshot::OverrideRec& r = ov_->override_rec(e);
+      if (!r.has_latency) return sx_->record(e).lat_affine;
+      return r.latency.affine_coefficients().has_value();
+    }
+    return ov_->added(e).latency.affine_coefficients().has_value();
+  }
+
   /// Effective facts of base ∪ delta: pick the same kernel (Dijkstra vs
   /// configuration BFS, packed vs per-source) a rebuild would pick.
   [[nodiscard]] bool all_latency_constant() const {
@@ -387,7 +400,7 @@ class OverlayView {
 };
 
 /// The mutation buffer: an append-only log plus its compiled snapshot.
-/// NOT thread-safe — MutableEngine serializes access under its mutex;
+/// NOT thread-safe — QueryEngine serializes access under its mutex;
 /// standalone use (serialization round-trips, tests) must stay
 /// single-threaded. The referenced base graph must outlive the overlay
 /// and stay frozen (schedule index built) while it is attached.
@@ -395,18 +408,21 @@ class DeltaOverlay {
  public:
   explicit DeltaOverlay(const TimeVaryingGraph& base);
 
-  /// Applies one mutation: validates ids against base ∪ delta, appends
-  /// to the log, and publishes a fresh snapshot. Returns the new edge's
-  /// id for kAddEdge and the target id otherwise. Throws
+  /// Applies one mutation: a batch of one (below). Returns the new
+  /// edge's id for kAddEdge and the target id otherwise. Throws
   /// std::out_of_range on a bad node/edge id (the log is unchanged).
-  EdgeId apply(EdgeMutation m);
+  EdgeId apply(const EdgeMutation& m) {
+    return apply(std::span<const EdgeMutation>(&m, 1)).front();
+  }
 
   /// Applies `batch` in order as one step, with the ids, log and
   /// sequence one-by-one apply would produce: validates every record
   /// against the running edge count first, then appends them all and
   /// compiles ONE snapshot (one-by-one costs a snapshot per record).
   /// Returns each record's id. Throws MutationBatchError naming the
-  /// first bad record, with log, sequence and snapshot unchanged.
+  /// first bad record, with log, sequence and snapshot unchanged; a
+  /// failed snapshot build (failpoint site "delta_overlay.publish", or
+  /// an allocation failure) rolls the log back the same way.
   std::vector<EdgeId> apply(std::span<const EdgeMutation> batch);
 
   EdgeId add_edge(NodeId from, NodeId to, Symbol label, Presence presence,
@@ -432,7 +448,6 @@ class DeltaOverlay {
   [[nodiscard]] std::size_t pending_mutations() const { return log_.size(); }
   /// Total mutations ever applied (monotone across rebase).
   [[nodiscard]] std::uint64_t sequence() const { return sequence_; }
-  [[nodiscard]] const TimeVaryingGraph& base() const { return *base_; }
 
   /// Compaction support: `new_base` is the old base with the first
   /// `folded` log entries materialized into it. Drops that prefix and
@@ -455,176 +470,5 @@ class DeltaOverlay {
 /// OverlayView over (base, delta) — the property test suite pins this.
 [[nodiscard]] TimeVaryingGraph materialize(const TimeVaryingGraph& base,
                                            const OverlaySnapshot& overlay);
-
-// ---------------------------------------------------------------------------
-// MutableEngine — the serving façade.
-// ---------------------------------------------------------------------------
-
-/// Mutable serving engine: a frozen epoch graph plus a DeltaOverlay,
-/// swapped atomically under a mutex. Only the write side, the journey
-/// cache and compaction live here; reads go through the read core
-/// (read_core.hpp) that QueryEngine uses too.
-///
-///  * Reads copy the {epoch, overlay} pair under the lock and then run
-///    entirely on immutable state — a concurrent mutation or compaction
-///    never blocks or torments an in-flight query. An empty snapshot
-///    reads through FrozenView, exactly like QueryEngine; a pending
-///    delta reads through OverlayView, on the same kernels (packed
-///    closure included).
-///  * Mutations append to the delta, publish a fresh snapshot, and
-///    invalidate exactly the cached results whose footprint intersects
-///    the touched edge's endpoint partitions
-///    (ResultCache::invalidate_keys_touching) — no generation bump.
-///  * The journey cache lives for the engine's lifetime: compaction is
-///    semantics-preserving, so surviving entries stay valid across it.
-///    A stale-insert race (mutation lands between a reader's snapshot
-///    capture and its insert) is closed by re-checking the mutation
-///    masks published since the capture. Closure results are served
-///    uncached (their footprint is the whole reached cone of every
-///    source, so per-edge invalidation would drop them almost always,
-///    and one cached row block can weigh tens of megabytes).
-///  * compact() folds the pending delta into a fresh epoch;
-///    compact_async() does the same on the engine's WorkerPool (the one
-///    its reads shard over) while readers keep serving the old epoch.
-///    The destructor waits for an in-flight compaction.
-///
-/// Thread-safe: all public methods may be called concurrently.
-class MutableEngine {
- public:
-  /// Takes the base graph by value (the engine owns its epochs).
-  /// `default_threads` = 0 picks hardware concurrency; `cache`
-  /// configures the engine-level journey cache.
-  explicit MutableEngine(TimeVaryingGraph base, unsigned default_threads = 0,
-                         CacheConfig cache = CacheConfig{});
-  ~MutableEngine();
-  MutableEngine(const MutableEngine&) = delete;
-  MutableEngine& operator=(const MutableEngine&) = delete;
-
-  // --- mutations ---
-
-  /// Applies one mutation (validated; throws std::out_of_range on bad
-  /// ids with no state change). Returns the new id for adds, the target
-  /// id otherwise. Completes the per-edge cache invalidation before
-  /// returning.
-  EdgeId apply(const EdgeMutation& m) TVG_EXCLUDES(mu_);
-  /// Applies `batch` as one step (DeltaOverlay's batch apply: one
-  /// snapshot, MutationBatchError with no state change on a bad id) and
-  /// makes one invalidation pass for all of it. Readers see the state
-  /// before the batch or after it, never in between. Returns each
-  /// record's id.
-  std::vector<EdgeId> apply(std::span<const EdgeMutation> batch)
-      TVG_EXCLUDES(mu_);
-
-  EdgeId add_edge(NodeId from, NodeId to, Symbol label, Presence presence,
-                  Latency latency, std::string name = "") {
-    return apply(EdgeMutation::add_edge(from, to, label, std::move(presence),
-                                        std::move(latency), std::move(name)));
-  }
-  void remove_edge(EdgeId e) { apply(EdgeMutation::remove_edge(e)); }
-  void patch_presence(EdgeId e, Presence presence) {
-    apply(EdgeMutation::patch_presence(e, std::move(presence)));
-  }
-  void override_latency(EdgeId e, Latency latency) {
-    apply(EdgeMutation::override_latency(e, std::move(latency)));
-  }
-
-  // --- reads (QueryEngine semantics over base ∪ delta) ---
-
-  [[nodiscard]] JourneyResult run(const JourneyQuery& q) const
-      TVG_EXCLUDES(mu_);
-  /// QueryEngine::try_cached over the live graph: run(q)'s cached
-  /// answer or nullopt, without taking mu_ or capturing a snapshot.
-  [[nodiscard]] std::optional<JourneyResult> try_cached(
-      const JourneyQuery& q) const;
-  [[nodiscard]] ClosureResult closure(const ClosureQuery& q) const
-      TVG_EXCLUDES(mu_);
-
-  // --- compaction ---
-
-  /// Folds every pending mutation into a fresh epoch, inline on the
-  /// calling thread. If a background compaction is already running,
-  /// waits for it first and folds whatever is still pending after.
-  void compact() TVG_EXCLUDES(mu_);
-  /// Starts one background compaction on the engine's worker pool and
-  /// returns immediately. False (and no work) when a compaction is
-  /// already in flight or nothing is pending.
-  bool compact_async() TVG_EXCLUDES(mu_);
-  /// Blocks until no compaction is in flight.
-  void wait_for_compaction() const TVG_EXCLUDES(mu_);
-  [[nodiscard]] bool compaction_in_flight() const TVG_EXCLUDES(mu_);
-
-  // --- observability ---
-
-  [[nodiscard]] std::size_t node_count() const TVG_EXCLUDES(mu_);
-  /// Total edges the merged view exposes (tombstones included).
-  [[nodiscard]] std::size_t edge_count() const TVG_EXCLUDES(mu_);
-  [[nodiscard]] std::size_t pending_mutations() const TVG_EXCLUDES(mu_);
-  /// Mutations ever applied (monotone; compaction does not change it).
-  [[nodiscard]] std::uint64_t sequence() const TVG_EXCLUDES(mu_);
-  /// Copy of the pending (uncompacted) log, oldest first — what
-  /// to_text(graph, delta_log) persists for a crash-consistent dump.
-  [[nodiscard]] std::vector<EdgeMutation> pending_log() const
-      TVG_EXCLUDES(mu_);
-  /// Standalone base ∪ delta graph (the from-scratch-rebuild reference
-  /// the property tests compare overlay reads against).
-  [[nodiscard]] TimeVaryingGraph materialize() const TVG_EXCLUDES(mu_);
-  [[nodiscard]] CacheStats cache_stats() const {
-    return cache_ ? cache_->stats() : CacheStats{};
-  }
-  [[nodiscard]] WorkerPool::Stats worker_stats() const {
-    return workers_.workers().stats();
-  }
-  [[nodiscard]] unsigned default_threads() const noexcept {
-    return workers_.default_threads();
-  }
-
- private:
-  /// One frozen generation of the graph, its ScheduleIndex and CSR
-  /// compiled at construction (before the epoch is shared) and immutable
-  /// after. Held via shared_ptr so readers outlive a swap.
-  struct Epoch {
-    TimeVaryingGraph graph;
-    explicit Epoch(TimeVaryingGraph g);
-  };
-
-  /// What a reader copies under mu_: a consistent epoch/snapshot pair.
-  struct State {
-    std::shared_ptr<const Epoch> epoch;
-    std::shared_ptr<const OverlaySnapshot> overlay;
-  };
-
-  /// Mutation mask history for the stale-insert check: entry for
-  /// sequence s holds the endpoint-partition mask of the mutation that
-  /// advanced the overlay to s. Bounded; an insert whose capture
-  /// predates the retained window is conservatively skipped.
-  struct MaskRec {
-    std::uint64_t seq{0};
-    std::uint64_t mask{0};
-  };
-
-  [[nodiscard]] State capture(std::uint64_t* seq_out) const TVG_EXCLUDES(mu_);
-  /// The edge mutation `m` (already applied, id `id`) touched, recorded
-  /// in the mask history under `seq`.
-  EdgeTouch record_touch_locked(const EdgeMutation& m, EdgeId id,
-                                std::uint64_t seq) TVG_REQUIRES(mu_);
-  /// True iff no mutation with an intersecting mask landed in
-  /// (captured_seq, now].
-  [[nodiscard]] bool insert_allowed_locked(std::uint64_t captured_seq,
-                                           std::uint64_t footprint) const
-      TVG_REQUIRES(mu_);
-  void do_compact();  // one capture → fold → swap cycle (flag already set)
-
-  mutable Mutex mu_;
-  State state_ TVG_GUARDED_BY(mu_);
-  std::optional<DeltaOverlay> delta_ TVG_GUARDED_BY(mu_);
-  bool compacting_ TVG_GUARDED_BY(mu_){false};
-  mutable CondVar compaction_cv_;
-  std::deque<MaskRec> mask_history_ TVG_GUARDED_BY(mu_);
-
-  std::unique_ptr<ResultCache> cache_;
-  /// Declared last: destroyed first, so a just-finished background
-  /// compaction's worker is joined before any state it touched dies.
-  WorkspacePool workers_;
-};
 
 }  // namespace tvg

@@ -63,6 +63,7 @@
 
 #include "tvg/annotations.hpp"
 #include "tvg/delta_overlay.hpp"
+#include "tvg/query_engine.hpp"
 #include "tvg/sync.hpp"
 #include "tvg/wal.hpp"
 
@@ -130,6 +131,15 @@ class DurableEngine {
   /// function latencies cannot be persisted — by design they are
   /// rejected here, not at the next checkpoint), tvg::IoError on I/O
   /// failure.
+  ///
+  /// One case is in doubt: the engine's own apply failing AFTER the WAL
+  /// append (its snapshot build throwing, e.g. on allocation) leaves the
+  /// record logged but not visible. The engine rolls itself back, this
+  /// call throws, and recovery later applies the logged record — so a
+  /// caller that saw the failure must treat the write as possibly
+  /// committed, never as rejected. Until then the in-memory engine lags
+  /// the log by that record, so an add applied afterwards is handed an
+  /// id that recovery will not reproduce.
   EdgeId apply(const EdgeMutation& m) TVG_EXCLUDES(mu_);
 
   /// Forces a WAL fsync now (group durability for kEveryN/kInterval).

@@ -1,8 +1,10 @@
 #include "tvg/query_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -16,15 +18,7 @@ namespace tvg {
 namespace {
 
 // Approximate heap footprints of the remaining cached result kinds (the
-// journey ones live in read_core.hpp, shared with MutableEngine).
-
-[[nodiscard]] std::size_t approx_bytes(const ClosureResult& r) {
-  std::size_t total = sizeof(ClosureResult);
-  for (const std::vector<Time>& row : r.rows) {
-    total += sizeof(row) + row.size() * sizeof(Time);
-  }
-  return total;
-}
+// journey ones live in read_core.hpp).
 
 [[nodiscard]] std::size_t approx_bytes(const KReachabilityResult& r) {
   return sizeof(KReachabilityResult) +
@@ -57,7 +51,7 @@ namespace {
   return total;
 }
 
-/// Typed lookup in an engine's private cache: the entry point's result
+/// Typed lookup in the engine's cache: the entry point's result
 /// snapshot, or null on a miss or with caching off.
 template <typename Result>
 [[nodiscard]] std::shared_ptr<const Result> find_cached(ResultCache* cache,
@@ -66,16 +60,14 @@ template <typename Result>
   return std::static_pointer_cast<const Result>(cache->find(key));
 }
 
-/// Caches a freshly computed result (when caching is on) and returns it.
-/// Only results of successful runs get here, so a hit can never mask a
-/// validation throw: a query that would throw has no entry to hit.
-template <typename Result>
-[[nodiscard]] Result remember(ResultCache* cache, const QueryKey& key,
-                              Result result) {
-  if (cache == nullptr) return result;
-  const auto owned = std::make_shared<const Result>(std::move(result));
-  cache->insert(key, owned, approx_bytes(*owned));
-  return *owned;
+/// Calls `read(view)` with the View that serves {epoch, overlay}:
+/// FrozenView while the overlay is empty (the never-written engine's
+/// path, which pays nothing for mutability), OverlayView otherwise.
+template <typename Read>
+decltype(auto) with_view(const TimeVaryingGraph& epoch,
+                         const OverlaySnapshot& overlay, Read&& read) {
+  if (overlay.empty()) return read(FrozenView(epoch));
+  return read(OverlayView(epoch, overlay));
 }
 
 /// Witness reconstruction shared by the batched acceptance search and
@@ -133,74 +125,155 @@ WorkspacePool::Lease WorkspacePool::lease() const {
 
 QueryEngine::QueryEngine(const TimeVaryingGraph& g, unsigned default_threads,
                          CacheConfig cache)
-    : g_(g), workers_(default_threads) {
-  freeze_compiled(g_);
+    // Aliasing an empty owner: a non-null pointer with no control block.
+    : QueryEngine(std::shared_ptr<const TimeVaryingGraph>(
+                      std::shared_ptr<const TimeVaryingGraph>(), &g),
+                  default_threads, cache) {}
+
+QueryEngine::QueryEngine(TimeVaryingGraph&& g, unsigned default_threads,
+                         CacheConfig cache)
+    : QueryEngine(std::make_shared<const TimeVaryingGraph>(std::move(g)),
+                  default_threads, cache) {}
+
+QueryEngine::QueryEngine(std::shared_ptr<const TimeVaryingGraph> epoch,
+                         unsigned default_threads, CacheConfig cache)
+    : workers_(default_threads) {
+  // Constructor: no concurrent access yet (clang's analysis exempts
+  // construction), so the guarded members initialize without mu_.
+  freeze_compiled(*epoch);
+  delta_.emplace(*epoch);
+  state_.overlay = delta_->snapshot();
+  state_.epoch = std::move(epoch);
   if (cache.enabled && cache.capacity > 0) {
     cache_ = std::make_unique<ResultCache>(cache);
   }
 }
 
-QueryEngine::~QueryEngine() = default;
+QueryEngine::~QueryEngine() {
+  // Wait out an in-flight background compaction before any member dies;
+  // workers_ is declared last, so its destructor (which joins the worker
+  // actually running that task's tail) runs before the state the task
+  // touched is destroyed.
+  const MutexLock lock(mu_);
+  while (compacting_) compaction_cv_.wait(mu_);
+}
+
+// ---------------------------------------------------------------------------
+// Capture and the stale-insert check
+// ---------------------------------------------------------------------------
+
+QueryEngine::State QueryEngine::capture() const {
+  const MutexLock lock(mu_);
+  return state_;
+}
+
+bool QueryEngine::insert_allowed_locked(std::uint64_t captured_seq,
+                                        std::uint64_t footprint) const {
+  if (state_.overlay->sequence() == captured_seq) return true;  // no write
+  // A partition's stamp is its newest write, so this is exactly "no
+  // write meeting the footprint landed in (captured_seq, now]".
+  for (std::uint64_t bits = footprint; bits != 0; bits &= bits - 1) {
+    if (partition_seq_[std::countr_zero(bits)] > captured_seq) return false;
+  }
+  return true;
+}
+
+template <typename Result>
+Result QueryEngine::remember(const QueryKey& key, Result result,
+                             const State& captured,
+                             std::uint64_t footprint) const {
+  if (!cache_) return result;
+  const auto owned = std::make_shared<const Result>(std::move(result));
+  const std::size_t bytes = approx_bytes(*owned);
+  {
+    // The staleness check and the insert are one critical section: a
+    // mutation published between them would invalidate the cache BEFORE
+    // this entry exists, and the entry would survive as a stale hit.
+    const MutexLock lock(mu_);
+    if (insert_allowed_locked(captured.overlay->sequence(), footprint)) {
+      cache_->insert(key, owned, bytes, footprint);
+    }
+  }
+  return *owned;
+}
 
 // ---------------------------------------------------------------------------
 // Journey queries
 // ---------------------------------------------------------------------------
 
 JourneyResult QueryEngine::run(const JourneyQuery& q) const {
+  // The cache first: an entry lives only while no write touched its
+  // footprint, so a hit needs no capture and never takes mu_.
   const QueryKey key = cache_ ? QueryKey::journey(q) : QueryKey{};
   if (const auto hit = find_cached<JourneyResult>(cache_.get(), key)) {
     return *hit;
   }
-  auto ws = workers_.lease();
-  return remember(cache_.get(), key, read_journey(FrozenView(g_), q, *ws));
+  const State state = capture();
+  std::uint64_t footprint = kFootprintAll;
+  JourneyResult result;
+  {
+    auto ws = workers_.lease();
+    result = with_view(*state.epoch, *state.overlay, [&](const auto& view) {
+      return read_journey(view, q, *ws, &footprint);
+    });
+  }
+  return remember(key, std::move(result), state, footprint);
 }
 
 std::optional<JourneyResult> QueryEngine::try_cached(
     const JourneyQuery& q) const {
-  return probe_journey(cache_.get(), q);
+  if (!cache_) return std::nullopt;
+  const auto hit = cache_->probe(QueryKey::journey(q));
+  if (hit == nullptr) return std::nullopt;
+  return *static_cast<const JourneyResult*>(hit.get());
 }
 
 std::vector<JourneyResult> QueryEngine::run(
     std::span<const JourneyQuery> queries, unsigned threads) const {
   std::vector<JourneyResult> results(queries.size());
-  if (!cache_) {
+  const State state = capture();
+  with_view(*state.epoch, *state.overlay, [&](const auto& view) {
+    if (!cache_) {
+      workers_.parallel_for(
+          queries.size(), threads, [&](std::size_t i, SearchWorkspace& ws) {
+            results[i] = read_journey(view, queries[i], ws);
+          });
+      return;
+    }
+    // Serve hits up front, dedupe identical misses (a skewed batch can
+    // repeat one query many times — the search runs once per distinct
+    // key), and shard only the distinct misses across the workers (who
+    // insert as they go — the cache is lock-striped and thread-safe).
+    std::vector<QueryKey> keys(queries.size());
+    std::vector<std::size_t> misses;  // first index per distinct missed key
+    std::vector<std::pair<std::size_t, std::size_t>> dups;  // (follower, lead)
+    std::unordered_map<QueryKey, std::size_t> leaders;
+    misses.reserve(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      keys[i] = QueryKey::journey(queries[i]);
+      if (const auto hit = find_cached<JourneyResult>(cache_.get(), keys[i])) {
+        results[i] = *hit;
+        continue;
+      }
+      const auto [it, inserted] = leaders.try_emplace(keys[i], i);
+      if (inserted) {
+        misses.push_back(i);
+      } else {
+        dups.emplace_back(i, it->second);
+      }
+    }
     workers_.parallel_for(
-        queries.size(), threads, [&](std::size_t i, SearchWorkspace& ws) {
-          results[i] = read_journey(FrozenView(g_), queries[i], ws);
+        misses.size(), threads, [&](std::size_t k, SearchWorkspace& ws) {
+          const std::size_t i = misses[k];
+          std::uint64_t footprint = kFootprintAll;
+          results[i] =
+              remember(keys[i], read_journey(view, queries[i], ws, &footprint),
+                       state, footprint);
         });
-    return results;
-  }
-  // Serve hits up front, dedupe identical misses (a skewed batch can
-  // repeat one query many times — the search runs once per distinct
-  // key), and shard only the distinct misses across the workers (who
-  // insert as they go — the cache is lock-striped and thread-safe).
-  std::vector<QueryKey> keys(queries.size());
-  std::vector<std::size_t> misses;  // first index per distinct missed key
-  std::vector<std::pair<std::size_t, std::size_t>> dups;  // (follower, lead)
-  std::unordered_map<QueryKey, std::size_t> leaders;
-  misses.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    keys[i] = QueryKey::journey(queries[i]);
-    if (const auto hit = find_cached<JourneyResult>(cache_.get(), keys[i])) {
-      results[i] = *hit;
-      continue;
+    for (const auto& [follower, lead] : dups) {
+      results[follower] = results[lead];
     }
-    const auto [it, inserted] = leaders.try_emplace(keys[i], i);
-    if (inserted) {
-      misses.push_back(i);
-    } else {
-      dups.emplace_back(i, it->second);
-    }
-  }
-  workers_.parallel_for(misses.size(), threads, [&](std::size_t k,
-                                                    SearchWorkspace& ws) {
-    const std::size_t i = misses[k];
-    results[i] = remember(cache_.get(), keys[i],
-                          read_journey(FrozenView(g_), queries[i], ws));
   });
-  for (const auto& [follower, lead] : dups) {
-    results[follower] = results[lead];
-  }
   return results;
 }
 
@@ -208,25 +281,28 @@ std::vector<JourneyResult> QueryEngine::run(
 // Multi-source closure
 // ---------------------------------------------------------------------------
 
+ClosureResult QueryEngine::sweep(const State& state,
+                                 std::span<const NodeId> sources,
+                                 const ClosureQuery& q) const {
+  return with_view(*state.epoch, *state.overlay, [&](const auto& view) {
+    return read_closure(view, sources, q, workers_);
+  });
+}
+
 ClosureResult QueryEngine::closure(const ClosureQuery& q) const {
+  const State state = capture();
   const std::vector<NodeId> sources = materialize_sources(
-      g_.node_count(), q.sources, "QueryEngine::closure: source out of range");
-  // Keyed on the materialized source list (so the implicit "all nodes"
-  // spelling shares an entry with the explicit one) and without the
-  // threads knob (rows are bit-identical at any thread count).
-  const QueryKey key = cache_ ? QueryKey::closure(q, sources) : QueryKey{};
-  if (const auto hit = find_cached<ClosureResult>(cache_.get(), key)) {
-    return *hit;
-  }
-  return remember(cache_.get(), key,
-                  read_closure(FrozenView(g_), sources, q, workers_));
+      state.epoch->node_count(), q.sources,
+      "QueryEngine::closure: source out of range");
+  return sweep(state, sources, q);
 }
 
 // ---------------------------------------------------------------------------
-// Analytics over packed closure rows. Sweeps route through closure(),
-// so analytics sharing a source set + sweep knobs share cached rows;
-// each analytic then reduces the row block deterministically (disjoint
-// column shards; fixed-order floating-point loops inside one task).
+// Analytics over packed closure rows. Each request captures once and runs
+// every sweep over that one {epoch, overlay} pair, then reduces the row
+// block deterministically (disjoint column shards; fixed-order
+// floating-point loops inside one task). Results are cached with
+// kFootprintAll: any write drops them.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -240,16 +316,16 @@ constexpr std::size_t kColumnChunk = 4096;
 
 KReachabilityResult QueryEngine::k_reachability(
     const KReachabilityQuery& q) const {
-  const std::vector<NodeId> sources =
-      materialize_sources(g_.node_count(), q.closure.sources,
-                          "QueryEngine::k_reachability: source out of range");
+  const State state = capture();
+  const std::size_t n = state.epoch->node_count();
+  const std::vector<NodeId> sources = materialize_sources(
+      n, q.closure.sources, "QueryEngine::k_reachability: source out of range");
   const QueryKey key =
       cache_ ? QueryKey::k_reachability(q, sources) : QueryKey{};
   if (const auto hit = find_cached<KReachabilityResult>(cache_.get(), key)) {
     return *hit;
   }
-  const ClosureResult swept = closure(q.closure);
-  const std::size_t n = g_.node_count();
+  const ClosureResult swept = sweep(state, sources, q.closure);
   KReachabilityResult result;
   result.truncated = swept.truncated;
   result.counts.assign(n, 0);
@@ -271,13 +347,15 @@ KReachabilityResult QueryEngine::k_reachability(
       result.nodes.push_back(static_cast<NodeId>(v));
     }
   }
-  return remember(cache_.get(), key, std::move(result));
+  return remember(key, std::move(result), state, kFootprintAll);
 }
 
 InfluenceResult QueryEngine::influence_spread(const InfluenceQuery& q) const {
+  const State state = capture();
+  const std::size_t n = state.epoch->node_count();
   for (const auto& set : q.source_sets) {
     for (const NodeId u : set) {
-      if (u >= g_.node_count()) {
+      if (u >= n) {
         throw std::out_of_range(
             "QueryEngine::influence_spread: source out of range");
       }
@@ -287,24 +365,22 @@ InfluenceResult QueryEngine::influence_spread(const InfluenceQuery& q) const {
   if (const auto hit = find_cached<InfluenceResult>(cache_.get(), key)) {
     return *hit;
   }
-  const std::size_t n = g_.node_count();
   const std::size_t samples = q.sample_times.size();
   InfluenceResult result;
   result.spread.resize(q.source_sets.size());
   result.total.assign(q.source_sets.size(), 0);
   const std::size_t chunks = (n + kColumnChunk - 1) / kColumnChunk;
-  for (std::size_t s = 0; s < q.source_sets.size(); ++s) {
-    result.spread[s].assign(samples, 0);
+  ClosureQuery sweep_q;
+  sweep_q.start_time = q.start_time;
+  sweep_q.policy = q.policy;
+  sweep_q.limits = q.limits;
+  sweep_q.threads = q.threads;
+  for (std::size_t set = 0; set < q.source_sets.size(); ++set) {
+    result.spread[set].assign(samples, 0);
     // An empty seed set infects nobody (it must NOT expand to "all
     // nodes" the way an empty closure source list does).
-    if (q.source_sets[s].empty()) continue;
-    ClosureQuery sweep;
-    sweep.sources = q.source_sets[s];
-    sweep.start_time = q.start_time;
-    sweep.policy = q.policy;
-    sweep.limits = q.limits;
-    sweep.threads = q.threads;
-    const ClosureResult swept = closure(sweep);
+    if (q.source_sets[set].empty()) continue;
+    const ClosureResult swept = sweep(state, q.source_sets[set], sweep_q);
     result.truncated = result.truncated || swept.truncated;
     // Per-chunk partial histograms merged in chunk order: the union
     // cone's min-fold and the threshold counts are all integral, so the
@@ -330,24 +406,24 @@ InfluenceResult QueryEngine::influence_spread(const InfluenceQuery& q) const {
     });
     for (const auto& p : partial) {
       if (p.empty()) continue;
-      result.total[s] += p[samples];
+      result.total[set] += p[samples];
       for (std::size_t j = 0; j < samples; ++j) {
-        result.spread[s][j] += p[j];
+        result.spread[set][j] += p[j];
       }
     }
   }
-  return remember(cache_.get(), key, std::move(result));
+  return remember(key, std::move(result), state, kFootprintAll);
 }
 
 BetweennessResult QueryEngine::betweenness(const BetweennessQuery& q) const {
-  const std::vector<NodeId> sources =
-      materialize_sources(g_.node_count(), q.sources,
-                          "QueryEngine::betweenness: source out of range");
+  const State state = capture();
+  const std::size_t n = state.epoch->node_count();
+  const std::vector<NodeId> sources = materialize_sources(
+      n, q.sources, "QueryEngine::betweenness: source out of range");
   const QueryKey key = cache_ ? QueryKey::betweenness(q, sources) : QueryKey{};
   if (const auto hit = find_cached<BetweennessResult>(cache_.get(), key)) {
     return *hit;
   }
-  const std::size_t n = g_.node_count();
   BetweennessResult result;
   result.score.assign(n, 0.0);
   std::vector<char> truncated(sources.size(), 0);
@@ -355,55 +431,57 @@ BetweennessResult QueryEngine::betweenness(const BetweennessQuery& q) const {
   // contribution is an integer-valued double (witness-path counts), so
   // the commutative merge cannot change any score bit.
   Mutex merge_mu;
-  workers_.parallel_for(
-      sources.size(), q.threads, [&](std::size_t i, SearchWorkspace& ws) {
-        const ForemostTree tree =
-            detail::Kernels<FrozenView>::foremost_arrivals(
-                FrozenView(g_), sources[i], q.start_time, q.policy, q.limits,
-                ws.arenas());
-        truncated[i] = tree.truncated ? 1 : 0;
-        // Brandes-style subtree fold over the witness forest: seed one
-        // unit at every reachable target's best config, fold children
-        // into parents (a parent's index always precedes its child's),
-        // and credit each non-root config's node with the paths passing
-        // strictly through it (its own seed excluded — endpoints don't
-        // count).
-        std::vector<double> weight(tree.configs.size(), 0.0);
-        std::vector<char> seeded(tree.configs.size(), 0);
-        for (std::size_t v = 0; v < n; ++v) {
-          if (static_cast<NodeId>(v) == tree.source) continue;
-          const std::int64_t cfg = tree.best_config[v];
-          if (cfg < 0) continue;
-          weight[static_cast<std::size_t>(cfg)] += 1.0;
-          seeded[static_cast<std::size_t>(cfg)] = 1;
-        }
-        std::vector<double> local(n, 0.0);
-        for (std::size_t idx = tree.configs.size(); idx-- > 0;) {
-          const auto& c = tree.configs[idx];
-          if (c.parent < 0) continue;  // root: the source endpoint
-          const double through = weight[idx] - (seeded[idx] ? 1.0 : 0.0);
-          if (through > 0.0) local[c.node] += through;
-          weight[static_cast<std::size_t>(c.parent)] += weight[idx];
-        }
-        const MutexLock lock(merge_mu);
-        for (std::size_t v = 0; v < n; ++v) result.score[v] += local[v];
-      });
+  with_view(*state.epoch, *state.overlay, [&](const auto& view) {
+    using K = detail::Kernels<std::decay_t<decltype(view)>>;
+    workers_.parallel_for(
+        sources.size(), q.threads, [&](std::size_t i, SearchWorkspace& ws) {
+          const ForemostTree tree =
+              K::foremost_arrivals(view, sources[i], q.start_time, q.policy,
+                                   q.limits, ws.arenas());
+          truncated[i] = tree.truncated ? 1 : 0;
+          // Brandes-style subtree fold over the witness forest: seed one
+          // unit at every reachable target's best config, fold children
+          // into parents (a parent's index always precedes its child's),
+          // and credit each non-root config's node with the paths passing
+          // strictly through it (its own seed excluded — endpoints don't
+          // count).
+          std::vector<double> weight(tree.configs.size(), 0.0);
+          std::vector<char> seeded(tree.configs.size(), 0);
+          for (std::size_t v = 0; v < n; ++v) {
+            if (static_cast<NodeId>(v) == tree.source) continue;
+            const std::int64_t cfg = tree.best_config[v];
+            if (cfg < 0) continue;
+            weight[static_cast<std::size_t>(cfg)] += 1.0;
+            seeded[static_cast<std::size_t>(cfg)] = 1;
+          }
+          std::vector<double> local(n, 0.0);
+          for (std::size_t idx = tree.configs.size(); idx-- > 0;) {
+            const auto& c = tree.configs[idx];
+            if (c.parent < 0) continue;  // root: the source endpoint
+            const double through = weight[idx] - (seeded[idx] ? 1.0 : 0.0);
+            if (through > 0.0) local[c.node] += through;
+            weight[static_cast<std::size_t>(c.parent)] += weight[idx];
+          }
+          const MutexLock lock(merge_mu);
+          for (std::size_t v = 0; v < n; ++v) result.score[v] += local[v];
+        });
+  });
   result.truncated =
       std::any_of(truncated.begin(), truncated.end(),
                   [](char c) { return c != 0; });
-  return remember(cache_.get(), key, std::move(result));
+  return remember(key, std::move(result), state, kFootprintAll);
 }
 
 CentralityResult QueryEngine::centrality(const CentralityQuery& q) const {
-  const std::vector<NodeId> sources =
-      materialize_sources(g_.node_count(), q.closure.sources,
-                          "QueryEngine::centrality: source out of range");
+  const State state = capture();
+  const std::size_t n = state.epoch->node_count();
+  const std::vector<NodeId> sources = materialize_sources(
+      n, q.closure.sources, "QueryEngine::centrality: source out of range");
   const QueryKey key = cache_ ? QueryKey::centrality(q, sources) : QueryKey{};
   if (const auto hit = find_cached<CentralityResult>(cache_.get(), key)) {
     return *hit;
   }
-  const ClosureResult swept = closure(q.closure);
-  const std::size_t n = g_.node_count();
+  const ClosureResult swept = sweep(state, sources, q.closure);
   const std::size_t s_count = sources.size();
   // Endorsement weight of source s for node v: 1 / (1 + foremost delay),
   // normalized by the row's total mass — recomputed on the fly each
@@ -456,12 +534,12 @@ CentralityResult QueryEngine::centrality(const CentralityQuery& q) const {
         });
     result.score.swap(next);
   }
-  return remember(cache_.get(), key, std::move(result));
+  return remember(key, std::move(result), state, kFootprintAll);
 }
 
 // ---------------------------------------------------------------------------
 // Batched acceptance: one trie-shaped configuration search for the
-// whole word set.
+// whole word set, over the captured View.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -547,42 +625,14 @@ struct BatchConfig {
   Time dep{0};
 };
 
-}  // namespace
-
-std::vector<AcceptOutcome> QueryEngine::accepts(
-    const AcceptSpec& spec, std::span<const Word> words) const {
-  for (const NodeId v : spec.initial) {
-    if (v >= g_.node_count()) {
-      throw std::out_of_range("QueryEngine::accepts: initial out of range");
-    }
-  }
-  for (const NodeId v : spec.accepting) {
-    if (v >= g_.node_count()) {
-      throw std::out_of_range("QueryEngine::accepts: accepting out of range");
-    }
-  }
-
-  // Key = spec + exact word sequence (outcomes are positional). Checked
-  // right after validation so a hit pays no search setup (no accepting
-  // bitmap, no trie).
-  using Outcomes = std::vector<AcceptOutcome>;
-  const QueryKey key = cache_ ? QueryKey::accept(spec, words) : QueryKey{};
-  if (const auto hit = find_cached<Outcomes>(cache_.get(), key)) return *hit;
-
-  // Point queries skip the trie machinery entirely (the ROADMAP's
-  // single-word fast path); the chain walk reproduces the batch-of-one
-  // outcome bit for bit.
-  if (words.size() == 1) {
-    return remember(cache_.get(), key,
-                    Outcomes{accepts_single(spec, words.front())});
-  }
-
-  std::vector<char> accepting(g_.node_count(), 0);
+template <typename View>
+[[nodiscard]] std::vector<AcceptOutcome> accept_batch(
+    const View& view, const AcceptSpec& spec, std::span<const Word> words) {
+  std::vector<char> accepting(view.node_count(), 0);
   for (const NodeId v : spec.accepting) accepting[v] = 1;
 
   std::vector<AcceptOutcome> outcomes(words.size());
   WordTrie trie(words);
-  const ScheduleIndex& sx = g_.schedule_index();
   std::vector<BatchConfig> configs;
   // Exact (node, time) admission per trie position — the same dedup the
   // per-word search keeps per word position, shared across the batch.
@@ -626,44 +676,48 @@ std::vector<AcceptOutcome> QueryEngine::accepts(
          child != kNoTrieNode; child = trie.nodes[child].next_sibling) {
       const Symbol symbol = trie.nodes[child].symbol;
       if (trie.nodes[child].pending == 0) continue;  // branch fully decided
-      for (const EdgeId eid : g_.out_edges_labeled(cur.node, symbol)) {
-        if (trie.nodes[child].pending == 0) break;
+      view.for_each_out_labeled(cur.node, symbol, [&](EdgeId eid) {
+        if (trie.nodes[child].pending == 0) return false;
         // Affine ζ under Wait: arrival is monotone in departure, so the
         // earliest admissible departure dominates (budget 1 is exact).
-        const std::size_t wait_budget = sx.record(eid).lat_affine
-                                            ? 1
-                                            : spec.departures_per_edge;
+        const std::size_t wait_budget =
+            view.latency_affine(eid) ? 1 : spec.departures_per_edge;
         for_each_policy_departure(
-            sx, eid, cur.time, spec.policy, spec.horizon, wait_budget,
+            view, eid, cur.time, spec.policy, spec.horizon, wait_budget,
             [&](Time dep) {
-              const Time arr = sx.arrival(eid, dep);
-              push(BatchConfig{sx.record(eid).to, arr, child, idx, eid,
-                               dep});
+              push(BatchConfig{view.edge_to(eid), view.arrival(eid, dep),
+                               child, idx, eid, dep});
               return trie.nodes[child].pending > 0;
             });
-      }
+        return true;
+      });
     }
   }
 
-  for (std::size_t w = 0; w < outcomes.size(); ++w) {
-    outcomes[w].configs_explored = configs.size();
-    if (!outcomes[w].accepted) outcomes[w].truncated = truncated;
+  for (AcceptOutcome& o : outcomes) {
+    o.configs_explored = configs.size();
+    if (!o.accepted) o.truncated = truncated;
   }
-  return remember(cache_.get(), key, std::move(outcomes));
+  return outcomes;
 }
 
-AcceptOutcome QueryEngine::accepts_single(const AcceptSpec& spec,
-                                          const Word& word) const {
+/// Batch-of-one acceptance fast path: a chain-specialized walk that
+/// skips the trie build and the pending-subtree bookkeeping. Outcome
+/// fields (accepted, truncated, configs_explored, witness) match the
+/// batched search on the same single word exactly.
+template <typename View>
+[[nodiscard]] AcceptOutcome accept_single(const View& view,
+                                          const AcceptSpec& spec,
+                                          const Word& word) {
   // A one-word trie degenerates to a path (trie node k = the length-k
   // prefix), so the trie build, the intrusive word list, and the pending
   // counters all collapse into a position index, and "subtree resolved"
   // becomes "the word was accepted". Exploration order, admission,
   // budget checks, and outcome fields mirror the batched search exactly
   // — a batch of one must be indistinguishable from this walk.
-  std::vector<char> accepting(g_.node_count(), 0);
+  std::vector<char> accepting(view.node_count(), 0);
   for (const NodeId v : spec.accepting) accepting[v] = 1;
   const auto length = static_cast<std::uint32_t>(word.size());
-  const ScheduleIndex& sx = g_.schedule_index();
 
   struct ChainConfig {
     NodeId node{kInvalidNode};
@@ -703,27 +757,203 @@ AcceptOutcome QueryEngine::accepts_single(const AcceptSpec& spec,
     const ChainConfig cur = configs[next];
     if (cur.pos == length) continue;  // leaf: nothing left to read
     const auto idx = static_cast<std::int64_t>(next);
-    const Symbol symbol = word[cur.pos];
-    for (const EdgeId eid : g_.out_edges_labeled(cur.node, symbol)) {
-      if (out.accepted) break;
+    view.for_each_out_labeled(cur.node, word[cur.pos], [&](EdgeId eid) {
+      if (out.accepted) return false;
       // Affine ζ under Wait: arrival is monotone in departure, so the
       // earliest admissible departure dominates (budget 1 is exact).
       const std::size_t wait_budget =
-          sx.record(eid).lat_affine ? 1 : spec.departures_per_edge;
+          view.latency_affine(eid) ? 1 : spec.departures_per_edge;
       for_each_policy_departure(
-          sx, eid, cur.time, spec.policy, spec.horizon, wait_budget,
+          view, eid, cur.time, spec.policy, spec.horizon, wait_budget,
           [&](Time dep) {
-            const Time arr = sx.arrival(eid, dep);
-            push(ChainConfig{sx.record(eid).to, arr,
+            push(ChainConfig{view.edge_to(eid), view.arrival(eid, dep),
                              cur.pos + 1, idx, eid, dep});
             return !out.accepted;
           });
-    }
+      return true;
+    });
   }
 
   out.configs_explored = configs.size();
   if (!out.accepted) out.truncated = truncated;
   return out;
+}
+
+}  // namespace
+
+std::vector<AcceptOutcome> QueryEngine::accepts(
+    const AcceptSpec& spec, std::span<const Word> words) const {
+  const State state = capture();
+  const std::size_t n = state.epoch->node_count();
+  for (const NodeId v : spec.initial) {
+    if (v >= n) {
+      throw std::out_of_range("QueryEngine::accepts: initial out of range");
+    }
+  }
+  for (const NodeId v : spec.accepting) {
+    if (v >= n) {
+      throw std::out_of_range("QueryEngine::accepts: accepting out of range");
+    }
+  }
+
+  // Key = spec + exact word sequence (outcomes are positional). Checked
+  // right after validation so a hit pays no search setup (no accepting
+  // bitmap, no trie).
+  using Outcomes = std::vector<AcceptOutcome>;
+  const QueryKey key = cache_ ? QueryKey::accept(spec, words) : QueryKey{};
+  if (const auto hit = find_cached<Outcomes>(cache_.get(), key)) return *hit;
+
+  // Point queries skip the trie machinery entirely; the chain walk
+  // reproduces the batch-of-one outcome bit for bit.
+  Outcomes outcomes =
+      with_view(*state.epoch, *state.overlay, [&](const auto& view) {
+        return words.size() == 1
+                   ? Outcomes{accept_single(view, spec, words[0])}
+                   : accept_batch(view, spec, words);
+      });
+  return remember(key, std::move(outcomes), state, kFootprintAll);
+}
+
+// ---------------------------------------------------------------------------
+// Writes
+// ---------------------------------------------------------------------------
+
+std::uint64_t QueryEngine::touch_mask_locked(const EdgeMutation& m,
+                                             EdgeId id) const {
+  if (m.kind == EdgeMutation::Kind::kAddEdge) {
+    return footprint_bit(m.from) | footprint_bit(m.to);
+  }
+  if (id < state_.overlay->base_edge_count()) {
+    const Edge& e = state_.epoch->edge(id);
+    return footprint_bit(e.from) | footprint_bit(e.to);
+  }
+  const OverlaySnapshot::AddedEdge& ae = state_.overlay->added(id);
+  return footprint_bit(ae.from) | footprint_bit(ae.to);
+}
+
+std::vector<EdgeId> QueryEngine::apply(std::span<const EdgeMutation> batch) {
+  std::vector<EdgeId> ids;
+  std::uint64_t mask = 0;
+  {
+    const MutexLock lock(mu_);
+    ids = delta_->apply(batch);  // throws with no state change
+    state_.overlay = delta_->snapshot();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      mask |= touch_mask_locked(batch[i], ids[i]);
+    }
+    // Readers capture before the batch or after it, never inside, so
+    // the batch's last sequence stamps every partition it touched.
+    for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
+      partition_seq_[std::countr_zero(bits)] = delta_->sequence();
+    }
+  }
+  // Invalidation runs outside mu_ (it takes the shard locks; the lock
+  // order is mu_ -> shard, never the reverse). Publishing first is
+  // sound: any reader inserting after the publish re-checks the stamps
+  // under mu_ and skips an entry this batch would have had to drop.
+  if (cache_ && mask != 0) cache_->invalidate_keys_touching(mask);
+  return ids;
+}
+
+// ---------------------------------------------------------------------------
+// Compaction
+// ---------------------------------------------------------------------------
+
+void QueryEngine::compact() {
+  {
+    const MutexLock lock(mu_);
+    while (compacting_) compaction_cv_.wait(mu_);
+    if (delta_->pending_mutations() == 0) return;
+    compacting_ = true;
+  }
+  do_compact();
+}
+
+bool QueryEngine::compact_async() {
+  {
+    const MutexLock lock(mu_);
+    if (compacting_ || delta_->pending_mutations() == 0) return false;
+    compacting_ = true;
+  }
+  workers_.workers().submit([this] { do_compact(); });
+  return true;
+}
+
+void QueryEngine::wait_for_compaction() const {
+  const MutexLock lock(mu_);
+  while (compacting_) compaction_cv_.wait(mu_);
+}
+
+void QueryEngine::do_compact() {
+  // compacting_ is already set (by compact or compact_async), so there
+  // is exactly one of these running; mutations and reads proceed freely
+  // against the OLD epoch while the fold below builds the new one.
+  try {
+    State state;
+    std::size_t folded = 0;
+    {
+      const MutexLock lock(mu_);
+      state = state_;
+      folded = delta_->pending_mutations();
+    }
+    // Off-lock: materialize base ∪ delta and compile its index + CSR
+    // before the epoch is shared. The snapshot captured above covers
+    // exactly the first `folded` log entries (apply republishes under the
+    // same lock), so mutations landing during this build are untouched
+    // remainder.
+    auto next = std::make_shared<TimeVaryingGraph>(
+        tvg::materialize(*state.epoch, *state.overlay));
+    freeze_compiled(*next);
+    {
+      const MutexLock lock(mu_);
+      delta_->rebase(*next, folded);
+      state_.epoch = std::move(next);
+      state_.overlay = delta_->snapshot();
+      compacting_ = false;
+    }
+  } catch (...) {
+    // Best-effort: a failed fold (allocation, pathological ρ/ζ copy)
+    // leaves the old epoch + full delta serving correct results; just
+    // clear the flag so compaction can be retried.
+    const MutexLock lock(mu_);
+    compacting_ = false;
+  }
+  compaction_cv_.notify_all();
+}
+
+// ---------------------------------------------------------------------------
+// State
+// ---------------------------------------------------------------------------
+
+std::size_t QueryEngine::node_count() const {
+  const MutexLock lock(mu_);
+  return state_.epoch->node_count();
+}
+
+std::size_t QueryEngine::edge_count() const {
+  const MutexLock lock(mu_);
+  return state_.overlay->edge_count();
+}
+
+std::size_t QueryEngine::pending_mutations() const {
+  const MutexLock lock(mu_);
+  return delta_->pending_mutations();
+}
+
+std::uint64_t QueryEngine::sequence() const {
+  const MutexLock lock(mu_);
+  return delta_->sequence();
+}
+
+std::vector<EdgeMutation> QueryEngine::pending_log() const {
+  const MutexLock lock(mu_);
+  const auto log = delta_->log();
+  return {log.begin(), log.end()};
+}
+
+TimeVaryingGraph QueryEngine::materialize() const {
+  const State state = capture();
+  return tvg::materialize(*state.epoch, *state.overlay);
 }
 
 }  // namespace tvg

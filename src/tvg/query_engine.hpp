@@ -1,11 +1,13 @@
-// tvg::QueryEngine — the compiled, batched, thread-parallel façade over
-// every journey / reachability / acceptance query in the library.
+// tvg::QueryEngine — the one engine: a compiled, batched, thread-parallel
+// façade over every journey / reachability / analytics / acceptance
+// query in the library, over a graph that may take live updates.
 //
-// Construct one engine per frozen graph. Construction forces the two
-// compiled representations (the ScheduleIndex ρ/ζ tables and the CSR
-// adjacency) and from then on the engine owns a pool of SearchWorkspaces
-// that its entry points lease, so callers never pay per-query arena
-// allocation and never touch a lazily-built cache concurrently.
+// The engine holds one frozen epoch graph (its ScheduleIndex ρ/ζ tables
+// and CSR adjacency compiled at construction) plus a DeltaOverlay of
+// pending mutations (delta_overlay.hpp). A frozen engine is simply one
+// whose overlay is empty. It owns a pool of SearchWorkspaces that its
+// entry points lease, so callers never pay per-query arena allocation
+// and never touch a lazily-built cache concurrently.
 //
 // Entry points are typed request/response pairs:
 //
@@ -16,43 +18,62 @@
 //    foremost rows, one workspace per thread, merged deterministically:
 //    row i is written only by the worker that ran source i, so the rows
 //    are bit-identical to a serial sweep at any thread count)
+//  * k_reachability / influence_spread / betweenness / centrality
 //  * accepts(AcceptSpec, span<Word>) -> vector<AcceptOutcome>  (batched
 //    TVG-automaton acceptance: the word set is compiled into a trie and
 //    explored once over (node, time, trie-position) configurations, so
 //    words sharing prefixes share their search frontier)
+//  * apply(EdgeMutation | span) (writes), compact() / compact_async()
+//
+// Every read captures one consistent {epoch, overlay} pair and runs on
+// it through the View-templated read core (read_core.hpp): FrozenView
+// while the overlay is empty, OverlayView otherwise, so a read on a
+// mutated engine is bit-identical to the same read on a rebuild.
 //
 // Lifetime and thread-safety guarantees:
-//  * the engine borrows the graph: the TimeVaryingGraph must outlive the
-//    engine and must not be mutated while the engine exists (mutation
-//    invalidates the compiled index the engine holds);
-//  * all entry points are const and safe to call concurrently from any
-//    number of threads — the workspace pool and the result cache are the
-//    only shared mutable state and both are lock-protected;
+//  * QueryEngine(const TimeVaryingGraph&) borrows its graph as epoch 0:
+//    the graph must outlive the engine and must not be mutated while the
+//    engine exists (mutation invalidates the compiled index the engine
+//    reads). QueryEngine(TimeVaryingGraph&&) owns its graph, so a
+//    temporary is safe. Compaction always produces owned epochs; a
+//    borrowed graph is never written;
+//  * all public methods are safe to call concurrently from any number of
+//    threads — readers copy {epoch, overlay} under a mutex and then run
+//    lock-free on immutable state, so a concurrent mutation or
+//    compaction never blocks or torments an in-flight query;
 //  * results never alias engine internals (rows and journeys are owned
 //    by the returned value — including results served from the cache,
 //    which are copied out of the cache's immutable snapshots);
 //  * repeated identical queries are served from a bounded, sharded LRU
-//    result cache (on by default; see CacheConfig / result_cache.hpp) —
-//    semantically invisible because the engine's compiled state is
-//    frozen for its whole lifetime.
+//    result cache (on by default; see CacheConfig / result_cache.hpp).
+//    Journeys are cached with their reached-partition footprint;
+//    analytics results and accept outcomes with kFootprintAll (dropped
+//    by any write); closure row blocks are never cached (their footprint
+//    is the whole reached cone of every source, and one block can weigh
+//    tens of megabytes). A write drops exactly the entries whose
+//    footprint meets its endpoints' partitions, and a result computed
+//    on a capture some later write touched is never inserted, so a hit
+//    always equals a cold run on the current graph.
 //
-// The engine is the one front door for journey, reachability and
-// closure queries. Below it sit the frozen-graph kernel entry points of
-// algorithms.hpp (foremost_arrivals, foremost_scan,
-// multi_source_foremost), which take a caller-owned SearchWorkspace and
-// neither cache nor shard; TvgAutomaton::accepts is a thin wrapper over
-// accepts().
+// The engine is the one front door for every query. Below it sit the
+// frozen-graph kernel entry points of algorithms.hpp (foremost_arrivals,
+// foremost_scan, multi_source_foremost), which take a caller-owned
+// SearchWorkspace and neither cache nor shard; TvgAutomaton::accepts is
+// a thin wrapper over accepts().
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "tvg/algorithms.hpp"
 #include "tvg/annotations.hpp"
+#include "tvg/delta_overlay.hpp"
 #include "tvg/graph.hpp"
 #include "tvg/journey.hpp"
 #include "tvg/policy.hpp"
@@ -167,8 +188,8 @@ struct ClosureQuery {
   DirectionOptions direction{};
 
   /// Field-wise equality (includes `threads` and `direction`; the
-  /// engine's cache key deliberately does NOT — rows are bit-identical
-  /// at any thread count and in any frontier mode).
+  /// analytics cache keys built over a sweep deliberately do NOT — rows
+  /// are bit-identical at any thread count and in any frontier mode).
   friend bool operator==(const ClosureQuery&, const ClosureQuery&) = default;
 };
 
@@ -186,12 +207,11 @@ struct ClosureResult {
 // ---------------------------------------------------------------------------
 // Analytics queries — whole-graph temporal analytics layered over the
 // packed multi-source closure. Every request embeds (or mirrors) the
-// ClosureQuery that describes its underlying sweep; the engine routes
-// those sweeps through closure(), so two analytics on the SAME source
-// set + sweep knobs share one set of cached closure rows. Results are
-// deterministic at any thread count: integer accumulators are sharded
-// into disjoint slices, and every floating-point reduction runs in a
-// fixed order inside one task.
+// ClosureQuery that describes its underlying sweep; the engine runs
+// those sweeps on the one {epoch, overlay} pair the request captured.
+// Results are deterministic at any thread count: integer accumulators
+// are sharded into disjoint slices, and every floating-point reduction
+// runs in a fixed order inside one task.
 // ---------------------------------------------------------------------------
 
 /// "Which nodes do at least k of these sources reach?" — a popcount-
@@ -223,7 +243,7 @@ struct KReachabilityResult {
 /// outbreak primitive: spread[s][j] = how many nodes some member of
 /// source_sets[s] reaches by sample_times[j].
 struct InfluenceQuery {
-  /// Seed sets; each runs one (cached, shareable) closure sweep.
+  /// Seed sets; each runs one closure sweep.
   std::vector<std::vector<NodeId>> source_sets;
   /// Ascending sample instants for the spread curves (may be empty:
   /// only the by-horizon totals are computed then).
@@ -342,7 +362,7 @@ struct AcceptOutcome {
   friend bool operator==(const AcceptOutcome&, const AcceptOutcome&) = default;
 };
 
-/// The shard machinery both engines hold: a persistent WorkerPool plus a
+/// The engine's shard machinery: a persistent WorkerPool plus a
 /// free list of SearchWorkspaces that its batches lease, one per
 /// participant slot, so callers never pay per-query arena allocation.
 /// Thread-safe: the free list is guarded by mu_ (lock discipline proved
@@ -377,12 +397,9 @@ class WorkspacePool {
   template <typename Fn>
   void parallel_for(std::size_t n, unsigned threads, Fn&& fn) const;
 
-  [[nodiscard]] unsigned default_threads() const noexcept {
-    return default_threads_;
-  }
   /// The persistent workers: lazily started on the first multi-threaded
   /// batch, reused across calls, joined on destruction. Also the lane
-  /// for fire-and-forget work (MutableEngine's background compaction).
+  /// for fire-and-forget work (the engine's background compaction).
   [[nodiscard]] WorkerPool& workers() const noexcept { return workers_; }
 
  private:
@@ -421,28 +438,24 @@ void WorkspacePool::parallel_for(std::size_t n, unsigned threads,
 /// The engine. See the header comment for the API and the guarantees.
 class QueryEngine {
  public:
-  /// Freezes `g`'s compiled index + CSR adjacency and readies the
+  /// Borrows `g` as epoch 0 (no copy; see the header comment for the
+  /// lifetime rule), compiles its index + CSR adjacency and readies the
   /// workspace pool. `default_threads` = 0 picks the hardware
   /// concurrency; batch entry points use it when their query says 0.
   ///
   /// `cache` configures the engine-level result cache (see
-  /// result_cache.hpp): on by default and size-bounded, it memoizes
-  /// run/closure/accepts results for repeated identical queries. The
-  /// engine's compiled state is immutable, so a cached hit is always
-  /// equal to a cold run; hits return copies that never alias cache
-  /// internals. Pass CacheConfig::disabled() for one-shot engines.
+  /// result_cache.hpp and the header comment's cache rule); hits return
+  /// copies that never alias cache internals. Pass CacheConfig::disabled()
+  /// for one-shot engines.
   explicit QueryEngine(const TimeVaryingGraph& g, unsigned default_threads = 0,
                        CacheConfig cache = CacheConfig{});
-  /// The engine borrows its graph, so a temporary would dangle.
-  QueryEngine(TimeVaryingGraph&&, unsigned = 0, CacheConfig = {}) = delete;
+  /// Owns `g` (moved in as epoch 0); otherwise as above.
+  explicit QueryEngine(TimeVaryingGraph&& g, unsigned default_threads = 0,
+                       CacheConfig cache = CacheConfig{});
+  /// Waits for an in-flight background compaction.
   ~QueryEngine();
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
-
-  [[nodiscard]] const TimeVaryingGraph& graph() const noexcept { return g_; }
-  [[nodiscard]] unsigned default_threads() const noexcept {
-    return workers_.default_threads();
-  }
 
   /// Worker threads the engine's persistent pool has spawned so far
   /// (monotone; 0 until the first multi-threaded batch). Consecutive
@@ -453,9 +466,10 @@ class QueryEngine {
   }
 
   /// Observability snapshot of the engine's persistent pool (batches,
-  /// claims, queue high-water, idle wakeups — see WorkerPool::Stats).
-  /// The serving layer samples this around a load interval to separate
-  /// shard-scheduling pressure from query-queueing pressure.
+  /// claims, queue high-water, idle wakeups, background tasks — see
+  /// WorkerPool::Stats). The serving layer samples this around a load
+  /// interval to separate shard-scheduling pressure from query-queueing
+  /// pressure.
   [[nodiscard]] WorkerPool::Stats worker_stats() const {
     return workers_.workers().stats();
   }
@@ -465,8 +479,8 @@ class QueryEngine {
   [[nodiscard]] bool cache_enabled() const noexcept {
     return cache_ != nullptr;
   }
-  /// Hit/miss/eviction counters and the live entry count; all zeros when
-  /// the cache is disabled.
+  /// Hit/miss/eviction/invalidation counters and the live entry count;
+  /// all zeros when the cache is disabled.
   [[nodiscard]] CacheStats cache_stats() const {
     return cache_ ? cache_->stats() : CacheStats{};
   }
@@ -476,13 +490,18 @@ class QueryEngine {
     if (cache_) cache_->clear();
   }
 
+  // --- reads ---
+
   /// Executes one journey query on a leased workspace.
-  [[nodiscard]] JourneyResult run(const JourneyQuery& q) const;
+  [[nodiscard]] JourneyResult run(const JourneyQuery& q) const
+      TVG_EXCLUDES(mu_);
 
   /// run(q)'s cached answer, or nullopt on a miss or with caching off.
-  /// One cache lookup and a copy: no search, no workspace. A hit counts
-  /// in cache_stats(); a miss does not (the run(q) a caller falls back
-  /// to counts it), so probe-then-run adds one to hits + misses.
+  /// One cache lookup and a copy: no search, no workspace, no engine
+  /// lock. A hit counts in cache_stats(); a miss does not (the run(q) a
+  /// caller falls back to counts it), so probe-then-run adds one to
+  /// hits + misses. A hit equals a cold run over the graph as of the
+  /// last apply() that returned.
   [[nodiscard]] std::optional<JourneyResult> try_cached(
       const JourneyQuery& q) const;
 
@@ -490,50 +509,157 @@ class QueryEngine {
   /// `threads` workers (0 = engine default). Results are in request
   /// order and identical to running each query alone.
   [[nodiscard]] std::vector<JourneyResult> run(
-      std::span<const JourneyQuery> queries, unsigned threads = 0) const;
+      std::span<const JourneyQuery> queries, unsigned threads = 0) const
+      TVG_EXCLUDES(mu_);
 
   /// Multi-source foremost closure; see ClosureQuery / ClosureResult.
-  [[nodiscard]] ClosureResult closure(const ClosureQuery& q) const;
+  /// Never cached (see the header comment).
+  [[nodiscard]] ClosureResult closure(const ClosureQuery& q) const
+      TVG_EXCLUDES(mu_);
 
   /// Nodes reachable from >= k of the query's sources (see
-  /// KReachabilityQuery). The underlying sweep goes through closure(),
-  /// so analytics sharing a source set share its cached rows.
+  /// KReachabilityQuery).
   [[nodiscard]] KReachabilityResult k_reachability(
-      const KReachabilityQuery& q) const;
+      const KReachabilityQuery& q) const TVG_EXCLUDES(mu_);
 
   /// Union-cone spread curves for a batch of seed sets (see
-  /// InfluenceQuery); one closure() sweep per distinct seed set.
-  [[nodiscard]] InfluenceResult influence_spread(const InfluenceQuery& q) const;
+  /// InfluenceQuery); one closure sweep per non-empty seed set.
+  [[nodiscard]] InfluenceResult influence_spread(const InfluenceQuery& q) const
+      TVG_EXCLUDES(mu_);
 
   /// Sampled-source temporal betweenness (see BetweennessQuery).
-  [[nodiscard]] BetweennessResult betweenness(const BetweennessQuery& q) const;
+  [[nodiscard]] BetweennessResult betweenness(const BetweennessQuery& q) const
+      TVG_EXCLUDES(mu_);
 
   /// Damped centrality iterated over packed closure rows (see
   /// CentralityQuery).
-  [[nodiscard]] CentralityResult centrality(const CentralityQuery& q) const;
+  [[nodiscard]] CentralityResult centrality(const CentralityQuery& q) const
+      TVG_EXCLUDES(mu_);
 
-  /// Batched TVG-automaton acceptance over the compiled index: the words
-  /// are compiled into a trie and all of them are decided in ONE
-  /// configuration search over (node, time, trie-position), so shared
-  /// prefixes are explored once for the whole batch. Outcomes are in
-  /// word order; duplicate words get identical outcomes.
+  /// Batched TVG-automaton acceptance: the words are compiled into a
+  /// trie and all of them are decided in ONE configuration search over
+  /// (node, time, trie-position), so shared prefixes are explored once
+  /// for the whole batch. A batch of one takes a chain-specialized walk
+  /// with the same outcome fields. Outcomes are in word order; duplicate
+  /// words get identical outcomes.
   [[nodiscard]] std::vector<AcceptOutcome> accepts(
-      const AcceptSpec& spec, std::span<const Word> words) const;
+      const AcceptSpec& spec, std::span<const Word> words) const
+      TVG_EXCLUDES(mu_);
+
+  // --- writes ---
+
+  /// Applies one mutation: a batch of one (below).
+  EdgeId apply(const EdgeMutation& m) TVG_EXCLUDES(mu_) {
+    return apply(std::span<const EdgeMutation>(&m, 1)).front();
+  }
+  /// Applies `batch` as one step (DeltaOverlay's batch apply: one
+  /// snapshot, MutationBatchError with no state change on a bad id) and
+  /// makes one invalidation pass for all of it, dropping the cached
+  /// results whose footprint meets a touched edge's endpoint partitions.
+  /// Readers see the state before the batch or after it, never in
+  /// between. Returns each record's id (the new id for adds, the target
+  /// id otherwise).
+  std::vector<EdgeId> apply(std::span<const EdgeMutation> batch)
+      TVG_EXCLUDES(mu_);
+
+  EdgeId add_edge(NodeId from, NodeId to, Symbol label, Presence presence,
+                  Latency latency, std::string name = "") {
+    return apply(EdgeMutation::add_edge(from, to, label, std::move(presence),
+                                        std::move(latency), std::move(name)));
+  }
+  void remove_edge(EdgeId e) { apply(EdgeMutation::remove_edge(e)); }
+  void patch_presence(EdgeId e, Presence presence) {
+    apply(EdgeMutation::patch_presence(e, std::move(presence)));
+  }
+  void override_latency(EdgeId e, Latency latency) {
+    apply(EdgeMutation::override_latency(e, std::move(latency)));
+  }
+
+  // --- compaction ---
+
+  /// Folds every pending mutation into a fresh (owned) epoch, inline on
+  /// the calling thread. If a background compaction is already running,
+  /// waits for it first and folds whatever is still pending after.
+  /// Cached entries survive: the fold is semantics-preserving.
+  void compact() TVG_EXCLUDES(mu_);
+  /// Starts one background compaction on the engine's worker pool and
+  /// returns immediately. False (and no work) when a compaction is
+  /// already in flight or nothing is pending.
+  bool compact_async() TVG_EXCLUDES(mu_);
+  /// Blocks until no compaction is in flight.
+  void wait_for_compaction() const TVG_EXCLUDES(mu_);
+
+  // --- state ---
+
+  [[nodiscard]] std::size_t node_count() const TVG_EXCLUDES(mu_);
+  /// Total edges the merged view exposes (tombstones included).
+  [[nodiscard]] std::size_t edge_count() const TVG_EXCLUDES(mu_);
+  [[nodiscard]] std::size_t pending_mutations() const TVG_EXCLUDES(mu_);
+  /// Mutations ever applied (monotone; compaction does not change it).
+  [[nodiscard]] std::uint64_t sequence() const TVG_EXCLUDES(mu_);
+  /// Copy of the pending (uncompacted) log, oldest first — what
+  /// to_text(graph, delta_log) persists for a crash-consistent dump.
+  [[nodiscard]] std::vector<EdgeMutation> pending_log() const
+      TVG_EXCLUDES(mu_);
+  /// Standalone base ∪ delta graph (the from-scratch-rebuild reference
+  /// the property tests compare overlay reads against).
+  [[nodiscard]] TimeVaryingGraph materialize() const TVG_EXCLUDES(mu_);
 
  private:
-  /// Batch-of-one acceptance fast path: a chain-specialized walk that
-  /// skips the trie build and the pending-subtree bookkeeping. Outcome
-  /// fields (accepted, truncated, configs_explored, witness) match the
-  /// batched search on the same single word exactly.
-  [[nodiscard]] AcceptOutcome accepts_single(const AcceptSpec& spec,
-                                             const Word& word) const;
+  /// What a reader copies under mu_: a consistent epoch/snapshot pair.
+  /// The epoch's index and CSR are compiled before it is shared and
+  /// immutable after; a borrowed epoch 0 has no owner (a shared_ptr
+  /// with an empty control block), every compacted epoch is owned.
+  struct State {
+    std::shared_ptr<const TimeVaryingGraph> epoch;
+    std::shared_ptr<const OverlaySnapshot> overlay;
+  };
 
-  const TimeVaryingGraph& g_;
-  /// Engine-level result cache (null when disabled). Private to this
-  /// engine, whose compiled state never changes, so an entry can only be
-  /// served back to the graph that computed it.
+  QueryEngine(std::shared_ptr<const TimeVaryingGraph> epoch,
+              unsigned default_threads, CacheConfig cache);
+
+  [[nodiscard]] State capture() const TVG_EXCLUDES(mu_);
+  /// Caches `result` under `key` unless a write whose mask meets
+  /// `footprint` landed after `captured` was taken; returns it.
+  template <typename Result>
+  [[nodiscard]] Result remember(const QueryKey& key, Result result,
+                                const State& captured,
+                                std::uint64_t footprint) const
+      TVG_EXCLUDES(mu_);
+  /// Closure rows for the materialized `sources` over the captured `s`.
+  [[nodiscard]] ClosureResult sweep(const State& s,
+                                    std::span<const NodeId> sources,
+                                    const ClosureQuery& q) const;
+  /// The endpoint-partition mask of mutation `m` (already applied, id
+  /// `id`).
+  [[nodiscard]] std::uint64_t touch_mask_locked(const EdgeMutation& m,
+                                                EdgeId id) const
+      TVG_REQUIRES(mu_);
+  /// True iff no mutation with an intersecting mask landed in
+  /// (captured_seq, now].
+  [[nodiscard]] bool insert_allowed_locked(std::uint64_t captured_seq,
+                                           std::uint64_t footprint) const
+      TVG_REQUIRES(mu_);
+  void do_compact();  // one capture → fold → swap cycle (flag already set)
+
+  mutable Mutex mu_;
+  State state_ TVG_GUARDED_BY(mu_);
+  std::optional<DeltaOverlay> delta_ TVG_GUARDED_BY(mu_);
+  bool compacting_ TVG_GUARDED_BY(mu_){false};
+  mutable CondVar compaction_cv_;
+  /// Stale-insert stamps: the sequence of the newest write that touched
+  /// each vertex partition (see footprint_bit).
+  std::array<std::uint64_t, 64> partition_seq_ TVG_GUARDED_BY(mu_){};
+
+  /// Engine-level result cache (null when disabled).
   std::unique_ptr<ResultCache> cache_;
+  /// Declared last: destroyed first, so a just-finished background
+  /// compaction's worker is joined before any state it touched dies.
   WorkspacePool workers_;
 };
+
+/// Alias for callers that spell out the live-update role (the full-stack
+/// benchmark, DurableEngine).
+using MutableEngine = QueryEngine;
 
 }  // namespace tvg

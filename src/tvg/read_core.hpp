@@ -1,14 +1,13 @@
-// The one read path of both engines: a cache-free core, templated over
-// the View the search kernels read through, that turns a journey or
-// closure query into kernel calls.
+// The engine's one read path: a cache-free core, templated over the View
+// the search kernels read through, that turns a journey or closure query
+// into kernel calls.
 //
-// QueryEngine instantiates it with FrozenView. MutableEngine
-// (delta_overlay.hpp) instantiates it with FrozenView while its captured
-// overlay snapshot is empty and with OverlayView otherwise, so a frozen
-// read pays nothing for mutability and an overlay read takes exactly
-// the code path, including the packed closure kernel, that a rebuild of
-// base ∪ delta would take. Caching, epochs and invalidation stay in the
-// engines.
+// QueryEngine (query_engine.hpp) instantiates it with FrozenView while
+// its captured overlay snapshot is empty and with OverlayView
+// (delta_overlay.hpp) otherwise, so a never-written engine pays nothing
+// for mutability and an overlay read takes exactly the code path,
+// including the packed closure kernel, that a rebuild of base ∪ delta
+// would take. Caching, epochs and invalidation stay in the engine.
 //
 // Internal header: included by the engine and kernel sources only.
 #pragma once
@@ -36,11 +35,12 @@ inline void freeze_compiled(const TimeVaryingGraph& g) {
   if (g.node_count() > 0) (void)g.out_edges(0);
 }
 
-/// The frozen model of the View concept the search kernels are
-/// templated over: a (graph, compiled index) pair, forwarding every call
-/// straight to the index and the CSR. The mutable path's OverlayView
-/// (delta_overlay.hpp) is the other model; both expose the same calls
-/// with identical contracts, so each kernel is written once and an
+/// The frozen model of the View concept the search kernels and the
+/// acceptance search are templated over: a (graph, compiled index)
+/// pair, forwarding every call straight to the index and the CSR. The
+/// mutable path's OverlayView (delta_overlay.hpp) is the other model;
+/// both expose the same calls with identical contracts, so each kernel
+/// is written once and an
 /// overlay read takes exactly the code path, and the exploration order
 /// on which truncation depends, that a from-scratch rebuild would take.
 struct FrozenView {
@@ -52,8 +52,6 @@ struct FrozenView {
   explicit FrozenView(const TimeVaryingGraph& graph)
       : g(&graph), sx(&graph.schedule_index()) {}
 
-  /// The frozen graph read (for an OverlayView: the base under the delta).
-  [[nodiscard]] const TimeVaryingGraph& base() const noexcept { return *g; }
   [[nodiscard]] std::size_t node_count() const { return g->node_count(); }
   [[nodiscard]] std::size_t edge_count() const { return sx->edge_count(); }
   /// Out-edges of v in CSR order; `fn(eid)` returns false to stop.
@@ -70,6 +68,14 @@ struct FrozenView {
       if (!fn(e)) return;
     }
   }
+  /// Out-edges of v labeled `label`, in the CSR's stable label order;
+  /// `fn(eid)` returns false to stop.
+  template <typename Fn>
+  void for_each_out_labeled(NodeId v, Symbol label, Fn&& fn) const {
+    for (const EdgeId e : g->out_edges_labeled(v, label)) {
+      if (!fn(e)) return;
+    }
+  }
   [[nodiscard]] NodeId edge_from(EdgeId e) const { return sx->record(e).from; }
   [[nodiscard]] NodeId edge_to(EdgeId e) const { return sx->record(e).to; }
   [[nodiscard]] bool present(EdgeId e, Time t) const {
@@ -83,6 +89,10 @@ struct FrozenView {
   }
   [[nodiscard]] Time arrival(EdgeId e, Time dep) const {
     return sx->arrival(e, dep);
+  }
+  /// True iff e's ζ is affine (arrival monotone in departure).
+  [[nodiscard]] bool latency_affine(EdgeId e) const {
+    return sx->record(e).lat_affine;
   }
   [[nodiscard]] bool all_latency_constant() const {
     return sx->all_latency_constant();
@@ -169,17 +179,6 @@ template <typename View>
 [[nodiscard]] inline std::size_t approx_bytes(const JourneyResult& r) {
   return sizeof(JourneyResult) + r.arrivals.size() * sizeof(Time) +
          (r.journey ? approx_bytes(*r.journey) : 0);
-}
-
-/// Both engines' try_cached: one ResultCache::probe for q's journey
-/// entry (a hit is counted, a miss is left to the run() that follows),
-/// the hit copied out. No kernel work, no workspace, no engine lock.
-[[nodiscard]] inline std::optional<JourneyResult> probe_journey(
-    ResultCache* cache, const JourneyQuery& q) {
-  if (cache == nullptr) return std::nullopt;
-  const auto hit = cache->probe(QueryKey::journey(q));
-  if (hit == nullptr) return std::nullopt;
-  return *static_cast<const JourneyResult*>(hit.get());
 }
 
 /// Cache footprint of a foremost search (see result_cache.hpp): the

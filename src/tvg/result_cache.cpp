@@ -115,16 +115,6 @@ void QueryKey::append_sweep(Time start_time, const Policy& policy,
   for (const NodeId v : sources) append(v);
 }
 
-QueryKey QueryKey::closure(const ClosureQuery& q,
-                           std::span<const NodeId> sources) {
-  QueryKey k;
-  k.payload_.reserve(9 + sources.size());
-  k.append(static_cast<std::uint64_t>(Kind::kClosure));
-  k.append_sweep(q.start_time, q.policy, q.limits, sources);
-  k.seal();
-  return k;
-}
-
 QueryKey QueryKey::k_reachability(const KReachabilityQuery& q,
                                   std::span<const NodeId> sources) {
   QueryKey k;
@@ -282,15 +272,15 @@ struct ResultCache::Shard {
 };
 
 ResultCache::ResultCache(CacheConfig config) {
-  capacity_ = config.enabled ? config.capacity : 0;
+  const std::size_t capacity = config.enabled ? config.capacity : 0;
   std::size_t n = ceil_pow2(std::max<std::size_t>(1, config.shards));
   // Never spread fewer entries than shards: the per-shard capacity floor
   // of 1 would otherwise let the cache exceed its total budget.
-  if (capacity_ > 0 && n > capacity_) n = floor_pow2(capacity_);
+  if (capacity > 0 && n > capacity) n = floor_pow2(capacity);
   const std::size_t per_shard =
-      capacity_ > 0 ? std::max<std::size_t>(1, capacity_ / n) : 0;
+      capacity > 0 ? std::max<std::size_t>(1, capacity / n) : 0;
   const std::size_t per_shard_bytes =
-      capacity_ > 0 && config.max_bytes > 0
+      capacity > 0 && config.max_bytes > 0
           ? std::max<std::size_t>(1, config.max_bytes / n)
           : 0;
   shards_.reserve(n);
@@ -362,16 +352,12 @@ void ResultCache::insert(const QueryKey& key, ValuePtr value,
   }
 }
 
-void ResultCache::invalidate_keys_touching(std::span<const EdgeTouch> touched) {
-  std::uint64_t mask = 0;
-  for (const EdgeTouch& t : touched) {
-    mask |= footprint_bit(t.from) | footprint_bit(t.to);
-  }
-  if (mask == 0) return;
+void ResultCache::invalidate_keys_touching(std::uint64_t partitions) {
+  if (partitions == 0) return;
   for (const auto& shard : shards_) {
     const MutexLock lock(shard->mu);
     for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if ((it->footprint & mask) != 0) {
+      if ((it->footprint & partitions) != 0) {
         shard->bytes -= it->bytes;
         shard->map.erase(it->key);
         it = shard->lru.erase(it);

@@ -1,25 +1,23 @@
 // tvg::ResultCache — the engine-level (query → result) memoization layer
 // behind QueryEngine's repeated-workload serving.
 //
-// The engine's compiled state is immutable for its whole lifetime, so a
-// query's result is a pure function of the query value; serving a hot,
-// skewed workload (the Zipf-style mixes bench_query_cache measures) can
-// therefore answer repeats from a cache instead of re-running the search
-// kernels. The cache is:
+// Between writes a query's result is a pure function of the query
+// value, so serving a hot, skewed workload (the Zipf-style mixes
+// bench_query_cache measures) can answer repeats from a cache instead
+// of re-running the search kernels. The cache is:
 //
 //  * keyed on a canonical QueryKey: a flat little-endian word encoding of
-//    the request value (journey / closure / acceptance), with vectors
-//    length-prefixed so distinct requests never alias, the closure
-//    source list pre-materialized, and scheduling-only knobs (thread
-//    counts) excluded — two requests that must produce identical results
-//    share one key;
+//    the request value (journey / analytics / acceptance), with vectors
+//    length-prefixed so distinct requests never alias, sweep source
+//    lists pre-materialized, and scheduling-only knobs (thread counts,
+//    frontier direction) excluded — two requests that must produce
+//    identical results share one key;
 //  * sharded and lock-striped: the key's hash picks one of N shards, each
 //    an independently locked LRU map, so concurrent hot-key traffic
 //    contends only per shard;
 //  * LRU-bounded: `capacity` entries total (split across shards); an
 //    insert past capacity evicts the shard's least-recently-used entry;
-//  * private to one engine: QueryEngine's compiled state never changes,
-//    and MutableEngine drops every entry a mutation could change
+//  * private to one engine, which drops every entry a write could change
 //    (footprint invalidation, below), so a hit always equals a cold run;
 //  * value-owning: entries hold shared_ptr<const T> snapshots, hits are
 //    copied out by the engine, so cached data never aliases anything a
@@ -29,17 +27,17 @@
 // are aggregated over the shards under their locks — TSan-clean — and
 // exposed through QueryEngine::cache_stats().
 //
-// For mutable serving (delta_overlay.hpp) the cache also supports
-// per-edge invalidation: every entry carries a 64-bit vertex-partition
+// Invalidation is by vertex partition: every entry carries a 64-bit
 // Bloom footprint (bit v & 63 set for the query's source and every node
-// its result reached), a mutation publishes the touched edges'
+// its result reached; kFootprintAll for results without a cheap reached
+// set), a write publishes the partition mask of the touched edges'
 // endpoints, and invalidate_keys_touching drops exactly the entries
-// whose footprint intersects the touched partitions — instead of
-// dropping the whole cache as a rebuild would. The stamp is
-// conservative (a partition collision drops a still-valid entry, never
-// the reverse): a mutation on edge (u → v) can only change a query
-// whose pre-mutation reachable cone contains u, and u's partition bit
-// is in the footprint whenever u is in that cone.
+// whose footprint intersects that mask — instead of dropping the whole
+// cache as a rebuild would. The stamp is conservative (a partition
+// collision drops a still-valid entry, never the reverse): a mutation on
+// edge (u → v) can only change a query whose pre-mutation reachable cone
+// contains u, and u's partition bit is in the footprint whenever u is in
+// that cone.
 #pragma once
 
 #include <cstddef>
@@ -54,7 +52,6 @@
 namespace tvg {
 
 struct JourneyQuery;  // query_engine.hpp
-struct ClosureQuery;
 struct AcceptSpec;
 struct Policy;        // policy.hpp
 struct SearchLimits;  // algorithms.hpp
@@ -68,16 +65,16 @@ struct CacheConfig {
   /// false = the engine keeps no cache at all (every query recomputes).
   bool enabled{true};
   /// Maximum cached results, summed over shards (entries, not bytes: a
-  /// closure row block counts as one entry). 0 behaves like disabled.
+  /// full arrival row counts as one entry). 0 behaves like disabled.
   std::size_t capacity{1024};
   /// Byte budget across shards, 0 = unlimited (count-based accounting
   /// only — the default). When set, every insert carries the value's
   /// approximate heap footprint: the LRU tail is evicted until the
   /// shard fits its share of the budget again, and a single result
   /// larger than that share is rejected outright instead of wiping the
-  /// shard. This is the knob for closure-heavy workloads whose rows
-  /// (sources × nodes × 8 bytes each) would blow memory long before
-  /// `capacity` entries exist.
+  /// shard. This is the knob for workloads whose results carry n-sized
+  /// rows (untargeted foremost scans, per-node analytics) and would blow
+  /// memory long before `capacity` entries exist.
   std::size_t max_bytes{0};
   /// Lock stripes; rounded up to a power of two, clamped to >= 1.
   std::size_t shards{8};
@@ -119,15 +116,6 @@ inline constexpr std::uint64_t kFootprintAll = ~std::uint64_t{0};
   return std::uint64_t{1} << (v & 63u);
 }
 
-/// One mutated edge, as published to the cache by a graph mutation: the
-/// id plus both endpoints (the cache only reads the endpoints — the id
-/// rides along for diagnostics and future finer-grained schemes).
-struct EdgeTouch {
-  EdgeId edge{kInvalidEdge};
-  NodeId from{kInvalidNode};
-  NodeId to{kInvalidNode};
-};
-
 /// Canonical cache key: one query kind tag plus the flattened request
 /// payload. Equality is exact payload equality; the hash is precomputed
 /// at construction (a splitmix64-style mix over the payload words).
@@ -135,7 +123,6 @@ class QueryKey {
  public:
   enum class Kind : std::uint8_t {
     kJourney = 1,
-    kClosure = 2,
     kAccept = 3,
     kKReachability = 4,
     kInfluence = 5,
@@ -152,25 +139,18 @@ class QueryKey {
   /// so stale values from a reused struct never split an entry.
   [[nodiscard]] static QueryKey journey(const JourneyQuery& q);
 
-  /// Key for QueryEngine::closure. Takes the materialized source list
-  /// (the engine expands "empty = all nodes" before keying, so the
-  /// implicit and explicit spellings share an entry); the query's
-  /// `threads` knob is scheduling-only and deliberately excluded — rows
-  /// are bit-identical at any thread count.
-  [[nodiscard]] static QueryKey closure(const ClosureQuery& q,
-                                        std::span<const NodeId> sources);
-
   /// Key for QueryEngine::accepts: the spec plus the exact word sequence
   /// (order and duplicates included — outcomes are positional).
   [[nodiscard]] static QueryKey accept(const AcceptSpec& spec,
                                        std::span<const Word> words);
 
   /// Keys for the analytics entry points. Each embeds its underlying
-  /// sweep exactly as QueryKey::closure canonicalizes it — materialized
-  /// source list, scheduling-only knobs (threads, frontier direction)
-  /// excluded — plus the analytic's own parameters, so an analytics
-  /// entry never aliases a raw closure entry (distinct leading tag) and
-  /// never splits on knobs that cannot change the result.
+  /// sweep canonicalized — the materialized source list (the engine
+  /// expands "empty = all nodes" before keying, so the implicit and
+  /// explicit spellings share an entry), scheduling-only knobs (threads,
+  /// frontier direction) excluded — plus the analytic's own parameters,
+  /// under a distinct leading tag per analytic, so an entry never splits
+  /// on knobs that cannot change the result.
   [[nodiscard]] static QueryKey k_reachability(const KReachabilityQuery& q,
                                                std::span<const NodeId> sources);
   [[nodiscard]] static QueryKey influence(const InfluenceQuery& q);
@@ -187,8 +167,8 @@ class QueryKey {
  private:
   void append(std::uint64_t v) { payload_.push_back(v); }
   void append_word(const Word& w);
-  /// Shared sweep payload for closure and the analytics keys layered on
-  /// one: start + policy + limits + the materialized source list
+  /// Shared sweep payload of the analytics keys: start + policy +
+  /// limits + the materialized source list
   /// (scheduling-only knobs — threads, frontier direction — excluded).
   void append_sweep(Time start_time, const Policy& policy,
                     const SearchLimits& limits,
@@ -237,22 +217,18 @@ class ResultCache {
   void insert(const QueryKey& key, ValuePtr value, std::size_t bytes = 1,
               std::uint64_t footprint = kFootprintAll);
 
-  /// Drops every entry whose footprint intersects the partitions of the
-  /// touched edges' endpoints (per-edge incremental invalidation — the
-  /// mutable engine's alternative to clearing the cache). Each shard is
-  /// swept under its own lock; dropped entries count in
-  /// CacheStats::invalidations, inspected-and-kept entries in
-  /// CacheStats::survivors. No-op for an empty touch set.
-  void invalidate_keys_touching(std::span<const EdgeTouch> touched);
+  /// Drops every entry whose footprint intersects `partitions`, the OR
+  /// of footprint_bit over a write's touched endpoints (per-edge
+  /// incremental invalidation — the engine's alternative to clearing the
+  /// cache). Each shard is swept under its own lock; dropped entries
+  /// count in CacheStats::invalidations, inspected-and-kept entries in
+  /// CacheStats::survivors. No-op for an empty mask.
+  void invalidate_keys_touching(std::uint64_t partitions);
 
   /// Drops every entry (all shards). Stats counters are kept.
   void clear();
 
   [[nodiscard]] CacheStats stats() const;
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
 
  private:
   struct Shard;
@@ -260,7 +236,6 @@ class ResultCache {
   [[nodiscard]] Shard& shard_for(const QueryKey& key) noexcept;
   [[nodiscard]] ValuePtr lookup(const QueryKey& key, bool count_miss);
 
-  std::size_t capacity_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

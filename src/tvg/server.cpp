@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "tvg/delta_overlay.hpp"
 #include "tvg/failpoint.hpp"
 
 namespace tvg {
@@ -46,16 +45,7 @@ struct Server::TypedTask final : Server::Task {
 };
 
 Server::Server(const QueryEngine& engine, ServerConfig config)
-    : engine_(&engine), config_(std::move(config)) {
-  start();
-}
-
-Server::Server(const MutableEngine& engine, ServerConfig config)
-    : mutable_engine_(&engine), config_(std::move(config)) {
-  start();
-}
-
-void Server::start() {
+    : engine_(engine), config_(std::move(config)) {
   for (const unsigned w : config_.weights) {
     if (w == 0) {
       throw std::invalid_argument(
@@ -225,8 +215,7 @@ std::future<JourneyResult> Server::submit(const JourneyQuery& q,
   if (config_.workers > 0 && !stopping_.load(std::memory_order_acquire) &&
       (options.deadline == SubmitOptions::Clock::time_point::max() ||
        SubmitOptions::Clock::now() <= options.deadline)) {
-    std::optional<JourneyResult> hit =
-        engine_ ? engine_->try_cached(q) : mutable_engine_->try_cached(q);
+    std::optional<JourneyResult> hit = engine_.try_cached(q);
     if (hit) {
       std::promise<JourneyResult> ready;
       ready.set_value(std::move(*hit));
@@ -234,33 +223,21 @@ std::future<JourneyResult> Server::submit(const JourneyQuery& q,
       return ready.get_future();
     }
   }
-  return enqueue<JourneyResult>(
-      [this, q] {
-        return engine_ ? engine_->run(q) : mutable_engine_->run(q);
-      },
-      lane, options.deadline);
+  return enqueue<JourneyResult>([this, q] { return engine_.run(q); }, lane,
+                                options.deadline);
 }
 
 std::future<ClosureResult> Server::submit(const ClosureQuery& q,
                                           SubmitOptions options) {
-  return enqueue<ClosureResult>(
-      [this, q] {
-        return engine_ ? engine_->closure(q) : mutable_engine_->closure(q);
-      },
-      lane_of(options), options.deadline);
+  return enqueue<ClosureResult>([this, q] { return engine_.closure(q); },
+                                lane_of(options), options.deadline);
 }
 
 std::future<std::vector<AcceptOutcome>> Server::submit(
     const AcceptSpec& spec, std::vector<Word> words, SubmitOptions options) {
   return enqueue<std::vector<AcceptOutcome>>(
       [this, spec, words = std::move(words)] {
-        if (engine_ == nullptr) {
-          throw std::logic_error(
-              "tvg::Server::submit(AcceptSpec): the mutable backend serves "
-              "journey and closure queries only (construct the Server over "
-              "a QueryEngine for language queries)");
-        }
-        return engine_->accepts(spec, words);
+        return engine_.accepts(spec, words);
       },
       lane_of(options), options.deadline);
 }

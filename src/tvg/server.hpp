@@ -31,10 +31,10 @@
 //    DEQUEUE: work whose deadline passed while queued is dropped
 //    without executing and its future fails with DeadlineExceeded, so
 //    a backlog of stale work can't pin a serving worker;
-//  * a mutable-backend mode: constructed over a tvg::MutableEngine
-//    (delta_overlay.hpp) instead of a QueryEngine, the server serves
-//    journeys and closures over the live graph. It only reads: writes go
-//    to the engine (or its DurableEngine, which logs them first), never
+//  * live graphs: the engine may take writes while the server serves
+//    it, and every query kind, acceptance included, runs over the graph
+//    as of the moment it executes. The server only reads: writes go to
+//    the engine (or its DurableEngine, which logs them first), never
 //    through the server;
 //  * a drain()/stop() lifecycle mirroring WorkerPool::parallel_for's
 //    abort/first-error semantics: drain() blocks until every accepted
@@ -67,8 +67,6 @@
 #include "tvg/sync.hpp"
 
 namespace tvg {
-
-class MutableEngine;  // delta_overlay.hpp
 
 /// Thrown into a future when admission control sheds the submission
 /// (its lane was at capacity). The query never entered the queue.
@@ -177,16 +175,11 @@ struct ServerStats {
   std::size_t in_flight_now{0};
 };
 
-/// The serving front end. Construct over a live QueryEngine — or a
-/// MutableEngine for live-update serving (the engine must outlive the
-/// server either way); submit from any number of threads.
+/// The serving front end. Construct over a QueryEngine that outlives
+/// the server; submit from any number of threads.
 class Server {
  public:
   explicit Server(const QueryEngine& engine, ServerConfig config = {});
-  /// Mutable backend: queries route to MutableEngine::run / closure.
-  /// accepts() submissions fail their future (the mutable engine serves
-  /// journeys and closures only).
-  explicit Server(const MutableEngine& engine, ServerConfig config = {});
   /// Equivalent to stop().
   ~Server();
   Server(const Server&) = delete;
@@ -277,14 +270,9 @@ class Server {
 
   void worker_loop() TVG_EXCLUDES(mu_);
 
-  /// Shared tail of both constructors: weight validation, round-robin
-  /// seeding, worker spawn.
-  void start() TVG_EXCLUDES(mu_);
-
-  /// Exactly one backend is set, at construction, for the server's whole
-  /// lifetime (no lock needed to read them).
-  const QueryEngine* engine_{nullptr};
-  const MutableEngine* mutable_engine_{nullptr};
+  /// Set at construction for the server's whole lifetime (no lock needed
+  /// to read it).
+  const QueryEngine& engine_;
   const ServerConfig config_;
 
   mutable Mutex mu_;

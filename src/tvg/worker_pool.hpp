@@ -89,8 +89,8 @@ class WorkerPool {
   /// (never claimed) when the destructor runs is dropped, and one
   /// already running is joined. Exceptions escaping `task` are swallowed
   /// (there is no submitter left to rethrow to) — callers that care must
-  /// catch inside. This is the lane MutableEngine's background
-  /// compaction rides (delta_overlay.hpp).
+  /// catch inside. This is the lane QueryEngine's background
+  /// compaction rides (query_engine.hpp).
   void submit(std::function<void()> task) TVG_EXCLUDES(mu_);
 
   /// Workers ever spawned (monotone). The pool never shrinks while

@@ -98,7 +98,7 @@ std::vector<EdgeMutation> workload() {
 
 /// Oracle prefix: base + first `upto` workload mutations.
 TimeVaryingGraph oracle_at(std::uint64_t upto) {
-  MutableEngine oracle(base_graph(), 1);
+  QueryEngine oracle(base_graph(), 1);
   const auto stream = workload();
   for (std::uint64_t i = 0; i < upto; ++i) oracle.apply(stream[i]);
   return oracle.materialize();

@@ -3,10 +3,11 @@
 // overlay (journeys, scans, closures, truncation flags included) must
 // equal the same query against a from-scratch rebuild of base ∪ delta.
 // The randomized tests below drive seeded mutation streams and compare
-// against MutableEngine::materialize() + a fresh QueryEngine after
-// every batch, across waiting policies, objectives, thread counts and
-// compactions. Dirty closures get their own oracle suite: the packed
-// kernel over the overlay, across lane words, budgets and the pull path.
+// against QueryEngine::materialize() + a fresh cache-disabled engine
+// after every batch, across waiting policies, objectives, thread counts
+// and compactions. Dirty closures get their own oracle suite: the packed
+// kernel over the overlay, across lane words, budgets and the pull path;
+// so do acceptance (trie batch and single word) and the analytics.
 #include "tvg/delta_overlay.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "tvg/failpoint.hpp"
 #include "tvg/generators.hpp"
+#include "tvg/query_engine.hpp"
 #include "tvg/serialization.hpp"
 
 namespace tvg {
@@ -73,7 +76,7 @@ EdgeMutation random_mutation(std::mt19937_64& rng, std::size_t nodes,
 
 /// The oracle check: every read through the overlay equals the same
 /// read against a freshly rebuilt engine over materialize().
-void expect_reads_match(const MutableEngine& me, const std::string& where) {
+void expect_reads_match(const QueryEngine& me, const std::string& where) {
   const TimeVaryingGraph rebuilt = me.materialize();
   ASSERT_EQ(rebuilt.edge_count(), me.edge_count()) << where;
   const QueryEngine ref(rebuilt, 2, CacheConfig::disabled());
@@ -121,7 +124,7 @@ TEST(DeltaOverlay, OverlayMatchesRebuildUnderRandomMutations) {
   for (const std::uint64_t seed : {7ull, 21ull, 99ull}) {
     TimeVaryingGraph g = base_graph(seed);
     const std::size_t nodes = g.node_count();
-    MutableEngine me(std::move(g), 2);
+    QueryEngine me(std::move(g), 2);
     std::mt19937_64 rng(seed * 1000 + 17);
     for (int batch = 0; batch < 4; ++batch) {
       for (int i = 0; i < 6; ++i) {
@@ -137,7 +140,7 @@ TEST(DeltaOverlay, CompactionPreservesReadsAndEdgeIds) {
   TimeVaryingGraph g = base_graph(5);
   const std::size_t nodes = g.node_count();
   const EdgeId base_edges = g.edge_count();
-  MutableEngine me(std::move(g), 2);
+  QueryEngine me(std::move(g), 2);
 
   const EdgeId added = me.add_edge(0, 1, 'a', Presence::always(),
                                    Latency::constant(1), "live-link");
@@ -167,7 +170,7 @@ TEST(DeltaOverlay, CompactionPreservesReadsAndEdgeIds) {
 
 TEST(DeltaOverlay, BackgroundCompactionCountsAsBackgroundTask) {
   TimeVaryingGraph g = base_graph(11);
-  MutableEngine me(std::move(g), 2);
+  QueryEngine me(std::move(g), 2);
   EXPECT_FALSE(me.compact_async());  // nothing pending
   me.patch_presence(0, Presence::never());
   EXPECT_TRUE(me.compact_async());
@@ -181,7 +184,7 @@ TEST(DeltaOverlay, ValidationRejectsBadIdsWithoutStateChange) {
   TimeVaryingGraph g = base_graph(3);
   const EdgeId edges = g.edge_count();
   const auto nodes = static_cast<NodeId>(g.node_count());
-  MutableEngine me(std::move(g), 1);
+  QueryEngine me(std::move(g), 1);
   const std::uint64_t seq = me.sequence();
   EXPECT_THROW(me.patch_presence(edges, Presence::always()),
                std::out_of_range);
@@ -233,8 +236,8 @@ std::vector<EdgeMutation> mixed_batch(std::size_t nodes, EdgeId edges,
 TEST(DeltaOverlay, BatchApplyMatchesOneByOne) {
   const TimeVaryingGraph g = base_graph(11);
   const auto edges = static_cast<EdgeId>(g.edge_count());
-  MutableEngine one(g, 2);
-  MutableEngine batched(g, 2);
+  QueryEngine one(g, 2);
+  QueryEngine batched(g, 2);
   // A shared one-by-one prefix: the batch lands on a non-empty log.
   std::mt19937_64 rng(5);
   for (int i = 0; i < 6; ++i) {
@@ -293,7 +296,7 @@ TEST(DeltaOverlay, BatchApplyRejectsBadRecordAtomically) {
   EXPECT_EQ(overlay.pending_mutations(), 1u);
   EXPECT_EQ(overlay.snapshot(), snapshot);
 
-  MutableEngine me(g, 1);
+  QueryEngine me(g, 1);
   me.patch_presence(1, Presence::never());
   const std::string before = to_text(me.materialize());
   EXPECT_THROW((void)me.apply(batch), std::out_of_range);
@@ -307,6 +310,47 @@ TEST(DeltaOverlay, BatchApplyRejectsBadRecordAtomically) {
   EXPECT_EQ(me.sequence(), 5u);
 }
 
+TEST(DeltaOverlay, FailedPublishLeavesASingleApplyUnseen) {
+#if !defined(TVG_FAILPOINTS_ENABLED)
+  GTEST_SKIP() << "built without failpoints";
+#endif
+  // A single apply is a batch of one: when its snapshot build fails, the
+  // record is rolled back with everything else, so the next apply
+  // publishes only its own record.
+  const FailPointGuard guard;
+  const TimeVaryingGraph g = base_graph(8);
+  const auto edges = static_cast<EdgeId>(g.edge_count());
+  DeltaOverlay overlay(g);
+  overlay.patch_presence(1, Presence::never());
+  const auto snapshot = overlay.snapshot();
+  FailPointRegistry::instance().arm_on_hit("delta_overlay.publish", 1,
+                                           FailPointAction::error());
+  EXPECT_THROW(overlay.add_edge(0, 1, 'a', Presence::always(),
+                                Latency::constant(1)),
+               FailPointError);
+  EXPECT_EQ(overlay.sequence(), 1u);
+  EXPECT_EQ(overlay.pending_mutations(), 1u);
+  EXPECT_EQ(overlay.snapshot(), snapshot);
+  EXPECT_EQ(overlay.snapshot()->edge_count(), std::size_t{edges});
+  EXPECT_EQ(overlay.add_edge(2, 3, 'b', Presence::always(),
+                             Latency::constant(1)),
+            edges);
+  EXPECT_EQ(overlay.sequence(), 2u);
+  ASSERT_EQ(overlay.pending_mutations(), 2u);
+  EXPECT_EQ(overlay.log()[1].from, 2u);
+
+  // The engine's single apply rides the same path.
+  QueryEngine me(g, 1);
+  const std::string before = to_text(me.materialize());
+  FailPointRegistry::instance().arm_on_hit("delta_overlay.publish", 1,
+                                           FailPointAction::error());
+  EXPECT_THROW(me.remove_edge(0), FailPointError);
+  EXPECT_EQ(me.sequence(), 0u);
+  EXPECT_EQ(me.pending_mutations(), 0u);
+  EXPECT_EQ(me.edge_count(), std::size_t{edges});
+  EXPECT_EQ(to_text(me.materialize()), before);
+}
+
 TEST(DeltaOverlay, BatchApplyDropsExactlyTheTouchedJourneys) {
   // Three disconnected components on distinct footprint partitions.
   TimeVaryingGraph g;
@@ -315,7 +359,7 @@ TEST(DeltaOverlay, BatchApplyDropsExactlyTheTouchedJourneys) {
   const EdgeId b = g.add_edge(2, 3, 'a', Presence::always(),
                               Latency::constant(1));
   (void)g.add_edge(4, 5, 'a', Presence::always(), Latency::constant(1));
-  MutableEngine me(std::move(g), 1);
+  QueryEngine me(std::move(g), 1);
   const auto q01 = JourneyQuery::foremost(0, 0).to(1);
   const auto q23 = JourneyQuery::foremost(2, 0).to(3);
   const auto q45 = JourneyQuery::foremost(4, 0).to(5);
@@ -352,7 +396,7 @@ TEST(DeltaOverlay, PerEdgeCacheInvalidationHitsSurvivorsAndDrops) {
                               Latency::constant(1));
   const EdgeId b = g.add_edge(2, 3, 'a', Presence::always(),
                               Latency::constant(1));
-  MutableEngine me(std::move(g), 1);
+  QueryEngine me(std::move(g), 1);
 
   const auto q = JourneyQuery::foremost(0, 0).to(1);
   const auto cold = me.run(q);
@@ -385,7 +429,7 @@ TEST(DeltaOverlay, ConcurrentMutateQueryCompactStress) {
   // still match a full rebuild bit for bit.
   TimeVaryingGraph g = base_graph(31, 12, 34);
   const std::size_t nodes = g.node_count();
-  MutableEngine me(std::move(g), 2);
+  QueryEngine me(std::move(g), 2);
   std::atomic<bool> stop{false};
 
   std::thread mutator([&] {
@@ -429,7 +473,7 @@ TEST(DeltaOverlay, ConcurrentMutateQueryCompactStress) {
 constexpr std::size_t kWordsNodes = 130;  // three 64-source lane words
 
 /// Leaves every mutation kind pending on a kWordsNodes-node engine.
-void make_dirty(MutableEngine& me, std::uint64_t seed) {
+void make_dirty(QueryEngine& me, std::uint64_t seed) {
   std::mt19937_64 rng(seed * 1000 + 3);
   me.add_edge(0, kWordsNodes - 1, 'a', random_presence(rng), Latency::constant(2));
   me.remove_edge(3);
@@ -441,7 +485,7 @@ void make_dirty(MutableEngine& me, std::uint64_t seed) {
 }
 
 TEST(DeltaOverlay, PackedDirtyClosureMatchesRebuildAcrossThreeWords) {
-  MutableEngine me(base_graph(17, kWordsNodes, 420), 2);
+  QueryEngine me(base_graph(17, kWordsNodes, 420), 2);
   make_dirty(me, 17);
   ASSERT_GT(me.pending_mutations(), 0u);
   const TimeVaryingGraph rebuilt = me.materialize();
@@ -464,7 +508,7 @@ TEST(DeltaOverlay, TightBudgetDirtyClosureFallsBackBitIdentical) {
   // max_configs far below what one source explores: every packed word
   // trips its guard and reruns per source, reproducing the serial
   // truncation of a rebuilt engine flag for flag.
-  MutableEngine me(base_graph(41, kWordsNodes, 420), 2);
+  QueryEngine me(base_graph(41, kWordsNodes, 420), 2);
   make_dirty(me, 41);
   const TimeVaryingGraph rebuilt = me.materialize();
   const QueryEngine ref(rebuilt, 1, CacheConfig::disabled());
@@ -506,7 +550,7 @@ TEST(DeltaOverlay, PullGatherOverPresencePatchesMatchesRebuild) {
   for (const EdgeMutation& m : patches) ov.apply(m);
   EXPECT_EQ(ov.snapshot()->uniform_constant_latency(), 1);
 
-  MutableEngine me(g, 2);
+  QueryEngine me(g, 2);
   for (const EdgeMutation& m : patches) me.apply(m);
   const TimeVaryingGraph rebuilt = me.materialize();
   const QueryEngine ref(rebuilt, 1, CacheConfig::disabled());
@@ -536,7 +580,7 @@ TEST(DeltaOverlay, PullGatherOverPresencePatchesMatchesRebuild) {
 TEST(DeltaOverlay, DirtyClosureShardsOneTaskPerWordGroup) {
   // 130 sources = 3 lane words: the dirty closure claims exactly one
   // pool task per word group, like the frozen engine.
-  MutableEngine me(base_graph(5, kWordsNodes, 420), 2);
+  QueryEngine me(base_graph(5, kWordsNodes, 420), 2);
   me.patch_presence(0, Presence::never());
   ClosureQuery cq;
   cq.limits = SearchLimits::up_to(48);
@@ -544,6 +588,95 @@ TEST(DeltaOverlay, DirtyClosureShardsOneTaskPerWordGroup) {
   const std::uint64_t before = me.worker_stats().tasks_claimed;
   (void)me.closure(cq);
   EXPECT_EQ(me.worker_stats().tasks_claimed - before, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Acceptance and analytics on a live graph: every entry point captures
+// one {epoch, overlay} pair and runs on the View, so with a delta pending
+// (or folded) it must match a cache-disabled engine over materialize().
+// ---------------------------------------------------------------------------
+
+/// Compares acceptance (trie batch, single word, a budget tight enough
+/// to truncate) and the four analytics against a rebuilt engine. Each
+/// query runs twice on `me`: the second answer may come from the cache.
+void expect_language_and_analytics_match(const QueryEngine& me,
+                                         unsigned threads,
+                                         const std::string& where) {
+  const TimeVaryingGraph rebuilt = me.materialize();
+  const QueryEngine ref(rebuilt, threads, CacheConfig::disabled());
+  const SearchLimits lim = SearchLimits::up_to(48);
+  const std::vector<Word> batch{"a", "ab", "ba", "abb", "bab", "", "aab",
+                                "bba"};
+  for (const Policy& pol :
+       {Policy::no_wait(), Policy::bounded_wait(3), Policy::wait()}) {
+    AcceptSpec spec;
+    spec.initial = {0, 5, 64};
+    spec.accepting = {1, 2, 3, 70, kWordsNodes - 1};
+    spec.policy = pol;
+    spec.horizon = 40;
+    spec.departures_per_edge = 4;
+    const std::string tag = where + " " + pol.to_string();
+    for (int pass = 0; pass < 2; ++pass) {
+      EXPECT_EQ(me.accepts(spec, batch), ref.accepts(spec, batch))
+          << tag << " batch";
+      for (const Word& w : {Word{"ab"}, Word{"bba"}}) {
+        const std::vector<Word> one{w};
+        EXPECT_EQ(me.accepts(spec, one), ref.accepts(spec, one))
+            << tag << " single " << w;
+      }
+    }
+    AcceptSpec tight = spec;
+    tight.max_configs = 40;  // truncates: pins the labeled edge order
+    EXPECT_EQ(me.accepts(tight, batch), ref.accepts(tight, batch))
+        << tag << " tight batch";
+  }
+
+  KReachabilityQuery kq;
+  kq.closure.limits = lim;
+  kq.closure.threads = threads;
+  kq.k = 3;
+  InfluenceQuery iq;
+  iq.source_sets = {{0, 1}, {5}, {}, {64, 100, kWordsNodes - 1}};
+  iq.sample_times = {4, 10, 20, 40};
+  iq.limits = lim;
+  iq.threads = threads;
+  BetweennessQuery bq;
+  bq.sources = {0, 7, 33, 64, 101, kWordsNodes - 1};
+  bq.limits = lim;
+  bq.threads = threads;
+  CentralityQuery cq;
+  for (NodeId v = 0; v < 40; ++v) cq.closure.sources.push_back(v * 3);
+  cq.closure.limits = lim;
+  cq.closure.threads = threads;
+  cq.iterations = 6;
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_EQ(me.k_reachability(kq), ref.k_reachability(kq)) << where;
+    EXPECT_EQ(me.influence_spread(iq), ref.influence_spread(iq)) << where;
+    EXPECT_EQ(me.betweenness(bq), ref.betweenness(bq)) << where;
+    EXPECT_EQ(me.centrality(cq), ref.centrality(cq)) << where;
+  }
+}
+
+TEST(DeltaOverlay, AcceptsAndAnalyticsMatchRebuildBeforeAndAfterCompaction) {
+  for (const unsigned threads : {1u, 4u}) {
+    TimeVaryingGraph g = base_graph(29, kWordsNodes, 420);
+    // A non-affine ζ on an edge the searches leave the first initial
+    // node by: Wait then enumerates several departures there.
+    const EdgeId leaving_zero = g.out_edges(0).front();
+    QueryEngine me(std::move(g), threads);
+    make_dirty(me, 29);
+    me.override_latency(leaving_zero,
+                        Latency::function([](Time t) { return 1 + t % 3; },
+                                          "wobble"));
+    me.add_edge(5, 2, 'b', Presence::eventually_always(3),
+                Latency::function([](Time t) { return 2 + t % 2; }, "tick"));
+    ASSERT_GT(me.pending_mutations(), 0u);
+    const std::string at = " at " + std::to_string(threads) + " threads";
+    expect_language_and_analytics_match(me, threads, "dirty" + at);
+    me.compact();
+    ASSERT_EQ(me.pending_mutations(), 0u);
+    expect_language_and_analytics_match(me, threads, "compacted" + at);
+  }
 }
 
 TEST(DeltaSerialization, GraphPlusPendingLogRoundTrips) {

@@ -311,10 +311,36 @@ TEST(QueryEngineAccepts, BatchTruncationFallsBackToPerWordBudget) {
   }
 }
 
-// The engine borrows its graph: `QueryEngine e(make_graph())` would
-// dangle, so binding a temporary is a compile error.
-static_assert(!std::is_constructible_v<QueryEngine, TimeVaryingGraph&&>);
+// A const lvalue is borrowed; an rvalue is moved in and owned, so
+// `QueryEngine e(make_graph())` is safe.
+static_assert(std::is_constructible_v<QueryEngine, TimeVaryingGraph&&>);
 static_assert(std::is_constructible_v<QueryEngine, const TimeVaryingGraph&>);
+
+TEST(QueryEngine, OwnsAGraphBuiltFromATemporary) {
+  // The engine must answer from its own copy once the temporary is gone
+  // (the ASan lane turns a dangling borrow into a hard failure).
+  RandomPeriodicParams params;
+  params.nodes = 9;
+  params.seed = 12;
+  const TimeVaryingGraph reference = make_random_periodic(params);
+  const QueryEngine owner(make_random_periodic(params), 2);
+  const QueryEngine borrower(reference, 2, CacheConfig::disabled());
+  const SearchLimits limits = SearchLimits::up_to(60);
+  for (NodeId s = 0; s < reference.node_count(); ++s) {
+    const auto q = JourneyQuery::foremost(s, 0).within(limits);
+    EXPECT_EQ(owner.run(q), borrower.run(q)) << "source " << s;
+  }
+  ClosureQuery cq;
+  cq.limits = limits;
+  EXPECT_EQ(owner.closure(cq), borrower.closure(cq));
+  AcceptSpec spec;
+  spec.initial = {0};
+  spec.accepting = {1, 2, 3};
+  spec.policy = Policy::wait();
+  spec.horizon = 40;
+  const std::vector<Word> words{"a", "ab", "ba"};
+  EXPECT_EQ(owner.accepts(spec, words), borrower.accepts(spec, words));
+}
 
 TEST(QueryEngine, GuardsBadArguments) {
   TimeVaryingGraph g;

@@ -100,7 +100,7 @@ EdgeMutation random_mutation(std::mt19937_64& rng, std::size_t nodes,
 TimeVaryingGraph oracle_at(std::uint64_t base_seed,
                            const std::vector<EdgeMutation>& stream,
                            std::uint64_t upto) {
-  MutableEngine oracle(base_graph(base_seed), 1);
+  QueryEngine oracle(base_graph(base_seed), 1);
   for (std::uint64_t i = 0; i < upto; ++i) oracle.apply(stream[i]);
   return oracle.materialize();
 }

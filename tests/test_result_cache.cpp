@@ -1,12 +1,13 @@
 // Tests for the engine-level result cache (src/tvg/result_cache.hpp)
 // and its QueryEngine wiring:
-//  * a cache hit returns a value equal to a cold run, for every entry
-//    point (journey / closure / acceptance);
+//  * a cache hit returns a value equal to a cold run, for every cached
+//    entry point (journey / analytics / acceptance; closures are never
+//    cached);
 //  * LRU eviction holds the entry count at capacity and counts
 //    evictions;
 //  * hit/miss stats counters are exact on a deterministic sequence;
-//  * closure keys canonicalize (implicit "all sources" = explicit list,
-//    thread count excluded);
+//  * sweep keys canonicalize (implicit "all sources" = explicit list,
+//    thread count and frontier direction excluded);
 //  * per-edge invalidation drops exactly the entries whose footprint a
 //    mutation touches;
 //  * concurrent hammering of one hot key is safe (run under TSan/ASan in
@@ -107,25 +108,30 @@ TEST(ResultCache, ClosureAndAcceptHitsEqualColdRuns) {
   EXPECT_EQ(accept_first, cached.accepts(spec, words));
   EXPECT_EQ(accept_first, cold.accepts(spec, words));
 
+  // Closure row blocks are never cached: only the accepts count.
   const CacheStats stats = cached.cache_stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.entries, 1u);
 }
 
-TEST(ResultCache, ClosureKeyCanonicalizesSourcesAndIgnoresThreads) {
+TEST(ResultCache, SweepKeyCanonicalizesSourcesAndIgnoresThreads) {
   const TimeVaryingGraph g = test_graph(3);
   const QueryEngine engine(g);
-  ClosureQuery all_implicit;
-  all_implicit.limits = SearchLimits::up_to(100);
-  all_implicit.threads = 1;
-  const ClosureResult first = engine.closure(all_implicit);
+  KReachabilityQuery all_implicit;
+  all_implicit.closure.limits = SearchLimits::up_to(100);
+  all_implicit.closure.threads = 1;
+  all_implicit.k = 2;
+  const KReachabilityResult first = engine.k_reachability(all_implicit);
 
-  ClosureQuery all_explicit = all_implicit;
+  KReachabilityQuery all_explicit = all_implicit;
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    all_explicit.sources.push_back(v);
+    all_explicit.closure.sources.push_back(v);
   }
-  all_explicit.threads = 2;  // scheduling knob: not part of the key
-  const ClosureResult second = engine.closure(all_explicit);
+  // Scheduling knobs: not part of the key.
+  all_explicit.closure.threads = 2;
+  all_explicit.closure.direction.mode = FrontierMode::kPullOnly;
+  const KReachabilityResult second = engine.k_reachability(all_explicit);
   EXPECT_EQ(first, second);
   const CacheStats stats = engine.cache_stats();
   EXPECT_EQ(stats.misses, 1u);
@@ -203,38 +209,32 @@ TEST(ResultCache, ByteBudgetEvictsLruTail) {
 }
 
 TEST(ResultCache, ByteBudgetBoundsClosureHeavyEngines) {
-  // Engine-level: distinct closure queries produce multi-row snapshots
-  // far heavier than one journey entry; a byte budget keeps the resident
-  // set bounded where the default count-based accounting would happily
-  // hold `capacity` of them.
+  // Engine-level: distinct untargeted foremost scans each cache an
+  // n-sized arrival row, far heavier than one targeted journey entry; a
+  // byte budget keeps the resident set bounded where the default
+  // count-based accounting would happily hold `capacity` of them.
   const TimeVaryingGraph g = test_graph(6);
-  const std::size_t row_block =
-      g.node_count() * g.node_count() * sizeof(Time);
+  const std::size_t row_entry =
+      sizeof(JourneyResult) + g.node_count() * sizeof(Time);
   CacheConfig config;
   config.capacity = 1024;
-  config.max_bytes = 4 * row_block;  // room for a few closures, not 64
+  config.max_bytes = 4 * row_entry;  // room for a few rows, not 64
   config.shards = 1;
+  const auto scan = [](Time t0) {
+    return JourneyQuery::foremost(static_cast<NodeId>(t0 % 9), t0)
+        .within(SearchLimits::up_to(200));
+  };
   const QueryEngine engine(g, 1, config);
-  for (Time t0 = 0; t0 < 64; ++t0) {
-    ClosureQuery q;
-    q.start_time = t0;
-    q.limits = SearchLimits::up_to(200);
-    (void)engine.closure(q);
-  }
+  for (Time t0 = 0; t0 < 64; ++t0) (void)engine.run(scan(t0));
   const CacheStats stats = engine.cache_stats();
   EXPECT_LE(stats.bytes, config.max_bytes);
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.entries, 0u);
   EXPECT_LT(stats.entries, 64u);
-  // Count-based default (max_bytes = 0): all 64 closures stay resident
-  // and no byte accounting is reported.
+  // Count-based default (max_bytes = 0): all 64 rows stay resident and
+  // no byte accounting is reported.
   const QueryEngine unbounded(g, 1, CacheConfig{});
-  for (Time t0 = 0; t0 < 64; ++t0) {
-    ClosureQuery q;
-    q.start_time = t0;
-    q.limits = SearchLimits::up_to(200);
-    (void)unbounded.closure(q);
-  }
+  for (Time t0 = 0; t0 < 64; ++t0) (void)unbounded.run(scan(t0));
   EXPECT_EQ(unbounded.cache_stats().entries, 64u);
   EXPECT_EQ(unbounded.cache_stats().bytes, 0u);
 }
@@ -325,12 +325,18 @@ TEST(ResultCache, QueryKeysAreConsistentWithEquality) {
   const std::vector<Word> words{"ab"};
   EXPECT_EQ(QueryKey::accept(s1, words), QueryKey::accept(s2, words));
 
-  ClosureQuery c1;
-  c1.sources = {3, 1};
-  ClosureQuery c2 = c1;
-  EXPECT_EQ(c1, c2);
-  EXPECT_EQ(QueryKey::closure(c1, c1.sources),
-            QueryKey::closure(c2, c2.sources));
+  KReachabilityQuery k1;
+  k1.closure.sources = {3, 1};
+  KReachabilityQuery k2 = k1;
+  EXPECT_EQ(k1, k2);
+  EXPECT_EQ(QueryKey::k_reachability(k1, k1.closure.sources),
+            QueryKey::k_reachability(k2, k2.closure.sources));
+  BetweennessQuery b1;
+  b1.sources = {3, 1};
+  BetweennessQuery b2 = b1;
+  EXPECT_EQ(b1, b2);
+  EXPECT_EQ(QueryKey::betweenness(b1, b1.sources),
+            QueryKey::betweenness(b2, b2.sources));
 }
 
 TEST(ResultCache, ConcurrentHotKeyHammeringIsSafeAndConsistent) {
@@ -492,8 +498,8 @@ TEST(ResultCache, InvalidateKeysTouchingDropsByFootprintOnly) {
   cache.insert(key_for(2), value, 1, kFootprintAll);
   ASSERT_EQ(cache.stats().entries, 3u);
 
-  const EdgeTouch touch{/*edge=*/5, /*from=*/2, /*to=*/3};
-  cache.invalidate_keys_touching({&touch, 1});
+  // A write to edge 2 -> 3.
+  cache.invalidate_keys_touching(footprint_bit(2) | footprint_bit(3));
   CacheStats stats = cache.stats();
   // {2,3} intersects, kFootprintAll intersects everything, {0,1} survives.
   EXPECT_EQ(stats.invalidations, 2u);
@@ -505,8 +511,7 @@ TEST(ResultCache, InvalidateKeysTouchingDropsByFootprintOnly) {
 
   // Partitions alias mod 64: node 65 lands in partition 1, so the {0,1}
   // entry is (conservatively, correctly) dropped by a far-away edge.
-  const EdgeTouch aliased{/*edge=*/6, /*from=*/65, /*to=*/70};
-  cache.invalidate_keys_touching({&aliased, 1});
+  cache.invalidate_keys_touching(footprint_bit(65) | footprint_bit(70));
   EXPECT_EQ(cache.find(key_for(0)), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 3u);
 }
@@ -527,8 +532,8 @@ TEST(ResultCache, ConcurrentInvalidationUnderTrafficIsSafeAndAccounted) {
     std::mt19937_64 rng(99);
     while (!stop.load(std::memory_order_acquire)) {
       const auto v = static_cast<NodeId>(rng() % 64);
-      const EdgeTouch touch{0, v, static_cast<NodeId>((v + 1) % 64)};
-      cache.invalidate_keys_touching({&touch, 1});
+      cache.invalidate_keys_touching(
+          footprint_bit(v) | footprint_bit(static_cast<NodeId>((v + 1) % 64)));
       std::this_thread::yield();
     }
   });

@@ -338,7 +338,7 @@ TEST(Server, WorkerPoolStatsObserveServedTraffic) {
 TEST(Server, MutableBackendServesQueriesAndLiveUpdates) {
   // The server only reads; writes go straight to the engine, and every
   // query dequeued after a write sees it.
-  MutableEngine engine(serving_graph(), 2);
+  QueryEngine engine(serving_graph(), 2);
   Server server(engine, manual_config());
 
   const JourneyQuery jq = query_for(0);
@@ -367,24 +367,42 @@ TEST(Server, MutableBackendServesQueriesAndLiveUpdates) {
   EXPECT_EQ(stats.completed, 3u);
 }
 
-TEST(Server, BackendMismatchFailsTheFutureNotTheServer) {
-  // accepts() needs the frozen language machinery: on a mutable backend
-  // it fails only its own future, and the server keeps serving.
-  MutableEngine mutable_engine(serving_graph(), 1);
-  Server mutable_server(mutable_engine, manual_config());
-  AcceptSpec spec;
-  spec.initial = {0};
-  spec.accepting = {1};
-  auto af = mutable_server.submit(spec, {"ab"});
-  auto jf = mutable_server.submit(query_for(1));
-  while (mutable_server.run_one()) {
+TEST(Server, AcceptsOnAMutatedEngineMatchesTheRebuild) {
+  // Acceptance runs on the live graph: with every mutation kind pending,
+  // the server's outcomes equal a cache-disabled engine over the
+  // materialized graph, for a trie batch and for a single word.
+  QueryEngine engine(serving_graph(), 2);
+  engine.add_edge(0, 7, 'b', Presence::always(), Latency::constant(2));
+  engine.add_edge(3, 1, 'a', Presence::eventually_always(5),
+                  Latency::constant(1));
+  engine.remove_edge(4);
+  engine.patch_presence(9, Presence::eventually_always(3));
+  engine.override_latency(11, Latency::affine(2, 1));
+  ASSERT_GT(engine.pending_mutations(), 0u);
+  const TimeVaryingGraph rebuilt = engine.materialize();
+  const QueryEngine ref(rebuilt, 1, CacheConfig::disabled());
+
+  Server server(engine, manual_config());
+  for (const Policy& policy :
+       {Policy::no_wait(), Policy::bounded_wait(2), Policy::wait()}) {
+    AcceptSpec spec;
+    spec.initial = {0, 3};
+    spec.accepting = {1, 2, 7};
+    spec.policy = policy;
+    spec.horizon = 48;
+    const std::vector<Word> batch = {"ab", "ba", "", "abab", "bb"};
+    const std::vector<Word> single = {"aba"};
+    auto batch_f = server.submit(spec, batch);
+    auto single_f = server.submit(spec, single);
+    while (server.run_one()) {
+    }
+    EXPECT_EQ(batch_f.get(), ref.accepts(spec, batch)) << policy.to_string();
+    EXPECT_EQ(single_f.get(), ref.accepts(spec, single))
+        << policy.to_string();
   }
-  EXPECT_THROW(af.get(), std::logic_error);
-  EXPECT_TRUE(jf.get() == mutable_engine.run(query_for(1)));
-  // The failure is the task's, not the transport's: accounted as failed.
-  const ServerStats stats = mutable_server.stats();
-  EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.completed, 1u);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.completed, 6u);
 }
 
 // ---------------------------------------------------------------------------
@@ -422,7 +440,7 @@ TEST(Server, CachedJourneyIsReadyWhenSubmitReturns) {
 }
 
 TEST(Server, MutationTouchingACachedJourneySendsItBackThroughTheLanes) {
-  MutableEngine engine(serving_graph(), 2);
+  QueryEngine engine(serving_graph(), 2);
   const JourneyQuery jq = query_for(0);
   (void)engine.run(jq);
   Server server(engine, worker_config());
@@ -508,15 +526,15 @@ TEST(Server, CacheCountsEachSubmissionOnce) {
   };
   const TimeVaryingGraph g = serving_graph();
   check(QueryEngine(g, 1));
-  check(MutableEngine(serving_graph(), 1));
+  check(QueryEngine(serving_graph(), 1));
 }
 
 TEST(ServerStress, LiveUpdatesRaceQueriesThroughTheLanes) {
   // Worker-backed server over a mutable engine: client threads write
-  // through MutableEngine::apply while their reads go through the server,
+  // through QueryEngine::apply while their reads go through the server,
   // interleaving arbitrarily; every future must resolve and every update
   // must land exactly once (sequence() counts them).
-  MutableEngine engine(serving_graph(), 2);
+  QueryEngine engine(serving_graph(), 2);
   ServerConfig config;
   config.workers = 3;
   Server server(engine, config);
