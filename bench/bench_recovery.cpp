@@ -12,8 +12,8 @@
 //   TVG_BENCH_DURABLE=0  in-memory baseline: the same stream through a
 //                        bare QueryEngine — no WAL, no fsync, the
 //                        pre-durability cost of an accepted mutation.
-//   unset / any other    DurableEngine: validate -> WAL append -> apply
-//                        -> policy fsync.
+//   unset / any other    DurableEngine: validate -> snapshot build ->
+//                        WAL append -> publish -> policy fsync.
 //
 // BM_Recovery/<n> times DurableEngine::recover() of a directory whose
 // WAL holds <n> records past checkpoint-0 (so recovery = read + verify

@@ -1,9 +1,6 @@
 #include "tvg/delta_overlay.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-
-#include "tvg/failpoint.hpp"
 
 namespace tvg {
 
@@ -124,67 +121,6 @@ OverlaySnapshot::added_out_range(NodeId v) const noexcept {
                                          v, AdjNodeLess{});
   return {added_adj_.data() + (lo - added_adj_.begin()),
           added_adj_.data() + (hi - added_adj_.begin())};
-}
-
-// ---------------------------------------------------------------------------
-// DeltaOverlay
-// ---------------------------------------------------------------------------
-
-DeltaOverlay::DeltaOverlay(const TimeVaryingGraph& base)
-    : base_(&base),
-      snapshot_(std::make_shared<OverlaySnapshot>(
-          base, std::span<const EdgeMutation>{}, 0)) {}
-
-EdgeId validate_mutation(const EdgeMutation& m, std::size_t node_count,
-                         std::size_t edge_count) {
-  if (m.kind == EdgeMutation::Kind::kAddEdge) {
-    if (m.from >= node_count || m.to >= node_count) {
-      throw std::out_of_range("validate_mutation: endpoint out of range");
-    }
-    return static_cast<EdgeId>(edge_count);
-  }
-  if (m.edge >= edge_count) {
-    throw std::out_of_range("validate_mutation: edge out of range");
-  }
-  return m.edge;
-}
-
-std::vector<EdgeId> DeltaOverlay::apply(std::span<const EdgeMutation> batch) {
-  std::vector<EdgeId> ids;
-  if (batch.empty()) return ids;
-  ids.reserve(batch.size());
-  std::size_t edges = snapshot_->edge_count();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    try {
-      ids.push_back(validate_mutation(batch[i], base_->node_count(), edges));
-    } catch (const std::out_of_range& e) {
-      throw MutationBatchError(i, e.what());
-    }
-    if (batch[i].kind == EdgeMutation::Kind::kAddEdge) ++edges;
-  }
-  const auto old_size = static_cast<std::ptrdiff_t>(log_.size());
-  try {
-    log_.insert(log_.end(), batch.begin(), batch.end());
-    TVG_FAILPOINT("delta_overlay.publish");
-    snapshot_ = std::make_shared<OverlaySnapshot>(*base_, log_,
-                                                  sequence_ + batch.size());
-  } catch (...) {
-    log_.erase(log_.begin() + old_size, log_.end());
-    throw;
-  }
-  sequence_ += batch.size();
-  return ids;
-}
-
-void DeltaOverlay::rebase(const TimeVaryingGraph& new_base,
-                          std::size_t folded) {
-  base_ = &new_base;
-  log_.erase(log_.begin(),
-             log_.begin() + static_cast<std::ptrdiff_t>(
-                                std::min(folded, log_.size())));
-  // Sequence is NOT reset: it counts mutations ever applied, and the
-  // engine's stale-insert stamps key on it.
-  snapshot_ = std::make_shared<OverlaySnapshot>(*base_, log_, sequence_);
 }
 
 // ---------------------------------------------------------------------------

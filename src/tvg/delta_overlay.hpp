@@ -30,13 +30,11 @@
 //    exactly the order a from-scratch rebuild would produce, so overlay
 //    reads are bit-identical to rebuild reads (including truncation,
 //    which is exploration-order dependent).
-//  * DeltaOverlay — the mutation log plus its current snapshot. NOT
-//    thread-safe on its own; QueryEngine guards it (standalone use is
-//    fine single-threaded, e.g. the serialization round-trip).
 //
-// The engine owns the concurrency around these pieces: epoch-pointer
-// reads, per-partition cache invalidation and background compaction
-// (see QueryEngine in query_engine.hpp). Compaction keeps tombstoned
+// The engine owns the mutation log and the concurrency around these
+// pieces: validation, the optional write-ahead log, epoch-pointer reads,
+// per-partition cache invalidation and background compaction (see
+// QueryEngine in query_engine.hpp). Compaction keeps tombstoned
 // edges (as never-present records), so an EdgeId handed out by add_edge
 // stays valid across any number of compactions, and a compacted graph's
 // CSR lists each node's edges in the same order the overlay enumerated
@@ -44,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -61,7 +58,8 @@
 namespace tvg {
 
 /// One buffered schedule mutation. Build with the named constructors;
-/// `apply` on DurableEngine / QueryEngine / DeltaOverlay consumes them.
+/// QueryEngine::apply (and DurableEngine::apply, which forwards to it)
+/// consumes them.
 struct EdgeMutation {
   enum class Kind : std::uint8_t {
     kAddEdge,          // append a new edge (id = current edge_count())
@@ -123,19 +121,9 @@ struct EdgeMutation {
   }
 };
 
-/// Validates `m` against a graph with `node_count` nodes and
-/// `edge_count` edges (base ∪ delta totals) and returns the edge id
-/// apply() would hand out: `edge_count` for kAddEdge (ids are assigned
-/// densely in log order), the target id otherwise. Throws
-/// std::out_of_range on a bad node/edge id. Shared by
-/// DeltaOverlay::apply and the durability layer (durable_engine.hpp),
-/// which must know the id BEFORE logging so the WAL record carries it.
-[[nodiscard]] EdgeId validate_mutation(const EdgeMutation& m,
-                                       std::size_t node_count,
-                                       std::size_t edge_count);
-
-/// What a batch apply throws on a bad node/edge id: the
-/// validate_mutation error of the record at `index()` in the batch.
+/// What a batch apply throws on a bad node/edge id, naming the first bad
+/// record of the batch by `index()`. Ids are checked against the running
+/// edge count: an add makes its own id addressable for later records.
 class MutationBatchError : public std::out_of_range {
  public:
   MutationBatchError(std::size_t index, const std::string& what)
@@ -397,70 +385,6 @@ class OverlayView {
   const ScheduleIndex* sx_;
   const OverlaySnapshot* ov_;
   EdgeId base_edges_;
-};
-
-/// The mutation buffer: an append-only log plus its compiled snapshot.
-/// NOT thread-safe — QueryEngine serializes access under its mutex;
-/// standalone use (serialization round-trips, tests) must stay
-/// single-threaded. The referenced base graph must outlive the overlay
-/// and stay frozen (schedule index built) while it is attached.
-class DeltaOverlay {
- public:
-  explicit DeltaOverlay(const TimeVaryingGraph& base);
-
-  /// Applies one mutation: a batch of one (below). Returns the new
-  /// edge's id for kAddEdge and the target id otherwise. Throws
-  /// std::out_of_range on a bad node/edge id (the log is unchanged).
-  EdgeId apply(const EdgeMutation& m) {
-    return apply(std::span<const EdgeMutation>(&m, 1)).front();
-  }
-
-  /// Applies `batch` in order as one step, with the ids, log and
-  /// sequence one-by-one apply would produce: validates every record
-  /// against the running edge count first, then appends them all and
-  /// compiles ONE snapshot (one-by-one costs a snapshot per record).
-  /// Returns each record's id. Throws MutationBatchError naming the
-  /// first bad record, with log, sequence and snapshot unchanged; a
-  /// failed snapshot build (failpoint site "delta_overlay.publish", or
-  /// an allocation failure) rolls the log back the same way.
-  std::vector<EdgeId> apply(std::span<const EdgeMutation> batch);
-
-  EdgeId add_edge(NodeId from, NodeId to, Symbol label, Presence presence,
-                  Latency latency, std::string name = "") {
-    return apply(EdgeMutation::add_edge(from, to, label, std::move(presence),
-                                        std::move(latency), std::move(name)));
-  }
-  void remove_edge(EdgeId e) { apply(EdgeMutation::remove_edge(e)); }
-  void patch_presence(EdgeId e, Presence presence) {
-    apply(EdgeMutation::patch_presence(e, std::move(presence)));
-  }
-  void override_latency(EdgeId e, Latency latency) {
-    apply(EdgeMutation::override_latency(e, std::move(latency)));
-  }
-
-  /// The current compiled snapshot (never null; empty() when no
-  /// mutations are pending).
-  [[nodiscard]] std::shared_ptr<const OverlaySnapshot> snapshot() const {
-    return snapshot_;
-  }
-  /// The pending (uncompacted) mutation log, oldest first.
-  [[nodiscard]] std::span<const EdgeMutation> log() const { return log_; }
-  [[nodiscard]] std::size_t pending_mutations() const { return log_.size(); }
-  /// Total mutations ever applied (monotone across rebase).
-  [[nodiscard]] std::uint64_t sequence() const { return sequence_; }
-
-  /// Compaction support: `new_base` is the old base with the first
-  /// `folded` log entries materialized into it. Drops that prefix and
-  /// recompiles the remainder against the new base. Edge ids are stable
-  /// by construction: a surviving add that had id old_base + j gets id
-  /// new_base + (j − folded_adds) = old_base + j again.
-  void rebase(const TimeVaryingGraph& new_base, std::size_t folded);
-
- private:
-  const TimeVaryingGraph* base_;
-  std::vector<EdgeMutation> log_;
-  std::shared_ptr<const OverlaySnapshot> snapshot_;
-  std::uint64_t sequence_{0};
 };
 
 /// Materializes base ∪ delta into a standalone graph: every base edge

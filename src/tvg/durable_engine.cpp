@@ -183,14 +183,11 @@ DurableEngine::DurableEngine(TimeVaryingGraph base, std::string dir,
   // the first checkpoint.
   const std::string body = to_text(engine_.materialize());
   write_checkpoint_file(dir_, checkpoint_path(dir_, 0), body, 0);
-  const MutexLock lock(mu_);
-  wal_ = std::make_unique<Wal>(wal_path(dir_, 0), options_.wal,
-                               /*base_sequence=*/0, /*next_sequence=*/1);
-  checkpoint_sequence_ = 0;
+  engine_.attach_wal(std::make_unique<Wal>(wal_path(dir_, 0), options_.wal,
+                                           /*base_sequence=*/0,
+                                           /*next_sequence=*/1));
   checkpoints_written_ = 1;
 }
-
-DurableEngine::~DurableEngine() = default;
 
 // ---------------------------------------------------------------------------
 // Recovery
@@ -328,10 +325,12 @@ DurableEngine::DurableEngine(Recovered&& r, std::string dir,
                              DurableOptions options)
     : dir_(std::move(dir)),
       options_(options),
+      checkpoint_sequence_(r.checkpoint_seq),
       recovery_(r.info),
       engine_(std::move(r.graph), options.threads) {
-  // One batch apply for the whole chain: a single snapshot build instead
-  // of one per record. Ids are then checked record by record.
+  // One batch apply for the whole chain, before the log is attached (the
+  // records are on disk already): a single snapshot build instead of one
+  // per record. Ids are then checked record by record.
   std::vector<EdgeMutation> batch;
   batch.reserve(r.records.size());
   for (Wal::Record& rec : r.records) batch.push_back(std::move(rec.mutation));
@@ -353,90 +352,52 @@ DurableEngine::DurableEngine(Recovered&& r, std::string dir,
           " — edge-id stability violated, derived state would be wrong");
     }
   }
-  const MutexLock lock(mu_);
-  wal_ = std::make_unique<Wal>(wal_path(dir_, r.wal_link), options_.wal,
-                               r.wal_link, r.next_sequence);
-  checkpoint_sequence_ = r.checkpoint_seq;
+  engine_.attach_wal(std::make_unique<Wal>(wal_path(dir_, r.wal_link),
+                                           options_.wal, r.wal_link,
+                                           r.next_sequence));
 }
 
 // ---------------------------------------------------------------------------
-// Mutations
+// Sync and checkpoint
 // ---------------------------------------------------------------------------
-
-EdgeId DurableEngine::apply(const EdgeMutation& m) {
-  const MutexLock lock(mu_);
-  if (!wal_) {
-    throw IoError("durable apply: WAL unavailable after failed rotation",
-                  dir_, 0);
-  }
-  // The id is computed BEFORE logging so the WAL record carries it and
-  // recovery can verify replay reproduces it.
-  const EdgeId id =
-      validate_mutation(m, engine_.node_count(), engine_.edge_count());
-  wal_->append(m, id);  // throws with nothing applied; tail repairable
-  const EdgeId applied = engine_.apply(m);
-  if (applied != id) {
-    // Unreachable unless validate_mutation and DeltaOverlay::apply
-    // diverge; failing loud beats logging ids recovery cannot verify.
-    throw std::logic_error("DurableEngine::apply: id mismatch vs WAL");
-  }
-  wal_->maybe_sync();  // throws applied-but-not-yet-durable; see header
-  return applied;
-}
 
 void DurableEngine::sync() {
-  const MutexLock lock(mu_);
-  if (wal_) wal_->sync();
+  engine_.with_wal([](Wal& wal) { wal.sync(); });
 }
-
-// ---------------------------------------------------------------------------
-// Checkpoint
-// ---------------------------------------------------------------------------
 
 void DurableEngine::checkpoint() {
-  const MutexLock lock(mu_);
-  checkpoint_locked();
-}
+  engine_.with_wal([this](Wal& wal) {
+    // A poisoned log may hold a record the engine rolled back: the
+    // engine's state is then no checkpoint of the log's sequence.
+    wal.check_writable();
+    // Writers are excluded, so the engine is exactly at the WAL's last
+    // assigned sequence.
+    const std::uint64_t seq = wal.stats().next_sequence - 1;
+    const std::string body = to_text(engine_.materialize());
+    write_checkpoint_file(dir_, checkpoint_path(dir_, seq), body, seq);
 
-void DurableEngine::checkpoint_locked() {
-  if (!wal_) {
-    throw IoError("checkpoint: WAL unavailable after failed rotation", dir_,
-                  0);
-  }
-  // Under mu_ no apply is in flight, so the engine is exactly at the
-  // WAL's last assigned sequence.
-  const std::uint64_t seq = wal_->stats().next_sequence - 1;
-  const std::string body = to_text(engine_.materialize());
-  write_checkpoint_file(dir_, checkpoint_path(dir_, seq), body, seq);
+    // The checkpoint is committed; continue the log in wal-<seq>, the
+    // file recovery replays after checkpoint-<seq>. A failed rotation
+    // poisons the log rather than append where recovery cannot see.
+    wal.rotate(wal_path(dir_, seq), seq);
+    checkpoint_sequence_ = seq;
+    ++checkpoints_written_;
 
-  // The checkpoint is committed; rotate the WAL. The old handle closes
-  // first: if creating the new log fails, appending to the OLD one
-  // would write records recovery (which replays wal-<seq>) can never
-  // see — so the engine poisons its write path instead (wal_ == null).
-  const Wal::Stats old = wal_->stats();
-  wal_.reset();
-  wal_ = std::make_unique<Wal>(wal_path(dir_, seq), options_.wal, seq,
-                               seq + 1);
-  wal_accum_.appends += old.appends;
-  wal_accum_.syncs += old.syncs;
-  wal_accum_.bytes_written += old.bytes_written;
-  checkpoint_sequence_ = seq;
-  ++checkpoints_written_;
-
-  if (options_.prune_old_files) {
-    // Best effort: a file that refuses to die is harmless (recovery
-    // scans newest-first), so errors are ignored, not surfaced.
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-      const std::string name = entry.path().filename().string();
-      const auto ckpt =
-          parse_sequenced_name(name, kCheckpointPrefix, kCheckpointSuffix);
-      const auto wal = parse_sequenced_name(name, kWalPrefix, kWalSuffix);
-      if ((ckpt && *ckpt < seq) || (wal && *wal < seq)) {
-        fs::remove(entry.path(), ec);
+    if (options_.prune_old_files) {
+      // Best effort: a file that refuses to die is harmless (recovery
+      // scans newest-first), so errors are ignored, not surfaced.
+      std::error_code ec;
+      for (const auto& entry : fs::directory_iterator(dir_, ec)) {
+        const std::string name = entry.path().filename().string();
+        const auto ckpt =
+            parse_sequenced_name(name, kCheckpointPrefix, kCheckpointSuffix);
+        const auto log = parse_sequenced_name(name, kWalPrefix, kWalSuffix);
+        if ((ckpt && *ckpt < seq) || (log && *log < seq)) {
+          fs::remove(entry.path(), ec);
+        }
       }
     }
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -444,23 +405,20 @@ void DurableEngine::checkpoint_locked() {
 // ---------------------------------------------------------------------------
 
 DurableEngine::Stats DurableEngine::stats() const {
-  const MutexLock lock(mu_);
-  Stats s;
-  if (wal_) s.wal = wal_->stats();
-  s.wal.appends += wal_accum_.appends;
-  s.wal.syncs += wal_accum_.syncs;
-  s.wal.bytes_written += wal_accum_.bytes_written;
-  s.sequence =
-      wal_ ? s.wal.next_sequence - 1 : checkpoint_sequence_;
-  s.checkpoint_sequence = checkpoint_sequence_;
-  s.checkpoints_written = checkpoints_written_;
-  s.recovery = recovery_;
-  return s;
+  return engine_.with_wal([this](const Wal& wal) {
+    Stats s;
+    s.wal = wal.stats();
+    s.sequence = s.wal.next_sequence - 1;
+    s.checkpoint_sequence = checkpoint_sequence_;
+    s.checkpoints_written = checkpoints_written_;
+    s.recovery = recovery_;
+    return s;
+  });
 }
 
 std::uint64_t DurableEngine::sequence() const {
-  const MutexLock lock(mu_);
-  return wal_ ? wal_->stats().next_sequence - 1 : checkpoint_sequence_;
+  return engine_.with_wal(
+      [](const Wal& wal) { return wal.stats().next_sequence - 1; });
 }
 
 }  // namespace tvg

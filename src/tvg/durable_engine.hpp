@@ -1,15 +1,14 @@
-// tvg::DurableEngine — crash-safe durability for MutableEngine: a
-// write-ahead log (wal.hpp) in front of every mutation, atomic
-// checkpoints behind, and a recover() path that reassembles the exact
-// pre-crash state from whatever a crash left on disk.
+// tvg::DurableEngine — crash-safe durability for the engine: a
+// write-ahead log (wal.hpp) behind every mutation, atomic checkpoints,
+// and a recover() path that reassembles the exact pre-crash state from
+// whatever a crash left on disk.
 //
-// PR 9's MutableEngine made served graphs mutable but kept every
-// accepted mutation in memory: kill the process and the log is gone.
-// This layer closes that hole with the classic WAL + checkpoint split:
-//
-//   apply(m):  validate → WAL append → engine apply → policy fsync
-//   (log-before-visible: any state a crash can leave behind is
-//   reconstructible from checkpoint + log replay)
+// This class opens, recovers, checkpoints and reports; the write path is
+// the engine's own. Once the directory holds checkpoint-0 (or the
+// replayed state), the Wal is handed to the wrapped QueryEngine, whose
+// apply validates, builds the next snapshot, logs, publishes and then
+// fsyncs per policy (query_engine.hpp). Every write is therefore logged,
+// whether it comes through apply() here or through mutable_engine().
 //
 //   checkpoint(): materialize base ∪ delta → text format + CRC footer
 //   → temp file → fsync → rename → directory fsync → rotate the WAL.
@@ -33,7 +32,10 @@
 // identically (the torture suite in tests/test_recovery.cpp pins
 // recovered query results against a no-crash oracle). With kEveryN /
 // kInterval the stats' synced_sequence says exactly which suffix is at
-// risk; recovery restores at least every synced mutation.
+// risk; recovery restores at least every synced mutation. A failed
+// logged write is never acknowledged: any prefix of its batch may
+// survive recovery, and the engine takes no further write (nor a
+// checkpoint) until it is recovered.
 //
 // On-disk layout inside the engine directory:
 //
@@ -48,23 +50,21 @@
 // Failpoint sites (failpoint.hpp): "checkpoint.write" (before the body
 // reaches the temp file), "checkpoint.fsync" (before the temp file
 // fsync), "checkpoint.rename" (after the fsync, before the rename —
-// THE window the temp-file dance exists for), plus the four WAL sites
-// documented in wal.hpp.
+// THE window the temp-file dance exists for), the WAL sites documented
+// in wal.hpp and the engine's "delta_overlay.publish" (the snapshot
+// build, before the log write).
 //
-// Thread-safe: apply/checkpoint/sync serialize on one mutex; reads
-// (run/closure/counts) go straight to the MutableEngine, which has its
-// own epoch-pointer concurrency — a checkpoint never blocks queries,
-// only writers.
+// Thread-safe: checkpoint / sync / stats / sequence run with the
+// engine's writers excluded (its writer mutex); reads go straight to the
+// engine and never wait for a checkpoint.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 
-#include "tvg/annotations.hpp"
 #include "tvg/delta_overlay.hpp"
 #include "tvg/query_engine.hpp"
-#include "tvg/sync.hpp"
 #include "tvg/wal.hpp"
 
 namespace tvg {
@@ -104,7 +104,6 @@ class DurableEngine {
   /// shadowing a previous engine's history).
   DurableEngine(TimeVaryingGraph base, std::string dir,
                 DurableOptions options = {});
-  ~DurableEngine();
   DurableEngine(const DurableEngine&) = delete;
   DurableEngine& operator=(const DurableEngine&) = delete;
 
@@ -118,59 +117,32 @@ class DurableEngine {
   [[nodiscard]] static std::unique_ptr<DurableEngine> recover(
       std::string dir, DurableOptions options = {});
 
-  // --- mutations (logged) ---
+  // --- mutations (logged by the engine) ---
 
-  /// Validates, appends to the WAL, applies to the engine, then fsyncs
-  /// per the sync policy — in that order, so a failure at any step
-  /// leaves log and engine consistent: a validation or append error
-  /// changes nothing; an fsync error surfaces AFTER the mutation is
-  /// applied and logged (it is applied-but-maybe-not-durable, exactly
-  /// what stats().wal.synced_sequence reports). Returns the id the
-  /// mutation got. Throws std::out_of_range on bad ids,
-  /// std::invalid_argument on runtime-only schedules (predicates /
-  /// function latencies cannot be persisted — by design they are
+  /// The engine's apply (query_engine.hpp): validate, build, log,
+  /// publish, fsync per policy. Returns the id the mutation got. Throws
+  /// std::out_of_range on bad ids, std::invalid_argument on runtime-only
+  /// schedules (predicates / function latencies cannot be persisted —
   /// rejected here, not at the next checkpoint), tvg::IoError on I/O
-  /// failure.
-  ///
-  /// One case is in doubt: the engine's own apply failing AFTER the WAL
-  /// append (its snapshot build throwing, e.g. on allocation) leaves the
-  /// record logged but not visible. The engine rolls itself back, this
-  /// call throws, and recovery later applies the logged record — so a
-  /// caller that saw the failure must treat the write as possibly
-  /// committed, never as rejected. Until then the in-memory engine lags
-  /// the log by that record, so an add applied afterwards is handed an
-  /// id that recovery will not reproduce.
-  EdgeId apply(const EdgeMutation& m) TVG_EXCLUDES(mu_);
+  /// failure or once a failed write has poisoned the log.
+  EdgeId apply(const EdgeMutation& m) { return engine_.apply(m); }
 
   /// Forces a WAL fsync now (group durability for kEveryN/kInterval).
-  void sync() TVG_EXCLUDES(mu_);
+  void sync();
 
   /// Writes an atomic checkpoint of the current state and rotates the
   /// WAL. Blocks writers (not readers) for the duration. Throws
   /// tvg::IoError / std::invalid_argument (runtime-only schedules) with
   /// the previous checkpoint + WAL intact — a failed checkpoint loses
-  /// nothing.
-  void checkpoint() TVG_EXCLUDES(mu_);
+  /// nothing; a failed rotation poisons the log.
+  void checkpoint();
 
-  // --- reads (MutableEngine passthrough; never block on writers) ---
-
-  [[nodiscard]] JourneyResult run(const JourneyQuery& q) const {
-    return engine_.run(q);
-  }
-  [[nodiscard]] ClosureResult closure(const ClosureQuery& q) const {
-    return engine_.closure(q);
-  }
-  [[nodiscard]] std::size_t node_count() const { return engine_.node_count(); }
-  [[nodiscard]] std::size_t edge_count() const { return engine_.edge_count(); }
   [[nodiscard]] TimeVaryingGraph materialize() const {
     return engine_.materialize();
   }
 
-  /// The wrapped engine, for wiring into read-side front ends (a
-  /// tvg::Server serving this graph takes it as its mutable backend and
-  /// only reads from it). Mutations MUST still go through apply() —
-  /// writing to the wrapped engine directly bypasses the log and
-  /// forfeits the crash guarantee.
+  /// The wrapped engine, for reads and for wiring into front ends (a
+  /// tvg::Server serving this graph). Its writes are logged like apply().
   [[nodiscard]] MutableEngine& mutable_engine() noexcept { return engine_; }
 
   // --- compaction passthrough (in-memory; durability is unaffected) ---
@@ -183,8 +155,8 @@ class DurableEngine {
 
   struct Stats {
     Wal::Stats wal;
-    /// Mutations ever applied through this lineage (checkpoint seq +
-    /// replayed + applied since open) — the durable sequence.
+    /// The WAL's last sequence: mutations logged through this lineage
+    /// (checkpoint seq + replayed + logged since open).
     std::uint64_t sequence{0};
     /// Sequence of the newest on-disk checkpoint.
     std::uint64_t checkpoint_sequence{0};
@@ -194,10 +166,10 @@ class DurableEngine {
     /// fresh constructor).
     RecoveryInfo recovery;
   };
-  [[nodiscard]] Stats stats() const TVG_EXCLUDES(mu_);
+  [[nodiscard]] Stats stats() const;
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
   /// The durable sequence (see Stats::sequence).
-  [[nodiscard]] std::uint64_t sequence() const TVG_EXCLUDES(mu_);
+  [[nodiscard]] std::uint64_t sequence() const;
 
   /// Path helpers (used by the tests to corrupt files deliberately).
   [[nodiscard]] static std::string checkpoint_path(const std::string& dir,
@@ -210,22 +182,13 @@ class DurableEngine {
   struct Recovered;
   DurableEngine(Recovered&& r, std::string dir, DurableOptions options);
 
-  void checkpoint_locked() TVG_REQUIRES(mu_);
-
   std::string dir_;
   DurableOptions options_;
-
-  mutable Mutex mu_;
-  std::unique_ptr<Wal> wal_ TVG_GUARDED_BY(mu_);
-  /// Totals from WAL handles closed by rotation; stats() adds the live
-  /// handle's counters on top so appends/syncs/bytes never reset.
-  Wal::Stats wal_accum_ TVG_GUARDED_BY(mu_){};
-  std::uint64_t checkpoint_sequence_ TVG_GUARDED_BY(mu_){0};
-  std::uint64_t checkpoints_written_ TVG_GUARDED_BY(mu_){0};
+  // Written only by checkpoint() and read by stats(), both with the
+  // engine's writers excluded.
+  std::uint64_t checkpoint_sequence_{0};
+  std::uint64_t checkpoints_written_{0};
   RecoveryInfo recovery_;  // written once before the engine is shared
-
-  /// Declared last so in-flight background compactions are joined
-  /// before the durability state above goes away.
   MutableEngine engine_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
@@ -9,9 +10,11 @@
 #include <utility>
 
 #include "tvg/departures.hpp"
+#include "tvg/failpoint.hpp"
 #include "tvg/read_core.hpp"
 #include "tvg/schedule_index.hpp"
 #include "tvg/visited.hpp"
+#include "tvg/wal.hpp"
 
 namespace tvg {
 
@@ -141,8 +144,8 @@ QueryEngine::QueryEngine(std::shared_ptr<const TimeVaryingGraph> epoch,
   // Constructor: no concurrent access yet (clang's analysis exempts
   // construction), so the guarded members initialize without mu_.
   freeze_compiled(*epoch);
-  delta_.emplace(*epoch);
-  state_.overlay = delta_->snapshot();
+  state_.overlay = std::make_shared<const OverlaySnapshot>(
+      *epoch, std::span<const EdgeMutation>{}, 0);
   state_.epoch = std::move(epoch);
   if (cache.enabled && cache.capacity > 0) {
     cache_ = std::make_unique<ResultCache>(cache);
@@ -818,41 +821,112 @@ std::vector<AcceptOutcome> QueryEngine::accepts(
 // Writes
 // ---------------------------------------------------------------------------
 
-std::uint64_t QueryEngine::touch_mask_locked(const EdgeMutation& m,
-                                             EdgeId id) const {
+namespace {
+
+/// The id `m` (record `index` of its batch) gets on a graph with `nodes`
+/// nodes and `edges` edges: `edges` for an add, the target otherwise.
+EdgeId validate_mutation(const EdgeMutation& m, std::size_t index,
+                         std::size_t nodes, std::size_t edges) {
+  if (m.kind == EdgeMutation::Kind::kAddEdge) {
+    if (m.from >= nodes || m.to >= nodes) {
+      throw MutationBatchError(index, "endpoint out of range");
+    }
+    return static_cast<EdgeId>(edges);
+  }
+  if (m.edge >= edges) throw MutationBatchError(index, "edge out of range");
+  return m.edge;
+}
+
+/// The endpoint-partition mask of mutation `m` (id `id`) over `overlay`,
+/// a snapshot of `epoch` that already holds it.
+std::uint64_t touch_mask(const TimeVaryingGraph& epoch,
+                         const OverlaySnapshot& overlay,
+                         const EdgeMutation& m, EdgeId id) {
   if (m.kind == EdgeMutation::Kind::kAddEdge) {
     return footprint_bit(m.from) | footprint_bit(m.to);
   }
-  if (id < state_.overlay->base_edge_count()) {
-    const Edge& e = state_.epoch->edge(id);
+  if (id < overlay.base_edge_count()) {
+    const Edge& e = epoch.edge(id);
     return footprint_bit(e.from) | footprint_bit(e.to);
   }
-  const OverlaySnapshot::AddedEdge& ae = state_.overlay->added(id);
+  const OverlaySnapshot::AddedEdge& ae = overlay.added(id);
   return footprint_bit(ae.from) | footprint_bit(ae.to);
 }
 
+}  // namespace
+
 std::vector<EdgeId> QueryEngine::apply(std::span<const EdgeMutation> batch) {
   std::vector<EdgeId> ids;
+  if (batch.empty()) return ids;
   std::uint64_t mask = 0;
+  std::exception_ptr sync_error;
   {
-    const MutexLock lock(mu_);
-    ids = delta_->apply(batch);  // throws with no state change
-    state_.overlay = delta_->snapshot();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      mask |= touch_mask_locked(batch[i], ids[i]);
+    const MutexLock write_lock(write_mu_);
+    // Writers are excluded, so `cur` is compiled from exactly log_ and
+    // stays published until this writer replaces it.
+    const State cur = capture();
+    const std::uint64_t sequence = cur.overlay->sequence() + batch.size();
+
+    // 1. Validate every record against the running edge count.
+    ids.reserve(batch.size());
+    std::size_t edges = cur.overlay->edge_count();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ids.push_back(
+          validate_mutation(batch[i], i, cur.epoch->node_count(), edges));
+      if (batch[i].kind == EdgeMutation::Kind::kAddEdge) ++edges;
     }
-    // Readers capture before the batch or after it, never inside, so
-    // the batch's last sequence stamps every partition it touched.
-    for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
-      partition_seq_[std::countr_zero(bits)] = delta_->sequence();
+
+    // 2-3. Build the next snapshot and log the batch; any throw rolls
+    // the log back with nothing visible.
+    const auto old_size = static_cast<std::ptrdiff_t>(log_.size());
+    std::shared_ptr<const OverlaySnapshot> next;
+    try {
+      log_.insert(log_.end(), batch.begin(), batch.end());
+      TVG_FAILPOINT("delta_overlay.publish");
+      next = std::make_shared<const OverlaySnapshot>(*cur.epoch, log_,
+                                                     sequence);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        mask |= touch_mask(*cur.epoch, *next, batch[i], ids[i]);
+      }
+      if (wal_) wal_->append(batch, ids);
+    } catch (...) {
+      log_.erase(log_.begin() + old_size, log_.end());
+      throw;
+    }
+
+    // 4. Publish. Readers capture before the batch or after it, never
+    // inside, so the batch's last sequence stamps every partition it
+    // touched.
+    {
+      const MutexLock lock(mu_);
+      state_.overlay = std::move(next);
+      for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
+        partition_seq_[std::countr_zero(bits)] = sequence;
+      }
+    }
+
+    // 5. Durability per policy: a failure here is "applied, not yet
+    // durable", reported after the invalidation below.
+    if (wal_) {
+      try {
+        wal_->maybe_sync();
+      } catch (...) {
+        sync_error = std::current_exception();
+      }
     }
   }
-  // Invalidation runs outside mu_ (it takes the shard locks; the lock
-  // order is mu_ -> shard, never the reverse). Publishing first is
-  // sound: any reader inserting after the publish re-checks the stamps
-  // under mu_ and skips an entry this batch would have had to drop.
+  // Invalidation runs outside both engine locks (it takes the shard
+  // locks; the order is mu_ -> shard, never the reverse). Publishing
+  // first is sound: any reader inserting after the publish re-checks the
+  // stamps under mu_ and skips an entry this batch would have had to drop.
   if (cache_ && mask != 0) cache_->invalidate_keys_touching(mask);
+  if (sync_error) std::rethrow_exception(sync_error);
   return ids;
+}
+
+void QueryEngine::attach_wal(std::unique_ptr<Wal> wal) {
+  const MutexLock lock(write_mu_);
+  wal_ = std::move(wal);
 }
 
 // ---------------------------------------------------------------------------
@@ -863,7 +937,9 @@ void QueryEngine::compact() {
   {
     const MutexLock lock(mu_);
     while (compacting_) compaction_cv_.wait(mu_);
-    if (delta_->pending_mutations() == 0) return;
+    // An empty snapshot is an empty log: every record adds an edge or an
+    // override.
+    if (state_.overlay->empty()) return;
     compacting_ = true;
   }
   do_compact();
@@ -872,7 +948,7 @@ void QueryEngine::compact() {
 bool QueryEngine::compact_async() {
   {
     const MutexLock lock(mu_);
-    if (compacting_ || delta_->pending_mutations() == 0) return false;
+    if (compacting_ || state_.overlay->empty()) return false;
     compacting_ = true;
   }
   workers_.workers().submit([this] { do_compact(); });
@@ -892,23 +968,31 @@ void QueryEngine::do_compact() {
     State state;
     std::size_t folded = 0;
     {
-      const MutexLock lock(mu_);
-      state = state_;
-      folded = delta_->pending_mutations();
+      const MutexLock write_lock(write_mu_);
+      state = capture();  // compiled from exactly the current log
+      folded = log_.size();
     }
     // Off-lock: materialize base ∪ delta and compile its index + CSR
-    // before the epoch is shared. The snapshot captured above covers
-    // exactly the first `folded` log entries (apply republishes under the
-    // same lock), so mutations landing during this build are untouched
-    // remainder.
+    // before the epoch is shared. Mutations landing during this build
+    // are the remainder past `folded`.
     auto next = std::make_shared<TimeVaryingGraph>(
         tvg::materialize(*state.epoch, *state.overlay));
     freeze_compiled(*next);
     {
+      const MutexLock write_lock(write_mu_);
+      // Recompile the remainder against the new base before anything
+      // changes. Edge ids are stable by construction: a surviving add
+      // with id old_base + j gets new_base + (j - folded adds), the same
+      // id. The sequence is not reset: stale-insert stamps key on it.
+      const std::span<const EdgeMutation> rest =
+          std::span<const EdgeMutation>(log_).subspan(folded);
+      auto overlay = std::make_shared<const OverlaySnapshot>(
+          *next, rest, capture().overlay->sequence());
+      log_.erase(log_.begin(),
+                 log_.begin() + static_cast<std::ptrdiff_t>(folded));
       const MutexLock lock(mu_);
-      delta_->rebase(*next, folded);
       state_.epoch = std::move(next);
-      state_.overlay = delta_->snapshot();
+      state_.overlay = std::move(overlay);
       compacting_ = false;
     }
   } catch (...) {
@@ -936,19 +1020,18 @@ std::size_t QueryEngine::edge_count() const {
 }
 
 std::size_t QueryEngine::pending_mutations() const {
-  const MutexLock lock(mu_);
-  return delta_->pending_mutations();
+  const MutexLock lock(write_mu_);
+  return log_.size();
 }
 
 std::uint64_t QueryEngine::sequence() const {
   const MutexLock lock(mu_);
-  return delta_->sequence();
+  return state_.overlay->sequence();
 }
 
 std::vector<EdgeMutation> QueryEngine::pending_log() const {
-  const MutexLock lock(mu_);
-  const auto log = delta_->log();
-  return {log.begin(), log.end()};
+  const MutexLock lock(write_mu_);
+  return log_;
 }
 
 TimeVaryingGraph QueryEngine::materialize() const {

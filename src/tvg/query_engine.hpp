@@ -3,11 +3,12 @@
 // query in the library, over a graph that may take live updates.
 //
 // The engine holds one frozen epoch graph (its ScheduleIndex ρ/ζ tables
-// and CSR adjacency compiled at construction) plus a DeltaOverlay of
-// pending mutations (delta_overlay.hpp). A frozen engine is simply one
-// whose overlay is empty. It owns a pool of SearchWorkspaces that its
-// entry points lease, so callers never pay per-query arena allocation
-// and never touch a lazily-built cache concurrently.
+// and CSR adjacency compiled at construction) plus the log of pending
+// mutations and its compiled OverlaySnapshot (delta_overlay.hpp). A
+// frozen engine is simply one whose overlay is empty. It owns a pool of
+// SearchWorkspaces that its entry points lease, so callers never pay
+// per-query arena allocation and never touch a lazily-built cache
+// concurrently.
 //
 // Entry points are typed request/response pairs:
 //
@@ -25,6 +26,20 @@
 //    words sharing prefixes share their search frontier)
 //  * apply(EdgeMutation | span) (writes), compact() / compact_async()
 //
+// A write is one path, apply(span), run under the writer mutex:
+//   1. validate the batch against the running edge count;
+//   2. append it to the pending log and compile the next snapshot;
+//   3. when a DurableEngine attached a write-ahead log (wal.hpp), encode
+//      and write every record;
+//   4. publish: swap the snapshot pointer and stamp the touched
+//      partitions under the reader mutex (nothing here can throw);
+//   5. fsync per the log's sync policy;
+// then drop the cached results the batch touched. A failure in steps
+// 1-3 rolls the log back and leaves the engine as it was; a failure in
+// step 5 means "applied, not yet durable". A failed logged write may
+// leave any prefix of its batch on disk, so the log refuses every later
+// write (tvg::IoError) until the engine is recovered from its directory.
+//
 // Every read captures one consistent {epoch, overlay} pair and runs on
 // it through the View-templated read core (read_core.hpp): FrozenView
 // while the overlay is empty, OverlayView otherwise, so a read on a
@@ -38,9 +53,12 @@
 //    temporary is safe. Compaction always produces owned epochs; a
 //    borrowed graph is never written;
 //  * all public methods are safe to call concurrently from any number of
-//    threads — readers copy {epoch, overlay} under a mutex and then run
-//    lock-free on immutable state, so a concurrent mutation or
-//    compaction never blocks or torments an in-flight query;
+//    threads — readers copy {epoch, overlay} under the reader mutex and
+//    then run lock-free on immutable state. Writers and compaction
+//    serialize on a separate writer mutex and take the reader mutex only
+//    for the O(1) publish, so the snapshot build, the log write and the
+//    fsync never stall a query (lock order: writer -> reader -> cache
+//    shard);
 //  * results never alias engine internals (rows and journeys are owned
 //    by the returned value — including results served from the cache,
 //    which are copied out of the cache's immutable snapshots);
@@ -82,6 +100,8 @@
 #include "tvg/worker_pool.hpp"
 
 namespace tvg {
+
+class Wal;
 
 /// What a JourneyQuery optimizes.
 enum class JourneyObjective : std::uint8_t {
@@ -549,18 +569,22 @@ class QueryEngine {
   // --- writes ---
 
   /// Applies one mutation: a batch of one (below).
-  EdgeId apply(const EdgeMutation& m) TVG_EXCLUDES(mu_) {
+  EdgeId apply(const EdgeMutation& m) TVG_EXCLUDES(write_mu_, mu_) {
     return apply(std::span<const EdgeMutation>(&m, 1)).front();
   }
-  /// Applies `batch` as one step (DeltaOverlay's batch apply: one
-  /// snapshot, MutationBatchError with no state change on a bad id) and
-  /// makes one invalidation pass for all of it, dropping the cached
-  /// results whose footprint meets a touched edge's endpoint partitions.
-  /// Readers see the state before the batch or after it, never in
-  /// between. Returns each record's id (the new id for adds, the target
-  /// id otherwise).
+  /// Applies `batch` as one step, in the order of the header comment:
+  /// one snapshot build, one log write, one publish and one invalidation
+  /// pass, dropping the cached results whose footprint meets a touched
+  /// edge's endpoint partitions. Readers see the state before the batch
+  /// or after it, never in between. Returns each record's id (the new id
+  /// for adds, ids assigned densely in batch order; the target id
+  /// otherwise). Throws MutationBatchError naming the first bad record,
+  /// with nothing changed; with a log attached also std::invalid_argument
+  /// (a runtime-only schedule cannot be persisted; nothing changed) and
+  /// tvg::IoError (a failed write rolls the batch back; a failed fsync
+  /// comes after the publish).
   std::vector<EdgeId> apply(std::span<const EdgeMutation> batch)
-      TVG_EXCLUDES(mu_);
+      TVG_EXCLUDES(write_mu_, mu_);
 
   EdgeId add_edge(NodeId from, NodeId to, Symbol label, Presence presence,
                   Latency latency, std::string name = "") {
@@ -581,11 +605,11 @@ class QueryEngine {
   /// the calling thread. If a background compaction is already running,
   /// waits for it first and folds whatever is still pending after.
   /// Cached entries survive: the fold is semantics-preserving.
-  void compact() TVG_EXCLUDES(mu_);
+  void compact() TVG_EXCLUDES(write_mu_, mu_);
   /// Starts one background compaction on the engine's worker pool and
   /// returns immediately. False (and no work) when a compaction is
   /// already in flight or nothing is pending.
-  bool compact_async() TVG_EXCLUDES(mu_);
+  bool compact_async() TVG_EXCLUDES(write_mu_, mu_);
   /// Blocks until no compaction is in flight.
   void wait_for_compaction() const TVG_EXCLUDES(mu_);
 
@@ -594,13 +618,14 @@ class QueryEngine {
   [[nodiscard]] std::size_t node_count() const TVG_EXCLUDES(mu_);
   /// Total edges the merged view exposes (tombstones included).
   [[nodiscard]] std::size_t edge_count() const TVG_EXCLUDES(mu_);
-  [[nodiscard]] std::size_t pending_mutations() const TVG_EXCLUDES(mu_);
+  [[nodiscard]] std::size_t pending_mutations() const
+      TVG_EXCLUDES(write_mu_);
   /// Mutations ever applied (monotone; compaction does not change it).
   [[nodiscard]] std::uint64_t sequence() const TVG_EXCLUDES(mu_);
   /// Copy of the pending (uncompacted) log, oldest first — what
   /// to_text(graph, delta_log) persists for a crash-consistent dump.
   [[nodiscard]] std::vector<EdgeMutation> pending_log() const
-      TVG_EXCLUDES(mu_);
+      TVG_EXCLUDES(write_mu_);
   /// Standalone base ∪ delta graph (the from-scratch-rebuild reference
   /// the property tests compare overlay reads against).
   [[nodiscard]] TimeVaryingGraph materialize() const TVG_EXCLUDES(mu_);
@@ -630,21 +655,38 @@ class QueryEngine {
   [[nodiscard]] ClosureResult sweep(const State& s,
                                     std::span<const NodeId> sources,
                                     const ClosureQuery& q) const;
-  /// The endpoint-partition mask of mutation `m` (already applied, id
-  /// `id`).
-  [[nodiscard]] std::uint64_t touch_mask_locked(const EdgeMutation& m,
-                                                EdgeId id) const
-      TVG_REQUIRES(mu_);
   /// True iff no mutation with an intersecting mask landed in
   /// (captured_seq, now].
   [[nodiscard]] bool insert_allowed_locked(std::uint64_t captured_seq,
                                            std::uint64_t footprint) const
       TVG_REQUIRES(mu_);
-  void do_compact();  // one capture → fold → swap cycle (flag already set)
+  /// One capture → fold → swap cycle (compacting_ already set).
+  void do_compact() TVG_EXCLUDES(write_mu_, mu_);
 
+  // DurableEngine's hooks into the write path: it attaches the log once
+  // its directory holds checkpoint-0 or the replayed state, and runs
+  // checkpoint / sync / stats with writers excluded and the log in hand.
+  friend class DurableEngine;
+  void attach_wal(std::unique_ptr<Wal> wal) TVG_EXCLUDES(write_mu_);
+  template <typename Fn>
+  decltype(auto) with_wal(Fn&& fn) const TVG_EXCLUDES(write_mu_) {
+    const MutexLock lock(write_mu_);
+    return fn(*wal_);
+  }
+
+  /// Serializes writers and compaction's swap. Held across the snapshot
+  /// build, the log write and the fsync; readers never take it.
+  mutable Mutex write_mu_;
+  /// The pending (uncompacted) mutations, oldest first: the snapshot in
+  /// state_ is always compiled from exactly this log.
+  std::vector<EdgeMutation> log_ TVG_GUARDED_BY(write_mu_);
+  /// The write-ahead log every apply writes to (null until attached).
+  std::unique_ptr<Wal> wal_ TVG_GUARDED_BY(write_mu_);
+
+  /// Guards what readers copy, only for O(1) sections: capture, the
+  /// publish and the stale-insert check.
   mutable Mutex mu_;
   State state_ TVG_GUARDED_BY(mu_);
-  std::optional<DeltaOverlay> delta_ TVG_GUARDED_BY(mu_);
   bool compacting_ TVG_GUARDED_BY(mu_){false};
   mutable CondVar compaction_cv_;
   /// Stale-insert stamps: the sequence of the newest write that touched

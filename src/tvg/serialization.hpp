@@ -30,7 +30,7 @@
 //
 // Edge ids in delta lines are the ids the log's own replay produces
 // (base edges in dump order, then each add in log order) — the same
-// numbering DeltaOverlay::apply hands out. Plain from_text stays
+// numbering QueryEngine::apply hands out. Plain from_text stays
 // strict and rejects delta lines; use from_text_with_delta.
 #pragma once
 
@@ -64,7 +64,7 @@ struct EdgeMutation;  // delta_overlay.hpp
 [[nodiscard]] TimeVaryingGraph from_text(const std::string& text);
 
 /// Parses base graph + pending mutation log. Replaying the returned log
-/// over the returned graph (DeltaOverlay / MutableEngine::apply)
+/// over the returned graph (QueryEngine::apply)
 /// reproduces the serialized mutable state, pending delta included.
 [[nodiscard]] std::pair<TimeVaryingGraph, std::vector<EdgeMutation>>
 from_text_with_delta(const std::string& text);

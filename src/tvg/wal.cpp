@@ -4,11 +4,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "tvg/failpoint.hpp"
 #include "tvg/io.hpp"
@@ -198,28 +200,7 @@ Wal::Wal(std::string path, WalOptions options, std::uint64_t base_sequence,
       next_sequence_(next_sequence),
       last_sync_(std::chrono::steady_clock::now()) {
   if (options_.every_n == 0) options_.every_n = 1;
-  fd_ = ::open(path_.c_str(), O_CREAT | O_WRONLY | O_APPEND | O_CLOEXEC,
-               0644);
-  if (fd_ < 0) throw IoError("wal: open", path_, errno);
-  struct stat st{};
-  if (::fstat(fd_, &st) != 0) {
-    const int saved = errno;
-    ::close(fd_);
-    fd_ = -1;
-    throw IoError("wal: fstat", path_, saved);
-  }
-  if (st.st_size == 0) {
-    std::string header(kMagic, sizeof(kMagic));
-    put_u64(header, base_sequence);
-    try {
-      write_all(fd_, header.data(), header.size(), path_);
-    } catch (...) {
-      ::close(fd_);
-      fd_ = -1;
-      throw;
-    }
-    stats_.bytes_written += header.size();
-  }
+  open_file(base_sequence);
   stats_.next_sequence = next_sequence_;
   // Everything already on disk (replayed records) is considered synced;
   // only appends made through THIS handle can lag.
@@ -230,43 +211,96 @@ Wal::~Wal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::uint64_t Wal::append(const EdgeMutation& m, EdgeId assigned_edge) {
-  const std::uint64_t sequence = next_sequence_;
-  const std::string payload = encode_mutation(m);  // throws pre-write
+void Wal::open_file(std::uint64_t base_sequence) {
+  TVG_FAILPOINT("wal.open");
+  fd_ = ::open(path_.c_str(), O_CREAT | O_WRONLY | O_APPEND | O_CLOEXEC,
+               0644);
+  if (fd_ < 0) throw IoError("wal: open", path_, errno);
+  try {
+    struct stat st{};
+    if (::fstat(fd_, &st) != 0) throw IoError("wal: fstat", path_, errno);
+    if (st.st_size == 0) {
+      std::string header(kMagic, sizeof(kMagic));
+      put_u64(header, base_sequence);
+      write_all(fd_, header.data(), header.size(), path_);
+      stats_.bytes_written += header.size();
+    }
+  } catch (...) {
+    ::close(fd_);
+    fd_ = -1;
+    throw;
+  }
+}
 
-  std::string frame;
-  frame.reserve(kFrameBytes + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, 0);  // crc placeholder
-  put_u64(frame, sequence);
-  put_u32(frame, assigned_edge);
-  frame.append(payload);
-  const std::uint32_t crc = crc32c(frame.data() + 8, frame.size() - 8);
-  std::memcpy(frame.data() + 4, &crc, 4);
+void Wal::rotate(std::string path, std::uint64_t base_sequence) {
+  ::close(fd_);
+  fd_ = -1;
+  poisoned_ = true;  // until the new file is open
+  path_ = std::move(path);
+  next_sequence_ = base_sequence + 1;
+  appends_since_sync_ = 0;
+  last_sync_ = std::chrono::steady_clock::now();
+  stats_.next_sequence = next_sequence_;
+  stats_.synced_sequence = base_sequence;
+  open_file(base_sequence);
+  poisoned_ = false;
+}
+
+void Wal::check_writable() const {
+  if (poisoned_) {
+    throw IoError("wal: a failed append or rotation poisoned the log; "
+                  "recover to continue",
+                  path_, 0);
+  }
+}
+
+std::uint64_t Wal::append(std::span<const EdgeMutation> batch,
+                          std::span<const EdgeId> assigned) {
+  check_writable();
+  if (batch.empty()) return next_sequence_ - 1;
+  // Every frame is staged before the first write: a runtime-only
+  // schedule anywhere in the batch throws here with nothing written.
+  std::string frames;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::string payload = encode_mutation(batch[i]);
+    const std::size_t at = frames.size();
+    put_u32(frames, static_cast<std::uint32_t>(payload.size()));
+    put_u32(frames, 0);  // crc placeholder
+    put_u64(frames, next_sequence_ + i);
+    put_u32(frames, assigned[i]);
+    frames.append(payload);
+    const std::uint32_t crc =
+        crc32c(frames.data() + at + 8, frames.size() - at - 8);
+    std::memcpy(frames.data() + at + 4, &crc, 4);
+  }
 
   TVG_FAILPOINT("wal.append.before");
+  // From here bytes may reach the file; the handle stays poisoned unless
+  // the whole append returns.
+  poisoned_ = true;
   const FailPointAction partial = TVG_FAILPOINT_CONSUME("wal.append.partial");
   if (partial.kind != FailPointAction::Kind::kNone) {
-    // Torn write: `arg` bytes of the frame reach the file, then the
-    // "process dies". Clamped below the full frame so the tail really
+    // Torn write: `arg` bytes of the frames reach the file, then the
+    // "process dies". Clamped below the full batch so the tail really
     // is torn, whatever arg the schedule drew.
     const std::size_t bytes =
-        std::min<std::size_t>(partial.arg, frame.size() - 1);
-    write_all(fd_, frame.data(), bytes, path_);
+        std::min<std::size_t>(partial.arg, frames.size() - 1);
+    write_all(fd_, frames.data(), bytes, path_);
     if (partial.kind == FailPointAction::Kind::kError) {
       throw FailPointError("wal.append.partial: short write injected");
     }
     throw CrashInjected("wal.append.partial: crash mid-append injected");
   }
 
-  write_all(fd_, frame.data(), frame.size(), path_);
-  ++next_sequence_;
-  ++appends_since_sync_;
-  ++stats_.appends;
-  stats_.bytes_written += frame.size();
+  write_all(fd_, frames.data(), frames.size(), path_);
+  next_sequence_ += batch.size();
+  appends_since_sync_ += batch.size();
+  stats_.appends += batch.size();
+  stats_.bytes_written += frames.size();
   stats_.next_sequence = next_sequence_;
   TVG_FAILPOINT("wal.append.after");
-  return sequence;
+  poisoned_ = false;
+  return next_sequence_ - 1;
 }
 
 bool Wal::maybe_sync() {

@@ -1,12 +1,13 @@
 // tvg::Wal — the append-only write-ahead log of EdgeMutation records
-// behind tvg::DurableEngine (durable_engine.hpp).
+// that tvg::QueryEngine writes every mutation to once a DurableEngine
+// (durable_engine.hpp) has attached one.
 //
-// PR 9's MutableEngine accepts live schedule mutations, but its delta
-// log lives in memory: a process crash loses every accepted mutation.
-// The WAL is the first half of the standard fix (the other half is the
-// checkpoint, see durable_engine.hpp): every mutation is appended — and,
-// per the sync policy, fsync'd — BEFORE it becomes visible to readers,
-// so any state a crash can leave behind is reconstructible from
+// The engine's pending delta lives in memory: without a log, a process
+// crash loses every accepted mutation. The WAL is the first half of the
+// standard fix (the other half is the checkpoint, see
+// durable_engine.hpp): every mutation batch is appended BEFORE it
+// becomes visible to readers and, per the sync policy, fsync'd right
+// after, so any state a crash can leave behind is reconstructible from
 // checkpoint + log replay.
 //
 // On-disk layout (all integers little-endian, fixed width):
@@ -31,24 +32,34 @@
 //    out — edge-id stability across the crash is CHECKED, not assumed;
 //  * the sync policy trades durability lag for fsync cost:
 //    kAlways fsyncs every append (zero loss for every acknowledged
-//    mutation), kEveryN fsyncs every n-th, kInterval fsyncs when the
-//    configured wall-clock interval elapsed since the last sync. The
-//    synced_sequence stat says exactly how far durability lags.
+//    mutation), kEveryN fsyncs every n-th record, kInterval fsyncs when
+//    the configured wall-clock interval elapsed since the last sync.
+//    The synced_sequence stat says exactly how far durability lags.
 //
-// Failpoint sites (failpoint.hpp): "wal.append.before" (crash before
-// anything is written), "wal.append.partial" (torn write: `arg` bytes
-// of the frame reach disk, then crash), "wal.append.after" (crash after
+// A handle that failed once bytes may have reached its file (a short or
+// failed write, or a failure after the write) or that failed to rotate
+// is POISONED: the file may end in a torn frame or in a record its
+// writer rolled back, so every later append throws tvg::IoError and the
+// owner must recover from disk. A write that failed before any byte was
+// written (a runtime-only schedule, "wal.append.before") leaves the
+// handle usable.
+//
+// Failpoint sites (failpoint.hpp): "wal.open" (before a log file is
+// opened, on construction and on rotation), "wal.append.before" (before
+// anything is written), "wal.append.partial" (torn write: `arg` bytes of
+// the batch's frames reach disk, then crash), "wal.append.after" (after
 // the write, before any sync), "wal.fsync" (failed or fatal fsync).
 //
-// NOT thread-safe on its own: DurableEngine serializes appends under
-// its mutex (standalone single-threaded use, as in the unit tests and
-// benches, is fine). Replay/truncate are static and touch only closed
-// files.
+// NOT thread-safe on its own: QueryEngine serializes every call under
+// its writer mutex (standalone single-threaded use, as in the unit tests
+// and benches, is fine). Replay/truncate are static and touch only
+// closed files.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,23 +120,43 @@ class Wal {
   /// `base_sequence`) if absent. When the file exists the caller must
   /// have replay()'d it first and pass next_sequence = last replayed
   /// sequence + 1 (== base_sequence + 1 for a fresh file). Throws
-  /// tvg::IoError on open failure.
+  /// tvg::IoError on open failure (or a "wal.open" injection).
   Wal(std::string path, WalOptions options, std::uint64_t base_sequence,
       std::uint64_t next_sequence);
   ~Wal();
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Appends one record (sequence = next_sequence++, returned). WRITE
-  /// ONLY — call maybe_sync() (policy-driven) or sync() (forced) for
-  /// durability; DurableEngine applies the mutation between the two, so
-  /// a failed fsync never leaves the log and the engine disagreeing.
-  /// Throws std::invalid_argument on runtime-only schedules (they
-  /// cannot be persisted — nothing is written), tvg::IoError on a write
-  /// failure, FailPointError / CrashInjected from the injection sites.
-  /// On any throw the sequence counter is NOT advanced, and the caller
-  /// must treat the file tail as torn (exactly what recovery repairs).
-  std::uint64_t append(const EdgeMutation& m, EdgeId assigned_edge);
+  /// Appends `batch` as consecutive records, record i logged with
+  /// `assigned[i]` (the spans have equal sizes), and returns the last
+  /// record's sequence. Every record is encoded before the first byte is
+  /// written, and the frames go out in one write. WRITE ONLY — call
+  /// maybe_sync() (policy-driven) or sync() (forced) for durability.
+  /// Throws std::invalid_argument on runtime-only schedules (they cannot
+  /// be persisted — nothing is written), tvg::IoError on a write failure
+  /// or on a poisoned handle, FailPointError / CrashInjected from the
+  /// injection sites. A throw once bytes may have reached the file
+  /// poisons the handle (see the header comment).
+  std::uint64_t append(std::span<const EdgeMutation> batch,
+                       std::span<const EdgeId> assigned);
+  /// A batch of one: appends `m` logged with `assigned_edge`.
+  std::uint64_t append(const EdgeMutation& m, EdgeId assigned_edge) {
+    return append(std::span<const EdgeMutation>(&m, 1),
+                  std::span<const EdgeId>(&assigned_edge, 1));
+  }
+
+  /// Continues the log in a fresh file at `path` whose header carries
+  /// `base_sequence`; the next append gets base_sequence + 1. The caller
+  /// has made every record up to base_sequence durable elsewhere (a
+  /// committed checkpoint), so they count as synced. Stats counters
+  /// carry over. Throws tvg::IoError (or a "wal.open" injection) with
+  /// the handle poisoned: the old file is closed first, and records
+  /// appended to it after the checkpoint would be invisible to recovery.
+  void rotate(std::string path, std::uint64_t base_sequence);
+
+  /// Throws the tvg::IoError append() would throw on a poisoned handle;
+  /// a no-op otherwise.
+  void check_writable() const;
 
   /// Fsyncs if the sync policy says one is due (kAlways: always;
   /// kEveryN: every n-th append; kInterval: interval elapsed). Returns
@@ -163,7 +194,7 @@ class Wal {
   };
 
   /// Decodes `path` up to the first bad record. Throws tvg::IoError on
-  /// open/read failure and tvg::RecoveryError (durable_engine.hpp) on a
+  /// open/read failure and tvg::RecoveryError (above) on a
   /// corrupt header or non-contiguous sequences — errors that mean the
   /// LOG ITSELF is not trustworthy, as opposed to a torn tail, which is
   /// an expected crash artifact reported via `torn`.
@@ -174,6 +205,9 @@ class Wal {
   static void truncate_to(const std::string& path, std::uint64_t valid_bytes);
 
  private:
+  /// Opens path_ for appending, writing the header when the file is new.
+  void open_file(std::uint64_t base_sequence);
+
   std::string path_;
   WalOptions options_;
   int fd_{-1};
@@ -181,6 +215,7 @@ class Wal {
   std::uint64_t appends_since_sync_{0};
   std::chrono::steady_clock::time_point last_sync_;
   Stats stats_{};
+  bool poisoned_{false};
 };
 
 }  // namespace tvg

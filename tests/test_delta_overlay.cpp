@@ -271,9 +271,10 @@ TEST(DeltaOverlay, BatchApplyMatchesOneByOne) {
 TEST(DeltaOverlay, BatchApplyRejectsBadRecordAtomically) {
   const TimeVaryingGraph g = base_graph(4);
   const auto edges = static_cast<EdgeId>(g.edge_count());
-  DeltaOverlay overlay(g);
-  (void)overlay.patch_presence(1, Presence::never());
-  const auto snapshot = overlay.snapshot();
+  QueryEngine me(g, 1);
+  me.patch_presence(1, Presence::never());
+  const std::string before = to_text(me.materialize());
+  const std::string log_before = to_text(g, me.pending_log());
   // Index 1's add makes id `edges` valid for index 2; index 3 aims one
   // past it and must sink the whole batch.
   const std::vector<EdgeMutation> batch = {
@@ -285,23 +286,18 @@ TEST(DeltaOverlay, BatchApplyRejectsBadRecordAtomically) {
       EdgeMutation::remove_edge(0),
   };
   try {
-    (void)overlay.apply(batch);
+    (void)me.apply(batch);
     FAIL() << "bad record accepted";
   } catch (const MutationBatchError& e) {
     EXPECT_EQ(e.index(), 3u);
     EXPECT_NE(std::string(e.what()).find("batch record 3"), std::string::npos)
         << e.what();
   }
-  EXPECT_EQ(overlay.sequence(), 1u);
-  EXPECT_EQ(overlay.pending_mutations(), 1u);
-  EXPECT_EQ(overlay.snapshot(), snapshot);
-
-  QueryEngine me(g, 1);
-  me.patch_presence(1, Presence::never());
-  const std::string before = to_text(me.materialize());
   EXPECT_THROW((void)me.apply(batch), std::out_of_range);
   EXPECT_EQ(me.sequence(), 1u);
   EXPECT_EQ(me.pending_mutations(), 1u);
+  EXPECT_EQ(me.edge_count(), std::size_t{edges});
+  EXPECT_EQ(to_text(g, me.pending_log()), log_before);
   EXPECT_EQ(to_text(me.materialize()), before);
   // The same batch minus the bad record goes through whole.
   std::vector<EdgeMutation> good = batch;
@@ -320,35 +316,34 @@ TEST(DeltaOverlay, FailedPublishLeavesASingleApplyUnseen) {
   const FailPointGuard guard;
   const TimeVaryingGraph g = base_graph(8);
   const auto edges = static_cast<EdgeId>(g.edge_count());
-  DeltaOverlay overlay(g);
-  overlay.patch_presence(1, Presence::never());
-  const auto snapshot = overlay.snapshot();
-  FailPointRegistry::instance().arm_on_hit("delta_overlay.publish", 1,
-                                           FailPointAction::error());
-  EXPECT_THROW(overlay.add_edge(0, 1, 'a', Presence::always(),
-                                Latency::constant(1)),
-               FailPointError);
-  EXPECT_EQ(overlay.sequence(), 1u);
-  EXPECT_EQ(overlay.pending_mutations(), 1u);
-  EXPECT_EQ(overlay.snapshot(), snapshot);
-  EXPECT_EQ(overlay.snapshot()->edge_count(), std::size_t{edges});
-  EXPECT_EQ(overlay.add_edge(2, 3, 'b', Presence::always(),
-                             Latency::constant(1)),
-            edges);
-  EXPECT_EQ(overlay.sequence(), 2u);
-  ASSERT_EQ(overlay.pending_mutations(), 2u);
-  EXPECT_EQ(overlay.log()[1].from, 2u);
-
-  // The engine's single apply rides the same path.
   QueryEngine me(g, 1);
+  me.patch_presence(1, Presence::never());
   const std::string before = to_text(me.materialize());
   FailPointRegistry::instance().arm_on_hit("delta_overlay.publish", 1,
                                            FailPointAction::error());
-  EXPECT_THROW(me.remove_edge(0), FailPointError);
-  EXPECT_EQ(me.sequence(), 0u);
-  EXPECT_EQ(me.pending_mutations(), 0u);
+  EXPECT_THROW(me.add_edge(0, 1, 'a', Presence::always(),
+                           Latency::constant(1)),
+               FailPointError);
+  EXPECT_EQ(me.sequence(), 1u);
+  EXPECT_EQ(me.pending_mutations(), 1u);
   EXPECT_EQ(me.edge_count(), std::size_t{edges});
   EXPECT_EQ(to_text(me.materialize()), before);
+  EXPECT_EQ(me.add_edge(2, 3, 'b', Presence::always(), Latency::constant(1)),
+            edges);
+  EXPECT_EQ(me.sequence(), 2u);
+  ASSERT_EQ(me.pending_mutations(), 2u);
+  EXPECT_EQ(me.pending_log()[1].from, 2u);
+
+  // The same on an empty log.
+  QueryEngine fresh(g, 1);
+  const std::string fresh_before = to_text(fresh.materialize());
+  FailPointRegistry::instance().arm_on_hit("delta_overlay.publish", 1,
+                                           FailPointAction::error());
+  EXPECT_THROW(fresh.remove_edge(0), FailPointError);
+  EXPECT_EQ(fresh.sequence(), 0u);
+  EXPECT_EQ(fresh.pending_mutations(), 0u);
+  EXPECT_EQ(fresh.edge_count(), std::size_t{edges});
+  EXPECT_EQ(to_text(fresh.materialize()), fresh_before);
 }
 
 TEST(DeltaOverlay, BatchApplyDropsExactlyTheTouchedJourneys) {
@@ -546,9 +541,9 @@ TEST(DeltaOverlay, PullGatherOverPresencePatchesMatchesRebuild) {
         static_cast<EdgeId>(rng() % g.edge_count()), random_presence(rng)));
   }
 
-  DeltaOverlay ov(g);
-  for (const EdgeMutation& m : patches) ov.apply(m);
-  EXPECT_EQ(ov.snapshot()->uniform_constant_latency(), 1);
+  EXPECT_EQ(OverlaySnapshot(g, patches, patches.size())
+                .uniform_constant_latency(),
+            1);
 
   QueryEngine me(g, 2);
   for (const EdgeMutation& m : patches) me.apply(m);
@@ -570,11 +565,13 @@ TEST(DeltaOverlay, PullGatherOverPresencePatchesMatchesRebuild) {
   // A latency override or an added edge forgoes the uniform latency
   // (pull is then skipped; push rows are the same), even where a
   // rebuild would still report one.
-  ov.override_latency(0, Latency::constant(1));
-  EXPECT_EQ(ov.snapshot()->uniform_constant_latency(), -1);
-  DeltaOverlay added(g);
-  added.add_edge(0, 1, 'a', Presence::always(), Latency::constant(1));
-  EXPECT_EQ(added.snapshot()->uniform_constant_latency(), -1);
+  patches.push_back(EdgeMutation::override_latency(0, Latency::constant(1)));
+  EXPECT_EQ(OverlaySnapshot(g, patches, patches.size())
+                .uniform_constant_latency(),
+            -1);
+  const std::vector<EdgeMutation> added = {EdgeMutation::add_edge(
+      0, 1, 'a', Presence::always(), Latency::constant(1))};
+  EXPECT_EQ(OverlaySnapshot(g, added, 1).uniform_constant_latency(), -1);
 }
 
 TEST(DeltaOverlay, DirtyClosureShardsOneTaskPerWordGroup) {
@@ -680,8 +677,8 @@ TEST(DeltaOverlay, AcceptsAndAnalyticsMatchRebuildBeforeAndAfterCompaction) {
 }
 
 TEST(DeltaSerialization, GraphPlusPendingLogRoundTrips) {
-  TimeVaryingGraph base = base_graph(13, 8, 18);
-  DeltaOverlay ov(base);
+  const TimeVaryingGraph base = base_graph(13, 8, 18);
+  QueryEngine ov(base, 1);
   ov.add_edge(0, 5, 'b', Presence::periodic(6, [] {
                 IntervalSet s;
                 s.insert_point(2);
@@ -695,23 +692,21 @@ TEST(DeltaSerialization, GraphPlusPendingLogRoundTrips) {
                                     Latency::affine(2, 1));
   ov.override_latency(added2, Latency::constant(1));  // targets an added edge
 
-  const std::string text = to_text(base, ov.log());
+  const std::string text = to_text(base, ov.pending_log());
   // The strict parser refuses a dump with pending mutations outright —
   // a checkpoint cannot silently lose its delta.
   EXPECT_THROW({ auto g = from_text(text); (void)g; }, std::invalid_argument);
 
   auto [g2, log2] = from_text_with_delta(text);
-  ASSERT_EQ(log2.size(), ov.log().size());
-  DeltaOverlay ov2(g2);
+  ASSERT_EQ(log2.size(), ov.pending_mutations());
+  QueryEngine ov2(g2, 1);
   for (const EdgeMutation& m : log2) ov2.apply(m);
 
   // Replaying the parsed log reproduces the exact merged graph.
-  const TimeVaryingGraph merged1 = materialize(base, *ov.snapshot());
-  const TimeVaryingGraph merged2 = materialize(g2, *ov2.snapshot());
-  EXPECT_EQ(to_text(merged1), to_text(merged2));
+  EXPECT_EQ(to_text(ov.materialize()), to_text(ov2.materialize()));
   // And the writer is a fixed point: dumping the parsed pair again
   // yields byte-identical text.
-  EXPECT_EQ(to_text(g2, ov2.log()), text);
+  EXPECT_EQ(to_text(g2, ov2.pending_log()), text);
 }
 
 TEST(DeltaSerialization, WriterValidatesLogAgainstGraph) {

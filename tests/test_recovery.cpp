@@ -16,9 +16,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -116,11 +118,11 @@ void expect_bit_identical(DurableEngine& recovered,
   const auto nodes = static_cast<NodeId>(oracle.node_count());
   for (NodeId s = 0; s < std::min<NodeId>(nodes, 4); ++s) {
     const JourneyQuery q = JourneyQuery::foremost(s, 0);
-    EXPECT_EQ(recovered.run(q), ref.run(q)) << where << " source " << s;
+    EXPECT_EQ(recovered.mutable_engine().run(q), ref.run(q)) << where << " source " << s;
   }
   ClosureQuery cq;
   cq.threads = 1;
-  EXPECT_EQ(recovered.closure(cq), ref.closure(cq)) << where;
+  EXPECT_EQ(recovered.mutable_engine().closure(cq), ref.closure(cq)) << where;
 }
 
 // ---------------------------------------------------------------------------
@@ -149,7 +151,7 @@ TEST(DurableEngine, RecoverAfterCleanShutdownIsExact) {
   {
     DurableEngine engine(base_graph(7), dir, {});
     for (int i = 0; i < 20; ++i) {
-      EdgeMutation m = random_mutation(rng, engine.node_count(), edges);
+      EdgeMutation m = random_mutation(rng, engine.mutable_engine().node_count(), edges);
       if (m.kind == EdgeMutation::Kind::kAddEdge) ++edges;
       engine.apply(m);
       stream.push_back(std::move(m));
@@ -175,7 +177,7 @@ TEST(DurableEngine, CheckpointShortensReplayAndPrunes) {
   {
     DurableEngine engine(base_graph(11), dir, {});
     for (int i = 0; i < 12; ++i) {
-      EdgeMutation m = random_mutation(rng, engine.node_count(), edges);
+      EdgeMutation m = random_mutation(rng, engine.mutable_engine().node_count(), edges);
       if (m.kind == EdgeMutation::Kind::kAddEdge) ++edges;
       engine.apply(m);
       stream.push_back(std::move(m));
@@ -183,7 +185,7 @@ TEST(DurableEngine, CheckpointShortensReplayAndPrunes) {
     engine.checkpoint();
     EXPECT_EQ(engine.stats().checkpoint_sequence, 12u);
     for (int i = 0; i < 5; ++i) {
-      EdgeMutation m = random_mutation(rng, engine.node_count(), edges);
+      EdgeMutation m = random_mutation(rng, engine.mutable_engine().node_count(), edges);
       if (m.kind == EdgeMutation::Kind::kAddEdge) ++edges;
       engine.apply(m);
       stream.push_back(std::move(m));
@@ -231,14 +233,14 @@ TEST(DurableEngine, FallbackChainsThroughRotatedWals) {
   {
     DurableEngine engine(base_graph(13), dir, options);
     for (int i = 0; i < 6; ++i) {
-      EdgeMutation m = random_mutation(rng, engine.node_count(), edges);
+      EdgeMutation m = random_mutation(rng, engine.mutable_engine().node_count(), edges);
       if (m.kind == EdgeMutation::Kind::kAddEdge) ++edges;
       engine.apply(m);
       stream.push_back(std::move(m));
     }
     engine.checkpoint();
     for (int i = 0; i < 4; ++i) {
-      EdgeMutation m = random_mutation(rng, engine.node_count(), edges);
+      EdgeMutation m = random_mutation(rng, engine.mutable_engine().node_count(), edges);
       if (m.kind == EdgeMutation::Kind::kAddEdge) ++edges;
       engine.apply(m);
       stream.push_back(std::move(m));
@@ -358,6 +360,138 @@ TEST(DurableEngine, WalStatsAccumulateAcrossRotation) {
 }
 
 // ---------------------------------------------------------------------------
+// One logged write path: failed writes never fork the log from the engine
+// ---------------------------------------------------------------------------
+
+EdgeMutation fresh_add(NodeId from, NodeId to) {
+  return EdgeMutation::add_edge(from, to, 'a', Presence::always(),
+                                Latency::constant(1));
+}
+
+TEST(DurableEngine, FailedSnapshotBuildIsNeitherLoggedNorVisible) {
+  // The snapshot build runs before the log write: when it fails, the
+  // record is nowhere, and the next add gets the id it would have had.
+  const FailPointGuard guard;
+  const std::string dir = fresh_dir("publish_fail");
+  const EdgeId base_edges = base_graph(4).edge_count();
+  std::vector<EdgeMutation> acked;
+  {
+    DurableEngine engine(base_graph(4), dir, {});
+    acked.push_back(fresh_add(0, 1));
+    EXPECT_EQ(engine.apply(acked.back()), base_edges);
+    FailPointRegistry::instance().arm_on_hit("delta_overlay.publish", 1,
+                                             FailPointAction::error());
+    EXPECT_THROW(engine.apply(fresh_add(1, 2)), FailPointError);
+    acked.push_back(fresh_add(2, 3));
+    EXPECT_EQ(engine.apply(acked.back()), base_edges + 1);
+    EXPECT_EQ(engine.sequence(), 2u);
+    EXPECT_EQ(to_text(engine.materialize()), to_text(oracle_at(4, acked, 2)));
+  }
+  const auto recovered = DurableEngine::recover(dir);
+  EXPECT_EQ(recovered->sequence(), 2u);
+  expect_bit_identical(*recovered, oracle_at(4, acked, 2), "publish");
+}
+
+TEST(DurableEngine, WriteFailingAfterItsLogWriteRefusesLaterWrites) {
+  // The record reached the log but the apply failed: it may survive
+  // recovery, so the engine takes no write that would get its id.
+  const FailPointGuard guard;
+  const std::string dir = fresh_dir("after_fail");
+  std::vector<EdgeMutation> stream = {fresh_add(0, 1), fresh_add(1, 2)};
+  {
+    DurableEngine engine(base_graph(4), dir, {});
+    engine.apply(stream[0]);
+    FailPointRegistry::instance().arm_on_hit("wal.append.after", 1,
+                                             FailPointAction::error());
+    EXPECT_THROW(engine.apply(stream[1]), FailPointError);
+    EXPECT_EQ(engine.mutable_engine().sequence(), 1u);
+    EXPECT_THROW(engine.apply(fresh_add(2, 3)), IoError);
+    EXPECT_THROW(engine.mutable_engine().apply(fresh_add(2, 3)), IoError);
+    EXPECT_THROW(engine.checkpoint(), IoError);
+    EXPECT_EQ(engine.mutable_engine().sequence(), 1u);
+  }
+  const auto recovered = DurableEngine::recover(dir);
+  EXPECT_EQ(recovered->sequence(), 2u);
+  expect_bit_identical(*recovered, oracle_at(4, stream, 2), "after");
+  recovered->apply(fresh_add(2, 3));
+  EXPECT_EQ(recovered->sequence(), 3u);
+}
+
+TEST(DurableEngine, ShortWalWriteRefusesLaterWritesAndLosesNoAck) {
+  // A torn frame at the end of the log: records appended after it would
+  // be cut away with it by recovery's tail repair, so none is taken.
+  const FailPointGuard guard;
+  const std::string dir = fresh_dir("short_write");
+  std::vector<EdgeMutation> acked = {fresh_add(0, 1)};
+  {
+    DurableEngine engine(base_graph(4), dir, {});  // kAlways
+    engine.apply(acked[0]);
+    FailPointRegistry::instance().arm_on_hit(
+        "wal.append.partial", 1,
+        FailPointAction{FailPointAction::Kind::kError, 7});
+    EXPECT_THROW(engine.apply(fresh_add(1, 2)), FailPointError);
+    for (EdgeId e = 0; e < 3; ++e) {
+      EXPECT_THROW(engine.apply(EdgeMutation::remove_edge(e)), IoError);
+    }
+    EXPECT_EQ(engine.mutable_engine().sequence(), 1u);
+  }
+  const auto recovered = DurableEngine::recover(dir);
+  EXPECT_EQ(recovered->stats().recovery.torn_tails_repaired, 1u);
+  EXPECT_EQ(recovered->sequence(), 1u);
+  expect_bit_identical(*recovered, oracle_at(4, acked, 1), "short");
+}
+
+TEST(DurableEngine, FailedRotationPoisonsTheLog) {
+  // The checkpoint committed but wal-<seq> could not be opened: a write
+  // appended to the old log would be invisible to recovery, which
+  // replays from the new checkpoint.
+  const FailPointGuard guard;
+  const std::string dir = fresh_dir("rotation_fail");
+  std::vector<EdgeMutation> acked = {EdgeMutation::remove_edge(0),
+                                     EdgeMutation::remove_edge(1)};
+  {
+    DurableEngine engine(base_graph(6), dir, {});
+    for (const EdgeMutation& m : acked) engine.apply(m);
+    FailPointRegistry::instance().arm_on_hit("wal.open", 1,
+                                             FailPointAction::error());
+    EXPECT_THROW(engine.checkpoint(), FailPointError);
+    EXPECT_TRUE(fs::exists(DurableEngine::checkpoint_path(dir, 2)));
+    EXPECT_THROW(engine.checkpoint(), IoError);
+    EXPECT_THROW(engine.apply(EdgeMutation::remove_edge(2)), IoError);
+    EXPECT_NO_THROW(engine.sync());  // nothing past the checkpoint
+    EXPECT_EQ(engine.sequence(), 2u);
+    EXPECT_EQ(engine.stats().wal.synced_sequence, 2u);
+  }
+  const auto recovered = DurableEngine::recover(dir);
+  EXPECT_EQ(recovered->stats().recovery.checkpoint_sequence, 2u);
+  EXPECT_EQ(recovered->sequence(), 2u);
+  expect_bit_identical(*recovered, oracle_at(6, acked, 2), "rotation");
+  recovered->apply(EdgeMutation::remove_edge(2));
+  EXPECT_EQ(recovered->sequence(), 3u);
+}
+
+TEST(DurableEngine, MutableEngineWritesAreLogged) {
+  // A front end wired to mutable_engine() writes through the same
+  // logged path as DurableEngine::apply.
+  const std::string dir = fresh_dir("mutable_logged");
+  std::vector<EdgeMutation> stream = {fresh_add(0, 1), fresh_add(1, 2),
+                                      fresh_add(2, 3)};
+  std::string expected;
+  {
+    DurableEngine engine(base_graph(4), dir, {});
+    engine.apply(stream[0]);
+    engine.mutable_engine().apply(stream[1]);
+    (void)engine.mutable_engine().apply(std::span(stream).subspan(2));
+    EXPECT_EQ(engine.sequence(), 3u);
+    expected = to_text(engine.materialize());
+  }
+  const auto recovered = DurableEngine::recover(dir);
+  EXPECT_EQ(recovered->sequence(), 3u);
+  EXPECT_EQ(to_text(recovered->materialize()), expected);
+  expect_bit_identical(*recovered, oracle_at(4, stream, 3), "mutable");
+}
+
+// ---------------------------------------------------------------------------
 // The torture matrix
 // ---------------------------------------------------------------------------
 
@@ -396,7 +530,7 @@ void run_torture_schedule(const std::string& site, std::uint64_t seed,
 
     try {
       for (int i = 0; i < 40; ++i) {
-        EdgeMutation m = random_mutation(rng, engine.node_count(), edges);
+        EdgeMutation m = random_mutation(rng, engine.mutable_engine().node_count(), edges);
         const bool is_add = m.kind == EdgeMutation::Kind::kAddEdge;
         stream.push_back(m);
         ++outcome.attempted;
@@ -438,12 +572,12 @@ void run_torture_schedule(const std::string& site, std::uint64_t seed,
 TEST(RecoveryTorture, SeededFaultMatrix) {
   const std::uint64_t base = env_seed();
   const std::vector<std::string> sites = {
-      "wal.append.before", "wal.append.partial", "wal.append.after",
-      "wal.fsync",         "checkpoint.write",   "checkpoint.fsync",
-      "checkpoint.rename",
+      "delta_overlay.publish", "wal.open",         "wal.append.before",
+      "wal.append.partial",    "wal.append.after", "wal.fsync",
+      "checkpoint.write",      "checkpoint.fsync", "checkpoint.rename",
   };
-  // 7 sites x 2 fault kinds x 2 rounds = 28 schedules per run; CI
-  // sweeps 16 TVG_RECOVERY_SEED values for 448 schedules total.
+  // 9 sites x 2 fault kinds x 2 rounds = 36 schedules per run; CI
+  // sweeps 16 TVG_RECOVERY_SEED values for 576 schedules total.
   int schedule = 0;
   for (const std::string& site : sites) {
     for (const bool use_error : {false, true}) {
@@ -488,7 +622,7 @@ TEST(RecoveryTorture, SeededRandomSiteSoak) {
       }
       try {
         for (int i = 0; i < 60; ++i) {
-          EdgeMutation m = random_mutation(rng, engine.node_count(), edges);
+          EdgeMutation m = random_mutation(rng, engine.mutable_engine().node_count(), edges);
           const bool is_add = m.kind == EdgeMutation::Kind::kAddEdge;
           stream.push_back(m);
           engine.apply(m);
@@ -520,40 +654,62 @@ TEST(RecoveryConcurrency, ConcurrentApplyCheckpointReadThenRecover) {
   std::uint64_t final_seq = 0;
   {
     DurableEngine engine(base_graph(21), dir, {});
-    const auto writer = [&engine](std::uint64_t seed) {
+    // The third writer goes through mutable_engine(): the same logged
+    // path, so its writes are part of the recovered state too.
+    const auto writer = [&engine](std::uint64_t seed, bool via_engine) {
       std::mt19937_64 rng(seed);
+      MutableEngine& me = engine.mutable_engine();
       for (int i = 0; i < 30; ++i) {
         // Only override_latency/patch_presence on BASE edges: valid
-        // regardless of interleaving, so both writers run lock-free of
+        // regardless of interleaving, so the writers run lock-free of
         // each other's edge-count changes.
         const auto e = static_cast<EdgeId>(rng() % 24);
+        EdgeMutation m;
         if (rng() % 2 == 0) {
-          engine.apply(EdgeMutation::override_latency(
-              e, Latency::constant(1 + Time(rng() % 3))));
+          m = EdgeMutation::override_latency(
+              e, Latency::constant(1 + Time(rng() % 3)));
         } else {
           IntervalSet pattern;
           pattern.insert_point(static_cast<Time>(rng() % 6));
-          engine.apply(EdgeMutation::patch_presence(
-              e, Presence::periodic(6, std::move(pattern))));
+          m = EdgeMutation::patch_presence(
+              e, Presence::periodic(6, std::move(pattern)));
+        }
+        if (via_engine) {
+          me.apply(m);
+        } else {
+          engine.apply(m);
         }
       }
     };
-    std::thread w1(writer, 101);
-    std::thread w2(writer, 202);
+    std::atomic<bool> writing{true};
+    std::thread w1(writer, 101, false);
+    std::thread w2(writer, 202, false);
+    std::thread w3(writer, 303, true);
     std::thread checkpointer([&engine] {
       for (int i = 0; i < 4; ++i) engine.checkpoint();
     });
+    std::thread compactor([&engine, &writing] {
+      while (writing.load()) {
+        (void)engine.compact_async();
+        std::this_thread::yield();
+      }
+    });
     std::thread reader([&engine] {
       for (int i = 0; i < 20; ++i) {
-        (void)engine.run(JourneyQuery::foremost(0, 0));
+        (void)engine.mutable_engine().run(JourneyQuery::foremost(0, 0));
         (void)engine.stats();
       }
     });
     w1.join();
     w2.join();
+    w3.join();
+    writing.store(false);
     checkpointer.join();
+    compactor.join();
     reader.join();
-    EXPECT_EQ(engine.sequence(), 60u);
+    engine.wait_for_compaction();
+    EXPECT_EQ(engine.sequence(), 90u);
+    EXPECT_EQ(engine.mutable_engine().sequence(), 90u);
     final_seq = engine.sequence();
     final_text = to_text(engine.materialize());
   }

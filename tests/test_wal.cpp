@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -161,6 +162,61 @@ TEST(Wal, ReopenContinuesSequence) {
   EXPECT_EQ(replayed.records[1].sequence, 2u);
   EXPECT_EQ(replayed.records[1].mutation.kind,
             EdgeMutation::Kind::kPatchPresence);
+}
+
+TEST(Wal, BatchAppendIsOneRunOfRecords) {
+  const std::string dir = fresh_dir("batch");
+  const std::string path = dir + "/wal-0.log";
+  const auto muts = sample_mutations();
+  const std::vector<EdgeId> ids = {20, 21, 0, 1, 0};
+  {
+    Wal wal(path, WalOptions{}, 0, 1);
+    EXPECT_EQ(wal.append(muts[0], 20), 1u);
+    EXPECT_EQ(wal.append(std::span(muts).subspan(1),
+                         std::span(ids).subspan(1)),
+              5u);
+    EXPECT_EQ(wal.stats().appends, 5u);
+    // A runtime-only schedule anywhere in a batch writes nothing.
+    const std::vector<EdgeMutation> bad = {
+        muts[2], EdgeMutation::override_latency(
+                     0, Latency::function([](Time t) { return t; }, "f"))};
+    EXPECT_THROW(wal.append(bad, std::span(ids).first(2)),
+                 std::invalid_argument);
+    EXPECT_EQ(wal.stats().next_sequence, 6u);
+    wal.sync();
+  }
+  const Wal::ReplayResult replayed = Wal::replay(path);
+  EXPECT_FALSE(replayed.torn);
+  ASSERT_EQ(replayed.records.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(replayed.records[i].sequence, i + 1);
+    EXPECT_EQ(replayed.records[i].assigned_edge, ids[i]);
+  }
+}
+
+TEST(Wal, RotateContinuesInANewFileWithCountersCarried) {
+  const std::string dir = fresh_dir("rotate");
+  const auto muts = sample_mutations();
+  Wal wal(dir + "/wal-0.log", WalOptions{}, 0, 1);
+  wal.append(muts[0], 10);
+  wal.append(muts[1], 11);
+  const Wal::Stats before = wal.stats();
+  wal.rotate(dir + "/wal-2.log", 2);
+  EXPECT_EQ(wal.path(), dir + "/wal-2.log");
+  EXPECT_EQ(wal.stats().synced_sequence, 2u);  // covered by the caller
+  EXPECT_EQ(wal.append(muts[2], 0), 3u);
+  wal.sync();
+  const Wal::Stats after = wal.stats();
+  EXPECT_EQ(after.appends, 3u);
+  EXPECT_EQ(after.syncs, before.syncs + 1);
+  EXPECT_GT(after.bytes_written, before.bytes_written + Wal::kHeaderBytes);
+
+  const Wal::ReplayResult old_log = Wal::replay(dir + "/wal-0.log");
+  EXPECT_EQ(old_log.records.size(), 2u);
+  const Wal::ReplayResult new_log = Wal::replay(dir + "/wal-2.log");
+  EXPECT_EQ(new_log.base_sequence, 2u);
+  ASSERT_EQ(new_log.records.size(), 1u);
+  EXPECT_EQ(new_log.records[0].sequence, 3u);
 }
 
 TEST(Wal, RuntimeOnlyScheduleRejectedBeforeWrite) {
@@ -343,6 +399,35 @@ TEST(WalFailpoints, FsyncFailureSurfacesAndDoesNotAdvanceSyncedSeq) {
   FailPointRegistry::instance().disarm_all();
   wal.sync();
   EXPECT_EQ(wal.stats().synced_sequence, 1u);
+}
+
+TEST(WalFailpoints, FailedWritePoisonsTheHandle) {
+  const FailPointGuard guard;
+  const std::string dir = fresh_dir("fp_poison");
+  const std::string path = dir + "/wal-0.log";
+  const auto muts = sample_mutations();
+  Wal wal(path, WalOptions{}, 0, 1);
+  wal.append(muts[0], 10);
+  // Before the first byte: the handle stays usable.
+  FailPointRegistry::instance().arm_on_hit("wal.append.before", 1,
+                                           FailPointAction::error());
+  EXPECT_THROW(wal.append(muts[1], 11), FailPointError);
+  EXPECT_NO_THROW(wal.check_writable());
+  EXPECT_EQ(wal.append(muts[1], 11), 2u);
+  // A short write: the tail is torn, so nothing may follow it.
+  FailPointRegistry::instance().arm_on_hit(
+      "wal.append.partial", 1,
+      FailPointAction{FailPointAction::Kind::kError, 5});
+  EXPECT_THROW(wal.append(muts[2], 12), FailPointError);
+  EXPECT_THROW(wal.check_writable(), IoError);
+  EXPECT_THROW(wal.append(muts[3], 13), IoError);
+  EXPECT_EQ(wal.stats().next_sequence, 3u);
+  wal.sync();  // the acknowledged prefix can still be made durable
+  EXPECT_EQ(wal.stats().synced_sequence, 2u);
+
+  const Wal::ReplayResult replayed = Wal::replay(path);
+  EXPECT_TRUE(replayed.torn);
+  EXPECT_EQ(replayed.records.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
