@@ -8,8 +8,10 @@
 
 #include "tvg/delta_overlay.hpp"
 #include "tvg/departures.hpp"
+#include "tvg/query_engine.hpp"
 #include "tvg/read_core.hpp"
 #include "tvg/schedule_index.hpp"
+#include "tvg/sync.hpp"
 #include "tvg/visited.hpp"
 
 namespace tvg {
@@ -817,14 +819,12 @@ void Kernels<View>::multi_source_foremost(
       throw std::out_of_range("multi_source_foremost: source out of range");
     }
   }
-  // Lane-packing eligibility is graph-wide: exact-predicate schedules
-  // may run user code (which could even re-enter a search), and
-  // non-constant latencies break the Wait-mode dominance argument — both
-  // take the per-source serial path below, which is exactly the code the
-  // packed path is measured against.
-  const bool eligible = vw.all_semi_periodic() && vw.all_latency_constant();
+  // Ineligible graphs (see lane_packing_eligible) take the per-source
+  // serial path below, which is exactly the code the packed path is
+  // measured against.
+  const bool eligible = lane_packing_eligible(vw);
   if (eligible) {
-    // One up-front reservation per closure call: the packed scratch is
+    // One up-front reservation per kernel call: the packed scratch is
     // assign()ed per word, so sizing it here keeps the 10^6-node sweeps
     // free of mid-word growth (the leased arenas keep the capacity).
     a.ms_seen.reserve(n);
@@ -1014,99 +1014,50 @@ ForemostScan foremost_scan(const TimeVaryingGraph& g, NodeId source,
                                       policy, limits, ws.arenas());
 }
 
-void multi_source_foremost(const TimeVaryingGraph& g,
-                           std::span<const NodeId> sources, Time start_time,
-                           Policy policy, SearchLimits limits,
-                           SearchWorkspace& ws,
-                           std::span<std::vector<Time>> rows,
-                           std::span<char> truncated,
-                           DirectionOptions direction) {
-  FrozenKernels::multi_source_foremost(FrozenView(g), sources, start_time,
-                                       policy, limits, direction, ws.arenas(),
-                                       rows, truncated);
-}
-
-namespace {
-
-/// Runs the bit-parallel kernel one 64-source word at a time, handing
-/// each word's rows to `scan_rows` and discarding them before the next
-/// word — the all-pairs sweeps below keep the lane-packing speedup at
-/// O(64 · n) memory instead of materializing an n × n matrix, and
-/// `scan_rows` returning false exits early (a disconnected word proves
-/// the whole answer).
-template <typename ScanRows>
-void for_each_closure_word(const TimeVaryingGraph& g, Time start_time,
-                           Policy policy, SearchLimits limits,
-                           ScanRows&& scan_rows) {
-  const std::size_t n = g.node_count();
-  if (n == 0) return;
-  // On lane-packing-ineligible graphs the kernel would just run 64
-  // serial scans per call — chunk by single rows there so the early
-  // exit keeps its old per-source granularity (a disconnect after one
-  // scan must not cost 64).
-  const ScheduleIndex& sx = g.schedule_index();
-  const std::size_t word_size =
-      sx.all_semi_periodic() && sx.all_latency_constant() ? 64 : 1;
-  SearchWorkspace ws;
-  std::vector<NodeId> sources;
-  std::vector<std::vector<Time>> rows;
-  std::vector<char> truncated;
-  for (std::size_t base = 0; base < n; base += word_size) {
-    const std::size_t count = std::min<std::size_t>(word_size, n - base);
-    sources.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      sources[i] = static_cast<NodeId>(base + i);
-    }
-    rows.resize(count);
-    truncated.assign(count, 0);
-    multi_source_foremost(g, sources, start_time, policy, limits, ws, rows,
-                          truncated);
-    if (!scan_rows(std::span<const std::vector<Time>>(rows))) return;
-  }
-}
-
-}  // namespace
-
-bool temporally_connected(const TimeVaryingGraph& g, Time start_time,
-                          Policy policy, SearchLimits limits) {
-  bool connected = true;
-  for_each_closure_word(g, start_time, policy, limits,
-                        [&](std::span<const std::vector<Time>> rows) {
+std::optional<Time> temporal_diameter(const QueryEngine& engine,
+                                      Time start_time, Policy policy,
+                                      SearchLimits limits) {
+  ClosureQuery q;
+  q.start_time = start_time;
+  q.policy = policy;
+  q.limits = limits;
+  Mutex mu;
+  std::optional<Time> diameter = 0;  // nullopt once a pair is unreachable
+  engine.closure_fold(q, [&](std::size_t, std::span<std::vector<Time>> rows) {
+    const MutexLock lock(mu);
+    if (!diameter) return false;  // another word already decided
     for (const std::vector<Time>& row : rows) {
       for (const Time t : row) {
         if (t == kTimeInfinity) {
-          connected = false;
+          diameter.reset();
           return false;  // one unreachable pair decides the answer
         }
+        // sat_sub: finite-but-huge arrival minus a negative start_time
+        // must saturate, not wrap (the PR-4 overflow class).
+        diameter = std::max(*diameter, sat_sub(t, start_time));
       }
     }
     return true;
   });
-  return connected;
+  return diameter;
 }
 
 std::optional<Time> temporal_diameter(const TimeVaryingGraph& g,
                                       Time start_time, Policy policy,
                                       SearchLimits limits) {
-  Time diameter = 0;
-  bool connected = true;
-  for_each_closure_word(g, start_time, policy, limits,
-                        [&](std::span<const std::vector<Time>> rows) {
-    for (const std::vector<Time>& row : rows) {
-      for (const Time t : row) {
-        if (t == kTimeInfinity) {
-          connected = false;
-          return false;
-        }
-        // sat_sub: finite-but-huge arrival minus a negative start_time
-        // must saturate, not wrap (the PR-4 overflow class).
-        diameter = std::max(diameter, sat_sub(t, start_time));
-      }
-    }
-    return true;
-  });
-  if (!connected) return std::nullopt;
-  return diameter;
+  const QueryEngine engine(g, 0, CacheConfig::disabled());
+  return temporal_diameter(engine, start_time, policy, limits);
+}
+
+bool temporally_connected(const QueryEngine& engine, Time start_time,
+                          Policy policy, SearchLimits limits) {
+  return temporal_diameter(engine, start_time, policy, limits).has_value();
+}
+
+bool temporally_connected(const TimeVaryingGraph& g, Time start_time,
+                          Policy policy, SearchLimits limits) {
+  const QueryEngine engine(g, 0, CacheConfig::disabled());
+  return temporally_connected(engine, start_time, policy, limits);
 }
 
 }  // namespace tvg

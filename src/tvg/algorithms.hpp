@@ -21,13 +21,13 @@
 // Execution model: every search kernel runs over the graph's compiled
 // ScheduleIndex + frozen CSR adjacency (schedule_index.hpp) and writes
 // into a SearchWorkspace — no per-search allocation on the hot path.
-// The frozen-graph kernel entry points below (foremost_arrivals,
-// foremost_scan, multi_source_foremost) take that workspace explicitly;
-// the streaming all-pairs sweeps (temporally_connected,
-// temporal_diameter) own one for the call. Journey, reachability and
-// closure queries otherwise go through tvg::QueryEngine
+// The single-source kernel entry points below (foremost_arrivals,
+// foremost_scan) take that workspace explicitly. Journey, reachability,
+// closure and all-pairs queries otherwise go through tvg::QueryEngine
 // (query_engine.hpp), which validates them, caches results, owns a
-// workspace pool and shards batches across threads.
+// workspace pool and shards batches across threads; the all-pairs
+// sweeps below (temporally_connected, temporal_diameter) stream its
+// closure words.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +41,8 @@
 #include "tvg/policy.hpp"
 
 namespace tvg {
+
+class QueryEngine;  // query_engine.hpp
 
 namespace detail {
 struct SearchArenas;  // algorithms.cpp
@@ -63,6 +65,11 @@ class SearchWorkspace {
 
   /// Kernel-internal arenas; layout is private to algorithms.cpp.
   [[nodiscard]] detail::SearchArenas& arenas() noexcept { return *arenas_; }
+
+  /// The rows of one closure word (QueryEngine::closure_fold): the
+  /// engine runs each word into the leased workspace's buffer and hands
+  /// it to the fold, so a streaming fold reuses O(64 · n) memory.
+  std::vector<std::vector<Time>> word_rows;
 
  private:
   std::unique_ptr<detail::SearchArenas> arenas_;
@@ -94,7 +101,7 @@ enum class FrontierMode : std::uint8_t {
   kPullOnly = 2,  // gather over in-edges whenever the word is eligible
 };
 
-/// Direction-optimization knobs for multi_source_foremost. Scheduling
+/// Direction-optimization knobs for the packed closure kernel. Scheduling
 /// hints only: the pull path is gated to regimes where it provably
 /// reproduces the push rows bit for bit (Wait policy, bucketed window,
 /// one uniform constant latency, an unexhaustible config budget) and
@@ -173,39 +180,6 @@ struct ForemostScan {
                                          Policy policy, SearchLimits limits,
                                          SearchWorkspace& ws);
 
-/// Bit-parallel multi-source foremost rows: the kernel behind
-/// QueryEngine::closure() and every sweep built on it.
-///
-/// Sources are packed 64 per `uint64_t` lane word; one ascending-time
-/// pass over the compiled ScheduleIndex + CSR propagates all lanes of a
-/// word together with bitwise ORs, so 64 rows cost roughly one walk of
-/// the shared (node, time) structure instead of 64. Two packed modes
-/// mirror the serial kernels exactly:
-///  * Wait + constant latencies — packed Dijkstra: a lane is finalized
-///    at a node the first instant it appears (earlier arrivals dominate);
-///  * NoWait / BoundedWait — packed configuration search: lane masks
-///    accumulate per (node, time) state, since later arrivals enable
-///    departures an early arrival cannot reach.
-///
-/// `rows[i]` / `truncated[i]` receive exactly what
-/// `foremost_scan(g, sources[i], ...)` would produce — bit-identical,
-/// which the packed path guarantees by falling back to per-source serial
-/// scans whenever it cannot: graphs with exact-predicate schedules or
-/// non-constant latencies, and words where a conservative budget guard
-/// shows the serial search could have hit SearchLimits::max_configs or
-/// its departure watchdog. Both spans must have sources.size() entries.
-/// Not thread-safe per workspace; shard distinct WORDS (64-source
-/// groups), not sources, across threads. `direction` picks the
-/// push/pull frontier strategy; rows and truncation flags are
-/// bit-identical across every mode (see DirectionOptions).
-void multi_source_foremost(const TimeVaryingGraph& g,
-                           std::span<const NodeId> sources, Time start_time,
-                           Policy policy, SearchLimits limits,
-                           SearchWorkspace& ws,
-                           std::span<std::vector<Time>> rows,
-                           std::span<char> truncated,
-                           DirectionOptions direction = {});
-
 /// Outcome of a fastest (minimum-duration) search, with truncation
 /// reporting (mirrors ForemostTree::truncated): `journey` may be
 /// non-optimal — or absent despite the target being reachable — only
@@ -221,9 +195,13 @@ struct FastestJourneyResult {
 /// True iff every ordered pair (u, v) is connected by a feasible journey
 /// starting at `start_time` (the class "temporally connected" of [1]).
 ///
-/// Streams the sources through multi_source_foremost one 64-source word
-/// at a time (O(64 · n) memory, never the n × n closure) and returns at
-/// the first unreachable pair.
+/// Streams the closure words of `engine` (QueryEngine::closure_fold,
+/// O(threads · 64 · n) memory, never the n × n closure) across its
+/// workers and stops at the first unreachable pair.
+[[nodiscard]] bool temporally_connected(const QueryEngine& engine,
+                                        Time start_time, Policy policy,
+                                        SearchLimits limits = {});
+/// As above, on a cache-disabled engine over `g`.
 [[nodiscard]] bool temporally_connected(const TimeVaryingGraph& g,
                                         Time start_time, Policy policy,
                                         SearchLimits limits = {});
@@ -231,6 +209,11 @@ struct FastestJourneyResult {
 /// max over ordered pairs of (foremost arrival − start_time);
 /// nullopt if some pair is unreachable. Streams words exactly like
 /// temporally_connected.
+[[nodiscard]] std::optional<Time> temporal_diameter(const QueryEngine& engine,
+                                                    Time start_time,
+                                                    Policy policy,
+                                                    SearchLimits limits = {});
+/// As above, on a cache-disabled engine over `g`.
 [[nodiscard]] std::optional<Time> temporal_diameter(const TimeVaryingGraph& g,
                                                     Time start_time,
                                                     Policy policy,

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "tvg/algorithms.hpp"
+#include "tvg/query_engine.hpp"
 
 namespace tvg {
 
@@ -83,8 +84,10 @@ bool recurrently_connected(const TimeVaryingGraph& g, Policy policy,
   // wrapped horizon would silently truncate every connectivity probe.
   const Time settle = sat_add(t_abs, period);
   limits.horizon = sat_add(sat_mul(settle, 8), 64);
+  // One engine (index, workspaces, workers) serves every start instant.
+  const QueryEngine engine(g, 0, CacheConfig::disabled());
   for (Time t0 = 0; t0 < settle; ++t0) {
-    if (!temporally_connected(g, t0, policy, limits)) return false;
+    if (!temporally_connected(engine, t0, policy, limits)) return false;
   }
   return true;
 }

@@ -282,7 +282,7 @@ std::unique_ptr<DurableEngine> DurableEngine::recover(std::string dir,
   r.next_sequence = link + 1;
   while (fs::exists(wal_path(dir, link), ec)) {
     const std::string wal = wal_path(dir, link);
-    Wal::ReplayResult replayed = Wal::replay(wal);
+    Wal::ReplayResult replayed = Wal::replay(wal, link);
     if (replayed.base_sequence != link) {
       throw RecoveryError("recover: " + wal + ": base sequence " +
                           std::to_string(replayed.base_sequence) +
@@ -315,7 +315,8 @@ std::unique_ptr<DurableEngine> DurableEngine::recover(std::string dir,
   // Missing WAL after a valid checkpoint is the crash-between-rename-
   // and-rotation window: every record <= checkpoint_seq is folded into
   // the checkpoint, so an empty log is the correct state. The Wal
-  // constructor below creates it.
+  // constructor below creates it, and writes the header of a log that
+  // a crash left empty or short (truncated to 0 above).
 
   return std::unique_ptr<DurableEngine>(
       new DurableEngine(std::move(r), std::move(dir), options));

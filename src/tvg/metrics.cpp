@@ -92,34 +92,70 @@ double average_density(const TimeVaryingGraph& g, Time horizon) {
   return total / static_cast<double>(horizon);
 }
 
-std::optional<double> characteristic_temporal_distance(
-    const std::vector<std::vector<Time>>& rows, Time start_time) {
+namespace {
+
+/// Source u's share of the characteristic temporal distance: the sum of
+/// (arrival − start_time) over its reachable targets v != u, and their
+/// count.
+struct PairSum {
+  double total{0.0};
+  std::size_t pairs{0};
+};
+
+[[nodiscard]] PairSum row_pair_sum(std::span<const Time> row, NodeId u,
+                                   Time start_time) {
+  PairSum sum;
+  for (NodeId v = 0; v < row.size(); ++v) {
+    if (u == v || row[v] == kTimeInfinity) continue;
+    // time-arith: double accumulation (sat_sub already guards the Time op)
+    sum.total += static_cast<double>(sat_sub(row[v], start_time));
+    ++sum.pairs;
+  }
+  return sum;
+}
+
+/// The mean over the shares, summed in source order: both overloads take
+/// this path, so they agree bit for bit at any thread count.
+[[nodiscard]] std::optional<double> mean_of(std::span<const PairSum> sums) {
   double total = 0.0;
   std::size_t pairs = 0;
-  for (NodeId u = 0; u < rows.size(); ++u) {
-    for (NodeId v = 0; v < rows[u].size(); ++v) {
-      if (u == v || rows[u][v] == kTimeInfinity) continue;
-      // time-arith: double accumulation (sat_sub already guards the Time op)
-      total += static_cast<double>(sat_sub(rows[u][v], start_time));
-      ++pairs;
-    }
+  for (const PairSum& s : sums) {
+    total += s.total;
+    pairs += s.pairs;
   }
   if (pairs == 0) return std::nullopt;
   return total / static_cast<double>(pairs);
 }
 
+}  // namespace
+
+std::optional<double> characteristic_temporal_distance(
+    const std::vector<std::vector<Time>>& rows, Time start_time) {
+  std::vector<PairSum> sums(rows.size());
+  for (NodeId u = 0; u < rows.size(); ++u) {
+    sums[u] = row_pair_sum(rows[u], u, start_time);
+  }
+  return mean_of(sums);
+}
+
 std::optional<double> characteristic_temporal_distance(
     const TimeVaryingGraph& g, Time start_time, Policy policy,
     Time horizon) {
-  // One engine closure feeds the whole pair sum (the workspace pool
-  // plays the role the explicit SearchWorkspace used to).
-  QueryEngine engine(g, /*default_threads=*/1, CacheConfig::disabled());
+  const QueryEngine engine(g, 0, CacheConfig::disabled());
   ClosureQuery q;
   q.start_time = start_time;
   q.policy = policy;
   q.limits = SearchLimits::up_to(horizon);
-  return characteristic_temporal_distance(engine.closure(q).rows,
-                                          start_time);
+  std::vector<PairSum> sums(g.node_count());  // disjoint per word: no lock
+  engine.closure_fold(q, [&](std::size_t lo,
+                             std::span<std::vector<Time>> rows) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      sums[lo + i] =
+          row_pair_sum(rows[i], static_cast<NodeId>(lo + i), start_time);
+    }
+    return true;
+  });
+  return mean_of(sums);
 }
 
 }  // namespace tvg

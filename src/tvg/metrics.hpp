@@ -52,13 +52,16 @@ struct SearchLimits;  // from algorithms.hpp
 
 /// Characteristic temporal distance: mean over reachable ordered pairs of
 /// (foremost arrival − start_time); nullopt when nothing is reachable.
+/// A fold over the closure words of a cache-disabled engine on `g`
+/// (QueryEngine::closure_fold), bit-identical to the rows overload.
 [[nodiscard]] std::optional<double> characteristic_temporal_distance(
     const TimeVaryingGraph& g, Time start_time, Policy policy,
     Time horizon = kTimeInfinity);
 
 /// As above, from precomputed all-source closure rows
 /// (QueryEngine::closure() output) — rows[u][v] is
-/// the foremost arrival at v from u.
+/// the foremost arrival at v from u. Sums per source row, then over the
+/// rows in order.
 [[nodiscard]] std::optional<double> characteristic_temporal_distance(
     const std::vector<std::vector<Time>>& rows, Time start_time);
 

@@ -284,12 +284,21 @@ std::vector<JourneyResult> QueryEngine::run(
 // Multi-source closure
 // ---------------------------------------------------------------------------
 
-ClosureResult QueryEngine::sweep(const State& state,
-                                 std::span<const NodeId> sources,
-                                 const ClosureQuery& q) const {
+template <typename Fold>
+bool QueryEngine::stream(const State& state, std::span<const NodeId> sources,
+                         const ClosureQuery& q, Fold&& fold) const {
   return with_view(*state.epoch, *state.overlay, [&](const auto& view) {
-    return read_closure(view, sources, q, workers_);
+    return fold_closure(view, sources, q, workers_, fold);
   });
+}
+
+bool QueryEngine::closure_fold(const ClosureQuery& q,
+                               const ClosureFold& fold) const {
+  const State state = capture();
+  const std::vector<NodeId> sources = materialize_sources(
+      state.epoch->node_count(), q.sources,
+      "QueryEngine::closure_fold: source out of range");
+  return stream(state, sources, q, fold);
 }
 
 ClosureResult QueryEngine::closure(const ClosureQuery& q) const {
@@ -297,20 +306,29 @@ ClosureResult QueryEngine::closure(const ClosureQuery& q) const {
   const std::vector<NodeId> sources = materialize_sources(
       state.epoch->node_count(), q.sources,
       "QueryEngine::closure: source out of range");
-  return sweep(state, sources, q);
+  ClosureResult result;
+  result.rows.resize(sources.size());
+  result.truncated = stream(
+      state, sources, q,
+      [&](std::size_t lo, std::span<std::vector<Time>> rows) {
+        std::move(rows.begin(), rows.end(), result.rows.begin() + lo);
+        return true;
+      });
+  return result;
 }
 
 // ---------------------------------------------------------------------------
-// Analytics over packed closure rows. Each request captures once and runs
-// every sweep over that one {epoch, overlay} pair, then reduces the row
-// block deterministically (disjoint column shards; fixed-order
-// floating-point loops inside one task). Results are cached with
-// kFootprintAll: any write drops them.
+// Analytics over closure words. Each request captures once and runs every
+// sweep over that one {epoch, overlay} pair. k_reachability and
+// influence_spread fold each word's rows into their integer result under
+// a merge lock (O(threads · 64 · n) rows); centrality iterates over the
+// whole row block. Results are cached with kFootprintAll: any write
+// drops them.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Column-shard width for the analytics reduces: wide enough that a task
+/// Column-shard width for centrality's rounds: wide enough that a task
 /// streams whole cache lines, narrow enough to load-balance 10^5-node
 /// graphs over any pool size.
 constexpr std::size_t kColumnChunk = 4096;
@@ -328,22 +346,19 @@ KReachabilityResult QueryEngine::k_reachability(
   if (const auto hit = find_cached<KReachabilityResult>(cache_.get(), key)) {
     return *hit;
   }
-  const ClosureResult swept = sweep(state, sources, q.closure);
   KReachabilityResult result;
-  result.truncated = swept.truncated;
   result.counts.assign(n, 0);
-  // Each task owns a contiguous column range: writes are disjoint and
-  // every count is a plain integer sum — identical at any thread count.
-  const std::size_t chunks = (n + kColumnChunk - 1) / kColumnChunk;
-  workers_.parallel_for(
-      chunks, q.closure.threads, [&](std::size_t c, SearchWorkspace&) {
-        const std::size_t lo = c * kColumnChunk;
-        const std::size_t hi = std::min(n, lo + kColumnChunk);
-        for (const std::vector<Time>& row : swept.rows) {
-          for (std::size_t v = lo; v < hi; ++v) {
+  Mutex merge_mu;
+  result.truncated = stream(
+      state, sources, q.closure,
+      [&](std::size_t, std::span<std::vector<Time>> rows) {
+        const MutexLock lock(merge_mu);  // integer sums merge in any order
+        for (const std::vector<Time>& row : rows) {
+          for (std::size_t v = 0; v < n; ++v) {
             result.counts[v] += row[v] != kTimeInfinity ? 1u : 0u;
           }
         }
+        return true;
       });
   for (std::size_t v = 0; v < n; ++v) {
     if (result.counts[v] >= q.k) {
@@ -372,46 +387,37 @@ InfluenceResult QueryEngine::influence_spread(const InfluenceQuery& q) const {
   InfluenceResult result;
   result.spread.resize(q.source_sets.size());
   result.total.assign(q.source_sets.size(), 0);
-  const std::size_t chunks = (n + kColumnChunk - 1) / kColumnChunk;
   ClosureQuery sweep_q;
   sweep_q.start_time = q.start_time;
   sweep_q.policy = q.policy;
   sweep_q.limits = q.limits;
   sweep_q.threads = q.threads;
+  std::vector<Time> cone;
   for (std::size_t set = 0; set < q.source_sets.size(); ++set) {
     result.spread[set].assign(samples, 0);
     // An empty seed set infects nobody (it must NOT expand to "all
     // nodes" the way an empty closure source list does).
     if (q.source_sets[set].empty()) continue;
-    const ClosureResult swept = sweep(state, q.source_sets[set], sweep_q);
-    result.truncated = result.truncated || swept.truncated;
-    // Per-chunk partial histograms merged in chunk order: the union
-    // cone's min-fold and the threshold counts are all integral, so the
-    // curve is identical at any thread count.
-    std::vector<std::vector<std::size_t>> partial(chunks);
-    workers_.parallel_for(chunks, q.threads, [&](std::size_t c,
-                                                 SearchWorkspace&) {
-      auto& p = partial[c];
-      p.assign(samples + 1, 0);
-      const std::size_t lo = c * kColumnChunk;
-      const std::size_t hi = std::min(n, lo + kColumnChunk);
-      for (std::size_t v = lo; v < hi; ++v) {
-        Time m = kTimeInfinity;
-        for (const std::vector<Time>& row : swept.rows) {
-          m = std::min(m, row[v]);
-        }
-        if (m == kTimeInfinity) continue;
-        ++p[samples];  // reached by the horizon
-        for (std::size_t j = 0; j < samples; ++j) {
-          if (m <= q.sample_times[j]) ++p[j];
-        }
-      }
-    });
-    for (const auto& p : partial) {
-      if (p.empty()) continue;
-      result.total[set] += p[samples];
+    // The union cone: every row min-folds into `cone`.
+    cone.assign(n, kTimeInfinity);
+    Mutex merge_mu;
+    const bool truncated = stream(
+        state, q.source_sets[set], sweep_q,
+        [&](std::size_t, std::span<std::vector<Time>> rows) {
+          const MutexLock lock(merge_mu);  // a min merges in any order
+          for (const std::vector<Time>& row : rows) {
+            for (std::size_t v = 0; v < n; ++v) {
+              cone[v] = std::min(cone[v], row[v]);
+            }
+          }
+          return true;
+        });
+    result.truncated = result.truncated || truncated;
+    for (const Time m : cone) {
+      if (m == kTimeInfinity) continue;
+      ++result.total[set];  // reached by the horizon
       for (std::size_t j = 0; j < samples; ++j) {
-        result.spread[set][j] += p[j];
+        if (m <= q.sample_times[j]) ++result.spread[set][j];
       }
     }
   }
@@ -484,27 +490,30 @@ CentralityResult QueryEngine::centrality(const CentralityQuery& q) const {
   if (const auto hit = find_cached<CentralityResult>(cache_.get(), key)) {
     return *hit;
   }
-  const ClosureResult swept = sweep(state, sources, q.closure);
-  const std::size_t s_count = sources.size();
   // Endorsement weight of source s for node v: 1 / (1 + foremost delay),
   // normalized by the row's total mass — recomputed on the fly each
   // round so the iteration never materializes an S x n double matrix on
-  // top of the row block.
+  // top of the row block. Each word's masses are summed as its rows are
+  // moved into place.
+  const std::size_t s_count = sources.size();
+  std::vector<std::vector<Time>> rows(s_count);
   std::vector<double> mass(s_count, 0.0);
-  workers_.parallel_for(
-      s_count, q.closure.threads, [&](std::size_t s, SearchWorkspace&) {
-        const std::vector<Time>& row = swept.rows[s];
-        double m = 0.0;
-        for (std::size_t v = 0; v < n; ++v) {
-          if (row[v] == kTimeInfinity) continue;
-          // time-arith: double accumulation (delta via sat_sub)
-          m += 1.0 / (1.0 + static_cast<double>(sat_sub(
-                                row[v], q.closure.start_time)));
+  const bool truncated = stream(
+      state, sources, q.closure,
+      [&](std::size_t lo, std::span<std::vector<Time>> word) {
+        for (std::size_t i = 0; i < word.size(); ++i) {
+          for (const Time arr : word[i]) {
+            if (arr == kTimeInfinity) continue;
+            // time-arith: double accumulation (delta via sat_sub)
+            mass[lo + i] += 1.0 / (1.0 + static_cast<double>(sat_sub(
+                                             arr, q.closure.start_time)));
+          }
+          rows[lo + i] = std::move(word[i]);
         }
-        mass[s] = m;
+        return true;
       });
   CentralityResult result;
-  result.truncated = swept.truncated;
+  result.truncated = truncated;
   result.score.assign(n, 1.0);
   std::vector<double> next(n, 0.0);
   std::vector<double> source_score(s_count, 0.0);
@@ -525,7 +534,7 @@ CentralityResult QueryEngine::centrality(const CentralityQuery& q) const {
             double acc = 0.0;
             for (std::size_t s = 0; s < s_count; ++s) {
               if (mass[s] == 0.0) continue;
-              const Time arr = swept.rows[s][v];
+              const Time arr = rows[s][v];
               if (arr == kTimeInfinity) continue;
               const double w =
                   1.0 / (1.0 + static_cast<double>(sat_sub(

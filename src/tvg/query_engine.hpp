@@ -15,10 +15,10 @@
 //  * run(JourneyQuery)            -> JourneyResult      (one query)
 //  * run(span<JourneyQuery>)      -> vector<JourneyResult>   (batch,
 //    sharded across a thread pool, results in request order)
-//  * closure(ClosureQuery)        -> ClosureResult      (multi-source
-//    foremost rows, one workspace per thread, merged deterministically:
-//    row i is written only by the worker that ran source i, so the rows
-//    are bit-identical to a serial sweep at any thread count)
+//  * closure_fold(ClosureQuery, fold) (streams 64-source words of
+//    foremost rows through `fold` on the workers; may stop early)
+//  * closure(ClosureQuery)        -> ClosureResult      (the fold that
+//    keeps every row: bit-identical to a serial sweep at any thread count)
 //  * k_reachability / influence_spread / betweenness / centrality
 //  * accepts(AcceptSpec, span<Word>) -> vector<AcceptOutcome>  (batched
 //    TVG-automaton acceptance: the word set is compiled into a trie and
@@ -74,10 +74,10 @@
 //    always equals a cold run on the current graph.
 //
 // The engine is the one front door for every query. Below it sit the
-// frozen-graph kernel entry points of algorithms.hpp (foremost_arrivals,
-// foremost_scan, multi_source_foremost), which take a caller-owned
-// SearchWorkspace and neither cache nor shard; TvgAutomaton::accepts is
-// a thin wrapper over accepts().
+// kernel entry points of algorithms.hpp (foremost_arrivals,
+// foremost_scan), which take a caller-owned SearchWorkspace and neither
+// cache nor shard; TvgAutomaton::accepts is a thin wrapper over
+// accepts().
 #pragma once
 
 #include <algorithm>
@@ -229,9 +229,9 @@ struct ClosureResult {
 // packed multi-source closure. Every request embeds (or mirrors) the
 // ClosureQuery that describes its underlying sweep; the engine runs
 // those sweeps on the one {epoch, overlay} pair the request captured.
-// Results are deterministic at any thread count: integer accumulators
-// are sharded into disjoint slices, and every floating-point reduction
-// runs in a fixed order inside one task.
+// Results are deterministic at any thread count: integer folds merge in
+// any order, and every floating-point reduction runs in a fixed order
+// inside one task.
 // ---------------------------------------------------------------------------
 
 /// "Which nodes do at least k of these sources reach?" — a popcount-
@@ -532,6 +532,22 @@ class QueryEngine {
       std::span<const JourneyQuery> queries, unsigned threads = 0) const
       TVG_EXCLUDES(mu_);
 
+  /// One word of a closure_fold: rows[i] is the row of source lo + i
+  /// (query order), owned by the worker's workspace for the call only;
+  /// the fold may move it out. Returning false stops the sweep.
+  using ClosureFold =
+      std::function<bool(std::size_t lo, std::span<std::vector<Time>> rows)>;
+
+  /// Streams q's closure rows through `fold` a word at a time: 64
+  /// sources, or one when the graph cannot lane-pack (a predicate
+  /// schedule or a non-constant latency). Folds run concurrently on the
+  /// workers, in no fixed order, and synchronize their own merges; once
+  /// one returns false (or throws, rethrown here) no further word
+  /// starts. Memory is O(threads · 64 · n). Returns true if any row that
+  /// ran was truncated.
+  bool closure_fold(const ClosureQuery& q, const ClosureFold& fold) const
+      TVG_EXCLUDES(mu_);
+
   /// Multi-source foremost closure; see ClosureQuery / ClosureResult.
   /// Never cached (see the header comment).
   [[nodiscard]] ClosureResult closure(const ClosureQuery& q) const
@@ -651,10 +667,10 @@ class QueryEngine {
                                 const State& captured,
                                 std::uint64_t footprint) const
       TVG_EXCLUDES(mu_);
-  /// Closure rows for the materialized `sources` over the captured `s`.
-  [[nodiscard]] ClosureResult sweep(const State& s,
-                                    std::span<const NodeId> sources,
-                                    const ClosureQuery& q) const;
+  /// closure_fold over the materialized `sources` and the captured `s`.
+  template <typename Fold>
+  bool stream(const State& s, std::span<const NodeId> sources,
+              const ClosureQuery& q, Fold&& fold) const;
   /// True iff no mutation with an intersecting mask landed in
   /// (captured_seq, now].
   [[nodiscard]] bool insert_allowed_locked(std::uint64_t captured_seq,

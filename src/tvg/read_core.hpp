@@ -13,6 +13,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -105,14 +107,29 @@ struct FrozenView {
   }
 };
 
+/// True iff the packed closure kernel lane-packs words over `view`:
+/// exact-predicate schedules may run user code (which could even
+/// re-enter a search), and non-constant latencies break the Wait-mode
+/// dominance argument, so either makes it scan source by source.
+template <typename View>
+[[nodiscard]] bool lane_packing_eligible(const View& view) {
+  return view.all_semi_periodic() && view.all_latency_constant();
+}
+
 namespace detail {
 
 /// The search kernels' entry points over one View model, defined in
 /// algorithms.cpp and explicitly instantiated there for FrozenView and
-/// OverlayView. foremost_arrivals / foremost_scan / multi_source_foremost
-/// have the contracts of the frozen-graph functions of the same names in
-/// algorithms.hpp, except that the two single-source kernels do not
-/// bounds-check `source` (the read core validates first).
+/// OverlayView. foremost_arrivals / foremost_scan have the contracts of
+/// the frozen-graph functions of the same names in algorithms.hpp,
+/// except that they do not bounds-check `source` (the read core
+/// validates first).
+/// multi_source_foremost packs 64 sources per lane word (see the
+/// algorithms.cpp kernel comment) and writes `rows[i]` / `truncated[i]`
+/// bit-identical to foremost_scan(sources[i]) in every DirectionOptions
+/// mode, falling back to serial scans where packing cannot guarantee
+/// that. Both spans need sources.size() entries (std::invalid_argument);
+/// a bad source throws std::out_of_range.
 /// shortest_journey is the minimum-hop journey and
 /// fastest_journey_checked the minimum-duration journey whose first
 /// edge departs in [depart_lo, depart_hi], scanning the presence events
@@ -277,34 +294,37 @@ template <typename View>
   return result;
 }
 
-/// Multi-source foremost rows for the already materialized `sources`
-/// over `view`. The shard unit is the 64-source WORD-GROUP: each task
-/// runs one packed word (or its per-source fallback) and writes only its
-/// own 64-row slice, so the merged matrix is bit-identical at any thread
-/// count to the serial per-source sweep (which multi_source_foremost
-/// itself guarantees to reproduce).
-template <typename View>
-[[nodiscard]] ClosureResult read_closure(const View& view,
-                                         std::span<const NodeId> sources,
-                                         const ClosureQuery& q,
-                                         const WorkspacePool& workers) {
-  ClosureResult result;
-  result.rows.resize(sources.size());
-  std::vector<char> truncated(sources.size(), 0);
-  const std::size_t words = (sources.size() + 63) / 64;
+/// QueryEngine::closure_fold over `view` and the materialized `sources`.
+/// The shard unit is the WORD: 64 sources when the view is
+/// lane_packing_eligible, else one, so a fold that stops on its first
+/// row costs one serial scan. Each task runs its word into the leased
+/// workspace's word_rows and folds them on the same worker.
+template <typename View, typename Fold>
+bool fold_closure(const View& view, std::span<const NodeId> sources,
+                  const ClosureQuery& q, const WorkspacePool& workers,
+                  Fold&& fold) {
+  const std::size_t unit = lane_packing_eligible(view) ? 64 : 1;
+  const std::size_t words = (sources.size() + unit - 1) / unit;
+  std::atomic<bool> truncated{false};
+  std::atomic<bool> stop{false};
   workers.parallel_for(words, q.threads, [&](std::size_t w,
                                              SearchWorkspace& ws) {
-    const std::size_t lo = w * 64;
-    const std::size_t count = std::min<std::size_t>(64, sources.size() - lo);
+    if (stop.load(std::memory_order_relaxed)) return;
+    const std::size_t lo = w * unit;
+    const std::size_t count = std::min(unit, sources.size() - lo);
+    if (ws.word_rows.size() < count) ws.word_rows.resize(count);
+    const auto rows = std::span<std::vector<Time>>(ws.word_rows).first(count);
+    std::array<char, 64> flags{};
     detail::Kernels<View>::multi_source_foremost(
         view, sources.subspan(lo, count), q.start_time, q.policy, q.limits,
-        q.direction, ws.arenas(),
-        std::span<std::vector<Time>>(result.rows).subspan(lo, count),
-        std::span<char>(truncated).subspan(lo, count));
+        q.direction, ws.arenas(), rows, std::span<char>(flags).first(count));
+    if (std::any_of(flags.begin(), flags.end(),
+                    [](char c) { return c != 0; })) {
+      truncated.store(true, std::memory_order_relaxed);
+    }
+    if (!fold(lo, rows)) stop.store(true, std::memory_order_relaxed);
   });
-  result.truncated = std::any_of(truncated.begin(), truncated.end(),
-                                 [](char c) { return c != 0; });
-  return result;
+  return truncated.load();
 }
 
 }  // namespace tvg

@@ -75,6 +75,13 @@ void put_u64(std::string& out, std::uint64_t v) {
   out.append(b, 8);
 }
 
+/// The kHeaderBytes a log based at `base_sequence` starts with.
+std::string header_bytes(std::uint64_t base_sequence) {
+  std::string header(kMagic, sizeof(kMagic));
+  put_u64(header, base_sequence);
+  return header;
+}
+
 /// Bounds-checked little-endian reads over the replay buffer. CRC has
 /// already vouched for record payloads when these run, so a failure
 /// here is flagged as corruption by the caller, never UB.
@@ -220,8 +227,8 @@ void Wal::open_file(std::uint64_t base_sequence) {
     struct stat st{};
     if (::fstat(fd_, &st) != 0) throw IoError("wal: fstat", path_, errno);
     if (st.st_size == 0) {
-      std::string header(kMagic, sizeof(kMagic));
-      put_u64(header, base_sequence);
+      TVG_FAILPOINT("wal.open.header");
+      const std::string header = header_bytes(base_sequence);
       write_all(fd_, header.data(), header.size(), path_);
       stats_.bytes_written += header.size();
     }
@@ -331,7 +338,8 @@ void Wal::sync() {
   last_sync_ = std::chrono::steady_clock::now();
 }
 
-Wal::ReplayResult Wal::replay(const std::string& path) {
+Wal::ReplayResult Wal::replay(const std::string& path,
+                              std::optional<std::uint64_t> base_sequence) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("wal replay: open", path, errno);
   std::ostringstream buffer;
@@ -340,6 +348,14 @@ Wal::ReplayResult Wal::replay(const std::string& path) {
   const std::string data = buffer.str();
 
   ReplayResult result;
+  if (base_sequence && data.size() < kHeaderBytes &&
+      header_bytes(*base_sequence).starts_with(data)) {
+    // A crash between the file's creation and its header write: a torn
+    // tail at offset 0 (the Wal constructor writes a fresh header).
+    result.base_sequence = *base_sequence;
+    result.torn = true;
+    return result;
+  }
   if (data.size() < kHeaderBytes ||
       std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
     throw RecoveryError("wal replay: " + path +

@@ -45,7 +45,8 @@
 // handle usable.
 //
 // Failpoint sites (failpoint.hpp): "wal.open" (before a log file is
-// opened, on construction and on rotation), "wal.append.before" (before
+// opened, on construction and on rotation), "wal.open.header" (a new
+// file created, its header not yet written), "wal.append.before" (before
 // anything is written), "wal.append.partial" (torn write: `arg` bytes of
 // the batch's frames reach disk, then crash), "wal.append.after" (after
 // the write, before any sync), "wal.fsync" (failed or fatal fsync).
@@ -59,6 +60,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -104,7 +106,7 @@ class Wal {
  public:
   /// Bytes of the file header (magic + base_sequence). A file shorter
   /// than this cannot identify itself: replay throws RecoveryError
-  /// rather than calling it a torn (repairable) tail.
+  /// unless the caller names the base sequence it expects (see replay).
   static constexpr std::uint64_t kHeaderBytes = 16;
 
   /// One replayed record.
@@ -197,8 +199,12 @@ class Wal {
   /// open/read failure and tvg::RecoveryError (above) on a
   /// corrupt header or non-contiguous sequences — errors that mean the
   /// LOG ITSELF is not trustworthy, as opposed to a torn tail, which is
-  /// an expected crash artifact reported via `torn`.
-  [[nodiscard]] static ReplayResult replay(const std::string& path);
+  /// an expected crash artifact reported via `torn`. Given the
+  /// `base_sequence` the file name promises, a file that is a strict
+  /// prefix of that header (empty included) is torn at valid_bytes 0.
+  [[nodiscard]] static ReplayResult replay(
+      const std::string& path,
+      std::optional<std::uint64_t> base_sequence = std::nullopt);
 
   /// Truncates `path` to `valid_bytes` (the torn-tail repair). Throws
   /// tvg::IoError on failure.

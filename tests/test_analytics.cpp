@@ -14,13 +14,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <optional>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "tvg/algorithms.hpp"
 #include "tvg/generators.hpp"
 #include "tvg/latency.hpp"
+#include "tvg/metrics.hpp"
 #include "tvg/presence.hpp"
 #include "tvg/query_engine.hpp"
+#include "tvg/read_core.hpp"
 #include "tvg/schedule_index.hpp"
 
 namespace {
@@ -56,8 +63,9 @@ Rows packed_rows(const TimeVaryingGraph& g, const std::vector<NodeId>& sources,
   out.rows.resize(sources.size());
   out.truncated.resize(sources.size());
   SearchWorkspace ws;
-  multi_source_foremost(g, sources, start_time, policy, limits, ws, out.rows,
-                        out.truncated, direction);
+  detail::Kernels<FrozenView>::multi_source_foremost(
+      FrozenView(g), sources, start_time, policy, limits, direction,
+      ws.arenas(), out.rows, out.truncated);
   return out;
 }
 
@@ -356,6 +364,178 @@ TEST(AnalyticsEngine, AnalyticsShareCachedClosureRows) {
   const std::uint64_t hits_mid = engine.cache_stats().hits;
   EXPECT_EQ(engine.k_reachability(kq), first);
   EXPECT_GT(engine.cache_stats().hits, hits_mid);
+}
+
+// ---------------------------------------------------------------------------
+// The all-pairs folds over QueryEngine::closure_fold: connectivity,
+// diameter and characteristic distance must answer exactly what the
+// engine's materialized closure rows say, at any thread count, on
+// lane-packed and per-source words alike, and when the stop fires.
+// ---------------------------------------------------------------------------
+
+/// Answers derived from the engine's materialized closure rows.
+struct AllPairs {
+  std::optional<Time> diameter;  // nullopt = some pair unreachable
+  std::optional<double> distance;
+};
+
+AllPairs from_closure_rows(const QueryEngine& engine, Time start_time,
+                           Policy policy, SearchLimits limits) {
+  ClosureQuery q;
+  q.start_time = start_time;
+  q.policy = policy;
+  q.limits = limits;
+  const ClosureResult closure = engine.closure(q);
+  Time diameter = 0;
+  bool connected = true;
+  for (const std::vector<Time>& row : closure.rows) {
+    for (const Time t : row) {
+      if (t == kTimeInfinity) {
+        connected = false;
+      } else {
+        diameter = std::max(diameter, sat_sub(t, start_time));
+      }
+    }
+  }
+  AllPairs out;
+  if (connected) out.diameter = diameter;
+  out.distance = characteristic_temporal_distance(closure.rows, start_time);
+  return out;
+}
+
+/// The engine folds' answers, checked against `expected`.
+void expect_folds_match(const QueryEngine& engine, Time start_time,
+                        Policy policy, SearchLimits limits,
+                        const AllPairs& expected) {
+  EXPECT_EQ(temporal_diameter(engine, start_time, policy, limits),
+            expected.diameter);
+  EXPECT_EQ(temporally_connected(engine, start_time, policy, limits),
+            expected.diameter.has_value());
+}
+
+/// A directed ring of always-present edges (Wait and NoWait both connect
+/// every pair) plus seeded random periodic chords: 130 nodes = three
+/// closure words. `ineligible` adds one exact-predicate chord, which
+/// turns lane packing off and makes every word a single source.
+TimeVaryingGraph ring_with_chords(std::uint64_t seed, bool ineligible) {
+  RandomPeriodicParams params;
+  params.nodes = 130;
+  params.edges = 200;
+  params.period = 6;
+  params.density = 0.3;
+  params.max_latency = 2;
+  params.seed = seed;
+  TimeVaryingGraph g = make_random_periodic(params);
+  for (NodeId v = 0; v < params.nodes; ++v) {
+    g.add_edge(v, static_cast<NodeId>((v + 1) % params.nodes), 'r',
+               Presence::always(), Latency::constant(1));
+  }
+  if (ineligible) {
+    g.add_edge(5, 90, 'p',
+               Presence::predicate([](Time t) { return t % 7 == 3; }, "mod7"),
+               Latency::constant(1));
+  }
+  return g;
+}
+
+TEST(AnalyticsEngine, AllPairsFoldsMatchClosureRowsAcrossThreads) {
+  constexpr Time kHorizon = 100;  // the diameters here are 20-30
+  const SearchLimits limits = SearchLimits::up_to(kHorizon);
+  for (const bool ineligible : {false, true}) {
+    const TimeVaryingGraph g = ring_with_chords(21, ineligible);
+    ASSERT_EQ(g.schedule_index().all_semi_periodic(), !ineligible);
+    // Per-source NoWait config searches are slow; Wait covers the
+    // single-source words.
+    const std::vector<Policy> policies =
+        ineligible ? std::vector<Policy>{Policy::wait()}
+                   : std::vector<Policy>{Policy::wait(), Policy::no_wait()};
+    for (const Policy policy : policies) {
+      SCOPED_TRACE(std::string(ineligible ? "predicate" : "packed") + " " +
+                   policy.to_string());
+      const QueryEngine reference(g, 1, CacheConfig::disabled());
+      const AllPairs expected = from_closure_rows(reference, 2, policy, limits);
+      ASSERT_TRUE(expected.diameter.has_value());
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const QueryEngine engine(g, threads, CacheConfig::disabled());
+        expect_folds_match(engine, 2, policy, limits, expected);
+      }
+      EXPECT_EQ(temporal_diameter(g, 2, policy, limits), expected.diameter);
+      EXPECT_TRUE(temporally_connected(g, 2, policy, limits));
+      EXPECT_EQ(characteristic_temporal_distance(g, 2, policy, kHorizon),
+                expected.distance);
+    }
+  }
+  // On a mutated engine the folds read the overlay: cutting one ring
+  // edge must show up exactly as the engine's own closure rows say.
+  QueryEngine live(ring_with_chords(22, false), 4, CacheConfig::disabled());
+  live.remove_edge(static_cast<EdgeId>(live.edge_count() - 1));
+  expect_folds_match(live, 0, Policy::wait(), limits,
+                     from_closure_rows(live, 0, Policy::wait(), limits));
+}
+
+TEST(AnalyticsEngine, AllPairsFoldsStopInTheFirstWordWhenDisconnected) {
+  // Node 0 is a sink: source 0's row (the first word's first row) has
+  // an unreachable pair, so the sweep stops there.
+  for (const bool ineligible : {false, true}) {
+    const TimeVaryingGraph g = ring_with_chords(23, ineligible);
+    const SearchLimits limits = SearchLimits::up_to(100);
+    TimeVaryingGraph sink;
+    sink.add_nodes(g.node_count());
+    for (EdgeId e = 0; e < g.edge_count(); ++e) {
+      const Edge& edge = g.edge(e);
+      if (edge.from == 0) continue;
+      sink.add_edge(edge.from, edge.to, edge.label, edge.presence,
+                    edge.latency);
+    }
+    const QueryEngine reference(sink, 1, CacheConfig::disabled());
+    const AllPairs expected =
+        from_closure_rows(reference, 0, Policy::wait(), limits);
+    ASSERT_FALSE(expected.diameter.has_value());
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const QueryEngine engine(sink, threads, CacheConfig::disabled());
+      expect_folds_match(engine, 0, Policy::wait(), limits, expected);
+      // A stopping fold: words not yet started are skipped, so at most
+      // one word per worker reaches it; without lane packing a word is
+      // one source.
+      std::atomic<std::size_t> calls{0};
+      ClosureQuery q;
+      q.limits = limits;
+      engine.closure_fold(q, [&](std::size_t,
+                                 std::span<std::vector<Time>> rows) {
+        ++calls;
+        EXPECT_EQ(rows.size(), ineligible ? 1u : 64u);
+        return false;
+      });
+      EXPECT_GE(calls.load(), 1u);
+      EXPECT_LE(calls.load(), threads);
+    }
+    EXPECT_EQ(characteristic_temporal_distance(sink, 0, Policy::wait(), 100),
+              expected.distance);
+  }
+}
+
+TEST(AnalyticsEngine, ThrowingFoldPropagatesAndReturnsItsLeases) {
+  for (const bool ineligible : {false, true}) {
+    const TimeVaryingGraph g = ring_with_chords(24, ineligible);
+    ClosureQuery q;
+    q.limits = SearchLimits::up_to(100);
+    const ClosureResult expected =
+        QueryEngine(g, 1, CacheConfig::disabled()).closure(q);
+    for (const unsigned threads : {1u, 4u}) {
+      const QueryEngine engine(g, threads, CacheConfig::disabled());
+      EXPECT_THROW(
+          engine.closure_fold(q,
+                              [](std::size_t lo, std::span<std::vector<Time>>)
+                                  -> bool {
+                                if (lo >= 64) throw std::runtime_error("fold");
+                                return true;
+                              }),
+          std::runtime_error);
+      EXPECT_EQ(engine.closure(q), expected) << "threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Property tests for the bit-parallel multi-source reachability kernel
-// (tvg::multi_source_foremost) and its QueryEngine::closure wiring:
+// (detail::Kernels<FrozenView>::multi_source_foremost, read_core.hpp)
+// and its QueryEngine::closure wiring:
 //  * packed rows are bit-identical to per-source foremost_scan on
 //    randomized graphs, across all three policies, in both compiled
 //    schedule modes (bitmask segments and endpoint runs) and both queue
@@ -23,6 +24,7 @@
 #include "tvg/latency.hpp"
 #include "tvg/presence.hpp"
 #include "tvg/query_engine.hpp"
+#include "tvg/read_core.hpp"
 #include "tvg/schedule_index.hpp"
 
 namespace {
@@ -57,8 +59,9 @@ Rows packed_rows(const TimeVaryingGraph& g, const std::vector<NodeId>& sources,
   out.rows.resize(sources.size());
   out.truncated.resize(sources.size());
   SearchWorkspace ws;
-  multi_source_foremost(g, sources, start_time, policy, limits, ws, out.rows,
-                        out.truncated);
+  detail::Kernels<FrozenView>::multi_source_foremost(
+      FrozenView(g), sources, start_time, policy, limits, {}, ws.arenas(),
+      out.rows, out.truncated);
   return out;
 }
 
@@ -216,22 +219,23 @@ TEST(MultiSourceForemost, ValidatesArguments) {
   g.add_nodes(3);
   g.add_static_edge(0, 1, 'a');
   SearchWorkspace ws;
+  const auto run = [&](const std::vector<NodeId>& sources,
+                       std::vector<std::vector<Time>>& rows,
+                       std::vector<char>& truncated) {
+    detail::Kernels<FrozenView>::multi_source_foremost(
+        FrozenView(g), sources, 0, Policy::wait(), {}, {}, ws.arenas(), rows,
+        truncated);
+  };
   const std::vector<NodeId> sources{0, 1};
   std::vector<std::vector<Time>> rows(1);  // wrong size
   std::vector<char> truncated(2);
-  EXPECT_THROW(multi_source_foremost(g, sources, 0, Policy::wait(), {}, ws,
-                                     rows, truncated),
-               std::invalid_argument);
+  EXPECT_THROW(run(sources, rows, truncated), std::invalid_argument);
   rows.resize(2);
   truncated.resize(1);  // wrong size
-  EXPECT_THROW(multi_source_foremost(g, sources, 0, Policy::wait(), {}, ws,
-                                     rows, truncated),
-               std::invalid_argument);
+  EXPECT_THROW(run(sources, rows, truncated), std::invalid_argument);
   truncated.resize(2);
   const std::vector<NodeId> bad{0, 9};
-  EXPECT_THROW(multi_source_foremost(g, bad, 0, Policy::wait(), {}, ws, rows,
-                                     truncated),
-               std::out_of_range);
+  EXPECT_THROW(run(bad, rows, truncated), std::out_of_range);
 }
 
 TEST(MultiSourceClosure, EngineShardsWordGroupsBitIdenticalAcrossThreads) {

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <random>
 #include <span>
 #include <string>
@@ -218,6 +219,73 @@ TEST(DurableEngine, MissingWalAfterCheckpointRecoversAtCheckpoint) {
   // And the WAL was recreated so new mutations land normally.
   recovered->apply(EdgeMutation::remove_edge(1));
   EXPECT_EQ(recovered->sequence(), 2u);
+}
+
+/// Checkpoint-1 committed, then wal-1.log cut to its first `keep` bytes:
+/// the crash between creating a log and writing its header.
+std::string dir_with_short_wal(const std::string& tag, std::size_t keep) {
+  const std::string dir = fresh_dir(tag);
+  {
+    DurableEngine engine(base_graph(3), dir, {});
+    engine.apply(EdgeMutation::remove_edge(0));
+    engine.checkpoint();
+  }
+  fs::resize_file(DurableEngine::wal_path(dir, 1), keep);
+  return dir;
+}
+
+void expect_short_wal_repaired(const std::string& dir) {
+  const std::vector<EdgeMutation> stream = {EdgeMutation::remove_edge(0),
+                                            EdgeMutation::remove_edge(1)};
+  {
+    const auto recovered = DurableEngine::recover(dir);
+    EXPECT_EQ(recovered->sequence(), 1u);
+    EXPECT_EQ(recovered->stats().recovery.torn_tails_repaired, 1u);
+    EXPECT_EQ(recovered->stats().recovery.replayed_records, 0u);
+    recovered->apply(stream[1]);
+    EXPECT_EQ(recovered->sequence(), 2u);
+  }
+  const auto again = DurableEngine::recover(dir);
+  EXPECT_EQ(again->sequence(), 2u);
+  EXPECT_EQ(again->stats().recovery.torn_tails_repaired, 0u);
+  EXPECT_EQ(again->stats().recovery.replayed_records, 1u);
+  expect_bit_identical(*again, oracle_at(3, stream, 2), "short wal");
+}
+
+TEST(DurableEngine, EmptyWalAfterCheckpointIsATornHeader) {
+  expect_short_wal_repaired(dir_with_short_wal("empty_wal", 0));
+}
+
+TEST(DurableEngine, HeaderPrefixWalAfterCheckpointIsATornHeader) {
+  expect_short_wal_repaired(dir_with_short_wal("prefix_wal", 7));
+}
+
+TEST(DurableEngine, CrashBeforeRotatedWalHeaderRecovers) {
+  // The "wal.open.header" site: checkpoint-1 committed and wal-1.log
+  // created, then the process dies before the header reaches it.
+  const FailPointGuard guard;
+  const std::string dir = fresh_dir("header_crash");
+  {
+    DurableEngine engine(base_graph(3), dir, {});
+    engine.apply(EdgeMutation::remove_edge(0));
+    FailPointRegistry::instance().arm_on_hit("wal.open.header", 1,
+                                             FailPointAction::crash());
+    EXPECT_THROW(engine.checkpoint(), CrashInjected);
+  }
+  FailPointRegistry::instance().disarm_all();
+  ASSERT_EQ(fs::file_size(DurableEngine::wal_path(dir, 1)), 0u);
+  expect_short_wal_repaired(dir);
+}
+
+TEST(DurableEngine, FullLengthWalHeaderWithWrongMagicIsRefused) {
+  const std::string dir = dir_with_short_wal("bad_magic_wal", 0);
+  {
+    std::ofstream out(DurableEngine::wal_path(dir, 1), std::ios::binary);
+    const std::string bogus = "NOTAWAL1" + std::string(8, '\0');
+    out.write(bogus.data(), static_cast<std::streamsize>(bogus.size()));
+  }
+  ASSERT_EQ(fs::file_size(DurableEngine::wal_path(dir, 1)), 16u);
+  EXPECT_THROW((void)DurableEngine::recover(dir), RecoveryError);
 }
 
 TEST(DurableEngine, FallbackChainsThroughRotatedWals) {
@@ -575,9 +643,10 @@ TEST(RecoveryTorture, SeededFaultMatrix) {
       "delta_overlay.publish", "wal.open",         "wal.append.before",
       "wal.append.partial",    "wal.append.after", "wal.fsync",
       "checkpoint.write",      "checkpoint.fsync", "checkpoint.rename",
+      "wal.open.header",
   };
-  // 9 sites x 2 fault kinds x 2 rounds = 36 schedules per run; CI
-  // sweeps 16 TVG_RECOVERY_SEED values for 576 schedules total.
+  // 10 sites x 2 fault kinds x 2 rounds = 40 schedules per run; CI
+  // sweeps 16 TVG_RECOVERY_SEED values for 640 schedules total.
   int schedule = 0;
   for (const std::string& site : sites) {
     for (const bool use_error : {false, true}) {

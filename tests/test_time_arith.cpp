@@ -29,6 +29,7 @@
 #include "tvg/graph.hpp"
 #include "tvg/journey.hpp"
 #include "tvg/metrics.hpp"
+#include "tvg/read_core.hpp"
 #include "tvg/time.hpp"
 
 namespace {
@@ -141,10 +142,10 @@ TEST(TimeArithSearch, BucketWindowGuardSaturatesMultiSource) {
   const std::vector<NodeId> sources = {a};
   std::vector<std::vector<Time>> rows(1);
   std::vector<char> truncated(1);
-  multi_source_foremost(g, sources, /*start_time=*/-4,
-                        Policy::bounded_wait(20),
-                        SearchLimits::up_to(kTimeInfinity - 1), ws, rows,
-                        truncated);
+  detail::Kernels<FrozenView>::multi_source_foremost(
+      FrozenView(g), sources, /*start_time=*/-4, Policy::bounded_wait(20),
+      SearchLimits::up_to(kTimeInfinity - 1), {}, ws.arenas(), rows,
+      truncated);
   ASSERT_EQ(rows[0].size(), 2u);
   EXPECT_EQ(rows[0][a], -4);
   EXPECT_EQ(rows[0][b], 10);

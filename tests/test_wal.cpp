@@ -339,6 +339,32 @@ TEST(Wal, BitFlipStopsReplayAtFlippedRecord) {
   EXPECT_LT(replayed.records.size(), 3u);
 }
 
+TEST(Wal, ShortHeaderIsATornTailOnlyForItsBase) {
+  // A crash between creating a log and writing its header leaves an
+  // empty file or a header prefix: torn at offset 0 when the caller
+  // names the base it expects, still corrupt otherwise.
+  const std::string dir = fresh_dir("short_header");
+  const std::string path = dir + "/wal-5.log";
+  { Wal wal(path, {}, 5, 6); }
+  const std::string header = read_raw(path);
+  ASSERT_EQ(header.size(), Wal::kHeaderBytes);
+  for (const std::size_t keep : {std::size_t{0}, std::size_t{7},
+                                 std::size_t{15}}) {
+    write_raw(path, header.substr(0, keep));
+    const Wal::ReplayResult replayed = Wal::replay(path, 5);
+    EXPECT_TRUE(replayed.torn) << keep;
+    EXPECT_EQ(replayed.valid_bytes, 0u) << keep;
+    EXPECT_EQ(replayed.base_sequence, 5u) << keep;
+    EXPECT_TRUE(replayed.records.empty()) << keep;
+    EXPECT_THROW(Wal::replay(path), RecoveryError) << keep;
+  }
+  // A prefix of another base's header, or of no header, is corruption.
+  write_raw(path, header.substr(0, 9));
+  EXPECT_THROW(Wal::replay(path, 6), RecoveryError);
+  write_raw(path, "TVGX");
+  EXPECT_THROW(Wal::replay(path, 5), RecoveryError);
+}
+
 TEST(Wal, CorruptHeaderThrowsRecoveryError) {
   const std::string dir = fresh_dir("header");
   const std::string path = dir + "/bad.log";
