@@ -2,6 +2,8 @@
 // over the same seeded stream, comparing the LSM-style delta overlay
 // (writes applied to one tvg::QueryEngine) against the
 // rebuild-per-update baseline: a fresh engine over the patched graph.
+// BM_ApplyVsPending is the overlay layer's own row: the latency of one
+// write as a function of the pending log.
 //
 // BM_InterleavedUpdateQueryMix/<per_mille> runs a 2048-op stream where
 // <per_mille> out of every 1000 ops are presence patches on seeded
@@ -25,11 +27,24 @@
 //                        (full index rebuild + cold cache) before the
 //                        stream continues.
 //   unset / any other    delta overlay: QueryEngine::patch_presence
-//                        recompiles only the overlay snapshot, the
-//                        result cache drops only entries whose Bloom
-//                        footprint the edge touches, and compaction
-//                        folds the log in the background once it
-//                        crosses the threshold.
+//                        extends the overlay snapshot by the one
+//                        record, stamps the edge's endpoint partitions
+//                        in the result cache (a lookup then drops only
+//                        entries whose Bloom footprint the edge
+//                        touches), and compaction folds the log in the
+//                        background once it crosses the threshold.
+//
+// BM_ApplyVsPending/<pending> times single QueryEngine::apply calls of a
+// seeded presence patch (the full-stack serve_mixed write: a periodic
+// pattern of period 64 and per-residue density 0.03) on the same graph,
+// with <pending> records already in the log and the default cache
+// warmed with 1024 journeys of a 4096-query pool, on a 4-thread engine.
+// It takes 1024 samples in windows of 16; every window starts from a
+// compaction, <pending> patches logged in one batch and a re-warm, so
+// every sample is taken at a pending count in [pending, pending + 16).
+// It reports the apply p50/p99 in microseconds (the row's time is the
+// whole sampling run); TVG_BENCH_MUTABLE does not change it. An apply
+// costs O(batch), so its p50 should not grow with <pending>.
 //
 // Regenerating the committed baseline:
 //
@@ -44,6 +59,8 @@
 // faster); the acceptance bar is >=10x at the 1% mix (Arg 10).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <random>
@@ -61,6 +78,7 @@ namespace {
 
 using tvg::CacheConfig;
 using tvg::EdgeId;
+using tvg::EdgeMutation;
 using tvg::IntervalSet;
 using tvg::JourneyQuery;
 using tvg::NodeId;
@@ -105,12 +123,13 @@ TimeVaryingGraph make_serving_graph() {
   return tvg::make_random_periodic(params);
 }
 
-// Targeted foremost queries under a tight horizon, policies mixed.
-std::vector<JourneyQuery> make_serving_pool() {
+// Targeted foremost queries under a tight horizon, policies mixed. A
+// longer pool extends a shorter one (same seed, same draws).
+std::vector<JourneyQuery> make_serving_pool(std::size_t count) {
   std::mt19937_64 rng(kPoolSeed);
   std::vector<JourneyQuery> pool;
-  pool.reserve(kDistinctQueries);
-  for (std::size_t i = 0; i < kDistinctQueries; ++i) {
+  pool.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     const auto source = static_cast<NodeId>(rng() % kNodes);
     const auto target = static_cast<NodeId>(rng() % kNodes);
     JourneyQuery q = JourneyQuery::foremost(source, Time(rng() % 4))
@@ -172,7 +191,7 @@ void BM_InterleavedUpdateQueryMix(benchmark::State& state) {
   const bool use_overlay = mutable_engine_from_env();
 
   const TimeVaryingGraph g = make_serving_graph();
-  const std::vector<JourneyQuery> pool = make_serving_pool();
+  const std::vector<JourneyQuery> pool = make_serving_pool(kDistinctQueries);
   const std::vector<Op> ops = make_ops(g, per_mille);
 
   std::size_t update_count = 0;
@@ -231,6 +250,81 @@ BENCHMARK(BM_InterleavedUpdateQueryMix)
     ->Arg(1)    // 0.1% updates
     ->Arg(10)   // 1% updates (acceptance mix)
     ->Arg(100)  // 10% updates
+    ->Unit(benchmark::kMillisecond);
+
+// A presence patch on a random edge, redrawn from the serving graph's
+// own family (period 64, per-residue density 0.03).
+EdgeMutation family_patch(std::mt19937_64& rng, std::size_t edges) {
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  IntervalSet pattern;
+  for (Time r = 0; r < kPeriod; ++r) {
+    if (coin(rng) < kDensity) pattern.insert_point(r);
+  }
+  if (pattern.empty()) pattern.insert_point(static_cast<Time>(rng() % kPeriod));
+  return EdgeMutation::patch_presence(
+      static_cast<EdgeId>(rng() % edges),
+      Presence::periodic(kPeriod, std::move(pattern)));
+}
+
+constexpr unsigned kApplyThreads = 4;
+constexpr std::size_t kApplyPool = 4096;
+constexpr std::size_t kApplyWarm = 1024;
+constexpr std::size_t kApplyWindow = 16;
+constexpr std::size_t kApplySamples = 1024;
+
+void BM_ApplyVsPending(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  static const TimeVaryingGraph g = make_serving_graph();
+  static const std::vector<JourneyQuery> warm = [] {
+    std::vector<JourneyQuery> pool = make_serving_pool(kApplyPool);
+    pool.resize(kApplyWarm);
+    return pool;
+  }();
+  QueryEngine engine(g, kApplyThreads, CacheConfig{});
+  std::mt19937_64 rng(kStreamSeed + pending);
+  std::vector<double> us;
+
+  // One iteration is a whole sampling run: kApplySamples timed applies
+  // in windows of kApplyWindow, each window starting from `pending`
+  // logged patches and a warm cache (compact, replay, re-run the warm
+  // journeys). The row's time is the run's wall time, resets included;
+  // the apply latency is in the p50_us / p99_us counters.
+  for (auto _ : state) {
+    for (std::size_t done = 0; done < kApplySamples; done += kApplyWindow) {
+      engine.compact();
+      std::vector<EdgeMutation> log;
+      for (std::size_t i = 0; i < pending; ++i) {
+        log.push_back(family_patch(rng, g.edge_count()));
+      }
+      engine.apply(log);
+      benchmark::DoNotOptimize(engine.run(warm, kApplyThreads).size());
+      for (std::size_t i = 0; i < kApplyWindow; ++i) {
+        const EdgeMutation m = family_patch(rng, g.edge_count());
+        const auto t0 = std::chrono::steady_clock::now();
+        engine.apply(m);
+        const std::chrono::duration<double, std::micro> took =
+            std::chrono::steady_clock::now() - t0;
+        us.push_back(took.count());
+      }
+    }
+  }
+
+  std::sort(us.begin(), us.end());
+  state.counters["pending"] = benchmark::Counter(static_cast<double>(pending));
+  state.counters["threads"] = benchmark::Counter(kApplyThreads);
+  state.counters["p50_us"] =
+      benchmark::Counter(tvg::benchsupport::percentile(us, 0.50));
+  state.counters["p99_us"] =
+      benchmark::Counter(tvg::benchsupport::percentile(us, 0.99));
+  state.counters["cached"] =
+      benchmark::Counter(static_cast<double>(engine.cache_stats().entries));
+}
+
+BENCHMARK(BM_ApplyVsPending)
+    ->Arg(0)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

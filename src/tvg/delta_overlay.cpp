@@ -1,6 +1,8 @@
 #include "tvg/delta_overlay.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <stdexcept>
 
 namespace tvg {
 
@@ -9,97 +11,136 @@ namespace tvg {
 // ---------------------------------------------------------------------------
 
 OverlaySnapshot::OverlaySnapshot(const TimeVaryingGraph& base,
-                                 std::span<const EdgeMutation> log,
                                  std::uint64_t sequence)
-    : base_edges_(base.edge_count()), sequence_(sequence) {
-  // The bitmap is allocated even for an empty log: every merged read
-  // goes through has_override, so an empty overlay must still answer
-  // "no" for any base edge id without indexing past the end.
-  override_bits_.assign((base_edges_ + 63) / 64, 0);
+    : base_edges_(base.edge_count()),
+      // Every merged read goes through has_override, so even the empty
+      // overlay answers "no" for any base edge id without indexing past
+      // the end.
+      leaves_((base_edges_ + (std::size_t{1} << kLeafShift) - 1) >>
+              kLeafShift),
+      added_(std::make_shared<const std::vector<AddedEdge>>()),
+      added_adj_(std::make_shared<const Adjacency>()),
+      non_constant_(base.schedule_index().non_constant_latency_count()),
+      non_semi_periodic_(base.schedule_index().non_semi_periodic_count()),
+      base_uniform_latency_(base.schedule_index().uniform_constant_latency()),
+      sequence_(sequence) {}
 
-  for (const EdgeMutation& m : log) {
-    switch (m.kind) {
-      case EdgeMutation::Kind::kAddEdge: {
-        added_.push_back(AddedEdge{m.from, m.to, m.label, m.presence,
-                                   m.latency, m.name});
-        break;
+void OverlaySnapshot::replace(Presence& slot, const Presence& value) {
+  if (!slot.is_semi_periodic()) --non_semi_periodic_;
+  if (!value.is_semi_periodic()) ++non_semi_periodic_;
+  slot = value;
+}
+
+void OverlaySnapshot::replace(Latency& slot, const Latency& value) {
+  if (!slot.is_constant()) --non_constant_;
+  if (!value.is_constant()) ++non_constant_;
+  slot = value;
+}
+
+OverlaySnapshot::OverrideRec& OverlaySnapshot::own_record(
+    const TimeVaryingGraph& base, const OverlaySnapshot& prev, EdgeId e) {
+  std::shared_ptr<const Leaf>& slot = leaves_[e >> kLeafShift];
+  if (slot == prev.leaves_[e >> kLeafShift]) {
+    auto copy = std::make_shared<Leaf>();
+    if (slot) {
+      copy->bits = slot->bits;
+      copy->recs.reserve(slot->recs.size() + 1);  // room for one insert
+      copy->recs = slot->recs;
+    }
+    slot = std::move(copy);
+  }
+  // A leaf that differs from prev's was made by this batch and is not
+  // shared yet.
+  auto& leaf = const_cast<Leaf&>(*slot);
+  auto it = std::lower_bound(
+      leaf.recs.begin(), leaf.recs.end(), e,
+      [](const Record& r, EdgeId id) { return r.first < id; });
+  std::shared_ptr<OverrideRec> rec;
+  if (it != leaf.recs.end() && it->first == e) {
+    rec = std::make_shared<OverrideRec>(*it->second);
+  } else {
+    // A new record starts from the base ρ/ζ, so replace() moves the
+    // counters off the edge's effective values.
+    const Edge& ed = base.edge(e);
+    rec = std::make_shared<OverrideRec>(
+        OverrideRec{ed.presence, ed.latency, false, false});
+    it = leaf.recs.emplace(it, e, nullptr);
+    leaf.bits[(e >> 6) & 63u] |= std::uint64_t{1} << (e & 63u);
+    ++overridden_;
+  }
+  it->second = rec;
+  return *rec;
+}
+
+OverlaySnapshot OverlaySnapshot::extended(
+    const TimeVaryingGraph& base, std::span<const EdgeMutation> batch) const {
+  OverlaySnapshot next(*this);
+  next.sequence_ += batch.size();
+  // The added edges are copied on the first record that needs them.
+  std::shared_ptr<std::vector<AddedEdge>> added;
+  for (const EdgeMutation& m : batch) {
+    const bool sets_latency = m.kind == EdgeMutation::Kind::kOverrideLatency;
+    if (m.kind == EdgeMutation::Kind::kAddEdge) {
+      if (!added) added = std::make_shared<std::vector<AddedEdge>>(*added_);
+      if (!m.latency.is_constant()) ++next.non_constant_;
+      if (!m.presence.is_semi_periodic()) ++next.non_semi_periodic_;
+      added->push_back(AddedEdge{m.from, m.to, m.label, m.presence,
+                                 m.latency, m.name});
+    } else if (m.edge >= base_edges_) {
+      if (!added) added = std::make_shared<std::vector<AddedEdge>>(*added_);
+      AddedEdge& ae = added->at(m.edge - base_edges_);
+      if (sets_latency) {
+        next.replace(ae.latency, m.latency);
+      } else {
+        next.replace(ae.presence, m.presence);
       }
-      case EdgeMutation::Kind::kRemoveEdge:
-      case EdgeMutation::Kind::kPatchPresence: {
-        if (m.edge < base_edges_) {
-          OverrideRec& r = overrides_[m.edge];
-          r.presence = m.presence;
-          r.has_presence = true;
-          override_bits_[m.edge >> 6] |= std::uint64_t{1} << (m.edge & 63u);
-        } else {
-          // Override of an edge added earlier in this same log: fold it
-          // into the added record (the override map keys base edges
-          // only, so the read path never double-dispatches).
-          added_.at(m.edge - base_edges_).presence = m.presence;
-        }
-        break;
-      }
-      case EdgeMutation::Kind::kOverrideLatency: {
-        if (m.edge < base_edges_) {
-          OverrideRec& r = overrides_[m.edge];
-          r.latency = m.latency;
-          r.has_latency = true;
-          override_bits_[m.edge >> 6] |= std::uint64_t{1} << (m.edge & 63u);
-        } else {
-          added_.at(m.edge - base_edges_).latency = m.latency;
-        }
-        break;
+    } else {
+      OverrideRec& rec = next.own_record(base, *this, m.edge);
+      if (sets_latency) {
+        rec.has_latency = true;
+        next.latency_overridden_ = true;
+        next.replace(rec.latency, m.latency);
+      } else {
+        rec.has_presence = true;
+        next.replace(rec.presence, m.presence);
       }
     }
   }
 
-  // Added-edge adjacency, sorted by source node with ids ascending
-  // inside each node (stable sort over an id-ascending input) — the
-  // exact per-node order a rebuilt CSR would list the appended edges in
-  // after the base segment (its counting sort is stable and fills in
-  // edge-id order).
-  added_adj_.reserve(added_.size());
-  for (std::size_t i = 0; i < added_.size(); ++i) {
-    added_adj_.emplace_back(added_[i].from,
-                            static_cast<EdgeId>(base_edges_ + i));
+  if (added) {
+    if (added->size() > added_->size()) {
+      // Appended ids all exceed the old ones, so a stable sort by source
+      // keeps ids ascending inside each node: the exact per-node order a
+      // rebuilt CSR would list the appended edges in after the base
+      // segment (its counting sort is stable and fills in edge-id order).
+      auto adj = std::make_shared<Adjacency>(*added_adj_);
+      for (std::size_t i = added_->size(); i < added->size(); ++i) {
+        adj->emplace_back((*added)[i].from,
+                          static_cast<EdgeId>(base_edges_ + i));
+      }
+      std::stable_sort(adj->begin(), adj->end(),
+                       [](const std::pair<NodeId, EdgeId>& x,
+                          const std::pair<NodeId, EdgeId>& y) {
+                         return x.first < y.first;
+                       });
+      next.adj_ = *adj;
+      next.added_adj_ = std::move(adj);
+    }
+    next.added_ = std::move(added);
   }
-  std::stable_sort(added_adj_.begin(), added_adj_.end(),
-                   [](const std::pair<NodeId, EdgeId>& x,
-                      const std::pair<NodeId, EdgeId>& y) {
-                     return x.first < y.first;
-                   });
+  return next;
+}
 
-  // Effective graph-wide facts in O(delta): start from the base index's
-  // non-conforming-edge counters and adjust per override/addition with
-  // the SAME predicates the index counts with, so the overlay picks
-  // exactly the kernel a rebuilt index would.
-  const ScheduleIndex& sx = base.schedule_index();
-  std::size_t non_constant = sx.non_constant_latency_count();
-  std::size_t non_semi_periodic = sx.non_semi_periodic_count();
-  bool latency_overridden = false;
-  for (const auto& [eid, rec] : overrides_) {
-    const Edge& e = base.edge(eid);
-    if (rec.has_latency) {
-      latency_overridden = true;
-      if (!e.latency.is_constant()) --non_constant;
-      if (!rec.latency.is_constant()) ++non_constant;
-    }
-    if (rec.has_presence) {
-      if (!e.presence.is_semi_periodic()) --non_semi_periodic;
-      if (!rec.presence.is_semi_periodic()) ++non_semi_periodic;
-    }
+const OverlaySnapshot::OverrideRec& OverlaySnapshot::override_rec(
+    EdgeId e) const {
+  const Leaf* leaf = leaves_.at(e >> kLeafShift).get();
+  if (leaf != nullptr) {
+    const auto it = std::lower_bound(
+        leaf->recs.begin(), leaf->recs.end(), e,
+        [](const Record& r, EdgeId id) { return r.first < id; });
+    if (it != leaf->recs.end() && it->first == e) return *it->second;
   }
-  for (const AddedEdge& ae : added_) {
-    if (!ae.latency.is_constant()) ++non_constant;
-    if (!ae.presence.is_semi_periodic()) ++non_semi_periodic;
-  }
-  all_latency_constant_ = non_constant == 0;
-  all_semi_periodic_ = non_semi_periodic == 0;
-  // Presence patches and tombstones leave every latency alone, so the
-  // base's uniform latency survives them; anything else forgoes it.
-  if (added_.empty() && !latency_overridden) {
-    uniform_constant_latency_ = sx.uniform_constant_latency();
-  }
+  throw std::out_of_range("OverlaySnapshot::override_rec: no override");
 }
 
 namespace {
@@ -116,11 +157,10 @@ struct AdjNodeLess {
 }  // namespace
 
 std::pair<const std::pair<NodeId, EdgeId>*, const std::pair<NodeId, EdgeId>*>
-OverlaySnapshot::added_out_range(NodeId v) const noexcept {
-  const auto [lo, hi] = std::equal_range(added_adj_.begin(), added_adj_.end(),
-                                         v, AdjNodeLess{});
-  return {added_adj_.data() + (lo - added_adj_.begin()),
-          added_adj_.data() + (hi - added_adj_.begin())};
+OverlaySnapshot::added_out_range_nonempty(NodeId v) const noexcept {
+  const auto [lo, hi] =
+      std::equal_range(adj_.begin(), adj_.end(), v, AdjNodeLess{});
+  return {adj_.data() + (lo - adj_.begin()), adj_.data() + (hi - adj_.begin())};
 }
 
 // ---------------------------------------------------------------------------

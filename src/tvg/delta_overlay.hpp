@@ -16,10 +16,11 @@
 //    tombstone: presence overridden to never(), so EdgeIds stay stable
 //    forever), patch ρ, or override ζ.
 //  * OverlaySnapshot — an immutable compiled form of the pending delta
-//    (override bitmap + map over base edges, appended edges with their
-//    own sorted out-adjacency, and the recomputed graph-wide facts).
-//    Published behind a shared_ptr: readers grab it once and never see
-//    a half-applied mutation.
+//    (a two-level override table over base edges, appended edges with
+//    their own sorted out-adjacency, and the graph-wide facts). Each
+//    write extends the previous snapshot by its batch, sharing every
+//    part the batch leaves alone. Published behind a shared_ptr: readers
+//    grab it once and never see a half-applied mutation.
 //  * OverlayView — the merged read interface the search kernels and the
 //    acceptance search are templated over (read_core.hpp). It mirrors
 //    the ScheduleIndex contract bit for bit: overridden and added edges
@@ -33,7 +34,7 @@
 //
 // The engine owns the mutation log and the concurrency around these
 // pieces: validation, the optional write-ahead log, epoch-pointer reads,
-// per-partition cache invalidation and background compaction (see
+// per-partition cache stamps and background compaction (see
 // QueryEngine in query_engine.hpp). Compaction keeps tombstoned
 // edges (as never-present records), so an EdgeId handed out by add_edge
 // stays valid across any number of compactions, and a compacted graph's
@@ -41,11 +42,12 @@
 // them.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -137,13 +139,23 @@ class MutationBatchError : public std::out_of_range {
 };
 
 /// Immutable compiled form of a pending delta over one frozen base.
-/// Rebuilt (O(pending + E/64)) and republished behind a shared_ptr on
-/// every mutation; readers holding an older snapshot keep a consistent
-/// view for their whole query.
+/// Each write builds the next snapshot from the previous one plus its
+/// batch (O(batch), whatever the pending count) and republishes it
+/// behind a shared_ptr; readers holding an older snapshot keep a
+/// consistent view for their whole query.
+///
+/// Overrides of base edges live in a two-level table: one leaf per 4096
+/// base edges, holding a 64-word override bitmap and the leaf's records
+/// sorted by edge id. Leaves and records are shared between snapshots;
+/// a leaf no override ever touched is null, and a batch copies each
+/// leaf it touches once (its record pointers, not the records). The
+/// added edges and their adjacency are shared too, until a batch adds
+/// an edge or patches an added one.
 class OverlaySnapshot {
  public:
   /// Per-base-edge override record: either field may be unset, in which
-  /// case the base index keeps answering for that aspect.
+  /// case the base index keeps answering for that aspect (an unset field
+  /// holds the base edge's own value).
   struct OverrideRec {
     Presence presence{Presence::never()};
     Latency latency{Latency::constant(0)};
@@ -161,44 +173,52 @@ class OverlaySnapshot {
     std::string name;
   };
 
-  /// Compiles `log` against `base` (whose ScheduleIndex must already be
-  /// frozen — QueryEngine's epochs guarantee this). The effective
-  /// graph-wide facts (all-latency-constant, all-semi-periodic) are
-  /// recomputed from the base index's non-conforming-edge counters
-  /// adjusted by the delta, USING THE SAME Latency::is_constant() /
-  /// Presence::is_semi_periodic() predicates the index itself counts
-  /// with — so an overlay read takes exactly the kernel branch a
-  /// from-scratch rebuild would take.
-  OverlaySnapshot(const TimeVaryingGraph& base,
-                  std::span<const EdgeMutation> log, std::uint64_t sequence);
+  /// The empty overlay over `base` (whose ScheduleIndex must already be
+  /// frozen — QueryEngine's epochs guarantee this) at `sequence`. Its
+  /// graph-wide facts are the base index's own.
+  explicit OverlaySnapshot(const TimeVaryingGraph& base,
+                           std::uint64_t sequence = 0);
+
+  /// This snapshot plus `batch`, at sequence() + batch.size(). `base` is
+  /// the graph this snapshot was built over, and the batch's ids are
+  /// already validated against the running edge count. Costs one record
+  /// write per batch record plus one copy of each leaf the batch touches
+  /// (once per batch), whatever the pending count. The graph-wide facts (all-latency-constant, all-semi-periodic) carry
+  /// forward, adjusted against each edge's previous effective ρ/ζ with
+  /// the SAME Latency::is_constant() / Presence::is_semi_periodic()
+  /// predicates the index counts with, so an overlay read takes exactly
+  /// the kernel branch a from-scratch rebuild would take, and a chain of
+  /// single extensions equals one extension by the whole chain.
+  [[nodiscard]] OverlaySnapshot extended(
+      const TimeVaryingGraph& base, std::span<const EdgeMutation> batch) const;
 
   [[nodiscard]] bool empty() const noexcept {
-    return overrides_.empty() && added_.empty();
+    return overridden_ == 0 && added_->empty();
   }
   [[nodiscard]] std::size_t base_edge_count() const noexcept {
     return base_edges_;
   }
   [[nodiscard]] std::size_t added_edge_count() const noexcept {
-    return added_.size();
+    return added_->size();
   }
   /// Total edges the merged view exposes (base + added).
   [[nodiscard]] std::size_t edge_count() const noexcept {
-    return base_edges_ + added_.size();
+    return base_edges_ + added_->size();
   }
   [[nodiscard]] std::uint64_t sequence() const noexcept { return sequence_; }
 
-  /// True iff base edge `e` carries an override (bitmap test first, so
-  /// the common un-overridden edge costs one word load, no hashing).
+  /// True iff base edge `e` carries an override. No search: an edge in
+  /// a leaf no override touched costs one load (the null leaf), any
+  /// other one more load and a bit test.
   [[nodiscard]] bool has_override(EdgeId e) const noexcept {
-    return (override_bits_[e >> 6] >> (e & 63u)) & 1u;
+    const Leaf* leaf = leaves_[e >> kLeafShift].get();
+    return leaf != nullptr && ((leaf->bits[(e >> 6) & 63u] >> (e & 63u)) & 1u);
   }
   /// The override record for base edge `e` (has_override(e) required).
-  [[nodiscard]] const OverrideRec& override_rec(EdgeId e) const {
-    return overrides_.at(e);
-  }
+  [[nodiscard]] const OverrideRec& override_rec(EdgeId e) const;
   /// The added-edge record for overlay edge id `e` (>= base_edge_count).
   [[nodiscard]] const AddedEdge& added(EdgeId e) const {
-    return added_.at(e - base_edges_);
+    return added_->at(e - base_edges_);
   }
 
   /// Added out-edges of `v`, ascending by edge id — the order a rebuilt
@@ -206,31 +226,60 @@ class OverlaySnapshot {
   /// stable and fills in id order). Returned as a (from, id) pair range.
   [[nodiscard]] std::pair<const std::pair<NodeId, EdgeId>*,
                           const std::pair<NodeId, EdgeId>*>
-  added_out_range(NodeId v) const noexcept;
+  added_out_range(NodeId v) const noexcept {
+    // Inline: a snapshot without added edges answers without a call.
+    if (adj_.empty()) return {nullptr, nullptr};
+    return added_out_range_nonempty(v);
+  }
 
   /// Effective graph-wide facts of base ∪ delta (what a rebuild's
   /// ScheduleIndex would report).
   [[nodiscard]] bool all_latency_constant() const noexcept {
-    return all_latency_constant_;
+    return non_constant_ == 0;
   }
   [[nodiscard]] bool all_semi_periodic() const noexcept {
-    return all_semi_periodic_;
+    return non_semi_periodic_ == 0;
   }
   /// The base's uniform constant latency while no added edge or latency
   /// override could break it, -1 otherwise (see OverlayView).
   [[nodiscard]] Time uniform_constant_latency() const noexcept {
-    return uniform_constant_latency_;
+    return added_->empty() && !latency_overridden_ ? base_uniform_latency_
+                                                   : -1;
   }
 
  private:
+  static constexpr unsigned kLeafShift = 12;  // 4096 base edges per leaf
+  /// An override record, shared by every leaf copy that keeps it.
+  using Record = std::pair<EdgeId, std::shared_ptr<const OverrideRec>>;
+  struct Leaf {
+    std::array<std::uint64_t, 64> bits{};  // bit e & 4095: e overridden
+    std::vector<Record> recs;              // ascending edge id
+  };
+  using Adjacency = std::vector<std::pair<NodeId, EdgeId>>;
+
+  /// Base edge `e`'s record in this snapshot, which is being extended
+  /// from `prev`: a leaf is copied the first time a batch writes to it,
+  /// and the record is copied (or made from the base ρ/ζ) for writing.
+  OverrideRec& own_record(const TimeVaryingGraph& base,
+                          const OverlaySnapshot& prev, EdgeId e);
+  /// Replaces `slot` (an edge's effective ρ or ζ) with `value`, moving
+  /// the matching non-conforming-edge counter.
+  void replace(Presence& slot, const Presence& value);
+  void replace(Latency& slot, const Latency& value);
+  [[nodiscard]] std::pair<const std::pair<NodeId, EdgeId>*,
+                          const std::pair<NodeId, EdgeId>*>
+  added_out_range_nonempty(NodeId v) const noexcept;
+
   std::size_t base_edges_{0};
-  std::vector<std::uint64_t> override_bits_;  // one bit per base edge
-  std::unordered_map<EdgeId, OverrideRec> overrides_;
-  std::vector<AddedEdge> added_;
-  std::vector<std::pair<NodeId, EdgeId>> added_adj_;  // sorted (from, id)
-  bool all_latency_constant_{true};
-  bool all_semi_periodic_{true};
-  Time uniform_constant_latency_{-1};
+  std::vector<std::shared_ptr<const Leaf>> leaves_;  // null: no override
+  std::size_t overridden_{0};  // base edges with a record
+  std::shared_ptr<const std::vector<AddedEdge>> added_;
+  std::shared_ptr<const Adjacency> added_adj_;  // sorted (from, id)
+  std::span<const std::pair<NodeId, EdgeId>> adj_;  // *added_adj_'s items
+  std::size_t non_constant_{0};       // edges with a non-constant ζ
+  std::size_t non_semi_periodic_{0};  // edges with a non-semi-periodic ρ
+  bool latency_overridden_{false};    // some base edge has a ζ override
+  Time base_uniform_latency_{-1};
   std::uint64_t sequence_{0};
 };
 

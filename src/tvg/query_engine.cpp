@@ -1,7 +1,6 @@
 #include "tvg/query_engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <exception>
 #include <stdexcept>
 #include <thread>
@@ -144,8 +143,7 @@ QueryEngine::QueryEngine(std::shared_ptr<const TimeVaryingGraph> epoch,
   // Constructor: no concurrent access yet (clang's analysis exempts
   // construction), so the guarded members initialize without mu_.
   freeze_compiled(*epoch);
-  state_.overlay = std::make_shared<const OverlaySnapshot>(
-      *epoch, std::span<const EdgeMutation>{}, 0);
+  state_.overlay = std::make_shared<const OverlaySnapshot>(*epoch);
   state_.epoch = std::move(epoch);
   if (cache.enabled && cache.capacity > 0) {
     cache_ = std::make_unique<ResultCache>(cache);
@@ -162,23 +160,12 @@ QueryEngine::~QueryEngine() {
 }
 
 // ---------------------------------------------------------------------------
-// Capture and the stale-insert check
+// Capture and the cache insert
 // ---------------------------------------------------------------------------
 
 QueryEngine::State QueryEngine::capture() const {
   const MutexLock lock(mu_);
   return state_;
-}
-
-bool QueryEngine::insert_allowed_locked(std::uint64_t captured_seq,
-                                        std::uint64_t footprint) const {
-  if (state_.overlay->sequence() == captured_seq) return true;  // no write
-  // A partition's stamp is its newest write, so this is exactly "no
-  // write meeting the footprint landed in (captured_seq, now]".
-  for (std::uint64_t bits = footprint; bits != 0; bits &= bits - 1) {
-    if (partition_seq_[std::countr_zero(bits)] > captured_seq) return false;
-  }
-  return true;
 }
 
 template <typename Result>
@@ -187,16 +174,11 @@ Result QueryEngine::remember(const QueryKey& key, Result result,
                              std::uint64_t footprint) const {
   if (!cache_) return result;
   const auto owned = std::make_shared<const Result>(std::move(result));
-  const std::size_t bytes = approx_bytes(*owned);
-  {
-    // The staleness check and the insert are one critical section: a
-    // mutation published between them would invalidate the cache BEFORE
-    // this entry exists, and the entry would survive as a stale hit.
-    const MutexLock lock(mu_);
-    if (insert_allowed_locked(captured.overlay->sequence(), footprint)) {
-      cache_->insert(key, owned, bytes, footprint);
-    }
-  }
+  // Tagged with the captured sequence: a write published since then
+  // that meets the footprint has stamped the cache, so a lookup drops
+  // this entry instead of serving it.
+  cache_->insert(key, owned, approx_bytes(*owned), footprint,
+                 captured.overlay->sequence());
   return *owned;
 }
 
@@ -205,8 +187,8 @@ Result QueryEngine::remember(const QueryKey& key, Result result,
 // ---------------------------------------------------------------------------
 
 JourneyResult QueryEngine::run(const JourneyQuery& q) const {
-  // The cache first: an entry lives only while no write touched its
-  // footprint, so a hit needs no capture and never takes mu_.
+  // The cache first: a lookup drops an entry some write touched, so a
+  // hit needs no capture and never takes mu_.
   const QueryKey key = cache_ ? QueryKey::journey(q) : QueryKey{};
   if (const auto hit = find_cached<JourneyResult>(cache_.get(), key)) {
     return *hit;
@@ -867,7 +849,6 @@ std::uint64_t touch_mask(const TimeVaryingGraph& epoch,
 std::vector<EdgeId> QueryEngine::apply(std::span<const EdgeMutation> batch) {
   std::vector<EdgeId> ids;
   if (batch.empty()) return ids;
-  std::uint64_t mask = 0;
   std::exception_ptr sync_error;
   {
     const MutexLock write_lock(write_mu_);
@@ -885,15 +866,16 @@ std::vector<EdgeId> QueryEngine::apply(std::span<const EdgeMutation> batch) {
       if (batch[i].kind == EdgeMutation::Kind::kAddEdge) ++edges;
     }
 
-    // 2-3. Build the next snapshot and log the batch; any throw rolls
+    // 2-3. Extend the snapshot by the batch and log it; any throw rolls
     // the log back with nothing visible.
+    std::uint64_t mask = 0;
     const auto old_size = static_cast<std::ptrdiff_t>(log_.size());
     std::shared_ptr<const OverlaySnapshot> next;
     try {
       log_.insert(log_.end(), batch.begin(), batch.end());
       TVG_FAILPOINT("delta_overlay.publish");
-      next = std::make_shared<const OverlaySnapshot>(*cur.epoch, log_,
-                                                     sequence);
+      next = std::make_shared<const OverlaySnapshot>(
+          cur.overlay->extended(*cur.epoch, batch));
       for (std::size_t i = 0; i < batch.size(); ++i) {
         mask |= touch_mask(*cur.epoch, *next, batch[i], ids[i]);
       }
@@ -903,19 +885,17 @@ std::vector<EdgeId> QueryEngine::apply(std::span<const EdgeMutation> batch) {
       throw;
     }
 
-    // 4. Publish. Readers capture before the batch or after it, never
-    // inside, so the batch's last sequence stamps every partition it
-    // touched.
+    // 4. Publish, then stamp the touched partitions with the batch's last
+    // sequence. Readers capture before the batch or after it, never
+    // inside; an entry computed before it goes stale at its next lookup.
     {
       const MutexLock lock(mu_);
       state_.overlay = std::move(next);
-      for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
-        partition_seq_[std::countr_zero(bits)] = sequence;
-      }
     }
+    if (cache_) cache_->stamp(mask, sequence);
 
     // 5. Durability per policy: a failure here is "applied, not yet
-    // durable", reported after the invalidation below.
+    // durable", reported last.
     if (wal_) {
       try {
         wal_->maybe_sync();
@@ -924,11 +904,6 @@ std::vector<EdgeId> QueryEngine::apply(std::span<const EdgeMutation> batch) {
       }
     }
   }
-  // Invalidation runs outside both engine locks (it takes the shard
-  // locks; the order is mu_ -> shard, never the reverse). Publishing
-  // first is sound: any reader inserting after the publish re-checks the
-  // stamps under mu_ and skips an entry this batch would have had to drop.
-  if (cache_ && mask != 0) cache_->invalidate_keys_touching(mask);
   if (sync_error) std::rethrow_exception(sync_error);
   return ids;
 }
@@ -989,14 +964,15 @@ void QueryEngine::do_compact() {
     freeze_compiled(*next);
     {
       const MutexLock write_lock(write_mu_);
-      // Recompile the remainder against the new base before anything
+      // Rebuild the remainder over the new base before anything
       // changes. Edge ids are stable by construction: a surviving add
       // with id old_base + j gets new_base + (j - folded adds), the same
-      // id. The sequence is not reset: stale-insert stamps key on it.
+      // id. The sequence is not reset: cached entries are tagged with it.
       const std::span<const EdgeMutation> rest =
           std::span<const EdgeMutation>(log_).subspan(folded);
       auto overlay = std::make_shared<const OverlaySnapshot>(
-          *next, rest, capture().overlay->sequence());
+          OverlaySnapshot(*next, capture().overlay->sequence() - rest.size())
+              .extended(*next, rest));
       log_.erase(log_.begin(),
                  log_.begin() + static_cast<std::ptrdiff_t>(folded));
       const MutexLock lock(mu_);

@@ -28,13 +28,16 @@
 //
 // A write is one path, apply(span), run under the writer mutex:
 //   1. validate the batch against the running edge count;
-//   2. append it to the pending log and compile the next snapshot;
+//   2. append it to the pending log and extend the snapshot by it;
 //   3. when a DurableEngine attached a write-ahead log (wal.hpp), encode
 //      and write every record;
-//   4. publish: swap the snapshot pointer and stamp the touched
-//      partitions under the reader mutex (nothing here can throw);
-//   5. fsync per the log's sync policy;
-// then drop the cached results the batch touched. A failure in steps
+//   4. publish: swap the snapshot pointer under the reader mutex, then
+//      stamp the touched partitions in the result cache (nothing here
+//      can throw);
+//   5. fsync per the log's sync policy.
+// The next snapshot is the previous one extended by the batch, and the
+// stamp is O(1), so a write costs O(batch) whatever the pending count
+// and the cache size. A failure in steps
 // 1-3 rolls the log back and leaves the engine as it was; a failure in
 // step 5 means "applied, not yet durable". A failed logged write may
 // leave any prefix of its batch on disk, so the log refuses every later
@@ -56,9 +59,9 @@
 //    threads — readers copy {epoch, overlay} under the reader mutex and
 //    then run lock-free on immutable state. Writers and compaction
 //    serialize on a separate writer mutex and take the reader mutex only
-//    for the O(1) publish, so the snapshot build, the log write and the
-//    fsync never stall a query (lock order: writer -> reader -> cache
-//    shard);
+//    for the O(1) publish, so the snapshot extension, the log write and
+//    the fsync never stall a query, and a write takes no cache shard
+//    lock (lock order: writer -> reader);
 //  * results never alias engine internals (rows and journeys are owned
 //    by the returned value — including results served from the cache,
 //    which are copied out of the cache's immutable snapshots);
@@ -68,10 +71,12 @@
 //    analytics results and accept outcomes with kFootprintAll (dropped
 //    by any write); closure row blocks are never cached (their footprint
 //    is the whole reached cone of every source, and one block can weigh
-//    tens of megabytes). A write drops exactly the entries whose
-//    footprint meets its endpoints' partitions, and a result computed
-//    on a capture some later write touched is never inserted, so a hit
-//    always equals a cold run on the current graph.
+//    tens of megabytes). Every entry is tagged with the sequence of the
+//    capture it was computed on, and a write stamps its endpoints'
+//    partitions, so a lookup drops an entry whose footprint a later
+//    write met: once apply returns, no hit is older than that write on
+//    any partition it touched, and a hit always equals a cold run on the
+//    current graph.
 //
 // The engine is the one front door for every query. Below it sit the
 // kernel entry points of algorithms.hpp (foremost_arrivals,
@@ -81,7 +86,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -589,16 +593,17 @@ class QueryEngine {
     return apply(std::span<const EdgeMutation>(&m, 1)).front();
   }
   /// Applies `batch` as one step, in the order of the header comment:
-  /// one snapshot build, one log write, one publish and one invalidation
-  /// pass, dropping the cached results whose footprint meets a touched
-  /// edge's endpoint partitions. Readers see the state before the batch
-  /// or after it, never in between. Returns each record's id (the new id
-  /// for adds, ids assigned densely in batch order; the target id
-  /// otherwise). Throws MutationBatchError naming the first bad record,
-  /// with nothing changed; with a log attached also std::invalid_argument
-  /// (a runtime-only schedule cannot be persisted; nothing changed) and
-  /// tvg::IoError (a failed write rolls the batch back; a failed fsync
-  /// comes after the publish).
+  /// one snapshot extension, one log write, one publish and one cache
+  /// stamp, after which a lookup drops every cached result whose
+  /// footprint meets a touched edge's endpoint partitions. O(batch),
+  /// whatever the pending count and the cache size. Readers see the
+  /// state before the batch or after it, never in between. Returns each
+  /// record's id (the new id for adds, ids assigned densely in batch
+  /// order; the target id otherwise). Throws MutationBatchError naming
+  /// the first bad record, with nothing changed; with a log attached
+  /// also std::invalid_argument (a runtime-only schedule cannot be
+  /// persisted; nothing changed) and tvg::IoError (a failed write rolls
+  /// the batch back; a failed fsync comes after the publish).
   std::vector<EdgeId> apply(std::span<const EdgeMutation> batch)
       TVG_EXCLUDES(write_mu_, mu_);
 
@@ -660,8 +665,8 @@ class QueryEngine {
               unsigned default_threads, CacheConfig cache);
 
   [[nodiscard]] State capture() const TVG_EXCLUDES(mu_);
-  /// Caches `result` under `key` unless a write whose mask meets
-  /// `footprint` landed after `captured` was taken; returns it.
+  /// Caches `result` under `key`, tagged with `captured`'s sequence (a
+  /// lookup drops it once a later write meets `footprint`); returns it.
   template <typename Result>
   [[nodiscard]] Result remember(const QueryKey& key, Result result,
                                 const State& captured,
@@ -671,11 +676,6 @@ class QueryEngine {
   template <typename Fold>
   bool stream(const State& s, std::span<const NodeId> sources,
               const ClosureQuery& q, Fold&& fold) const;
-  /// True iff no mutation with an intersecting mask landed in
-  /// (captured_seq, now].
-  [[nodiscard]] bool insert_allowed_locked(std::uint64_t captured_seq,
-                                           std::uint64_t footprint) const
-      TVG_REQUIRES(mu_);
   /// One capture → fold → swap cycle (compacting_ already set).
   void do_compact() TVG_EXCLUDES(write_mu_, mu_);
 
@@ -691,7 +691,8 @@ class QueryEngine {
   }
 
   /// Serializes writers and compaction's swap. Held across the snapshot
-  /// build, the log write and the fsync; readers never take it.
+  /// extension, the log write, the cache stamp and the fsync; readers
+  /// never take it.
   mutable Mutex write_mu_;
   /// The pending (uncompacted) mutations, oldest first: the snapshot in
   /// state_ is always compiled from exactly this log.
@@ -699,17 +700,15 @@ class QueryEngine {
   /// The write-ahead log every apply writes to (null until attached).
   std::unique_ptr<Wal> wal_ TVG_GUARDED_BY(write_mu_);
 
-  /// Guards what readers copy, only for O(1) sections: capture, the
-  /// publish and the stale-insert check.
+  /// Guards what readers copy, only for O(1) sections: capture and the
+  /// publish.
   mutable Mutex mu_;
   State state_ TVG_GUARDED_BY(mu_);
   bool compacting_ TVG_GUARDED_BY(mu_){false};
   mutable CondVar compaction_cv_;
-  /// Stale-insert stamps: the sequence of the newest write that touched
-  /// each vertex partition (see footprint_bit).
-  std::array<std::uint64_t, 64> partition_seq_ TVG_GUARDED_BY(mu_){};
 
-  /// Engine-level result cache (null when disabled).
+  /// Engine-level result cache (null when disabled). It holds the
+  /// per-partition write stamps its lookups check staleness against.
   std::unique_ptr<ResultCache> cache_;
   /// Declared last: destroyed first, so a just-finished background
   /// compaction's worker is joined before any state it touched dies.

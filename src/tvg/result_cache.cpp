@@ -220,6 +220,7 @@ struct ResultCache::Shard {
     ValuePtr value;
     std::size_t bytes{0};
     std::uint64_t footprint{kFootprintAll};
+    std::uint64_t sequence{0};  // valid as of this write sequence
   };
 
   Shard(std::size_t cap, std::size_t byte_cap)
@@ -304,9 +305,31 @@ ResultCache::ValuePtr ResultCache::lookup(const QueryKey& key,
     if (count_miss) ++s.misses;
     return nullptr;
   }
+  Shard::Entry& entry = *it->second;
+  // The acquire pairs with stamp()'s release: every partition stamp of a
+  // write at or below `newest` is visible below.
+  const std::uint64_t newest =
+      newest_stamp_.sequence.load(std::memory_order_acquire);
+  if (newest > entry.sequence) {
+    for (std::uint64_t bits = entry.footprint; bits != 0; bits &= bits - 1) {
+      if (partition_stamps_[std::countr_zero(bits)].sequence.load(
+              std::memory_order_relaxed) > entry.sequence) {
+        s.bytes -= entry.bytes;
+        s.lru.erase(it->second);
+        s.map.erase(it);
+        ++s.invalidations;
+        if (count_miss) ++s.misses;
+        return nullptr;
+      }
+    }
+    // No write in (entry.sequence, newest] met the footprint, so the
+    // entry is valid as of `newest`: later lookups skip the walk.
+    entry.sequence = newest;
+    ++s.survivors;
+  }
   s.lru.splice(s.lru.begin(), s.lru, it->second);
   ++s.hits;
-  return it->second->value;
+  return entry.value;
 }
 
 ResultCache::ValuePtr ResultCache::find(const QueryKey& key) {
@@ -318,7 +341,8 @@ ResultCache::ValuePtr ResultCache::probe(const QueryKey& key) {
 }
 
 void ResultCache::insert(const QueryKey& key, ValuePtr value,
-                         std::size_t bytes, std::uint64_t footprint) {
+                         std::size_t bytes, std::uint64_t footprint,
+                         std::uint64_t sequence) {
   if (key.empty() || value == nullptr) return;
   Shard& s = shard_for(key);
   const MutexLock lock(s.mu);
@@ -334,13 +358,17 @@ void ResultCache::insert(const QueryKey& key, ValuePtr value,
   }
   const auto it = s.map.find(key);
   if (it != s.map.end()) {
+    // A slower reader's older result never displaces a newer one.
+    if (it->second->sequence > sequence) return;
     s.bytes += bytes - it->second->bytes;
     it->second->bytes = bytes;
     it->second->value = std::move(value);
     it->second->footprint = footprint;
+    it->second->sequence = sequence;
     s.lru.splice(s.lru.begin(), s.lru, it->second);
   } else {
-    s.lru.push_front(Shard::Entry{key, std::move(value), bytes, footprint});
+    s.lru.push_front(
+        Shard::Entry{key, std::move(value), bytes, footprint, sequence});
     s.map.emplace(key, s.lru.begin());
     s.bytes += bytes;
   }
@@ -352,22 +380,12 @@ void ResultCache::insert(const QueryKey& key, ValuePtr value,
   }
 }
 
-void ResultCache::invalidate_keys_touching(std::uint64_t partitions) {
-  if (partitions == 0) return;
-  for (const auto& shard : shards_) {
-    const MutexLock lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if ((it->footprint & partitions) != 0) {
-        shard->bytes -= it->bytes;
-        shard->map.erase(it->key);
-        it = shard->lru.erase(it);
-        ++shard->invalidations;
-      } else {
-        ++shard->survivors;
-        ++it;
-      }
-    }
+void ResultCache::stamp(std::uint64_t mask, std::uint64_t sequence) noexcept {
+  for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
+    partition_stamps_[std::countr_zero(bits)].sequence.store(
+        sequence, std::memory_order_relaxed);
   }
+  newest_stamp_.sequence.store(sequence, std::memory_order_release);
 }
 
 void ResultCache::clear() {

@@ -17,29 +17,35 @@
 //    contends only per shard;
 //  * LRU-bounded: `capacity` entries total (split across shards); an
 //    insert past capacity evicts the shard's least-recently-used entry;
-//  * private to one engine, which drops every entry a write could change
-//    (footprint invalidation, below), so a hit always equals a cold run;
+//  * private to one engine, whose writes stamp the partitions they touch
+//    (below), so a hit always equals a cold run;
 //  * value-owning: entries hold shared_ptr<const T> snapshots, hits are
 //    copied out by the engine, so cached data never aliases anything a
 //    caller can mutate.
 //
-// Stats (hits / misses / evictions / invalidations / live entries)
-// are aggregated over the shards under their locks — TSan-clean — and
-// exposed through QueryEngine::cache_stats().
+// Stats (hits / misses / evictions / invalidations / survivors / live
+// entries) are aggregated over the shards under their locks — TSan-clean
+// — and exposed through QueryEngine::cache_stats().
 //
-// Invalidation is by vertex partition: every entry carries a 64-bit
-// Bloom footprint (bit v & 63 set for the query's source and every node
-// its result reached; kFootprintAll for results without a cheap reached
-// set), a write publishes the partition mask of the touched edges'
-// endpoints, and invalidate_keys_touching drops exactly the entries
-// whose footprint intersects that mask — instead of dropping the whole
-// cache as a rebuild would. The stamp is conservative (a partition
-// collision drops a still-valid entry, never the reverse): a mutation on
-// edge (u → v) can only change a query whose pre-mutation reachable cone
-// contains u, and u's partition bit is in the footprint whenever u is in
-// that cone.
+// Staleness is decided at lookup, by vertex partition. Every entry
+// carries a 64-bit Bloom footprint (bit v & 63 set for the query's source
+// and every node its result reached; kFootprintAll for results without a
+// cheap reached set) and the write sequence of the snapshot it was
+// computed on. A write stamps each partition its touched edges' endpoints
+// fall in with its sequence (stamp()), which costs O(1) whatever the
+// cache holds. A lookup drops an entry iff some footprint partition was
+// stamped after the entry's sequence; while no write landed since the
+// entry's sequence, one load of the newest stamp decides. The check is
+// conservative (a partition collision drops a still-valid entry, never
+// the reverse): a mutation on edge (u → v) can only change a query whose
+// pre-mutation reachable cone contains u, and u's partition bit is in the
+// footprint whenever u is in that cone. Invariant: once stamp(mask, s)
+// returns, no lookup serves an entry computed at a sequence below s whose
+// footprint meets mask.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -93,21 +99,23 @@ struct CacheStats {
   /// Inserts rejected because one value exceeded a shard's whole byte
   /// budget (only possible when CacheConfig::max_bytes is set).
   std::uint64_t oversized_rejects{0};
-  /// Entries dropped by invalidate_keys_touching (footprint intersected
-  /// a touched vertex partition).
+  /// Stale entries dropped at lookup: a write stamped a partition of
+  /// their footprint after they were computed. Each also counts as a miss
+  /// (find) or an uncounted fast-path miss (probe).
   std::uint64_t invalidations{0};
-  /// Entries inspected by invalidate_keys_touching and kept (their
-  /// footprint proved them untouched by the mutation).
+  /// Hits on entries computed before the newest write that no write since
+  /// touched (their footprint proved them still valid).
   std::uint64_t survivors{0};
-  /// Live entries right now, summed over shards.
+  /// Resident entries right now, summed over shards. Stale entries count
+  /// until a lookup or LRU eviction drops them.
   std::size_t entries{0};
   /// Approximate bytes held right now (0 unless max_bytes accounting is
   /// on — without a budget the per-insert weights are not tracked).
   std::size_t bytes{0};
 };
 
-/// The "intersects everything" footprint: entries stamped with it are
-/// dropped by every invalidation (used for truncated results and result
+/// The "intersects everything" footprint: entries carrying it go stale
+/// at the first write (used for truncated results and result
 /// kinds whose reached set is not cheaply available).
 inline constexpr std::uint64_t kFootprintAll = ~std::uint64_t{0};
 
@@ -193,7 +201,7 @@ class ResultCache {
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Returns the cached value for `key`, or null (a miss). A hit
-  /// refreshes LRU recency.
+  /// refreshes LRU recency; a stale entry is dropped and misses.
   [[nodiscard]] ValuePtr find(const QueryKey& key);
 
   /// find() for a fast-path lookup that falls back to one that counts:
@@ -213,17 +221,20 @@ class ResultCache {
   /// `footprint` is the entry's vertex-partition Bloom stamp (see the
   /// header comment): OR of footprint_bit(v) over the query's source and
   /// every node its result reached. The default kFootprintAll is always
-  /// sound — such an entry just dies on the first invalidation.
+  /// sound — such an entry just goes stale at the first write.
+  /// `sequence` is the write sequence of the snapshot the value was
+  /// computed on. An insert never replaces an entry computed at a newer
+  /// sequence.
   void insert(const QueryKey& key, ValuePtr value, std::size_t bytes = 1,
-              std::uint64_t footprint = kFootprintAll);
+              std::uint64_t footprint = kFootprintAll,
+              std::uint64_t sequence = 0);
 
-  /// Drops every entry whose footprint intersects `partitions`, the OR
-  /// of footprint_bit over a write's touched endpoints (per-edge
-  /// incremental invalidation — the engine's alternative to clearing the
-  /// cache). Each shard is swept under its own lock; dropped entries
-  /// count in CacheStats::invalidations, inspected-and-kept entries in
-  /// CacheStats::survivors. No-op for an empty mask.
-  void invalidate_keys_touching(std::uint64_t partitions);
+  /// Records a write at `sequence` that touched the partitions in `mask`
+  /// (the OR of footprint_bit over its touched endpoints): every entry
+  /// computed before it whose footprint meets `mask` is stale from now
+  /// on, and the next lookup drops it. O(popcount(mask)), lock-free.
+  /// Writes stamp one at a time, in increasing sequence order.
+  void stamp(std::uint64_t mask, std::uint64_t sequence) noexcept;
 
   /// Drops every entry (all shards). Stats counters are kept.
   void clear();
@@ -236,7 +247,16 @@ class ResultCache {
   [[nodiscard]] Shard& shard_for(const QueryKey& key) noexcept;
   [[nodiscard]] ValuePtr lookup(const QueryKey& key, bool count_miss);
 
+  /// One write stamp on its own cache line.
+  struct alignas(64) Stamp {
+    std::atomic<std::uint64_t> sequence{0};
+  };
+
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// The sequence of the newest write that touched each partition.
+  std::array<Stamp, 64> partition_stamps_;
+  /// The newest write's sequence, stored after its partitions' stamps.
+  Stamp newest_stamp_;
 };
 
 }  // namespace tvg

@@ -103,9 +103,9 @@ class ScheduleIndex {
   [[nodiscard]] Time uniform_constant_latency() const noexcept {
     return uniform_latency_;
   }
-  /// Number of edges whose ζ is NOT a constant. The delta overlay uses
-  /// this to recompute the effective all-latency-constant fact in
-  /// O(pending mutations) instead of rescanning the base graph.
+  /// Number of edges whose ζ is NOT a constant. The delta overlay starts
+  /// from this and adjusts it per mutation instead of rescanning the
+  /// base graph.
   [[nodiscard]] std::size_t non_constant_latency_count() const noexcept {
     return non_constant_latency_count_;
   }

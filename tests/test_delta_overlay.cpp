@@ -268,6 +268,132 @@ TEST(DeltaOverlay, BatchApplyMatchesOneByOne) {
   expect_reads_match(batched, "after batch apply");
 }
 
+/// Every observable fact of a snapshot over `base`, for bit-identity
+/// checks between snapshots built along different paths.
+std::string snapshot_facts(const TimeVaryingGraph& base,
+                           const OverlaySnapshot& ov) {
+  std::string facts = std::to_string(ov.sequence()) + " " +
+                      std::to_string(ov.edge_count()) + " " +
+                      std::to_string(ov.empty()) + " " +
+                      std::to_string(ov.all_latency_constant()) + " " +
+                      std::to_string(ov.all_semi_periodic()) + " " +
+                      std::to_string(ov.uniform_constant_latency()) + " ";
+  for (EdgeId e = 0; e < ov.base_edge_count(); ++e) {
+    facts += ov.has_override(e) ? '1' : '0';
+  }
+  for (NodeId v = 0; v < base.node_count(); ++v) {
+    const auto [lo, hi] = ov.added_out_range(v);
+    for (const auto* it = lo; it != hi; ++it) {
+      facts += " " + std::to_string(v) + ":" + std::to_string(it->second);
+    }
+  }
+  return facts;
+}
+
+/// Every edge's endpoints, label, ρ and ζ (to_text cannot print a
+/// predicate presence).
+std::string edges_text(const TimeVaryingGraph& g) {
+  std::string text;
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const Edge& ed = g.edge(e);
+    text += std::to_string(ed.from) + ">" + std::to_string(ed.to) + " " +
+            ed.label + " " + ed.presence.to_string() + " " +
+            ed.latency.to_string() + "\n";
+  }
+  return text;
+}
+
+TEST(DeltaOverlay, ExtensionChainMatchesOneBatchAndMaterialize) {
+  // One uniform latency, so the graph-wide facts have something to flip.
+  RandomPeriodicParams params;
+  params.nodes = 12;
+  params.edges = 40;
+  params.period = 8;
+  params.density = 0.35;
+  params.max_latency = 1;
+  params.seed = 31;
+  const TimeVaryingGraph g = make_random_periodic(params);
+  ASSERT_EQ(g.schedule_index().uniform_constant_latency(), 1);
+  ASSERT_TRUE(g.schedule_index().all_semi_periodic());
+  const auto e0 = static_cast<EdgeId>(g.edge_count());
+  const auto odd = [](Time t) { return t % 2 == 1; };
+  const std::vector<EdgeMutation> stream = {
+      EdgeMutation::patch_presence(3, Presence::eventually_always(2)),
+      EdgeMutation::patch_presence(3, Presence::periodic(
+                                          4, IntervalSet::from_points({0}))),
+      EdgeMutation::override_latency(5, Latency::affine(1, 1)),
+      EdgeMutation::add_edge(0, 1, 'a', Presence::always(),
+                             Latency::constant(1), "fresh"),
+      EdgeMutation::patch_presence(e0, Presence::eventually_always(3)),
+      EdgeMutation::remove_edge(7),
+      EdgeMutation::patch_presence(9, Presence::predicate(odd, "odd")),
+      EdgeMutation::add_edge(4, 0, 'b', Presence::always(),
+                             Latency::constant(1)),
+      EdgeMutation::override_latency(5, Latency::constant(1)),  // revert
+      EdgeMutation::patch_presence(9, Presence::eventually_always(1)),
+      EdgeMutation::override_latency(e0 + 1, Latency::affine(2, 0)),
+      EdgeMutation::override_latency(e0 + 1, Latency::constant(1)),
+  };
+
+  // Snapshot level: after every prefix, the chain of single extensions
+  // equals one extension by the whole prefix.
+  const OverlaySnapshot empty(g);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.uniform_constant_latency(), 1);
+  OverlaySnapshot chain = empty;
+  for (std::size_t k = 0; k < stream.size(); ++k) {
+    chain = chain.extended(g, std::span(stream).subspan(k, 1));
+    const OverlaySnapshot batch =
+        empty.extended(g, std::span(stream).first(k + 1));
+    EXPECT_EQ(snapshot_facts(g, chain), snapshot_facts(g, batch))
+        << "after record " << k;
+    EXPECT_EQ(edges_text(materialize(g, chain)),
+              edges_text(materialize(g, batch)))
+        << "after record " << k;
+    if (k == 2) {
+      EXPECT_FALSE(chain.all_latency_constant());
+      EXPECT_EQ(chain.uniform_constant_latency(), -1);
+    }
+    if (k == 6) {
+      EXPECT_FALSE(chain.all_semi_periodic());
+    }
+  }
+  // The latency override and the predicate are both reverted, so the
+  // counters flip back; a latency override (and an added edge) still
+  // forgoes the uniform latency until compaction.
+  EXPECT_TRUE(chain.all_latency_constant());
+  EXPECT_TRUE(chain.all_semi_periodic());
+  EXPECT_EQ(chain.uniform_constant_latency(), -1);
+  EXPECT_EQ(chain.sequence(), stream.size());
+  EXPECT_EQ(chain.override_rec(3).presence.to_string(),
+            stream[1].presence.to_string());
+  EXPECT_EQ(chain.added(e0).presence.to_string(),
+            stream[4].presence.to_string());
+
+  // Engine level: single applies, one batch apply and a rebuild agree,
+  // before and after compaction.
+  QueryEngine one(g, 2);
+  QueryEngine batched(g, 2);
+  for (const EdgeMutation& m : stream) (void)one.apply(m);
+  (void)batched.apply(stream);
+  const std::string text = to_text(materialize(g, chain));
+  EXPECT_EQ(to_text(one.materialize()), text);
+  EXPECT_EQ(to_text(batched.materialize()), text);
+  expect_reads_match(one, "single applies");
+  expect_reads_match(batched, "one batch apply");
+  one.compact();
+  batched.compact();
+  EXPECT_EQ(to_text(one.materialize()), text);
+  EXPECT_EQ(to_text(batched.materialize()), text);
+  EXPECT_EQ(one.sequence(), stream.size());
+  EXPECT_EQ(batched.sequence(), stream.size());
+  // Every latency is constant(1) again, so the compacted base reports
+  // the uniform latency the overlay had given up.
+  EXPECT_EQ(one.materialize().schedule_index().uniform_constant_latency(), 1);
+  expect_reads_match(one, "single applies, compacted");
+  expect_reads_match(batched, "one batch apply, compacted");
+}
+
 TEST(DeltaOverlay, BatchApplyRejectsBadRecordAtomically) {
   const TimeVaryingGraph g = base_graph(4);
   const auto edges = static_cast<EdgeId>(g.edge_count());
@@ -370,15 +496,20 @@ TEST(DeltaOverlay, BatchApplyDropsExactlyTheTouchedJourneys) {
                              Latency::constant(0)),
   };
   (void)me.apply(batch);
+  // Staleness is decided at lookup: the apply itself drops nothing.
   const CacheStats after = me.cache_stats();
-  EXPECT_EQ(after.invalidations, 2u);
-  EXPECT_EQ(after.entries, 1u);
+  EXPECT_EQ(after.invalidations, 0u);
+  EXPECT_EQ(after.entries, 3u);
 
   EXPECT_EQ(me.run(q01), r01);
   EXPECT_EQ(me.cache_stats().hits, after.hits + 1);  // survivor served
   EXPECT_EQ(me.run(q23).arrival, 6);                 // recomputed
   EXPECT_EQ(me.run(q45).arrival, 0);
-  EXPECT_EQ(me.cache_stats().hits, after.hits + 1);
+  const CacheStats looked_up = me.cache_stats();
+  EXPECT_EQ(looked_up.hits, after.hits + 1);
+  EXPECT_EQ(looked_up.invalidations, 2u);  // exactly the touched two
+  EXPECT_EQ(looked_up.survivors, 1u);
+  EXPECT_EQ(looked_up.entries, 3u);  // the survivor plus two recomputed
   expect_reads_match(me, "after invalidating batch");
 }
 
@@ -399,17 +530,20 @@ TEST(DeltaOverlay, PerEdgeCacheInvalidationHitsSurvivorsAndDrops) {
   EXPECT_EQ(me.cache_stats().hits, 1u);
 
   // Mutating the far component must NOT evict the cached journey: its
-  // footprint {0,1} misses the touch mask {2,3}.
+  // footprint {0,1} misses the touch mask {2,3}. The lookup after the
+  // write counts the hit as a survivor.
   me.patch_presence(b, Presence::eventually_always(5));
+  EXPECT_EQ(me.cache_stats().survivors, 0u);
   EXPECT_EQ(me.run(q), cold);
   const CacheStats after_far = me.cache_stats();
   EXPECT_EQ(after_far.hits, 2u);
   EXPECT_GE(after_far.survivors, 1u);
   EXPECT_EQ(after_far.invalidations, 0u);
 
-  // Mutating the queried edge drops exactly that entry; the re-run
-  // recomputes and sees the new latency.
+  // Mutating the queried edge makes that entry stale; the next lookup
+  // drops it, and the re-run recomputes and sees the new latency.
   me.override_latency(a, Latency::constant(4));
+  EXPECT_EQ(me.cache_stats().invalidations, 0u);
   const auto warm = me.run(q);
   EXPECT_EQ(warm.arrival, 4);
   const CacheStats after_near = me.cache_stats();
@@ -541,8 +675,7 @@ TEST(DeltaOverlay, PullGatherOverPresencePatchesMatchesRebuild) {
         static_cast<EdgeId>(rng() % g.edge_count()), random_presence(rng)));
   }
 
-  EXPECT_EQ(OverlaySnapshot(g, patches, patches.size())
-                .uniform_constant_latency(),
+  EXPECT_EQ(OverlaySnapshot(g).extended(g, patches).uniform_constant_latency(),
             1);
 
   QueryEngine me(g, 2);
@@ -566,12 +699,12 @@ TEST(DeltaOverlay, PullGatherOverPresencePatchesMatchesRebuild) {
   // (pull is then skipped; push rows are the same), even where a
   // rebuild would still report one.
   patches.push_back(EdgeMutation::override_latency(0, Latency::constant(1)));
-  EXPECT_EQ(OverlaySnapshot(g, patches, patches.size())
-                .uniform_constant_latency(),
+  EXPECT_EQ(OverlaySnapshot(g).extended(g, patches).uniform_constant_latency(),
             -1);
   const std::vector<EdgeMutation> added = {EdgeMutation::add_edge(
       0, 1, 'a', Presence::always(), Latency::constant(1))};
-  EXPECT_EQ(OverlaySnapshot(g, added, 1).uniform_constant_latency(), -1);
+  EXPECT_EQ(OverlaySnapshot(g).extended(g, added).uniform_constant_latency(),
+            -1);
 }
 
 TEST(DeltaOverlay, DirtyClosureShardsOneTaskPerWordGroup) {

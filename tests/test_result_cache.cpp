@@ -486,40 +486,116 @@ TEST(ResultCache, CachingAndUncachedEnginesAgreeOnRandomStreams) {
 }
 
 TEST(ResultCache, InvalidateKeysTouchingDropsByFootprintOnly) {
-  // Store-level check of the per-edge invalidation contract: an entry
-  // dies iff its footprint intersects a touched endpoint's partition.
+  // Store-level check of the per-edge staleness contract: after a write
+  // stamp, an entry computed before it dies at its next lookup iff its
+  // footprint intersects a touched endpoint's partition.
   ResultCache cache(CacheConfig{});
   auto key_for = [](NodeId target) {
     return QueryKey::journey(JourneyQuery::foremost(0, 0).to(target));
   };
   auto value = std::make_shared<const int>(1);
-  cache.insert(key_for(0), value, 1, footprint_bit(0) | footprint_bit(1));
-  cache.insert(key_for(1), value, 1, footprint_bit(2) | footprint_bit(3));
-  cache.insert(key_for(2), value, 1, kFootprintAll);
+  cache.insert(key_for(0), value, 1, footprint_bit(0) | footprint_bit(1), 0);
+  cache.insert(key_for(1), value, 1, footprint_bit(2) | footprint_bit(3), 0);
+  cache.insert(key_for(2), value, 1, kFootprintAll, 0);
   ASSERT_EQ(cache.stats().entries, 3u);
 
-  // A write to edge 2 -> 3.
-  cache.invalidate_keys_touching(footprint_bit(2) | footprint_bit(3));
-  CacheStats stats = cache.stats();
+  // A write to edge 2 -> 3 at sequence 1. The stamp walks nothing.
+  cache.stamp(footprint_bit(2) | footprint_bit(3), 1);
+  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_EQ(cache.stats().invalidations, 0u);
   // {2,3} intersects, kFootprintAll intersects everything, {0,1} survives.
-  EXPECT_EQ(stats.invalidations, 2u);
-  EXPECT_EQ(stats.survivors, 1u);
-  EXPECT_EQ(stats.entries, 1u);
   EXPECT_NE(cache.find(key_for(0)), nullptr);
   EXPECT_EQ(cache.find(key_for(1)), nullptr);
   EXPECT_EQ(cache.find(key_for(2)), nullptr);
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.invalidations, 2u);
+  EXPECT_EQ(stats.survivors, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  // The survivor is now known valid as of sequence 1: a second hit does
+  // not count it again.
+  EXPECT_NE(cache.find(key_for(0)), nullptr);
+  EXPECT_EQ(cache.stats().survivors, 1u);
 
   // Partitions alias mod 64: node 65 lands in partition 1, so the {0,1}
   // entry is (conservatively, correctly) dropped by a far-away edge.
-  cache.invalidate_keys_touching(footprint_bit(65) | footprint_bit(70));
+  cache.stamp(footprint_bit(65) | footprint_bit(70), 2);
   EXPECT_EQ(cache.find(key_for(0)), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 3u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+TEST(ResultCache, StaleInsertMissesAndNewerEntryWins) {
+  ResultCache cache(CacheConfig{});
+  const QueryKey key = QueryKey::journey(JourneyQuery::foremost(0, 0).to(2));
+  const std::uint64_t footprint = footprint_bit(0) | footprint_bit(2);
+
+  // Computed at sequence 5; a write at 6 touches its footprint before
+  // the insert lands. The insert goes in, and the lookup misses.
+  cache.stamp(footprint_bit(2), 6);
+  cache.insert(key, std::make_shared<const int>(5), 1, footprint, 5);
+  EXPECT_EQ(cache.find(key), nullptr);
+  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  // Computed at 6, after that write: served.
+  cache.insert(key, std::make_shared<const int>(6), 1, footprint, 6);
+  auto hit = cache.find(key);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*static_cast<const int*>(hit.get()), 6);
+
+  // A slower reader's result computed at 5 never replaces the entry
+  // computed at 6; one computed at 7 does.
+  cache.insert(key, std::make_shared<const int>(5), 1, footprint, 5);
+  hit = cache.find(key);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*static_cast<const int*>(hit.get()), 6);
+  cache.insert(key, std::make_shared<const int>(7), 1, footprint, 7);
+  hit = cache.find(key);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*static_cast<const int*>(hit.get()), 7);
+  EXPECT_EQ(cache.stats().entries, 1u);
+
+  // probe() drops a stale entry too, without counting the miss.
+  cache.stamp(footprint_bit(0), 8);
+  EXPECT_EQ(cache.probe(key), nullptr);
+  EXPECT_EQ(cache.stats().invalidations, 2u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(ResultCache, NoHitOlderThanACompletedWrite) {
+  // The engine-level invariant: once apply returns, no lookup serves a
+  // result computed before that write on a footprint it touched. Readers
+  // keep computing (and inserting) the journey on captures that race the
+  // writer; after every apply the writer's own run must see the write.
+  TimeVaryingGraph g;
+  g.add_nodes(2);
+  const EdgeId e =
+      g.add_edge(0, 1, 'a', Presence::always(), Latency::constant(1));
+  QueryEngine engine(std::move(g), 1);
+  const auto q = JourneyQuery::foremost(0, 0).to(1);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) (void)engine.run(q);
+    });
+  }
+  for (Time k = 2; k < 300; ++k) {
+    engine.override_latency(e, Latency::constant(k));
+    const Time arrival = engine.run(q).arrival;
+    EXPECT_EQ(arrival, k) << "after write " << k;
+    if (arrival != k) break;
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& r : readers) r.join();
+  EXPECT_GT(engine.cache_stats().invalidations, 0u);
 }
 
 TEST(ResultCache, ConcurrentInvalidationUnderTrafficIsSafeAndAccounted) {
-  // Regression: invalidate_keys_touching walks whole shards while other
-  // threads insert and find. Run under TSan in CI; the quiescent
-  // accounting below catches lost updates either way.
+  // A stamping thread races inserts and finds (run under TSan in CI);
+  // the quiescent accounting below catches lost updates either way.
   CacheConfig config;
   config.shards = 4;
   config.capacity = 4096;  // never binds: evictions stay out of the way
@@ -527,13 +603,16 @@ TEST(ResultCache, ConcurrentInvalidationUnderTrafficIsSafeAndAccounted) {
   constexpr int kWriters = 4;
   constexpr int kIters = 400;
   std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> sequence{0};
 
-  std::thread invalidator([&] {
+  std::thread stamper([&] {
     std::mt19937_64 rng(99);
     while (!stop.load(std::memory_order_acquire)) {
       const auto v = static_cast<NodeId>(rng() % 64);
-      cache.invalidate_keys_touching(
-          footprint_bit(v) | footprint_bit(static_cast<NodeId>((v + 1) % 64)));
+      // One stamping thread: sequences stay increasing.
+      cache.stamp(
+          footprint_bit(v) | footprint_bit(static_cast<NodeId>((v + 1) % 64)),
+          sequence.fetch_add(1, std::memory_order_acq_rel) + 1);
       std::this_thread::yield();
     }
   });
@@ -549,7 +628,8 @@ TEST(ResultCache, ConcurrentInvalidationUnderTrafficIsSafeAndAccounted) {
           const auto target = static_cast<NodeId>(t * kIters + i);
           const QueryKey key =
               QueryKey::journey(JourneyQuery::foremost(0, 0).to(target));
-          cache.insert(key, value, 1, footprint_bit(target) | footprint_bit(0));
+          cache.insert(key, value, 1, footprint_bit(target) | footprint_bit(0),
+                       sequence.load(std::memory_order_acquire));
           (void)cache.find(key);
         }
       });
@@ -557,15 +637,18 @@ TEST(ResultCache, ConcurrentInvalidationUnderTrafficIsSafeAndAccounted) {
     for (std::thread& w : writers) w.join();
   }
   stop.store(true, std::memory_order_release);
-  invalidator.join();
+  stamper.join();
 
-  // Nothing was evicted, so every entry ever
-  // inserted is either resident now or was invalidated; survivors count
-  // inspections, never entries, so they can only exceed residents.
+  // Nothing was evicted, so every entry ever inserted is either resident
+  // now or was dropped stale at its lookup; every lookup was a hit or a
+  // miss, and every stale drop was a miss.
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.entries + stats.invalidations,
             std::uint64_t{kWriters} * kIters);
+  EXPECT_EQ(stats.hits + stats.misses, std::uint64_t{kWriters} * kIters);
+  EXPECT_EQ(stats.misses, stats.invalidations);
+  EXPECT_LE(stats.survivors, stats.hits);
 }
 
 TEST(ResultCache, BatchRunServesHitsAndComputesMisses) {
