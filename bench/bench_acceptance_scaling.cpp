@@ -167,9 +167,8 @@ BENCHMARK(BM_AcceptsBatched)->Arg(6)->Arg(8)->Arg(10);
 int main(int argc, char** argv) {
   // Timing loops run first: the reproduction table's allocator churn
   // would otherwise distort the per-iteration numbers (see
-  // bench_report.hpp). Results are mirrored to BENCH_acceptance.json.
-  const int rc = tvg::benchsupport::run_benchmarks_with_json(argc, argv,
-                                                             "BENCH_acceptance.json");
+  // bench_report.hpp).
+  const int rc = tvg::benchsupport::run_benchmarks_with_json(argc, argv);
   if (rc != 0) return rc;
   print_reproduction();
   return 0;

@@ -215,9 +215,8 @@ BENCHMARK(BM_ClosureEngine)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 int main(int argc, char** argv) {
   // Timing loops run first: the reproduction table's allocator churn
   // would otherwise distort the per-iteration numbers (see
-  // bench_report.hpp). Results are mirrored to BENCH_journeys.json.
-  const int rc = tvg::benchsupport::run_benchmarks_with_json(argc, argv,
-                                                             "BENCH_journeys.json");
+  // bench_report.hpp).
+  const int rc = tvg::benchsupport::run_benchmarks_with_json(argc, argv);
   if (rc != 0) return rc;
   print_reproduction();
   return 0;

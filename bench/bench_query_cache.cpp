@@ -168,8 +168,7 @@ void print_reproduction() {
 
 int main(int argc, char** argv) {
   // Timing loops first, tables after (see bench_report.hpp).
-  const int rc = tvg::benchsupport::run_benchmarks_with_json(
-      argc, argv, "BENCH_query_cache.json");
+  const int rc = tvg::benchsupport::run_benchmarks_with_json(argc, argv);
   if (rc != 0) return rc;
   print_reproduction();
   return 0;

@@ -28,6 +28,16 @@
 // edges, period 64), 20000 = the Zipf closure graph (average degree 8,
 // period 8). It reads no environment knob: both halves run it alike.
 //
+// BM_CheckpointWrite/<nodes> times to_text of the same graphs: the
+// serialize half of every checkpoint, on its own.
+//
+// BM_CheckpointStall times DurableEngine::checkpoint() on the serving
+// graph with 100 presence patches pending: materialize + to_text + CRC
+// footer + temp-file write + fsync + rename + WAL rotation, the time
+// writers are held off. The patches stay pending across iterations (a
+// checkpoint does not compact), so every iteration writes the same
+// state. Like the load and write rows it ignores TVG_BENCH_DURABLE.
+//
 // Regenerating the committed baseline:
 //
 //   TVG_BENCH_DURABLE=0 TVG_BENCH_JSON=/tmp/memory.json ./build/bench_recovery
@@ -259,6 +269,45 @@ void BM_CheckpointLoad(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(text.size()) / 1e6);
 }
 
+void BM_CheckpointWrite(benchmark::State& state) {
+  const TimeVaryingGraph g =
+      checkpoint_graph(static_cast<std::size_t>(state.range(0)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    bytes = tvg::to_text(g).size();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(
+      state.iterations() * static_cast<std::int64_t>(bytes)));
+  state.counters["edges"] =
+      benchmark::Counter(static_cast<double>(g.edge_count()));
+  state.counters["text_mb"] =
+      benchmark::Counter(static_cast<double>(bytes) / 1e6);
+}
+
+void BM_CheckpointStall(benchmark::State& state) {
+  constexpr std::size_t kPending = 100;
+  TimeVaryingGraph g = checkpoint_graph(8192);
+  const std::size_t edges = g.edge_count();
+  const std::string dir = scratch_dir("stall");
+  DurableEngine engine(std::move(g), dir, options_for(1));
+  std::mt19937_64 rng(99);
+  for (std::size_t i = 0; i < kPending; ++i) {
+    IntervalSet pattern;
+    pattern.insert_point(static_cast<Time>(rng() % 64));
+    engine.apply(EdgeMutation::patch_presence(
+        static_cast<EdgeId>(rng() % edges),
+        Presence::periodic(64, std::move(pattern))));
+  }
+  for (auto _ : state) engine.checkpoint();
+  if (engine.mutable_engine().pending_mutations() != kPending) {
+    state.SkipWithError("checkpoint changed the pending log");
+  }
+  state.counters["pending"] =
+      benchmark::Counter(static_cast<double>(kPending));
+  fs::remove_all(dir);
+}
+
 BENCHMARK(BM_DurableApply)
     ->Arg(0)  // kAlways
     ->Arg(1)  // kEveryN(64)
@@ -276,9 +325,15 @@ BENCHMARK(BM_CheckpointLoad)
     ->Arg(20000)  // Zipf closure stack
     ->Unit(benchmark::kMillisecond);
 
+BENCHMARK(BM_CheckpointWrite)
+    ->Arg(8192)   // serving stack
+    ->Arg(20000)  // Zipf closure stack
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_CheckpointStall)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  return tvg::benchsupport::run_benchmarks_with_json(argc, argv,
-                                                     "BENCH_recovery.json");
+  return tvg::benchsupport::run_benchmarks_with_json(argc, argv);
 }

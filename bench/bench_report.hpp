@@ -1,24 +1,25 @@
 // Shared bench harness: console timings plus a machine-readable JSON
 // mirror of every registered benchmark.
 //
-// run_benchmarks_with_json(argc, argv, "BENCH_foo.json") initializes
-// Google Benchmark and runs the registered benchmarks with the normal
-// console output, additionally writing the results to the given file in
-// Google Benchmark's standard JSON schema (a "context" object plus a
-// "benchmarks" array with real_time / cpu_time per entry). The wiring
-// simply injects --benchmark_out=<path> --benchmark_out_format=json
-// ahead of Initialize, so the library's own JSON reporter does the
-// writing. Resolution order for the output path:
+// run_benchmarks_with_json(argc, argv) initializes Google Benchmark and
+// runs the registered benchmarks with the normal console output. When
+// the TVG_BENCH_JSON environment variable names a path, it additionally
+// writes the results there in Google Benchmark's standard JSON schema
+// (a "context" object plus a "benchmarks" array with real_time /
+// cpu_time per entry). The wiring simply injects
+// --benchmark_out=<path> --benchmark_out_format=json ahead of
+// Initialize, so the library's own JSON reporter does the writing.
+// Resolution order for the output path:
 //
-//   1. TVG_BENCH_JSON environment variable ("" disables the mirror),
-//   2. an explicit --benchmark_out flag from the caller (wins; we add
+//   1. an explicit --benchmark_out flag from the caller (wins; we add
 //      nothing),
-//   3. the provided default (nullptr disables), relative to the working
-//      directory.
+//   2. TVG_BENCH_JSON, when set and non-empty,
+//   3. otherwise no mirror at all.
 //
-// Run from the repo root, the defaults regenerate the per-run halves of
-// the committed BENCH_*.json baselines (see scripts/merge_bench_json.py
-// for the before/after merge format).
+// There is deliberately no default path: a bench run from the repo root
+// must not overwrite the committed BENCH_*.json baselines. Regenerating
+// one names its per-run halves explicitly (see
+// scripts/merge_bench_json.py for the before/after merge format).
 //
 // IMPORTANT harness note: call this BEFORE printing any reproduction
 // table that allocates. The experiment tables churn the allocator enough
@@ -47,10 +48,8 @@ inline bool flag_present(int argc, char** argv, const char* prefix) {
 /// success, nonzero when arguments were rejected (so a typo'd flag fails
 /// the run loudly instead of silently producing zero timings — scripts
 /// regenerating the BENCH_*.json baselines depend on that).
-inline int run_benchmarks_with_json(int argc, char** argv,
-                                    const char* default_json_path) {
-  std::string json_path =
-      default_json_path == nullptr ? "" : default_json_path;
+inline int run_benchmarks_with_json(int argc, char** argv) {
+  std::string json_path;
   if (const char* env = std::getenv("TVG_BENCH_JSON")) json_path = env;
   if (flag_present(argc, argv, "--benchmark_out=")) json_path.clear();
 

@@ -130,6 +130,6 @@ BENCHMARK(BM_ScheduleIndexPresent)->DenseRange(0, 3);
 }  // namespace
 
 int main(int argc, char** argv) {
-  tvg::benchsupport::run_benchmarks_with_json(argc, argv, nullptr);
+  tvg::benchsupport::run_benchmarks_with_json(argc, argv);
   return 0;
 }

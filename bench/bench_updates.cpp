@@ -330,6 +330,5 @@ BENCHMARK(BM_ApplyVsPending)
 }  // namespace
 
 int main(int argc, char** argv) {
-  return tvg::benchsupport::run_benchmarks_with_json(argc, argv,
-                                                     "BENCH_updates.json");
+  return tvg::benchsupport::run_benchmarks_with_json(argc, argv);
 }

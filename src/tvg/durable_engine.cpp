@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <iterator>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -79,35 +80,36 @@ std::string footer_line(std::uint64_t seq, const std::string& body) {
   return std::string(buf);
 }
 
-/// Splits `text` into body + footer and verifies the footer's byte
-/// count and CRC against the body. Returns the body on success,
-/// nullopt on ANY mismatch (missing/garbled footer, trailing bytes
-/// after it, size or checksum mismatch) — the caller treats that
+/// Verifies the footer that ends `text` (its byte count and CRC against
+/// the body before it) and trims `text` to that body. False on ANY
+/// mismatch (missing/garbled footer, trailing bytes after it, size or
+/// checksum mismatch), with `text` untouched — the caller treats that
 /// checkpoint as not written.
-std::optional<std::string> verify_checkpoint(const std::string& text,
-                                             std::uint64_t expected_seq) {
+bool verify_checkpoint(std::string& text, std::uint64_t expected_seq) {
   const auto pos = text.rfind("\n# tvg-checkpoint ");
-  if (pos == std::string::npos) return std::nullopt;
-  const std::string footer = text.substr(pos + 1);
-  // The footer must be the final line, newline-terminated: anything
-  // after it is appended corruption, not slack to ignore.
-  if (footer.empty() || footer.back() != '\n' ||
-      footer.find('\n') != footer.size() - 1) {
-    return std::nullopt;
+  if (pos == std::string::npos) return false;
+  const std::size_t body_bytes = pos + 1;
+  // The footer runs to the end of `text` (so its data() is
+  // NUL-terminated for sscanf) and must be the final line,
+  // newline-terminated: anything after it is appended corruption, not
+  // slack to ignore.
+  const std::string_view footer = std::string_view(text).substr(body_bytes);
+  if (footer.back() != '\n' || footer.find('\n') != footer.size() - 1) {
+    return false;
   }
   unsigned long long seq = 0;
   unsigned long long bytes = 0;
   unsigned int crc = 0;
-  if (std::sscanf(footer.c_str(), "# tvg-checkpoint seq=%llu bytes=%llu crc32c=%x",
+  if (std::sscanf(footer.data(), "# tvg-checkpoint seq=%llu bytes=%llu crc32c=%x",
                   &seq, &bytes, &crc) != 3) {
-    return std::nullopt;
+    return false;
   }
-  std::string body = text.substr(0, pos + 1);
-  if (seq != expected_seq || bytes != body.size() ||
-      crc32c(body.data(), body.size()) != crc) {
-    return std::nullopt;
+  if (seq != expected_seq || bytes != body_bytes ||
+      crc32c(text.data(), body_bytes) != crc) {
+    return false;
   }
-  return body;
+  text.resize(body_bytes);
+  return true;
 }
 
 /// Temp-file + fsync + rename + directory fsync. The rename is the
@@ -161,27 +163,42 @@ std::string DurableEngine::wal_path(const std::string& dir,
 // Fresh start
 // ---------------------------------------------------------------------------
 
-DurableEngine::DurableEngine(TimeVaryingGraph base, std::string dir,
-                             DurableOptions options)
-    : dir_(std::move(dir)),
-      options_(options),
-      engine_(std::move(base), options.threads) {
+namespace {
+
+/// Fresh-start preflight: creates `dir`, refuses one that already holds
+/// durability state, then serializes checkpoint-0 of `base` — all
+/// before a byte is written. Throws std::invalid_argument on
+/// runtime-only schedules: a base graph that cannot be persisted is
+/// rejected at construction, not at the first checkpoint.
+std::string fresh_checkpoint_body(const TimeVaryingGraph& base,
+                                  const std::string& dir) {
   std::error_code ec;
-  fs::create_directories(dir_, ec);
-  if (ec) throw IoError("durable: create dir", dir_, ec.value());
-  for (const auto& entry : fs::directory_iterator(dir_)) {
+  fs::create_directories(dir, ec);
+  if (ec) throw IoError("durable: create dir", dir, ec.value());
+  for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
     if (parse_sequenced_name(name, kCheckpointPrefix, kCheckpointSuffix)) {
       throw std::invalid_argument(
-          "DurableEngine: " + dir_ +
+          "DurableEngine: " + dir +
           " already holds durability state (found " + name +
           ") — use DurableEngine::recover to open it");
     }
   }
-  // Throws std::invalid_argument on runtime-only schedules: a base
-  // graph that cannot be persisted is rejected at construction, not at
-  // the first checkpoint.
-  const std::string body = to_text(engine_.materialize());
+  return to_text(base);
+}
+
+}  // namespace
+
+DurableEngine::DurableEngine(TimeVaryingGraph base, std::string dir,
+                             DurableOptions options)
+    : DurableEngine(fresh_checkpoint_body(base, dir), std::move(base),
+                    std::move(dir), options) {}
+
+DurableEngine::DurableEngine(const std::string& body, TimeVaryingGraph&& base,
+                             std::string&& dir, DurableOptions options)
+    : dir_(std::move(dir)),
+      options_(options),
+      engine_(std::move(base), options.threads) {
   write_checkpoint_file(dir_, checkpoint_path(dir_, 0), body, 0);
   engine_.attach_wal(std::make_unique<Wal>(wal_path(dir_, 0), options_.wal,
                                            /*base_sequence=*/0,
@@ -246,13 +263,12 @@ std::unique_ptr<DurableEngine> DurableEngine::recover(std::string dir,
       ++r.info.checkpoints_rejected;
       continue;
     }
-    const auto body = verify_checkpoint(text, seq);
-    if (!body) {
+    if (!verify_checkpoint(text, seq)) {
       ++r.info.checkpoints_rejected;
       continue;
     }
     try {
-      r.graph = from_text(*body);
+      r.graph = from_text(text);
     } catch (const std::invalid_argument& e) {
       throw RecoveryError(
           "recover: " + checkpoint_path(dir, seq) +

@@ -178,6 +178,11 @@ class DurableEngine {
                                             std::uint64_t sequence);
 
  private:
+  /// Fresh-start tail: `body` is checkpoint-0 of `base`, serialized by
+  /// the public constructor after its directory check (no copy of the
+  /// graph the engine then owns).
+  DurableEngine(const std::string& body, TimeVaryingGraph&& base,
+                std::string&& dir, DurableOptions options);
   /// recover() tail: adopts an already-validated (graph, wal state).
   struct Recovered;
   DurableEngine(Recovered&& r, std::string dir, DurableOptions options);

@@ -1,10 +1,14 @@
 #include "tvg/serialization.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <concepts>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -15,53 +19,38 @@
 namespace tvg {
 namespace {
 
-std::string interval_set_spec(const IntervalSet& set) {
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
+// The writer: each token goes through one `put` overload into the
+// caller's string, so a line reads like the stream expression it
+// replaced and costs no temporary.
+void put(std::string& out, std::string_view s) { out += s; }
+void put(std::string& out, char c) { out += c; }
+/// Decimal form of `v`, as `<<` on a classic-locale stream writes it.
+void put(std::string& out, std::integral auto v) {
+  char buf[24];  // any 64-bit value with its sign
+  const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out.append(buf, static_cast<std::size_t>(end - buf));
+}
+void put(std::string& out, const IntervalSet& set);
+void put(std::string& out, const Presence& p) { append_presence(out, p); }
+void put(std::string& out, const Latency& l) { append_latency(out, l); }
+
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  (put(out, parts), ...);
+}
+
+void put(std::string& out, const IntervalSet& set) {
+  out += '{';
+  std::string_view sep;
   for (const TimeInterval& iv : set.intervals()) {
-    if (!first) os << ",";
-    first = false;
     if (iv.length() == 1) {
-      os << iv.lo;
+      append(out, sep, iv.lo);
     } else {
-      os << "[" << iv.lo << "," << iv.hi << ")";
+      append(out, sep, '[', iv.lo, ',', iv.hi, ')');
     }
+    sep = ",";
   }
-  os << "}";
-  return os.str();
-}
-
-std::string presence_spec(const Presence& p) {
-  if (!p.is_semi_periodic()) {
-    throw std::invalid_argument(
-        "to_text: predicate presences cannot be serialized");
-  }
-  if (p.is_always()) return "always";
-  if (p.is_never()) return "never";
-  std::ostringstream os;
-  if (p.pattern().empty()) {
-    os << "intervals:" << interval_set_spec(p.initial());
-  } else if (p.initial_length() == 0) {
-    os << "periodic:" << p.period() << ":" << interval_set_spec(p.pattern());
-  } else {
-    os << "semi:" << p.initial_length() << ":"
-       << interval_set_spec(p.initial()) << ":" << p.period() << ":"
-       << interval_set_spec(p.pattern());
-  }
-  return os.str();
-}
-
-std::string latency_spec(const Latency& l) {
-  if (const auto c = l.constant_value()) {
-    return "const:" + std::to_string(*c);
-  }
-  if (const auto ab = l.affine_coefficients()) {
-    return "affine:" + std::to_string(ab->first) + "," +
-           std::to_string(ab->second);
-  }
-  throw std::invalid_argument(
-      "to_text: function latencies cannot be serialized");
+  out += '}';
 }
 
 class SpecParser {
@@ -196,26 +185,57 @@ void split_ws(std::string_view line, std::vector<std::string_view>& out) {
 
 }  // namespace
 
+void append_presence(std::string& out, const Presence& p) {
+  if (!p.is_semi_periodic()) {
+    throw std::invalid_argument(
+        "to_text: predicate presences cannot be serialized");
+  }
+  if (p.is_always()) {
+    out += "always";
+  } else if (p.is_never()) {
+    out += "never";
+  } else if (p.pattern().empty()) {
+    append(out, "intervals:", p.initial());
+  } else if (p.initial_length() == 0) {
+    append(out, "periodic:", p.period(), ':', p.pattern());
+  } else {
+    append(out, "semi:", p.initial_length(), ':', p.initial(), ':',
+           p.period(), ':', p.pattern());
+  }
+}
+
+void append_latency(std::string& out, const Latency& l) {
+  if (const auto c = l.constant_value()) {
+    append(out, "const:", *c);
+  } else if (const auto ab = l.affine_coefficients()) {
+    append(out, "affine:", ab->first, ',', ab->second);
+  } else {
+    throw std::invalid_argument(
+        "to_text: function latencies cannot be serialized");
+  }
+}
+
 std::string to_text(const TimeVaryingGraph& g) {
-  std::ostringstream os;
-  os << "tvg 1\n";
+  std::string out;
+  // Edge lines run ~80 bytes on the generated graphs; one reservation
+  // covers the whole dump at that rate.
+  out.reserve(16 + 16 * g.node_count() + 96 * g.edge_count());
+  out += "tvg 1\n";
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    os << "node " << g.node_name(v) << "\n";
+    append(out, "node ", g.node_name(v), '\n');
   }
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     const Edge& ed = g.edge(e);
-    os << "edge " << g.node_name(ed.from) << " " << g.node_name(ed.to) << " "
-       << ed.label << " presence=" << presence_spec(ed.presence)
-       << " latency=" << latency_spec(ed.latency) << " name=" << g.edge_name(e)
-       << "\n";
+    append(out, "edge ", g.node_name(ed.from), ' ', g.node_name(ed.to), ' ',
+           ed.label, " presence=", ed.presence, " latency=", ed.latency,
+           " name=", g.edge_name(e), '\n');
   }
-  return os.str();
+  return out;
 }
 
 std::string to_text(const TimeVaryingGraph& g,
                     std::span<const EdgeMutation> delta) {
-  std::ostringstream os;
-  os << to_text(g);
+  std::string out = to_text(g);
   // Ids the log's replay defines so far: base edges plus earlier adds.
   EdgeId live_edges = g.edge_count();
   for (const EdgeMutation& m : delta) {
@@ -225,11 +245,9 @@ std::string to_text(const TimeVaryingGraph& g,
           throw std::invalid_argument(
               "to_text: delta add_edge endpoint out of range");
         }
-        os << "delta add_edge " << g.node_name(m.from) << " "
-           << g.node_name(m.to) << " " << m.label
-           << " presence=" << presence_spec(m.presence)
-           << " latency=" << latency_spec(m.latency) << " name=" << m.name
-           << "\n";
+        append(out, "delta add_edge ", g.node_name(m.from), ' ',
+               g.node_name(m.to), ' ', m.label, " presence=", m.presence,
+               " latency=", m.latency, " name=", m.name, '\n');
         ++live_edges;
         break;
       case EdgeMutation::Kind::kRemoveEdge:
@@ -237,27 +255,27 @@ std::string to_text(const TimeVaryingGraph& g,
           throw std::invalid_argument(
               "to_text: delta remove_edge references an unknown edge");
         }
-        os << "delta remove_edge " << m.edge << "\n";
+        append(out, "delta remove_edge ", m.edge, '\n');
         break;
       case EdgeMutation::Kind::kPatchPresence:
         if (m.edge >= live_edges) {
           throw std::invalid_argument(
               "to_text: delta patch_presence references an unknown edge");
         }
-        os << "delta patch_presence " << m.edge
-           << " presence=" << presence_spec(m.presence) << "\n";
+        append(out, "delta patch_presence ", m.edge, " presence=", m.presence,
+               '\n');
         break;
       case EdgeMutation::Kind::kOverrideLatency:
         if (m.edge >= live_edges) {
           throw std::invalid_argument(
               "to_text: delta override_latency references an unknown edge");
         }
-        os << "delta override_latency " << m.edge
-           << " latency=" << latency_spec(m.latency) << "\n";
+        append(out, "delta override_latency ", m.edge, " latency=", m.latency,
+               '\n');
         break;
     }
   }
-  return os.str();
+  return out;
 }
 
 namespace {
@@ -423,9 +441,17 @@ std::pair<TimeVaryingGraph, std::vector<EdgeMutation>> from_text_with_delta(
   return {std::move(g), std::move(delta)};
 }
 
-std::string presence_to_spec(const Presence& p) { return presence_spec(p); }
+std::string presence_to_spec(const Presence& p) {
+  std::string out;
+  append_presence(out, p);
+  return out;
+}
 
-std::string latency_to_spec(const Latency& l) { return latency_spec(l); }
+std::string latency_to_spec(const Latency& l) {
+  std::string out;
+  append_latency(out, l);
+  return out;
+}
 
 Presence presence_from_spec(std::string_view spec) {
   return parse_presence(spec, 0);
@@ -448,18 +474,42 @@ void write_text_file(const std::string& path, std::string_view content) {
   if (out.fail()) throw IoError("write_text_file: close", path, errno);
 }
 
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("read_text_file: open", path, errno);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  // A mid-read I/O error leaves failbit/badbit set with a partial
-  // buffer — surface it instead of returning a silently truncated
-  // graph dump (eof on its own is the normal exit).
-  if (in.bad() || (in.fail() && !in.eof())) {
-    throw IoError("read_text_file: read", path, errno);
+std::string read_file(const std::string& path, std::string_view op) {
+  // errno is captured before the message string is built: an allocation
+  // may clobber it.
+  auto fail = [&](const char* step) {
+    const int saved = errno;
+    return IoError(std::string(op) + step, path, saved);
+  };
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw fail(": open");
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) throw fail(": read");
+  // One byte past the size the file reports, so the read that finds
+  // end-of-file has room to run; a file that grew since the fstat
+  // grows the buffer instead of being cut short.
+  std::string data(static_cast<std::size_t>(st.st_size) + 1, '\0');
+  std::size_t got = 0;
+  for (;;) {
+    if (got == data.size()) data.resize(2 * data.size());
+    const ssize_t n = ::read(fd, data.data() + got, data.size() - got);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw fail(": read");
+    }
+    got += static_cast<std::size_t>(n);
   }
-  return buffer.str();
+  data.resize(got);
+  return data;
+}
+
+std::string read_text_file(const std::string& path) {
+  return read_file(path, "read_text_file");
 }
 
 }  // namespace tvg

@@ -32,6 +32,15 @@
 // (base edges in dump order, then each add in log order) — the same
 // numbering QueryEngine::apply hands out. Plain from_text stays
 // strict and rejects delta lines; use from_text_with_delta.
+//
+// One writer produces every spec byte on disk: append_presence and
+// append_latency format into the caller's std::string with
+// std::to_chars, to_text reserves one buffer and appends every line
+// (the delta lines included) to it, and the WAL (wal.cpp) appends the
+// same specs straight into its frames. Its exact output is pinned by
+// Serialization.WriterBytesArePinned (tests/test_composition.cpp) and
+// Wal.FrameBytesArePinned (tests/test_wal.cpp): a change there breaks
+// every checkpoint and log already written.
 #pragma once
 
 #include <iosfwd>
@@ -76,11 +85,17 @@ from_text_with_delta(const std::string& text);
 // round-trips, instead of inventing a second one.
 // ---------------------------------------------------------------------------
 
-/// Spec-string form of one ρ (e.g. "periodic:24:{6,7}"). Throws
-/// std::invalid_argument on runtime-only (predicate) presences.
+/// Appends the spec-string form of one ρ (e.g. "periodic:24:{6,7}") to
+/// `out`. Throws std::invalid_argument on runtime-only (predicate)
+/// presences, with `out` unchanged.
+void append_presence(std::string& out, const Presence& p);
+/// Appends the spec-string form of one ζ (e.g. "const:3") to `out`.
+/// Throws std::invalid_argument on runtime-only (function) latencies,
+/// with `out` unchanged.
+void append_latency(std::string& out, const Latency& l);
+/// append_presence into a fresh string.
 [[nodiscard]] std::string presence_to_spec(const Presence& p);
-/// Spec-string form of one ζ (e.g. "const:3"). Throws
-/// std::invalid_argument on runtime-only (function) latencies.
+/// append_latency into a fresh string.
 [[nodiscard]] std::string latency_to_spec(const Latency& l);
 /// Inverse of presence_to_spec. Throws std::invalid_argument on a
 /// malformed spec.
@@ -102,7 +117,12 @@ from_text_with_delta(const std::string& text);
 /// use the temp-file + fsync + rename path in durable_engine.cpp.
 void write_text_file(const std::string& path, std::string_view content);
 
-/// Reads all of `path`. Throws tvg::IoError on open/read failure.
+/// Reads all of `path` into one string sized from the file. Throws
+/// tvg::IoError "<op>: open" / "<op>: read" on failure.
+[[nodiscard]] std::string read_file(const std::string& path,
+                                    std::string_view op);
+
+/// read_file(path, "read_text_file").
 [[nodiscard]] std::string read_text_file(const std::string& path);
 
 }  // namespace tvg

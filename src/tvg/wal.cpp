@@ -8,8 +8,6 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "tvg/failpoint.hpp"
@@ -24,28 +22,50 @@ namespace tvg {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: kCrc32cTables[0] is the classic byte table,
+/// kCrc32cTables[k][b] the CRC of byte b followed by k zero bytes, so
+/// one step folds eight input bytes with eight lookups.
+using Crc32cTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Crc32cTables make_crc32c_tables() {
+  Crc32cTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrc32cTable = make_crc32c_table();
+constexpr Crc32cTables kCrc32cTables = make_crc32c_tables();
 
 }  // namespace
 
 std::uint32_t crc32c(const void* data, std::size_t size,
                      std::uint32_t seed) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
+  const auto& t = kCrc32cTables;
   std::uint32_t crc = ~seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ kCrc32cTable[(crc ^ p[i]) & 0xFFu];
+  // Bytes are assembled explicitly (little-endian order, whatever the
+  // host's), so the checksum never depends on the machine.
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo =
+        crc ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+               std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+          t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   }
   return ~crc;
 }
@@ -105,14 +125,33 @@ struct Reader {
   }
 };
 
-/// kind(u8) label(u8) pad(u16) edge(u32) from(u32) to(u32)
-/// name_len(u32) name  presence_len(u32) spec  latency_len(u32) spec
-std::string encode_mutation(const EdgeMutation& m) {
-  // Spec conversion first: a runtime-only schedule throws here, before
-  // a single byte is staged for the file.
-  const std::string presence = presence_to_spec(m.presence);
-  const std::string latency = latency_to_spec(m.latency);
-  std::string out;
+void patch_u32(std::string& out, std::size_t at, std::uint32_t v) {
+  std::memcpy(out.data() + at, &v, 4);
+}
+
+/// A u32 length, then the spec `append` writes, the length patched in
+/// after (a spec's size is known only once it is formatted).
+template <typename Append>
+void put_sized(std::string& out, Append&& append) {
+  const std::size_t at = out.size();
+  put_u32(out, 0);
+  append();
+  patch_u32(out, at, static_cast<std::uint32_t>(out.size() - at - 4));
+}
+
+/// Appends one record (frame + payload) to `out`. The payload is
+///   kind(u8) label(u8) pad(u16) edge(u32) from(u32) to(u32)
+///   name_len(u32) name  presence_len(u32) spec  latency_len(u32) spec
+/// with the specs formatted in place (serialization.hpp's writer). A
+/// runtime-only schedule throws with `out` partly written; the caller
+/// drops it.
+void append_record(std::string& out, const EdgeMutation& m,
+                   std::uint64_t sequence, EdgeId assigned) {
+  const std::size_t at = out.size();
+  put_u32(out, 0);  // payload_len, patched below
+  put_u32(out, 0);  // crc, patched below
+  put_u64(out, sequence);
+  put_u32(out, assigned);
   out.push_back(static_cast<char>(m.kind));
   out.push_back(m.label);
   out.push_back('\0');
@@ -122,11 +161,10 @@ std::string encode_mutation(const EdgeMutation& m) {
   put_u32(out, m.to);
   put_u32(out, static_cast<std::uint32_t>(m.name.size()));
   out.append(m.name);
-  put_u32(out, static_cast<std::uint32_t>(presence.size()));
-  out.append(presence);
-  put_u32(out, static_cast<std::uint32_t>(latency.size()));
-  out.append(latency);
-  return out;
+  put_sized(out, [&] { append_presence(out, m.presence); });
+  put_sized(out, [&] { append_latency(out, m.latency); });
+  patch_u32(out, at, static_cast<std::uint32_t>(out.size() - at - kFrameBytes));
+  patch_u32(out, at + 4, crc32c(out.data() + at + 8, out.size() - at - 8));
 }
 
 EdgeMutation decode_mutation(const char* data, std::size_t size,
@@ -269,16 +307,7 @@ std::uint64_t Wal::append(std::span<const EdgeMutation> batch,
   // schedule anywhere in the batch throws here with nothing written.
   std::string frames;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const std::string payload = encode_mutation(batch[i]);
-    const std::size_t at = frames.size();
-    put_u32(frames, static_cast<std::uint32_t>(payload.size()));
-    put_u32(frames, 0);  // crc placeholder
-    put_u64(frames, next_sequence_ + i);
-    put_u32(frames, assigned[i]);
-    frames.append(payload);
-    const std::uint32_t crc =
-        crc32c(frames.data() + at + 8, frames.size() - at - 8);
-    std::memcpy(frames.data() + at + 4, &crc, 4);
+    append_record(frames, batch[i], next_sequence_ + i, assigned[i]);
   }
 
   TVG_FAILPOINT("wal.append.before");
@@ -340,12 +369,7 @@ void Wal::sync() {
 
 Wal::ReplayResult Wal::replay(const std::string& path,
                               std::optional<std::uint64_t> base_sequence) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("wal replay: open", path, errno);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) throw IoError("wal replay: read", path, errno);
-  const std::string data = buffer.str();
+  const std::string data = read_file(path, "wal replay");
 
   ReplayResult result;
   if (base_sequence && data.size() < kHeaderBytes &&

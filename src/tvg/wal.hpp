@@ -18,9 +18,9 @@
 //             sequence (u64)  assigned_edge (u32)  payload (payload_len bytes)
 //
 //  * payload is the binary EdgeMutation encoding: kind/label/ids plus
-//    the ρ/ζ *spec strings* of the text format (serialization.hpp's
-//    presence_to_spec / latency_to_spec) — one schedule encoding for
-//    the whole system, not two;
+//    the ρ/ζ *spec strings* of the text format, appended in place by
+//    serialization.hpp's append_presence / append_latency — one
+//    schedule encoding (and one writer) for the whole system, not two;
 //  * crc32c (Castagnoli) covers sequence + assigned_edge + payload; a
 //    record whose checksum fails, whose length runs past the file, or
 //    whose frame is short is a TORN TAIL: replay stops there and

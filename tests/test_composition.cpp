@@ -270,6 +270,86 @@ TEST(Serialization, ZipfGraphRoundTripsExactly) {
   EXPECT_EQ(to_text(back), text);
 }
 
+// The writer's exact bytes, taken from the stream-based writer it
+// replaced: every checkpoint and delta dump already on disk was written
+// in this form, so a change here is a format change, not a refactor.
+// Covers every presence form the writer emits (at/eventually parse but
+// are written as intervals/semi), both latency forms, negative times,
+// times next to kTimeInfinity and all four delta kinds.
+TEST(Serialization, WriterBytesArePinned) {
+  TimeVaryingGraph g;
+  g.add_node("v0");
+  g.add_node("hub");
+  g.add_node("x");
+  g.add_edge(0, 1, 'a', Presence::always(), Latency::constant(1), "up");
+  g.add_edge(1, 2, 'b', Presence::never(), Latency::constant(0));
+  IntervalSet mixed = IntervalSet::from_points({3, 12});
+  mixed.insert({5, 9});
+  g.add_edge(2, 0, 'c', Presence::intervals(std::move(mixed)),
+             Latency::affine(2, 1), "mixed");
+  IntervalSet daily = IntervalSet::from_points({6});
+  daily.insert({8, 11});
+  g.add_edge(0, 2, 'd', Presence::periodic(24, std::move(daily)),
+             Latency::constant(3), "daily");
+  g.add_edge(1, 0, 'e',
+             Presence::semi_periodic(5, IntervalSet::single(1, 3), 4,
+                                     IntervalSet::from_points({2})),
+             Latency::affine(7, 0), "semi");
+  g.add_edge(2, 1, 'f', Presence::eventually_always(10), Latency::constant(2),
+             "late");
+  // Presence::intervals keeps negative times (ρ is 0 there), so they
+  // pin the sign; Latency rejects negative coefficients outright.
+  IntervalSet past = IntervalSet::from_points({-1});
+  past.insert({-5, -2});
+  g.add_edge(0, 0, 'g', Presence::intervals(std::move(past)),
+             Latency::constant(4), "past");
+  g.add_edge(1, 1, 'h', Presence::at_times({kTimeInfinity - 2}),
+             Latency::constant(kTimeInfinity), "far");
+
+  const std::vector<EdgeMutation> delta = {
+      EdgeMutation::add_edge(2, 0, 'z',
+                             Presence::periodic(8, [] {
+                               IntervalSet p = IntervalSet::from_points({2});
+                               p.insert({4, 6});
+                               return p;
+                             }()),
+                             Latency::affine(1, 5), "patch"),
+      EdgeMutation::remove_edge(3),
+      EdgeMutation::patch_presence(
+          8, Presence::eventually_always(kTimeInfinity - 1)),
+      EdgeMutation::override_latency(0, Latency::constant(9)),
+  };
+
+  const std::string base =
+      "tvg 1\n"
+      "node v0\n"
+      "node hub\n"
+      "node x\n"
+      "edge v0 hub a presence=always latency=const:1 name=up\n"
+      "edge hub x b presence=never latency=const:0 name=e1\n"
+      "edge x v0 c presence=intervals:{3,[5,9),12} latency=affine:2,1 "
+      "name=mixed\n"
+      "edge v0 x d presence=periodic:24:{6,[8,11)} latency=const:3 "
+      "name=daily\n"
+      "edge hub v0 e presence=semi:5:{[1,3)}:4:{2} latency=affine:7,0 "
+      "name=semi\n"
+      "edge x hub f presence=semi:10:{}:1:{0} latency=const:2 name=late\n"
+      "edge v0 v0 g presence=intervals:{[-5,-2),-1} latency=const:4 "
+      "name=past\n"
+      "edge hub hub h presence=intervals:{9223372036854775805} "
+      "latency=const:9223372036854775807 name=far\n";
+  const std::string delta_lines =
+      "delta add_edge x v0 z presence=periodic:8:{2,[4,6)} "
+      "latency=affine:1,5 name=patch\n"
+      "delta remove_edge 3\n"
+      "delta patch_presence 8 presence=semi:9223372036854775806:{}:1:{0}\n"
+      "delta override_latency 0 latency=const:9\n";
+  EXPECT_EQ(to_text(g), base);
+  EXPECT_EQ(to_text(g, delta), base + delta_lines);
+  EXPECT_EQ(presence_to_spec(g.edge(2).presence), "intervals:{3,[5,9),12}");
+  EXPECT_EQ(latency_to_spec(g.edge(7).latency), "const:9223372036854775807");
+}
+
 TEST(Serialization, RefusesRuntimeOnlySchedules) {
   TimeVaryingGraph g;
   g.add_nodes(2);

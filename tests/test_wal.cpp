@@ -9,10 +9,12 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tvg/failpoint.hpp"
@@ -88,6 +90,34 @@ TEST(Crc32c, SeedChainsPartialComputations) {
   }
 }
 
+TEST(Crc32c, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // The textbook bit-at-a-time CRC-32C: the table-driven version must
+  // agree with it on every length and start alignment, tails included.
+  auto reference = [](const unsigned char* p, std::size_t n) {
+    std::uint32_t crc = ~0u;
+    for (std::size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+      }
+    }
+    return ~crc;
+  };
+  std::vector<unsigned char> bytes(80);
+  std::uint32_t state = 12345;
+  for (unsigned char& b : bytes) {
+    state = state * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(state >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; offset + n <= bytes.size(); ++n) {
+      ASSERT_EQ(crc32c(bytes.data() + offset, n),
+                reference(bytes.data() + offset, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Append / replay round trip
 // ---------------------------------------------------------------------------
@@ -137,6 +167,75 @@ TEST(Wal, AppendReplayRoundTrip) {
     EXPECT_EQ(latency_to_spec(rec.mutation.latency),
               latency_to_spec(orig.latency));
   }
+}
+
+/// Printable ASCII as-is, every other byte (and '\\') as "\xNN".
+std::string escaped(std::string_view bytes) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  for (const char ch : bytes) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (c >= 0x20 && c < 0x7f && c != '\\') {
+      out += ch;
+    } else {
+      out += "\\x";
+      out += kHex[c >> 4];
+      out += kHex[c & 0xf];
+    }
+  }
+  return out;
+}
+
+// One record per mutation kind, payload bytes as the stream-based
+// writer produced them: every log already on disk holds this encoding.
+TEST(Wal, FrameBytesArePinned) {
+  const std::string dir = fresh_dir("pinned");
+  const std::string path = dir + "/wal-0.log";
+  const std::vector<EdgeMutation> muts = {
+      EdgeMutation::add_edge(2, 0, 'z',
+                             Presence::periodic(8, [] {
+                               IntervalSet p = IntervalSet::from_points({2});
+                               p.insert({4, 6});
+                               return p;
+                             }()),
+                             Latency::affine(1, 5), "patch"),
+      EdgeMutation::remove_edge(3),
+      EdgeMutation::patch_presence(
+          8, Presence::eventually_always(kTimeInfinity - 1)),
+      EdgeMutation::override_latency(0, Latency::constant(9)),
+  };
+  const std::vector<EdgeId> assigned = {8, 3, 8, 0};
+  {
+    Wal wal(path, WalOptions{}, 0, 1);
+    wal.append(muts, assigned);
+  }
+  const std::vector<std::string> expected = {
+      R"(\x00z\x00\x00\xff\xff\xff\xff\x02\x00\x00\x00\x00\x00\x00\x00)"
+      R"(\x05\x00\x00\x00patch\x14\x00\x00\x00periodic:8:{2,[4,6)})"
+      R"(\x0a\x00\x00\x00affine:1,5)",
+      R"(\x01?\x00\x00\x03\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff)"
+      R"(\x00\x00\x00\x00\x05\x00\x00\x00never\x07\x00\x00\x00const:1)",
+      R"(\x02?\x00\x00\x08\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff)"
+      R"(\x00\x00\x00\x00!\x00\x00\x00semi:9223372036854775806:{}:1:{0})"
+      R"(\x07\x00\x00\x00const:1)",
+      R"(\x03?\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff)"
+      R"(\x00\x00\x00\x00\x06\x00\x00\x00always\x07\x00\x00\x00const:9)",
+  };
+  const std::string data = read_raw(path);
+  std::size_t pos = Wal::kHeaderBytes;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_LE(pos + 20, data.size()) << "record " << i;
+    std::uint32_t payload_len = 0;
+    std::memcpy(&payload_len, data.data() + pos, 4);
+    ASSERT_LE(pos + 20 + payload_len, data.size()) << "record " << i;
+    EXPECT_EQ(escaped(std::string_view(data).substr(pos + 20, payload_len)),
+              expected[i])
+        << "record " << i;
+    pos += 20 + payload_len;
+  }
+  EXPECT_EQ(pos, data.size());
+  // The CRCs the writer stamped still verify.
+  EXPECT_EQ(Wal::replay(path).records.size(), muts.size());
 }
 
 TEST(Wal, ReopenContinuesSequence) {
