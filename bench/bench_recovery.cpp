@@ -28,6 +28,14 @@
 // edges, period 64), 20000 = the Zipf closure graph (average degree 8,
 // period 8). It reads no environment knob: both halves run it alike.
 //
+// BM_CheckpointOpen/<nodes> times from_text of the same bodies plus
+// building a QueryEngine (4 threads) over the parsed graph and tearing
+// both down: what recover() does with a checkpoint before any WAL
+// replay. The load row stops at the parse; this one also pays the
+// schedule index, CSR and overlay snapshot builds over the parsed
+// schedules, and freeing them. Like the load row it reads no
+// environment knob.
+//
 // BM_CheckpointWrite/<nodes> times to_text of the same graphs: the
 // serialize half of every checkpoint, on its own.
 //
@@ -269,6 +277,18 @@ void BM_CheckpointLoad(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(text.size()) / 1e6);
 }
 
+void BM_CheckpointOpen(benchmark::State& state) {
+  const std::string text =
+      tvg::to_text(checkpoint_graph(static_cast<std::size_t>(state.range(0))));
+  std::size_t edges = 0;
+  for (auto _ : state) {
+    const QueryEngine engine(tvg::from_text(text), /*default_threads=*/4);
+    edges = engine.edge_count();
+    benchmark::DoNotOptimize(edges);
+  }
+  state.counters["edges"] = benchmark::Counter(static_cast<double>(edges));
+}
+
 void BM_CheckpointWrite(benchmark::State& state) {
   const TimeVaryingGraph g =
       checkpoint_graph(static_cast<std::size_t>(state.range(0)));
@@ -321,6 +341,11 @@ BENCHMARK(BM_Recovery)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_CheckpointLoad)
+    ->Arg(8192)   // serving stack
+    ->Arg(20000)  // Zipf closure stack
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_CheckpointOpen)
     ->Arg(8192)   // serving stack
     ->Arg(20000)  // Zipf closure stack
     ->Unit(benchmark::kMillisecond);

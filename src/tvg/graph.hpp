@@ -67,6 +67,12 @@ class TimeVaryingGraph {
   /// Adds a labeled temporal edge. Nodes must already exist.
   EdgeId add_edge(NodeId from, NodeId to, Symbol label, Presence presence,
                   Latency latency, std::string name = "");
+  /// Makes room for `count` more edges, so a bulk load (the text
+  /// parser) appends without regrowing the edge arrays.
+  void reserve_edges(std::size_t count) {
+    edges_.reserve(edges_.size() + count);
+    edge_names_.reserve(edge_names_.size() + count);
+  }
   /// Convenience: always-present edge with constant latency.
   EdgeId add_static_edge(NodeId from, NodeId to, Symbol label,
                          Time latency = 1, std::string name = "");
@@ -93,8 +99,8 @@ class TimeVaryingGraph {
     return node_names_.at(v);
   }
   /// The first node named `name`. A linear scan over every node name,
-  /// meant for diagnostics and tests: bulk name resolution (the text
-  /// parser) keeps its own hash index instead.
+  /// meant for diagnostics and tests: the text parser resolves `v<N>` by
+  /// index and other names through its own hash index instead.
   [[nodiscard]] std::optional<NodeId> find_node(std::string_view name) const;
 
   /// Ids of edges leaving / entering v, in insertion order. The spans

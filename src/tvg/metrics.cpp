@@ -120,6 +120,7 @@ struct PairSum {
   double total = 0.0;
   std::size_t pairs = 0;
   for (const PairSum& s : sums) {
+    // time-arith: double accumulation of already-summed shares
     total += s.total;
     pairs += s.pairs;
   }

@@ -285,61 +285,88 @@ namespace {
                               ": " + what);
 }
 
+/// One parse's table of one spec kind: each distinct spec text is parsed
+/// and validated once, and every later line with the same text copies its
+/// immutable shared schedule. Only successful parses enter, so a bad spec
+/// fails on the first line that carries it. Keys view into the text.
+template <typename Schedule, Schedule (*parse)(std::string_view, std::size_t)>
+struct SpecTable {
+  std::unordered_map<std::string_view, Schedule> parsed;
+
+  const Schedule& operator()(std::string_view spec, std::size_t line) {
+    auto it = parsed.find(spec);
+    if (it == parsed.end()) it = parsed.emplace(spec, parse(spec, line)).first;
+    return it->second;
+  }
+};
+struct Specs {
+  SpecTable<Presence, parse_presence> presence;
+  SpecTable<Latency, parse_latency> latency;
+};
+
 /// The `from to label attr...` tail shared by `edge` and `delta add_edge`
-/// lines, as an add_edge mutation. Endpoints resolve through `nodes`
-/// (name -> id); `directive` names the line kind in the missing-attribute
-/// error.
-EdgeMutation parse_edge_tail(
-    std::span<const std::string_view> tokens,
+/// lines; its schedules live in the parse's Specs.
+struct EdgeTail {
+  NodeId from;
+  NodeId to;
+  Symbol label;
+  const Presence* presence;
+  const Latency* latency;
+  std::string_view name;
+};
+
+/// `nodes` maps names to ids; `directive` names the line kind in the
+/// missing-attribute error.
+EdgeTail parse_edge_tail(
+    std::span<const std::string_view> tokens, const TimeVaryingGraph& g,
     const std::unordered_map<std::string_view, NodeId>& nodes,
-    std::string_view directive, std::size_t line_no) {
+    Specs& specs, std::string_view directive, std::size_t line_no) {
   auto endpoint = [&](std::string_view name) {
+    // A generated name `v<N>` is node N's: guess the id from the digits
+    // (0 if none parse) and keep it if that node has exactly this name;
+    // names are unique, so a confirmed guess is the answer.
+    NodeId id = 0;
+    (void)std::from_chars(name.data() + 1, name.data() + name.size(), id);
+    if (id < g.node_count() && g.node_name(id) == name) return id;
     const auto it = nodes.find(name);
     if (it == nodes.end()) {
       fail_line(line_no, "unknown node '" + std::string(name) + "'");
     }
     return it->second;
   };
-  const NodeId from = endpoint(tokens[0]);
-  const NodeId to = endpoint(tokens[1]);
+  EdgeTail t{endpoint(tokens[0]), endpoint(tokens[1]), tokens[2][0],
+             nullptr, nullptr, {}};
   if (tokens[2].size() != 1) {
     fail_line(line_no, "label must be a single character");
   }
-  Presence presence = Presence::always();
-  Latency latency = Latency::constant(1);
-  std::string name;
-  bool presence_seen = false;
-  bool latency_seen = false;
   for (const std::string_view tok : tokens.subspan(3)) {
     if (tok.starts_with("presence=")) {
-      presence = parse_presence(tok.substr(9), line_no);
-      presence_seen = true;
+      t.presence = &specs.presence(tok.substr(9), line_no);
     } else if (tok.starts_with("latency=")) {
-      latency = parse_latency(tok.substr(8), line_no);
-      latency_seen = true;
+      t.latency = &specs.latency(tok.substr(8), line_no);
     } else if (tok.starts_with("name=")) {
-      name = tok.substr(5);
+      t.name = tok.substr(5);
     } else {
       fail_line(line_no, "unknown attribute '" + std::string(tok) + "'");
     }
   }
-  if (!presence_seen || !latency_seen) {
+  if (t.presence == nullptr || t.latency == nullptr) {
     fail_line(line_no,
               std::string(directive) + " needs both presence= and latency=");
   }
-  return EdgeMutation::add_edge(from, to, tokens[2][0], std::move(presence),
-                                std::move(latency), std::move(name));
+  return t;
 }
 
 /// Shared parser: `delta_out == nullptr` is the strict mode (from_text),
 /// where a delta line falls through to "unknown directive". Linear in
-/// the input: lines and tokens are views into `text`, and node names
-/// resolve through a hash index keyed by those views (`text` outlives
-/// the parse; the graph's own name strings may move as it grows).
+/// the input: lines and tokens are views into `text`, and node names and
+/// specs are keyed by those views (`text` outlives the parse; the
+/// graph's own name strings may move as it grows).
 TimeVaryingGraph parse_text(std::string_view text,
                             std::vector<EdgeMutation>* delta_out) {
   TimeVaryingGraph g;
   std::unordered_map<std::string_view, NodeId> nodes;
+  Specs specs;
   std::vector<std::string_view> tokens;
   std::size_t line_no = 0;
   bool header_seen = false;
@@ -369,10 +396,19 @@ TimeVaryingGraph parse_text(std::string_view text,
       g.add_node(std::string(tokens[1]));
     } else if (tokens[0] == "edge") {
       if (tokens.size() < 5) fail("edge wants: from to label presence= ...");
-      EdgeMutation e = parse_edge_tail(std::span(tokens).subspan(1), nodes,
-                                       "edge", line_no);
-      g.add_edge(e.from, e.to, e.label, std::move(e.presence),
-                 std::move(e.latency), std::move(e.name));
+      if (g.edge_count() == 0) {
+        // The lines from here on, none shorter than `edge a b c
+        // presence=never latency=const:0` (41 bytes), bound the edges to
+        // come; past the writer's node lines the bound is tight.
+        const std::string_view rest = text.substr(nl);
+        g.reserve_edges(std::min<std::size_t>(
+            std::count(rest.begin(), rest.end(), '\n') + 1,
+            rest.size() / 41 + 1));
+      }
+      const EdgeTail e = parse_edge_tail(std::span(tokens).subspan(1), g,
+                                         nodes, specs, "edge", line_no);
+      g.add_edge(e.from, e.to, e.label, *e.presence, *e.latency,
+                 std::string(e.name));
     } else if (delta_out != nullptr && tokens[0] == "delta") {
       if (tokens.size() < 2) fail("delta wants an operation");
       // Ids defined so far under replay: base edges + adds parsed above.
@@ -393,9 +429,12 @@ TimeVaryingGraph parse_text(std::string_view text,
         if (tokens.size() < 6) {
           fail("delta add_edge wants: from to label presence= latency= ...");
         }
-        delta_out->push_back(parse_edge_tail(std::span(tokens).subspan(2),
-                                             nodes, "delta add_edge",
-                                             line_no));
+        const EdgeTail e = parse_edge_tail(std::span(tokens).subspan(2), g,
+                                           nodes, specs, "delta add_edge",
+                                           line_no);
+        delta_out->push_back(EdgeMutation::add_edge(
+            e.from, e.to, e.label, *e.presence, *e.latency,
+            std::string(e.name)));
         ++delta_adds;
       } else if (tokens[1] == "remove_edge") {
         if (tokens.size() != 3) fail("delta remove_edge wants an edge id");
@@ -407,14 +446,14 @@ TimeVaryingGraph parse_text(std::string_view text,
         }
         const EdgeId id = parse_edge_id(tokens[2]);
         delta_out->push_back(EdgeMutation::patch_presence(
-            id, parse_presence(tokens[3].substr(9), line_no)));
+            id, specs.presence(tokens[3].substr(9), line_no)));
       } else if (tokens[1] == "override_latency") {
         if (tokens.size() != 4 || !tokens[3].starts_with("latency=")) {
           fail("delta override_latency wants: <edge id> latency=...");
         }
         const EdgeId id = parse_edge_id(tokens[2]);
         delta_out->push_back(EdgeMutation::override_latency(
-            id, parse_latency(tokens[3].substr(8), line_no)));
+            id, specs.latency(tokens[3].substr(8), line_no)));
       } else {
         fail("unknown delta operation '" + std::string(tokens[1]) + "'");
       }

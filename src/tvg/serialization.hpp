@@ -69,7 +69,9 @@ struct EdgeMutation;  // delta_overlay.hpp
 /// Parses the textual format. Throws std::invalid_argument with a line
 /// number on malformed input (including any `delta` line: the plain
 /// parser is strict so a checkpoint with pending mutations cannot be
-/// silently truncated to its base).
+/// silently truncated to its base). Each distinct spec text is parsed
+/// once: edges whose `presence=` (or `latency=`) text is equal share one
+/// immutable schedule, as do the delta lines of from_text_with_delta.
 [[nodiscard]] TimeVaryingGraph from_text(const std::string& text);
 
 /// Parses base graph + pending mutation log. Replaying the returned log

@@ -270,6 +270,104 @@ TEST(Serialization, ZipfGraphRoundTripsExactly) {
   EXPECT_EQ(to_text(back), text);
 }
 
+TEST(Serialization, ServingGraphRoundTripsExactly) {
+  RandomPeriodicParams params;
+  params.nodes = 8192;
+  params.edges = 60000;
+  params.period = 64;
+  params.density = 0.03;
+  params.max_latency = 2;
+  params.seed = 1;
+  const std::string text = to_text(make_random_periodic(params));
+  EXPECT_EQ(to_text(from_text(text)), text);
+}
+
+// Generated names `v<N>` take a by-index path; it must agree with the
+// hash index for every name whose digits point at some other node.
+TEST(Serialization, NodeNamesResolveByNameNotDigits) {
+  const std::string nodes =
+      "tvg 1\n"
+      "node v1\n"
+      "node v0\n"
+      "node v007\n"
+      "node v\n"
+      "node v-1\n"
+      "node v99999999999999999999\n";
+  const TimeVaryingGraph g = from_text(
+      nodes +
+      "edge v1 v0 a presence=always latency=const:1\n"
+      "edge v0 v1 a presence=always latency=const:1\n"
+      "edge v007 v a presence=always latency=const:1\n"
+      "edge v-1 v99999999999999999999 a presence=always latency=const:1\n");
+  const std::vector<std::pair<NodeId, NodeId>> want = {
+      {0, 1}, {1, 0}, {2, 3}, {4, 5}};
+  ASSERT_EQ(g.edge_count(), want.size());
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    EXPECT_EQ(std::pair(g.edge(e).from, g.edge(e).to), want[e]) << e;
+  }
+  auto message_of = [&](const std::string& edge_line) {
+    try {
+      (void)from_text(nodes + edge_line);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("<no throw>");
+  };
+  // v2 and v7 are ids that exist or that v007 spells, never names.
+  EXPECT_EQ(message_of("edge v2 v0 a presence=always latency=const:1\n"),
+            "from_text: line 8: unknown node 'v2'");
+  EXPECT_EQ(message_of("edge v0 v7 a presence=always latency=const:1\n"),
+            "from_text: line 8: unknown node 'v7'");
+  EXPECT_EQ(message_of("edge v0 v01 a presence=always latency=const:1\n"),
+            "from_text: line 8: unknown node 'v01'");
+}
+
+TEST(Serialization, RepeatedBadSpecFailsOnItsFirstLine) {
+  auto message_of = [](const std::string& text) {
+    try {
+      (void)from_text_with_delta(text);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("<no throw>");
+  };
+  const std::string head = "tvg 1\nnode a\nnode b\n";
+  EXPECT_EQ(message_of(head +
+                       "edge a b x presence=periodic:4:{1 latency=const:1\n"
+                       "edge b a x presence=periodic:4:{1 latency=const:1\n"),
+            "from_text: line 4: expected ',' near ''");
+  EXPECT_EQ(message_of(head +
+                       "edge a b x presence=always latency=const:z\n"
+                       "edge b a x presence=always latency=const:z\n"),
+            "from_text: line 4: expected a number near 'z'");
+  EXPECT_EQ(message_of(head +
+                       "edge a b x presence=always latency=const:1\n"
+                       "delta patch_presence 0 presence=sometimes\n"
+                       "delta patch_presence 0 presence=sometimes\n"),
+            "from_text: line 5: unknown presence spec near 'sometimes'");
+}
+
+// One parse keeps one schedule per distinct spec text, base and delta
+// lines alike.
+TEST(Serialization, EqualSpecsShareOneSchedule) {
+  const auto [g, delta] = from_text_with_delta(
+      "tvg 1\n"
+      "node a\n"
+      "node b\n"
+      "edge a b x presence=periodic:8:{1,3} latency=const:2\n"
+      "edge b a y presence=periodic:8:{1,3} latency=const:2\n"
+      "edge a a z presence=periodic:8:{1,2} latency=const:2\n"
+      "delta patch_presence 2 presence=periodic:8:{1,3}\n");
+  ASSERT_EQ(g.edge_count(), 3u);
+  ASSERT_EQ(delta.size(), 1u);
+  const IntervalSet* shared = &g.edge(0).presence.pattern();
+  EXPECT_EQ(&g.edge(1).presence.pattern(), shared);
+  EXPECT_EQ(&delta[0].presence.pattern(), shared);
+  EXPECT_NE(&g.edge(2).presence.pattern(), shared);
+  EXPECT_TRUE(g.edge(2).present(10));  // residue 2: its own pattern
+  EXPECT_FALSE(g.edge(0).present(10));
+}
+
 // The writer's exact bytes, taken from the stream-based writer it
 // replaced: every checkpoint and delta dump already on disk was written
 // in this form, so a change here is a format change, not a refactor.

@@ -73,6 +73,10 @@ struct SuiteCase {
   int max_len;
 };
 
+// Without this, gtest prints the case as raw bytes, heap pointers included,
+// so the listed test names would change from one run to the next.
+void PrintTo(const SuiteCase& c, std::ostream* os) { *os << c.name; }
+
 class Thm21Suite : public ::testing::TestWithParam<SuiteCase> {};
 
 TEST_P(Thm21Suite, NoWaitLanguageEqualsOracleExhaustively) {
