@@ -13,7 +13,11 @@
 //       --note "before = serial row-per-source, after = bit-parallel"
 //   (each invocation is one shell line; wrapped for the comment width)
 //
-// Both modes run single-threaded (q.threads = 1): the packing speedup is
+// BM_ClosureUnboundedWait ignores the knob: it is the L1 row of the
+// packed kernel on closure_live's unbounded-horizon Wait shape, at 4
+// and 1 closure threads.
+//
+// The other rows run single-threaded (q.threads = 1): the packing speedup is
 // per-core — word-level frontier OR instead of thread scaling — which is
 // exactly what a single-core container can measure. The reproduction
 // table after the timing loops cross-checks both modes in one process
@@ -150,6 +154,37 @@ void BM_ClosureMultiSourceNoWait(benchmark::State& state) {
   state.counters["packed"] = packed ? 1 : 0;
 }
 BENCHMARK(BM_ClosureMultiSourceNoWait)->Arg(0)->Arg(1);
+
+/// closure_live's Wait shape (fullstack_bench): Zipf out-degrees with
+/// average degree 8, period 8, density 0.5, 512 sources spread over the
+/// Zipf ranks, no horizon — the default SearchLimits that
+/// temporal_diameter and the analytics run with — on a cache-disabled
+/// 4-thread engine. Args: {nodes, closure threads}.
+void BM_ClosureUnboundedWait(benchmark::State& state) {
+  ZipfPeriodicParams params;
+  params.nodes = static_cast<std::size_t>(state.range(0));
+  params.avg_degree = 8.0;
+  params.period = 8;
+  params.density = 0.5;
+  params.seed = 1;
+  const TimeVaryingGraph g = make_zipf_periodic(params);
+  const QueryEngine engine(g, 4, CacheConfig::disabled());
+  ClosureQuery q;
+  constexpr std::size_t kSources = 512;
+  for (std::size_t i = 0; i < kSources; ++i) {
+    q.sources.push_back(static_cast<NodeId>(i * g.node_count() / kSources));
+  }
+  q.threads = static_cast<unsigned>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.closure(q).rows.size());
+  }
+  state.counters["threads"] = static_cast<double>(state.range(1));
+}
+BENCHMARK(BM_ClosureUnboundedWait)
+    ->Args({2000, 4})
+    ->Args({20000, 4})
+    ->Args({20000, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void print_reproduction() {
   std::printf("=== Bit-parallel multi-source closure vs serial "

@@ -217,7 +217,11 @@ ComputableConstruction computable_to_tvg(tm::Decider language) {
 TvgAutomaton regular_to_tvg(const fa::Dfa& dfa) {
   TimeVaryingGraph g;
   for (fa::State s = 0; s < dfa.state_count(); ++s) {
-    g.add_node("q" + std::to_string(s));
+    // Appended into a fresh string: gcc 12 at -O3 flags
+    // `"q" + std::to_string(s)` with a false -Wrestrict.
+    std::string name(1, 'q');
+    name += std::to_string(s);
+    g.add_node(std::move(name));
   }
   for (fa::State s = 0; s < dfa.state_count(); ++s) {
     for (char symbol : dfa.alphabet()) {

@@ -27,25 +27,141 @@ struct MsPacket {
   std::uint64_t mask{0};
 };
 
-/// Heap form of a packet for the unbounded-window backend.
-struct MsHeapItem {
+/// One settle-log entry of the pull gather: `mask` lanes settled at
+/// `node` at `time`.
+struct MsSettle {
   Time time{0};
   NodeId node{kInvalidNode};
   std::uint64_t mask{0};
 };
 
+/// Monotone calendar queue: items pop by instant, then in push order —
+/// the order the Dijkstra witness forest and the packed drain rely on.
+/// A power-of-two ring of per-instant buckets covers the sliding window
+/// [now, now + ring size). A push further out waits in a small overflow
+/// min-heap ordered by (instant, push order) and moves into the ring as
+/// soon as `now` brings its instant into the window, which is before any
+/// direct push can reach that instant, so it stays ahead of them. With
+/// the ring empty, `now` jumps straight to the overflow top: far-future
+/// items cost nothing per idle instant. Capacity persists across runs;
+/// the queue is empty between runs (QueueReset keeps it so on every exit
+/// path).
+template <typename Item>
+class CalendarQueue {
+ public:
+  /// Starts a run at `now` whose items all lie in [now, horizon]; the
+  /// ring covers the whole window when it fits under kMaxRing.
+  void start(Time now, Time horizon) {
+    const Time span = sat_sub(horizon, now);
+    const std::size_t want =
+        span >= static_cast<Time>(kMaxRing)
+            ? kMaxRing
+            : std::bit_ceil(static_cast<std::size_t>(span) + 1);
+    if (ring_.size() < want) ring_.resize(want);
+    mask_ = ring_.size() - 1;
+    now_ = now;
+    seq_ = 0;
+  }
+
+  /// Queues `item` at instant t >= now.
+  void push(Time t, Item item) {
+    if (offset(t) <= mask_) {
+      ring_[slot(t)].push_back(item);
+      ++ring_items_;
+      return;
+    }
+    overflow_.push_back(Far{t, seq_++, item});
+    std::push_heap(overflow_.begin(), overflow_.end(), later);
+  }
+
+  /// The bucket of instant now(); a push to now() appends to it, so
+  /// drain it with an index loop.
+  [[nodiscard]] std::vector<Item>& current() { return ring_[slot(now_)]; }
+
+  /// Earliest instant holding an item, kTimeInfinity when empty.
+  [[nodiscard]] Time next_instant() const {
+    if (ring_items_ == 0) {
+      return overflow_.empty() ? kTimeInfinity : overflow_.front().time;
+    }
+    std::uint64_t d = 0;
+    while (ring_[(static_cast<std::uint64_t>(now_) + d) & mask_].empty()) ++d;
+    return now_ + static_cast<Time>(d);  // time-arith: an item is queued there
+  }
+
+  /// Moves now() to t; no item may be queued before t.
+  void advance_to(Time t) {
+    now_ = t;
+    while (!overflow_.empty() && offset(overflow_.front().time) <= mask_) {
+      std::pop_heap(overflow_.begin(), overflow_.end(), later);
+      ring_[slot(overflow_.back().time)].push_back(overflow_.back().item);
+      ++ring_items_;
+      overflow_.pop_back();
+    }
+  }
+
+  /// Drops the current bucket once every item in it has been consumed.
+  void retire() {
+    std::vector<Item>& bucket = current();
+    ring_items_ -= bucket.size();
+    bucket.clear();
+  }
+
+  /// Drops every queued item (O(1) when already empty).
+  void clear() {
+    for (std::uint64_t d = 0; ring_items_ != 0; ++d) {
+      auto& bucket = ring_[(static_cast<std::uint64_t>(now_) + d) & mask_];
+      ring_items_ -= bucket.size();
+      bucket.clear();
+    }
+    overflow_.clear();
+  }
+
+ private:
+  static constexpr std::size_t kMaxRing = std::size_t{1} << 14;
+
+  struct Far {
+    Time time;
+    std::uint64_t seq;
+    Item item;
+  };
+  static bool later(const Far& x, const Far& y) {
+    return x.time != y.time ? x.time > y.time : x.seq > y.seq;
+  }
+  /// t - now without overflow (t >= now).
+  [[nodiscard]] std::uint64_t offset(Time t) const {
+    return static_cast<std::uint64_t>(t) - static_cast<std::uint64_t>(now_);
+  }
+  [[nodiscard]] std::size_t slot(Time t) const {
+    return static_cast<std::uint64_t>(t) & mask_;
+  }
+
+  std::vector<std::vector<Item>> ring_;
+  std::vector<Far> overflow_;
+  std::size_t mask_{0};
+  std::size_t ring_items_{0};  // items in ring_, consumed or not
+  std::uint64_t seq_{0};
+  Time now_{0};
+};
+
+/// Empties a calendar queue on scope exit, including an exception from a
+/// user-supplied ρ/ζ (a throwing Presence::predicate, say) that unwinds
+/// mid-drain and would otherwise leave stale items for the next search
+/// on this workspace.
+template <typename Item>
+struct QueueReset {
+  CalendarQueue<Item>& queue;
+  ~QueueReset() { queue.clear(); }
+};
+
 /// The arenas behind SearchWorkspace (see algorithms.hpp). Kernels write
-/// results into configs/best/arrival; admission, the Dijkstra heap, and
-/// the scan cursor persist across runs with their capacity intact.
+/// results into configs/best/arrival; admission, the calendar queues,
+/// and the scan cursor persist across runs with their capacity intact.
 struct SearchArenas {
   std::vector<ConfigRec> configs;
   std::vector<std::int64_t> best;  // per node
   std::vector<Time> arrival;       // per node
   ConfigAdmission admission{kTimeInfinity};
-  std::vector<std::pair<Time, std::int64_t>> heap;  // Dijkstra min-heap
-  /// Calendar queue for bounded-horizon Dijkstra: bucket b holds config
-  /// indices with arrival t_min + b. Always left empty between runs.
-  std::vector<std::vector<std::int64_t>> buckets;
+  CalendarQueue<std::int64_t> buckets;  // Dijkstra config indices
   bool truncated{false};
   std::int64_t first_goal{-1};  // first config hitting `goal` (BFS only)
 
@@ -56,8 +172,7 @@ struct SearchArenas {
   std::vector<std::uint64_t> ms_expanded;  // per node, lanes expanded at it
   std::vector<std::uint64_t> ms_reached;   // per node, lanes with a row entry
   std::vector<NodeId> ms_touched;          // nodes with nonzero scratch
-  std::vector<std::vector<MsPacket>> ms_buckets;  // calendar backend
-  std::vector<MsHeapItem> ms_heap;                // unbounded backend
+  CalendarQueue<MsPacket> ms_buckets;
 
   /// Direction-optimized (pull) extensions of the packed kernel: per-node
   /// settled lane words, the ascending-instant settle log feeding them
@@ -66,7 +181,7 @@ struct SearchArenas {
   /// scans. Reused across words and closure calls like every other arena
   /// (assign/clear keep the capacity).
   std::vector<std::uint64_t> ms_settled;
-  std::vector<MsHeapItem> ms_settle_log;  // (instant, node, fresh lanes)
+  std::vector<MsSettle> ms_settle_log;
   std::vector<NodeId> ms_unfinalized;
 };
 
@@ -100,14 +215,8 @@ using detail::SearchArenas;
 
 /// Dijkstra over (node, arrival) — exact for the Wait policy, where
 /// earlier arrivals dominate. `initial` are root configs. Results land in
-/// the arenas (configs / best / arrival / truncated).
-///
-/// Two priority-queue backends with identical pop order (by arrival, then
-/// config creation order): a calendar queue of per-instant buckets when
-/// the time window [earliest root, horizon] is small — O(1) push/pop, no
-/// comparison churn — and a binary heap otherwise.
-constexpr Time kMaxBucketWindow = 1 << 14;
-
+/// the arenas (configs / best / arrival / truncated). The calendar queue
+/// pops by arrival, then config creation order, at any horizon.
 template <typename View>
 void dijkstra_wait(const View& vw, std::span<const ConfigRec> initial,
                    SearchLimits limits, SearchArenas& a) {
@@ -115,53 +224,8 @@ void dijkstra_wait(const View& vw, std::span<const ConfigRec> initial,
   a.arrival.assign(n, kTimeInfinity);
   a.best.assign(n, -1);
   a.configs.clear();
-  a.heap.clear();
   a.truncated = false;
   a.first_goal = -1;
-
-  // Expands config idx (arrival t at node v); returns false on budget
-  // exhaustion. `push_item(arr, nidx)` enqueues a fresh improving config.
-  auto expand = [&](Time t, std::int64_t idx, auto&& push_item) -> bool {
-    const NodeId v = a.configs[static_cast<std::size_t>(idx)].node;
-    if (t != a.arrival[v]) return true;  // stale entry
-    if (a.configs.size() >= limits.max_configs) {
-      a.truncated = true;
-      return false;
-    }
-    vw.for_each_out(v, [&](EdgeId eid) {
-      for_each_policy_departure(vw, eid, t, Policy::wait(), limits.horizon,
-                                1, [&](Time dep) {
-        const Time arr = vw.arrival(eid, dep);
-        if (arr == kTimeInfinity || arr > limits.horizon) return true;
-        const NodeId to = vw.edge_to(eid);
-        if (arr < a.arrival[to]) {
-          a.configs.push_back(ConfigRec{to, arr, idx, eid, dep});
-          const auto nidx = static_cast<std::int64_t>(a.configs.size()) - 1;
-          a.arrival[to] = arr;
-          a.best[to] = nidx;
-          push_item(arr, nidx);
-        }
-        return true;
-      });
-      return true;
-    });
-    return true;
-  };
-
-  // Shared root admission, parameterized over the queue backend so both
-  // backends seed (and therefore pop) identically.
-  auto seed_roots = [&](auto&& push_item) {
-    for (const ConfigRec& c : initial) {
-      if (c.time == kTimeInfinity || c.time > limits.horizon) continue;
-      if (c.time < a.arrival[c.node]) {
-        a.configs.push_back(c);
-        const auto idx = static_cast<std::int64_t>(a.configs.size()) - 1;
-        a.arrival[c.node] = c.time;
-        a.best[c.node] = idx;
-        push_item(c.time, idx);
-      }
-    }
-  };
 
   Time t_min = kTimeInfinity;
   for (const ConfigRec& c : initial) {
@@ -170,67 +234,50 @@ void dijkstra_wait(const View& vw, std::span<const ConfigRec> initial,
   }
   if (t_min == kTimeInfinity) return;  // no admissible root
 
-  // sat_sub: a finite-but-huge horizon minus a very negative start
-  // overflows; saturating to kTimeInfinity correctly fails the window
-  // check and routes the search to the heap backend.
-  const bool bucketable = limits.horizon != kTimeInfinity &&
-                          sat_sub(limits.horizon, t_min) < kMaxBucketWindow;
-  if (bucketable) {
-    const auto window =
-        static_cast<std::size_t>(sat_sub(limits.horizon, t_min)) + 1;
-    if (a.buckets.size() < window) a.buckets.resize(window);
-    // The arena invariant is "buckets always empty between runs". The
-    // drain loop clears each bucket as it passes, so the normal and
-    // budget-exhausted exits cost nothing extra — but an exception from
-    // a user-supplied ρ/ζ (a throwing Presence::predicate, say) would
-    // otherwise unwind mid-drain and leave stale config indices behind
-    // for the next search on this thread. This guard restores the
-    // invariant on every exit path.
-    struct DrainGuard {
-      std::vector<std::vector<std::int64_t>>* buckets;
-      std::size_t pos{0};
-      std::size_t end;
-      ~DrainGuard() {
-        for (std::size_t b = pos; b < end; ++b) (*buckets)[b].clear();
-      }
-    } guard{&a.buckets, 0, window};
-    auto bucket_push = [&](Time t, std::int64_t idx) {
-      // time-arith: t in [t_min, horizon], so t - t_min in [0, window)
-      a.buckets[static_cast<std::size_t>(t - t_min)].push_back(idx);
-    };
-    seed_roots(bucket_push);
-    for (std::size_t b = 0; b < window; ++b) {
-      auto& bucket = a.buckets[b];
-      guard.pos = b;
-      // Index loop: a zero-latency relaxation may append to the bucket
-      // being drained.
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        // time-arith: b < window, so t_min + b <= horizon (no overflow)
-        if (!expand(t_min + static_cast<Time>(b), bucket[i], bucket_push)) {
-          return;  // budget exhausted; the guard empties the queue
-        }
-      }
-      bucket.clear();
-    }
-    guard.pos = window;
-    return;
+  auto& queue = a.buckets;
+  queue.start(t_min, limits.horizon);
+  const detail::QueueReset<std::int64_t> reset{queue};
+
+  // Records config c as the new best at its node and queues it.
+  auto improve = [&](const ConfigRec& c) {
+    a.configs.push_back(c);
+    const auto idx = static_cast<std::int64_t>(a.configs.size()) - 1;
+    a.arrival[c.node] = c.time;
+    a.best[c.node] = idx;
+    queue.push(c.time, idx);
+  };
+  for (const ConfigRec& c : initial) {
+    if (c.time == kTimeInfinity || c.time > limits.horizon) continue;
+    if (c.time < a.arrival[c.node]) improve(c);
   }
 
-  using Item = std::pair<Time, std::int64_t>;  // (arrival, config index)
-  const auto heap_greater = [](const Item& x, const Item& y) {
-    return x > y;  // min-heap; ties pop in config creation order
-  };
-  auto heap_push = [&](Time t, std::int64_t idx) {
-    a.heap.emplace_back(t, idx);
-    std::push_heap(a.heap.begin(), a.heap.end(), heap_greater);
-  };
-  seed_roots(heap_push);
-
-  while (!a.heap.empty()) {
-    const auto [t, idx] = a.heap.front();
-    std::pop_heap(a.heap.begin(), a.heap.end(), heap_greater);
-    a.heap.pop_back();
-    if (!expand(t, idx, heap_push)) break;
+  for (Time t = queue.next_instant(); t != kTimeInfinity;
+       t = queue.next_instant()) {
+    queue.advance_to(t);
+    const std::vector<std::int64_t>& bucket = queue.current();
+    // Index loop: a zero-latency relaxation may append to the bucket
+    // being drained.
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      const std::int64_t idx = bucket[i];
+      const NodeId v = a.configs[static_cast<std::size_t>(idx)].node;
+      if (t != a.arrival[v]) continue;  // stale entry
+      if (a.configs.size() >= limits.max_configs) {
+        a.truncated = true;
+        return;  // budget exhausted; `reset` empties the queue
+      }
+      vw.for_each_out(v, [&](EdgeId eid) {
+        for_each_policy_departure(vw, eid, t, Policy::wait(), limits.horizon,
+                                  1, [&](Time dep) {
+          const Time arr = vw.arrival(eid, dep);
+          if (arr == kTimeInfinity || arr > limits.horizon) return true;
+          const NodeId to = vw.edge_to(eid);
+          if (arr < a.arrival[to]) improve(ConfigRec{to, arr, idx, eid, dep});
+          return true;
+        });
+        return true;
+      });
+    }
+    queue.retire();
   }
 }
 
@@ -345,8 +392,8 @@ void run_search(const View& vw, std::span<const ConfigRec> initial,
 // order over the compiled index.
 // ---------------------------------------------------------------------------
 
-using detail::MsHeapItem;
 using detail::MsPacket;
+using detail::MsSettle;
 
 /// Runs ONE packed word (lane i = sources[i], i < 64) and fills the
 /// word-relative `rows`. Returns false when a conservative guard fired;
@@ -382,8 +429,8 @@ using detail::MsPacket;
 ///    per-source run can possibly truncate.
 ///
 /// Direction optimization (`dopt`): in the regime where the pull gather
-/// is provably exact — Wait mode, calendar backend, ONE uniform constant
-/// latency L >= 1 shared by every edge, unexhaustible budget — the
+/// is provably exact — Wait mode, ONE uniform constant latency L >= 1
+/// shared by every edge, unexhaustible budget, at any horizon — the
 /// kernel may stop scattering packets and instead, at each instant t,
 /// have every node still missing lanes OR in the lanes settled at its
 /// in-neighbors by t - L over in-edges present at t - L. With a uniform
@@ -407,6 +454,17 @@ using detail::MsPacket;
 /// switch still drain (they settle lanes without scattering; the
 /// reached-mask dedup makes any double delivery harmless).
 ///
+/// The pull walk skips idle instants: after an instant that drained no
+/// packet and gathered nothing, it jumps to the earliest instant at
+/// which the word can change — the next queued packet, the next settle
+/// event old enough to fold, or the first instant t' at which an in-edge
+/// (u, v) of an unfinalized v, with lanes settled at u that v lacks, is
+/// present at t' - L. Before that instant no packet drains and the
+/// settled words stay put, so every skipped gather would find nothing;
+/// the word ends when no such instant exists within the horizon. Every
+/// jump lands on a drain, a fold or a gather, so an unbounded sweep
+/// over nodes no lane can reach still terminates.
+///
 /// Everything is read through the View, so a word over an OverlayView
 /// is the same computation as over the FrozenView of the rebuilt graph.
 /// The one asymmetry is deliberate: an overlay with added edges or
@@ -423,23 +481,14 @@ bool packed_word(const View& vw, std::span<const NodeId> sources,
   a.ms_expanded.assign(n, 0);
   a.ms_reached.assign(n, 0);
   a.ms_touched.clear();
-  a.ms_heap.clear();
-  for (auto& bucket : a.ms_buckets) bucket.clear();  // defensive invariant
 
   // Mirrors the serial root admission: a start past the horizon (or the
   // sentinel itself) reaches nothing, including the sources themselves.
   if (start_time == kTimeInfinity || start_time > limits.horizon) return true;
 
-  const Time t_min = start_time;
-  // sat_sub: same overflow class as config_bfs — a huge finite horizon
-  // minus a very negative start saturates and falls back to the heap.
-  const bool bucketed = limits.horizon != kTimeInfinity &&
-                        sat_sub(limits.horizon, t_min) < kMaxBucketWindow;
-  std::size_t window = 0;
-  if (bucketed) {
-    window = static_cast<std::size_t>(sat_sub(limits.horizon, t_min)) + 1;
-    if (a.ms_buckets.size() < window) a.ms_buckets.resize(window);
-  }
+  auto& queue = a.ms_buckets;
+  queue.start(start_time, limits.horizon);
+  const detail::QueueReset<MsPacket> reset{queue};
 
   // Same watchdog threshold as config_bfs (see watchdog_steps).
   const std::size_t max_expansion_steps = watchdog_steps(limits.max_configs);
@@ -456,7 +505,7 @@ bool packed_word(const View& vw, std::span<const NodeId> sources,
   // Pull-gather eligibility — see the function comment. uniform_lat is
   // -1 unless every edge shares one constant latency.
   const Time uniform_lat = vw.uniform_constant_latency();
-  const bool pull_eligible = wait_mode && bucketed && uniform_lat >= 1 &&
+  const bool pull_eligible = wait_mode && uniform_lat >= 1 &&
                              budget_unexhaustible &&
                              dopt.mode != FrontierMode::kPushOnly;
   const std::uint64_t full_mask =
@@ -465,7 +514,6 @@ bool packed_word(const View& vw, std::span<const NodeId> sources,
   bool ok = true;
   std::size_t admitted = 0;  // distinct (node, time) states (BFS modes)
   std::size_t pushes = 0;    // packets pushed (Wait-mode config bound)
-  std::size_t queued = 0;    // packets pushed but not yet drained
 
   bool pull_active = false;
   std::size_t settle_cursor = 0;   // settle-log prefix already folded
@@ -487,12 +535,12 @@ bool packed_word(const View& vw, std::span<const NodeId> sources,
       }
       for (std::uint64_t f = reached; f != 0; f &= f - 1) {
         const std::size_t lane = static_cast<std::size_t>(std::countr_zero(f));
-        a.ms_settle_log.push_back(MsHeapItem{
+        a.ms_settle_log.push_back(MsSettle{
             rows[lane][v], static_cast<NodeId>(v), std::uint64_t{1} << lane});
       }
     }
     std::sort(a.ms_settle_log.begin(), a.ms_settle_log.end(),
-              [](const MsHeapItem& x, const MsHeapItem& y) {
+              [](const MsSettle& x, const MsSettle& y) {
                 return x.time < y.time;
               });
   };
@@ -505,24 +553,13 @@ bool packed_word(const View& vw, std::span<const NodeId> sources,
   // bookkeeping.
   bool switch_pending = pull_eligible && !pull_active;
 
-  const auto heap_later = [](const MsHeapItem& x, const MsHeapItem& y) {
-    return x.time > y.time;  // min-heap on time
-  };
   auto push_state = [&](NodeId to, Time t, std::uint64_t mask) {
     if (wait_mode && !budget_unexhaustible &&
         ++pushes + 1 >= limits.max_configs) {
       ok = false;
       return;
     }
-    ++queued;
-    if (bucketed) {
-      // time-arith: t in [t_min, horizon], so t - t_min in [0, window)
-      a.ms_buckets[static_cast<std::size_t>(t - t_min)].push_back(
-          MsPacket{to, mask});
-    } else {
-      a.ms_heap.push_back(MsHeapItem{t, to, mask});
-      std::push_heap(a.ms_heap.begin(), a.ms_heap.end(), heap_later);
-    }
+    queue.push(t, MsPacket{to, mask});
   };
 
   // Records first sightings of, and expands, the not-yet-expanded lanes
@@ -556,7 +593,7 @@ bool packed_word(const View& vw, std::span<const NodeId> sources,
         // t + L arrives (pre-switch history is rebuilt from rows inside
         // activate_pull; pre-switch-queued packets still draining after
         // the switch land here).
-        a.ms_settle_log.push_back(MsHeapItem{t, v, fresh});
+        a.ms_settle_log.push_back(MsSettle{t, v, fresh});
       }
     }
     if (pull_active) return;  // gather delivers these lanes from t + L on
@@ -577,46 +614,15 @@ bool packed_word(const View& vw, std::span<const NodeId> sources,
     });
   };
 
-  // Seed: every lane at its source at t_min (one packet per lane; equal
-  // source nodes merge in the drain's scratch accumulation).
+  // Seed: every lane at its source at start_time (one packet per lane;
+  // equal source nodes merge in the drain's scratch accumulation).
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    push_state(sources[i], t_min, std::uint64_t{1} << i);
+    push_state(sources[i], start_time, std::uint64_t{1} << i);
   }
 
-  // Drains one instant: accumulate packet masks into per-node scratch,
-  // expand each touched node's new lanes, repeat until neither step has
-  // work (zero-latency edges may append same-instant packets mid-drain),
-  // then reset the scratch for the next instant.
-  auto drain_instant = [&](Time t, auto&& more_packets) {
-    std::size_t done = 0;
-    while (ok) {
-      bool any = more_packets();
-      if (done < a.ms_touched.size()) {
-        process(a.ms_touched[done++], t);
-        any = true;
-      }
-      if (!any) break;
-    }
-    for (const NodeId v : a.ms_touched) {
-      a.ms_seen[v] = 0;
-      a.ms_expanded[v] = 0;
-    }
-    a.ms_touched.clear();
-  };
-  auto accumulate = [&](NodeId v, std::uint64_t mask) {
-    if ((mask & ~a.ms_seen[v]) == 0) return;
-    a.ms_seen[v] |= mask;
-    a.ms_touched.push_back(v);  // duplicates fine: delta dedups
-  };
-
-  // Pull gather for one instant: fold settle events whose lanes are old
-  // enough to have departed (event time <= t - L) into the per-node
-  // settled words, then let every node still missing lanes OR them in
-  // over its in-edges present at the shared departure instant t - L
-  // (a uniform latency implies no added edges on an overlay, so its
-  // in-edges are exactly the base CSR's).
-  auto pull_gather = [&](Time t) {
-    const Time dep = sat_sub(t, uniform_lat);  // uniform L >= 1, so dep < t
+  // Folds settle events old enough to have departed by `dep` (event
+  // time <= dep) into the per-node settled words.
+  auto fold_settled = [&](Time dep) {
     auto& log = a.ms_settle_log;
     while (settle_cursor < log.size() && log[settle_cursor].time <= dep) {
       a.ms_settled[log[settle_cursor].node] |= log[settle_cursor].mask;
@@ -627,6 +633,17 @@ bool packed_word(const View& vw, std::span<const NodeId> sources,
                 log.begin() + static_cast<std::ptrdiff_t>(settle_cursor));
       settle_cursor = 0;
     }
+  };
+
+  // Pull gather for one instant: every node still missing lanes ORs in
+  // the settled words of its in-neighbors over in-edges present at the
+  // shared departure instant t - L (a uniform latency implies no added
+  // edges on an overlay, so its in-edges are exactly the base CSR's).
+  // Returns whether any lane arrived.
+  auto pull_gather = [&](Time t) {
+    const Time dep = sat_sub(t, uniform_lat);  // uniform L >= 1, so dep < t
+    fold_settled(dep);
+    bool any = false;
     for (std::size_t i = 0; i < a.ms_unfinalized.size();) {
       const NodeId v = a.ms_unfinalized[i];
       const std::uint64_t want = full_mask & ~a.ms_reached[v];
@@ -644,11 +661,12 @@ bool packed_word(const View& vw, std::span<const NodeId> sources,
         return gathered != want;
       });
       if (gathered != 0) {
+        any = true;
         a.ms_reached[v] |= gathered;
         for (std::uint64_t f = gathered; f != 0; f &= f - 1) {
           rows[static_cast<std::size_t>(std::countr_zero(f))][v] = t;
         }
-        log.push_back(MsHeapItem{t, v, gathered});
+        a.ms_settle_log.push_back(MsSettle{t, v, gathered});
         if ((want ^ gathered) == 0) {
           a.ms_unfinalized[i] = a.ms_unfinalized.back();
           a.ms_unfinalized.pop_back();
@@ -657,94 +675,121 @@ bool packed_word(const View& vw, std::span<const NodeId> sources,
       }
       ++i;
     }
+    return any;
   };
 
-  if (bucketed) {
-    // `queued` lets sparse propagation exit without sweeping the whole
-    // calendar window (a NoWait word that reaches nothing drains only
-    // its seed bucket); in pull mode the sweep instead runs while any
-    // node still misses lanes (the gather must visit every instant).
-    for (std::size_t b = 0; ok && b < window; ++b) {
-      if (pull_active ? (a.ms_unfinalized.empty() && queued == 0)
-                      : queued == 0) {
+  // The pull walk's skip rule (see the function comment): the earliest
+  // instant >= t at which a packet drains, a settle event folds, or a
+  // gather finds a lane; kTimeInfinity if none.
+  auto next_pull_event = [&](Time t) {
+    const Time dep = sat_sub(t, uniform_lat);
+    fold_settled(dep);
+    const auto& log = a.ms_settle_log;
+    Time next = std::min(queue.next_instant(),
+                         settle_cursor < log.size()
+                             ? sat_add(log[settle_cursor].time, uniform_lat)
+                             : kTimeInfinity);
+    for (const NodeId v : a.ms_unfinalized) {
+      const std::uint64_t want = full_mask & ~a.ms_reached[v];
+      if (want == 0) continue;
+      vw.for_each_in(v, [&](EdgeId eid) {
+        if ((a.ms_settled[vw.edge_from(eid)] & want) == 0) return true;
+        next = std::min(next, sat_add(vw.next_present(eid, dep), uniform_lat));
+        return next > t;
+      });
+      if (next <= t) break;  // a gather at t itself: nothing to skip
+    }
+    return next;
+  };
+
+  // Drains one instant: accumulate packet masks into per-node scratch,
+  // expand each touched node's new lanes, repeat until neither step has
+  // work (zero-latency edges may append same-instant packets mid-drain),
+  // then reset the scratch for the next instant.
+  auto drain_instant = [&](Time t, std::vector<MsPacket>& bucket) {
+    std::size_t scan = 0;
+    std::size_t done = 0;
+    while (ok) {
+      const bool any_packet = scan < bucket.size();
+      for (; scan < bucket.size(); ++scan) {
+        const MsPacket p = bucket[scan];
+        if ((p.mask & ~a.ms_seen[p.node]) == 0) continue;
+        a.ms_seen[p.node] |= p.mask;
+        a.ms_touched.push_back(p.node);  // duplicates fine: delta dedups
+      }
+      if (done < a.ms_touched.size()) {
+        process(a.ms_touched[done++], t);
+      } else if (!any_packet) {
         break;
       }
-      auto& bucket = a.ms_buckets[b];
-      std::size_t scan = 0;
-      // time-arith: b < window, so t_min + b <= horizon (no overflow)
-      const Time t = t_min + static_cast<Time>(b);
-      if (switch_pending) {
-        // Amortization guard: activate_pull's settle-log rebuild costs
-        // O(settled bits), so switching only pays while the sweep is
-        // YOUNG — remaining lane-work at least 8x what a rebuild would
-        // replay. A blast wave crosses the density threshold below at
-        // ~0.5% settled; staggered traces (Markovian-style stragglers
-        // whose fat-but-duplicate-heavy buckets only turn dense near
-        // the end) reach it at 12%+ settled and are blocked here. The
-        // guard is monotone, so crossing it retires the check for good.
-        const std::size_t outstanding = sources.size() * n - settled_bits;
-        if (outstanding <= 8 * (settled_bits + n)) {
-          switch_pending = false;
-        } else {
-          // unfinalized x lanes bounds the lane-bits still missing
-          // anywhere; unfinalized x avg-in-degree bounds the gather's
-          // per-instant in-edge scan (a complete-topology word has few
-          // nodes but hundreds of in-edges each — lanes alone
-          // undercount what pull would pay there). The queue traffic of
-          // ONE instant must dwarf both before switching makes sense.
-          const double threshold =
-              dopt.pull_density * static_cast<double>(n - complete_nodes) *
-              std::max(static_cast<double>(sources.size()),
-                       static_cast<double>(vw.edge_count()) /
-                           static_cast<double>(n));
-          // 64 x packet count bounds the bucket's lane-deliveries, so
-          // most instants skip the popcount pass outright.
-          if (static_cast<double>(64 * bucket.size()) >= threshold) {
-            std::size_t queued_lanes = 0;
-            for (const MsPacket& p : bucket) {
-              queued_lanes += static_cast<std::size_t>(std::popcount(p.mask));
-            }
-            if (static_cast<double>(queued_lanes) >= threshold) {
-              activate_pull();
-              switch_pending = false;
-            }
+    }
+    for (const NodeId v : a.ms_touched) {
+      a.ms_seen[v] = 0;
+      a.ms_expanded[v] = 0;
+    }
+    a.ms_touched.clear();
+  };
+
+  // Push instants come straight off the queue. The pull walk steps one
+  // instant at a time (the gather must see every instant) until the
+  // last one was quiet, then applies the skip rule; it ends once every
+  // node holds every lane or nothing can change within the horizon.
+  Time t = start_time;
+  bool quiet = false;  // the last pull instant drained and gathered nothing
+  while (ok) {
+    if (!pull_active) {
+      t = queue.next_instant();
+      if (t == kTimeInfinity) break;
+    } else {
+      if (a.ms_unfinalized.empty()) break;
+      if (quiet) t = next_pull_event(t);
+      if (t == kTimeInfinity || t > limits.horizon) break;
+    }
+    queue.advance_to(t);
+    std::vector<MsPacket>& bucket = queue.current();
+    if (switch_pending) {
+      // Amortization guard: activate_pull's settle-log rebuild costs
+      // O(settled bits), so switching only pays while the sweep is
+      // YOUNG — remaining lane-work at least 8x what a rebuild would
+      // replay. A blast wave crosses the density threshold below at
+      // ~0.5% settled; staggered traces (Markovian-style stragglers
+      // whose fat-but-duplicate-heavy buckets only turn dense near
+      // the end) reach it at 12%+ settled and are blocked here. The
+      // guard is monotone, so crossing it retires the check for good.
+      const std::size_t outstanding = sources.size() * n - settled_bits;
+      if (outstanding <= 8 * (settled_bits + n)) {
+        switch_pending = false;
+      } else {
+        // unfinalized x lanes bounds the lane-bits still missing
+        // anywhere; unfinalized x avg-in-degree bounds the gather's
+        // per-instant in-edge scan (a complete-topology word has few
+        // nodes but hundreds of in-edges each — lanes alone
+        // undercount what pull would pay there). The queue traffic of
+        // ONE instant must dwarf both before switching makes sense.
+        const double threshold =
+            dopt.pull_density * static_cast<double>(n - complete_nodes) *
+            std::max(static_cast<double>(sources.size()),
+                     static_cast<double>(vw.edge_count()) /
+                         static_cast<double>(n));
+        // 64 x packet count bounds the bucket's lane-deliveries, so
+        // most instants skip the popcount pass outright.
+        if (static_cast<double>(64 * bucket.size()) >= threshold) {
+          std::size_t queued_lanes = 0;
+          for (const MsPacket& p : bucket) {
+            queued_lanes += static_cast<std::size_t>(std::popcount(p.mask));
+          }
+          if (static_cast<double>(queued_lanes) >= threshold) {
+            activate_pull();
+            switch_pending = false;
           }
         }
       }
-      if (pull_active) pull_gather(t);
-      drain_instant(t, [&] {
-        const bool any = scan < bucket.size();
-        for (; scan < bucket.size(); ++scan) {
-          accumulate(bucket[scan].node, bucket[scan].mask);
-        }
-        return any;
-      });
-      queued -= bucket.size();  // every packet of this instant is drained
-      bucket.clear();
     }
-  } else {
-    while (ok && !a.ms_heap.empty()) {
-      const Time t = a.ms_heap.front().time;
-      drain_instant(t, [&] {
-        bool any = false;
-        while (!a.ms_heap.empty() && a.ms_heap.front().time == t) {
-          std::pop_heap(a.ms_heap.begin(), a.ms_heap.end(), heap_later);
-          const MsHeapItem item = a.ms_heap.back();
-          a.ms_heap.pop_back();
-          accumulate(item.node, item.mask);
-          any = true;
-        }
-        return any;
-      });
-    }
-  }
-
-  if (!ok) {
-    // Aborted mid-run: restore the empty-queue invariant for the next
-    // word on this workspace (the scratch arrays are re-assigned per
-    // word, so only the queues need it).
-    for (auto& bucket : a.ms_buckets) bucket.clear();
-    a.ms_heap.clear();
+    const bool gathered = pull_active && pull_gather(t);
+    quiet = !gathered && bucket.empty();
+    drain_instant(t, bucket);
+    queue.retire();
+    t = sat_add(t, 1);  // the pull walk's next instant
   }
   return ok;
 }

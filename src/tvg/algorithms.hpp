@@ -49,11 +49,13 @@ struct SearchArenas;  // algorithms.cpp
 }
 
 /// Reusable arenas for the search kernels: the config forest, per-node
-/// arrival/witness arrays, the exact visited set, and the priority queue
-/// (calendar buckets or binary heap). One workspace serves any number of
-/// sequential searches; buffers grow to the high-water mark and are
-/// reused, so multi-source sweeps (QueryEngine::closure and friends) stop
-/// paying per-source allocation. Not thread-safe: use one per thread.
+/// arrival/witness arrays, the exact visited set, and the monotone
+/// calendar queues (a ring of per-instant buckets plus a small overflow
+/// for far-future items, at any horizon). One workspace serves any
+/// number of sequential searches; buffers grow to the high-water mark
+/// and are reused, so multi-source sweeps (QueryEngine::closure and
+/// friends) stop paying per-source allocation. Not thread-safe: use one
+/// per thread.
 class SearchWorkspace {
  public:
   SearchWorkspace();
@@ -103,7 +105,7 @@ enum class FrontierMode : std::uint8_t {
 
 /// Direction-optimization knobs for the packed closure kernel. Scheduling
 /// hints only: the pull path is gated to regimes where it provably
-/// reproduces the push rows bit for bit (Wait policy, bucketed window,
+/// reproduces the push rows bit for bit (Wait policy, any horizon,
 /// one uniform constant latency, an unexhaustible config budget) and
 /// every ineligible word silently runs push — so rows are identical
 /// across all modes and thresholds, and the engine's cache keys exclude

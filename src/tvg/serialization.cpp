@@ -116,6 +116,19 @@ class SpecParser {
 
   [[nodiscard]] bool done() const { return pos_ >= text_.size(); }
 
+  /// Runs a schedule constructor on already-parsed fields; its own
+  /// validation error (a period below 1, say) gets this line's prefix
+  /// like every other parse error.
+  template <typename Make>
+  auto validated(Make&& make) const {
+    try {
+      return make();
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("from_text: line " + std::to_string(line_) +
+                                  ": " + e.what());
+    }
+  }
+
  private:
   std::string_view text_;
   std::size_t pos_{0};
@@ -136,7 +149,9 @@ Presence parse_presence(std::string_view spec, std::size_t line) {
   if (p.consume_word("periodic:")) {
     const Time period = p.number();
     p.expect(':');
-    return Presence::periodic(period, p.interval_set());
+    IntervalSet pattern = p.interval_set();
+    return p.validated(
+        [&] { return Presence::periodic(period, std::move(pattern)); });
   }
   if (p.consume_word("semi:")) {
     const Time t0 = p.number();
@@ -145,22 +160,30 @@ Presence parse_presence(std::string_view spec, std::size_t line) {
     p.expect(':');
     const Time period = p.number();
     p.expect(':');
-    return Presence::semi_periodic(t0, std::move(init), period,
-                                   p.interval_set());
+    IntervalSet pattern = p.interval_set();
+    return p.validated([&] {
+      return Presence::semi_periodic(t0, std::move(init), period,
+                                     std::move(pattern));
+    });
   }
   if (p.consume_word("eventually:")) {
-    return Presence::eventually_always(p.number());
+    const Time from = p.number();
+    return p.validated([&] { return Presence::eventually_always(from); });
   }
   p.fail("unknown presence spec");
 }
 
 Latency parse_latency(std::string_view spec, std::size_t line) {
   SpecParser p(spec, line);
-  if (p.consume_word("const:")) return Latency::constant(p.number());
+  if (p.consume_word("const:")) {
+    const Time value = p.number();
+    return p.validated([&] { return Latency::constant(value); });
+  }
   if (p.consume_word("affine:")) {
     const Time a = p.number();
     p.expect(',');
-    return Latency::affine(a, p.number());
+    const Time b = p.number();
+    return p.validated([&] { return Latency::affine(a, b); });
   }
   p.fail("unknown latency spec");
 }

@@ -492,5 +492,62 @@ TEST(SearchEntryPoints, OutOfRangeSourceThrows) {
   EXPECT_EQ(foremost_scan(g, 0, 0, Policy::wait(), {}, ws).arrival[1], 1);
 }
 
+TEST(SearchEntryPoints, ThrowingPredicateLeavesTheWorkspaceUsable) {
+  // A ρ that throws mid-drain unwinds out of the Wait Dijkstra while its
+  // calendar queue still holds items: the rest of instant 2's bucket
+  // and a far-future arrival in the overflow. A later search on the same
+  // workspace must not see them. The follow-up is built so that stale
+  // items would change its witness forest: config indices 4 and 5 are
+  // instant-2 configs there too, and expanding them ahead of 1..3 would
+  // make t4, not t1, the parent of y.
+  TimeVaryingGraph g;
+  const auto always = [&](NodeId from, NodeId to) {
+    g.add_edge(from, to, 'a', Presence::always(), Latency::constant(1));
+  };
+  const NodeId p = g.add_nodes(6);  // p, q1, q2, far, r1, r2
+  const NodeId q1 = p + 1, q2 = p + 2, far = p + 3, r1 = p + 4, r2 = p + 5;
+  always(p, q1);
+  always(p, q2);
+  g.add_edge(p, far, 'a', Presence::at_times({1000000}),
+             Latency::constant(1));
+  always(q1, r1);
+  always(q1, r2);
+  bool armed = false;
+  g.add_edge(r1, q2, 'b',
+             Presence::predicate(
+                 [&armed](Time t) {
+                   if (armed) throw std::runtime_error("predicate failed");
+                   return t % 2 == 0;
+                 },
+                 "throwing"),
+             Latency::constant(1));
+  const NodeId s = g.add_nodes(7);  // s, t1..t5, y
+  const NodeId y = s + 6;
+  for (NodeId t = s + 1; t <= s + 5; ++t) always(s, t);
+  always(s + 1, y);
+  always(s + 4, y);
+  (void)g.schedule_index();  // compile before arming the predicate
+
+  SearchWorkspace ws;
+  armed = true;
+  EXPECT_THROW((void)foremost_scan(g, p, 0, Policy::wait(), {}, ws),
+               std::runtime_error);
+  armed = false;
+
+  SearchWorkspace fresh;
+  const ForemostTree expected =
+      foremost_arrivals(g, s, 1, Policy::wait(), {}, fresh);
+  const ForemostTree tree = foremost_arrivals(g, s, 1, Policy::wait(), {}, ws);
+  EXPECT_EQ(tree.arrival, expected.arrival);
+  EXPECT_EQ(tree.best_config, expected.best_config);
+  ASSERT_TRUE(expected.journey_to(y).has_value());
+  EXPECT_EQ(expected.journey_to(y)->legs[0].edge,
+            g.out_edges(s)[0]);  // via t1
+  EXPECT_EQ(tree.journey_to(y), expected.journey_to(y));
+  // And the throwing search itself, now disarmed.
+  EXPECT_EQ(foremost_scan(g, p, 0, Policy::wait(), {}, ws).arrival[far],
+            1000001);
+}
+
 }  // namespace
 }  // namespace tvg

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -93,9 +94,11 @@ std::vector<DirectionOptions> all_direction_options() {
 }
 
 void expect_modes_match(const TimeVaryingGraph& g, Time start_time,
-                        SearchLimits limits, const char* label) {
-  for (const Policy policy :
-       {Policy::no_wait(), Policy::bounded_wait(3), Policy::wait()}) {
+                        SearchLimits limits, const char* label,
+                        std::initializer_list<Policy> policies = {
+                            Policy::no_wait(), Policy::bounded_wait(3),
+                            Policy::wait()}) {
+  for (const Policy policy : policies) {
     for (const std::size_t count : {1u, 63u, 64u, 65u, 130u}) {
       const auto sources = cycling_sources(g, count);
       const Rows serial = serial_rows(g, sources, start_time, policy, limits);
@@ -134,6 +137,55 @@ TimeVaryingGraph sparse_zipf(std::uint64_t seed) {
   return make_zipf_periodic(params);
 }
 
+/// Horizons past the calendar queue's 2^14-instant ring: none at all
+/// (the default SearchLimits) and 2^15. Wait runs with the default
+/// budget, so its words stay pull-eligible. NoWait / BoundedWait never
+/// run out of states on a periodic graph, so they run (when `bfs_too`)
+/// under a config cap that ends the walks and fires the packed guard.
+void expect_far_horizons_match(const TimeVaryingGraph& g, const char* label,
+                               bool bfs_too) {
+  for (const Time horizon : {kTimeInfinity, Time{1} << 15}) {
+    const SearchLimits limits = SearchLimits::up_to(horizon);
+    expect_modes_match(g, 0, limits, label, {Policy::wait()});
+    if (!bfs_too) continue;
+    SearchLimits capped = limits;
+    capped.max_configs = 1 << 9;
+    expect_modes_match(g, 0, capped, label,
+                       {Policy::no_wait(), Policy::bounded_wait(3)});
+  }
+}
+
+/// A finite-window graph with unit latencies plus two extra nodes that
+/// only far-future presences reach: `early_or_late` through an edge
+/// present only at {5, 1000000}, `late` through one present from 2^20
+/// on (and from `early_or_late`). Their arrivals lie past the calendar
+/// ring (the overflow path), and a pull sweep must jump the idle gap to
+/// reach them. `long_latency` adds an edge of latency 2^15, which sends
+/// NoWait / BoundedWait packets through the overflow too (and closes
+/// the pull gate).
+TimeVaryingGraph far_future_graph(std::uint64_t seed, bool long_latency) {
+  RandomScheduledParams params;
+  params.nodes = 12;
+  params.edges = 30;
+  params.horizon = 48;
+  params.max_latency = 1;
+  params.seed = seed;
+  TimeVaryingGraph g = make_random_scheduled(params);
+  const NodeId early_or_late = g.add_nodes(2);
+  const NodeId late = early_or_late + 1;
+  g.add_edge(1, early_or_late, 'a', Presence::at_times({5, 1000000}),
+             Latency::constant(1));
+  g.add_edge(3, late, 'b', Presence::eventually_always(Time{1} << 20),
+             Latency::constant(1));
+  g.add_edge(early_or_late, late, 'a', Presence::always(),
+             Latency::constant(1));
+  if (long_latency) {
+    g.add_edge(5, 6, 'a', Presence::intervals(IntervalSet::single(0, 40)),
+               Latency::constant(Time{1} << 15));
+  }
+  return g;
+}
+
 TEST(UniformLatency, ScheduleIndexDetectsTheSharedConstant) {
   // The zipf generator stamps one constant latency on every edge.
   ZipfPeriodicParams params;
@@ -167,6 +219,7 @@ TEST(DirectionOptimizedForemost, ModesMatchSerialOnDenseGraphs) {
     const TimeVaryingGraph g = dense_zipf(seed);
     ASSERT_EQ(g.schedule_index().uniform_constant_latency(), 1);
     expect_modes_match(g, 0, SearchLimits::up_to(48), "dense-zipf");
+    expect_far_horizons_match(g, "dense-zipf-far", seed == 1);
   }
 }
 
@@ -174,7 +227,69 @@ TEST(DirectionOptimizedForemost, ModesMatchSerialOnSparseGraphs) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const TimeVaryingGraph g = sparse_zipf(seed);
     expect_modes_match(g, 0, SearchLimits::up_to(64), "sparse-zipf");
+    expect_far_horizons_match(g, "sparse-zipf-far", seed == 1);
   }
+}
+
+TEST(DirectionOptimizedForemost, ModesMatchSerialOnFarFuturePresences) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const bool long_latency : {false, true}) {
+      const TimeVaryingGraph g = far_future_graph(seed, long_latency);
+      ASSERT_TRUE(g.schedule_index().all_semi_periodic());
+      ASSERT_EQ(g.schedule_index().uniform_constant_latency(),
+                long_latency ? -1 : 1);
+      for (const Time horizon :
+           {kTimeInfinity, Time{1} << 15, Time{1} << 21}) {
+        expect_modes_match(g, 0, SearchLimits::up_to(horizon),
+                           long_latency ? "far-future-long" : "far-future");
+      }
+    }
+  }
+  // The far arrivals really are in the rows.
+  const TimeVaryingGraph g = far_future_graph(1, false);
+  const Rows rows = serial_rows(g, cycling_sources(g, 14), 0, Policy::wait(),
+                                SearchLimits{});
+  bool far = false;
+  for (const auto& row : rows.rows) {
+    for (const Time t : row) far |= t != kTimeInfinity && t > (Time{1} << 14);
+  }
+  EXPECT_TRUE(far);
+}
+
+TEST(DirectionOptimizedForemost, PullOnlyUnboundedSweepEndsOverUnreachableNodes) {
+  // Nodes no lane can reach keep a pull word's unfinalized list
+  // non-empty for good; with no horizon, only the idle-instant skip
+  // rule ends the sweep. One node is isolated, one is reachable only
+  // from an unreachable tail, and one hangs off a never-present edge
+  // and an edge present once.
+  TimeVaryingGraph g = dense_zipf(4);
+  const NodeId island = g.add_nodes(4);
+  const NodeId orphan_tail = island + 1;
+  const NodeId orphan_head = island + 2;
+  const NodeId blocked = island + 3;
+  g.add_edge(orphan_tail, orphan_head, 'a', Presence::always(),
+             Latency::constant(1));
+  g.add_edge(0, blocked, 'a', Presence::never(), Latency::constant(1));
+  g.add_edge(1, blocked, 'a', Presence::at_times({2}), Latency::constant(1));
+  ASSERT_TRUE(g.schedule_index().all_semi_periodic());
+  ASSERT_EQ(g.schedule_index().uniform_constant_latency(), 1);
+
+  DirectionOptions pull;
+  pull.mode = FrontierMode::kPullOnly;
+  std::vector<NodeId> sources(64);  // every source in the Zipf part
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    sources[i] = static_cast<NodeId>((i * 7 + 3) % island);
+  }
+  const Rows serial =
+      serial_rows(g, sources, 0, Policy::wait(), SearchLimits{});
+  EXPECT_EQ(packed_rows(g, sources, 0, Policy::wait(), SearchLimits{}, pull),
+            serial);
+  for (const auto& row : serial.rows) {
+    EXPECT_EQ(row[island], kTimeInfinity);
+    EXPECT_EQ(row[orphan_head], kTimeInfinity);
+  }
+  expect_modes_match(g, 0, SearchLimits{}, "unreachable-unbounded",
+                     {Policy::wait()});
 }
 
 TEST(DirectionOptimizedForemost, ModesMatchSerialOnMarkovianTraces) {

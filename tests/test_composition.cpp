@@ -177,7 +177,7 @@ TEST(Serialization, ErrorsCarryLineNumbers) {
       (void)from_text(text);
       FAIL() << "expected parse failure for: " << fragment;
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("line"), std::string::npos)
+      EXPECT_EQ(std::string(e.what()).rfind("from_text: line ", 0), 0u)
           << e.what();
     }
   };
@@ -193,6 +193,16 @@ TEST(Serialization, ErrorsCarryLineNumbers) {
               "bad presence");
   expect_fail("tvg 1\nnode a\nnode b\nedge a b a presence=always\n",
               "missing latency");
+  // Specs that parse but fail the schedule's own validation.
+  expect_fail("tvg 1\nnode a\nnode b\nedge a b a presence=periodic:0:{1} "
+              "latency=const:1\n",
+              "period 0");
+  expect_fail("tvg 1\nnode a\nnode b\nedge a b a presence=semi:-3:{}:2:{1} "
+              "latency=const:1\n",
+              "negative t0");
+  expect_fail("tvg 1\nnode a\nnode b\nedge a b a presence=always "
+              "latency=affine:-1,2\n",
+              "negative affine coefficient");
   // Empty input fails too (without a line number — there is no line).
   EXPECT_THROW((void)from_text(""), std::invalid_argument);
 }

@@ -33,17 +33,15 @@
 #include "tvg/generators.hpp"
 #include "tvg/io.hpp"
 #include "tvg/serialization.hpp"
+#include "scoped_dir.hpp"
 
 namespace fs = std::filesystem;
 
 namespace tvg {
 namespace {
 
-std::string fresh_dir(const std::string& tag) {
-  const std::string dir =
-      (fs::path(::testing::TempDir()) / ("tvg_corruption_" + std::to_string(::getpid()) + "_" + tag)).string();
-  fs::remove_all(dir);
-  return dir;
+ScopedDir fresh_dir(const std::string& tag) {
+  return ScopedDir("corruption", tag);
 }
 
 TimeVaryingGraph base_graph() {
@@ -116,7 +114,7 @@ const GoldenDir& golden() {
   static const GoldenDir g = [] {
     GoldenDir out;
     out.options.prune_old_files = false;
-    const std::string dir = fresh_dir("golden");
+    const ScopedDir dir = fresh_dir("golden");
     {
       DurableEngine engine(base_graph(), dir, out.options);
       const auto stream = workload();
@@ -142,7 +140,7 @@ void restore(const std::string& dir, const GoldenDir& g) {
 }
 
 TEST(Corruption, GoldenDirRecoversExactlyWithoutCorruption) {
-  const std::string dir = fresh_dir("baseline");
+  const ScopedDir dir = fresh_dir("baseline");
   restore(dir, golden());
   const auto recovered = DurableEngine::recover(dir, golden().options);
   EXPECT_EQ(recovered->sequence(), 20u);
@@ -162,7 +160,7 @@ TEST(Corruption, SeededBitFlipsNeverYieldWrongData) {
   const std::uint64_t base_seed = env ? std::strtoull(env, nullptr, 10) : 0;
   std::mt19937_64 rng(base_seed ^ 0xC0FFEEULL);
 
-  const std::string dir = fresh_dir("flip");
+  const ScopedDir dir = fresh_dir("flip");
   const std::string oracle_full = to_text(oracle_at(20));
   int rejected = 0, repaired = 0, tolerated = 0;
   for (int trial = 0; trial < 48; ++trial) {
@@ -212,7 +210,7 @@ TEST(Corruption, EveryByteOfAWalRecordIsRejectedOrRepaired) {
   }
   ASSERT_FALSE(wal_name.empty());
   const std::string& orig = g.files.at(wal_name);
-  const std::string dir = fresh_dir("exhaustive");
+  const ScopedDir dir = fresh_dir("exhaustive");
   for (std::size_t byte = 0; byte < orig.size(); ++byte) {
     SCOPED_TRACE(wal_name + " byte=" + std::to_string(byte));
     restore(dir, g);
@@ -243,7 +241,7 @@ TEST(Corruption, TruncationsAreTreatedAsTornTails) {
     if (name.starts_with("wal-") && name != "wal-0.log") wal_name = name;
   }
   const std::string& orig = g.files.at(wal_name);
-  const std::string dir = fresh_dir("truncate");
+  const ScopedDir dir = fresh_dir("truncate");
   // Step through cut points; include 0 (missing header) and full size.
   for (std::size_t cut = 0; cut <= orig.size(); cut += 7) {
     SCOPED_TRACE("cut=" + std::to_string(cut));
@@ -270,7 +268,7 @@ TEST(Corruption, CheckpointFooterTamperingIsDetected) {
   // trust it. (Guards against confused-rename attacks/bugs where a
   // checkpoint file is copied over another's name.)
   const GoldenDir& g = golden();
-  const std::string dir = fresh_dir("footer");
+  const ScopedDir dir = fresh_dir("footer");
   restore(dir, g);
   const std::string newest = DurableEngine::checkpoint_path(dir, 12);
   std::string text = read_text_file(newest);

@@ -284,7 +284,12 @@ std::string snapshot_facts(const TimeVaryingGraph& base,
   for (NodeId v = 0; v < base.node_count(); ++v) {
     const auto [lo, hi] = ov.added_out_range(v);
     for (const auto* it = lo; it != hi; ++it) {
-      facts += " " + std::to_string(v) + ":" + std::to_string(it->second);
+      // Appended piece by piece: gcc 12 at -O3 flags `" " + to_string`
+      // with a false -Wrestrict.
+      facts += ' ';
+      facts += std::to_string(v);
+      facts += ':';
+      facts += std::to_string(it->second);
     }
   }
   return facts;

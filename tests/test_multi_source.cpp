@@ -3,8 +3,9 @@
 // and its QueryEngine::closure wiring:
 //  * packed rows are bit-identical to per-source foremost_scan on
 //    randomized graphs, across all three policies, in both compiled
-//    schedule modes (bitmask segments and endpoint runs) and both queue
-//    backends (calendar buckets and the unbounded-horizon heap);
+//    schedule modes (bitmask segments and endpoint runs), at bounded
+//    horizons and at horizons past the calendar queue's ring (none at
+//    all, and 2^15);
 //  * source counts from 1 to 130 cross the 64-lane word boundaries
 //    (1 word partial, exactly 1, 2 words, 3 words partial), with
 //    duplicate sources allowed;
@@ -17,6 +18,7 @@
 //    any thread count across word boundaries.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <vector>
 
 #include "tvg/algorithms.hpp"
@@ -77,9 +79,11 @@ std::vector<NodeId> cycling_sources(const TimeVaryingGraph& g,
 }
 
 void expect_all_counts_match(const TimeVaryingGraph& g, Time start_time,
-                             SearchLimits limits, const char* label) {
-  for (const Policy policy :
-       {Policy::no_wait(), Policy::bounded_wait(3), Policy::wait()}) {
+                             SearchLimits limits, const char* label,
+                             std::initializer_list<Policy> policies = {
+                                 Policy::no_wait(), Policy::bounded_wait(3),
+                                 Policy::wait()}) {
+  for (const Policy policy : policies) {
     for (const std::size_t count : {1u, 63u, 64u, 65u, 128u, 130u}) {
       const auto sources = cycling_sources(g, count);
       const Rows serial = serial_rows(g, sources, start_time, policy, limits);
@@ -104,6 +108,51 @@ TEST(MultiSourceForemost, MatchesSerialOnBitmaskSchedules) {
   }
 }
 
+TEST(MultiSourceForemost, MatchesSerialPastTheCalendarRing) {
+  // No horizon (the default SearchLimits) and 2^15, past the queue's
+  // 2^14-instant ring. NoWait / BoundedWait never run out of states on
+  // a periodic graph, so they run under a config cap that ends the
+  // walks (and fires the packed guard); Wait keeps the default budget.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    RandomPeriodicParams params;
+    params.nodes = 14;
+    params.edges = 40;
+    params.period = 12;
+    params.seed = seed;
+    const TimeVaryingGraph g = make_random_periodic(params);
+    for (const Time horizon : {kTimeInfinity, Time{1} << 15}) {
+      const SearchLimits limits = SearchLimits::up_to(horizon);
+      expect_all_counts_match(g, 0, limits, "periodic-far", {Policy::wait()});
+      SearchLimits capped = limits;
+      capped.max_configs = 1 << 9;
+      expect_all_counts_match(g, 0, capped, "periodic-far-capped",
+                              {Policy::no_wait(), Policy::bounded_wait(3)});
+    }
+  }
+}
+
+TEST(MultiSourceForemost, OverflowEntersTheRingWhileItIsBusy) {
+  // A chain whose hops are 1000 instants apart keeps the calendar ring
+  // holding one item from t = 0 to t = 40001, while the first hop also
+  // queues w at 20000, past the 2^14-instant ring, through the
+  // overflow. w must come off the queue at 20000, ahead of its later
+  // arrival over the chain at 30002.
+  TimeVaryingGraph g;
+  const NodeId c0 = g.add_nodes(42);
+  const NodeId w = c0 + 41;
+  for (NodeId i = 0; i < 40; ++i) {
+    g.add_edge(c0 + i, c0 + i + 1, 'a',
+               Presence::at_times({1000 * (static_cast<Time>(i) + 1)}),
+               Latency::constant(1));
+  }
+  g.add_edge(c0, w, 'a', Presence::at_times({0}), Latency::constant(20000));
+  g.add_edge(c0 + 30, w, 'a', Presence::always(), Latency::constant(1));
+  expect_all_counts_match(g, 0, SearchLimits{}, "busy-ring");
+  const Rows packed = packed_rows(g, {c0}, 0, Policy::wait(), SearchLimits{});
+  EXPECT_EQ(packed.rows[0][w], 20000);
+  EXPECT_EQ(packed.rows[0][c0 + 40], 40001);
+}
+
 TEST(MultiSourceForemost, MatchesSerialOnEndpointRunSchedules) {
   // Period 600 > kMaxBitmaskBits: the pattern compiles to endpoint runs,
   // exercising the cursor-driven departure walks inside the packed
@@ -121,9 +170,9 @@ TEST(MultiSourceForemost, MatchesSerialOnEndpointRunSchedules) {
 }
 
 TEST(MultiSourceForemost, MatchesSerialOnScheduledWithUnboundedHorizon) {
-  // Finite-window schedules with horizon = infinity: the packed kernel
-  // takes its heap backend (no calendar window), serial takes its own
-  // heap/BFS paths; rows must still agree for every policy.
+  // Finite-window schedules with horizon = infinity: both kernels run
+  // their calendar queues over an unbounded window, and serial NoWait /
+  // BoundedWait its configuration BFS; rows must agree for every policy.
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     RandomScheduledParams params;
     params.nodes = 9;

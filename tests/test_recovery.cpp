@@ -30,6 +30,7 @@
 #include "tvg/generators.hpp"
 #include "tvg/io.hpp"
 #include "tvg/serialization.hpp"
+#include "scoped_dir.hpp"
 
 namespace fs = std::filesystem;
 
@@ -41,11 +42,8 @@ std::uint64_t env_seed() {
   return env ? std::strtoull(env, nullptr, 10) : 0;
 }
 
-std::string fresh_dir(const std::string& tag) {
-  const std::string dir =
-      (fs::path(::testing::TempDir()) / ("tvg_recovery_" + std::to_string(::getpid()) + "_" + tag)).string();
-  fs::remove_all(dir);
-  return dir;
+ScopedDir fresh_dir(const std::string& tag) {
+  return ScopedDir("recovery", tag);
 }
 
 TimeVaryingGraph base_graph(std::uint64_t seed) {
@@ -131,20 +129,20 @@ void expect_bit_identical(DurableEngine& recovered,
 // ---------------------------------------------------------------------------
 
 TEST(DurableEngine, FreshConstructRejectsExistingState) {
-  const std::string dir = fresh_dir("fresh_reject");
+  const ScopedDir dir = fresh_dir("fresh_reject");
   { DurableEngine engine(base_graph(1), dir, {}); }
   EXPECT_THROW(DurableEngine(base_graph(1), dir, {}), std::invalid_argument);
 }
 
 TEST(DurableEngine, RecoverEmptyOrMissingDirThrows) {
-  const std::string dir = fresh_dir("empty");
+  const ScopedDir dir = fresh_dir("empty");
   EXPECT_THROW((void)DurableEngine::recover(dir), RecoveryError);
   fs::create_directories(dir);
   EXPECT_THROW((void)DurableEngine::recover(dir), RecoveryError);
 }
 
 TEST(DurableEngine, RecoverAfterCleanShutdownIsExact) {
-  const std::string dir = fresh_dir("clean");
+  const ScopedDir dir = fresh_dir("clean");
   std::mt19937_64 rng(7);
   std::vector<EdgeMutation> stream;
   std::size_t edges = base_graph(7).edge_count();
@@ -171,7 +169,7 @@ TEST(DurableEngine, RecoverAfterCleanShutdownIsExact) {
 }
 
 TEST(DurableEngine, CheckpointShortensReplayAndPrunes) {
-  const std::string dir = fresh_dir("ckpt");
+  const ScopedDir dir = fresh_dir("ckpt");
   std::mt19937_64 rng(11);
   std::vector<EdgeMutation> stream;
   std::size_t edges = base_graph(11).edge_count();
@@ -206,7 +204,7 @@ TEST(DurableEngine, CheckpointShortensReplayAndPrunes) {
 TEST(DurableEngine, MissingWalAfterCheckpointRecoversAtCheckpoint) {
   // The crash-between-rename-and-rotation window: the new checkpoint
   // committed but its (empty) WAL never got created.
-  const std::string dir = fresh_dir("no_wal");
+  const ScopedDir dir = fresh_dir("no_wal");
   {
     DurableEngine engine(base_graph(3), dir, {});
     engine.apply(EdgeMutation::remove_edge(0));
@@ -223,8 +221,8 @@ TEST(DurableEngine, MissingWalAfterCheckpointRecoversAtCheckpoint) {
 
 /// Checkpoint-1 committed, then wal-1.log cut to its first `keep` bytes:
 /// the crash between creating a log and writing its header.
-std::string dir_with_short_wal(const std::string& tag, std::size_t keep) {
-  const std::string dir = fresh_dir(tag);
+ScopedDir dir_with_short_wal(const std::string& tag, std::size_t keep) {
+  ScopedDir dir = fresh_dir(tag);
   {
     DurableEngine engine(base_graph(3), dir, {});
     engine.apply(EdgeMutation::remove_edge(0));
@@ -264,7 +262,7 @@ TEST(DurableEngine, CrashBeforeRotatedWalHeaderRecovers) {
   // The "wal.open.header" site: checkpoint-1 committed and wal-1.log
   // created, then the process dies before the header reaches it.
   const FailPointGuard guard;
-  const std::string dir = fresh_dir("header_crash");
+  const ScopedDir dir = fresh_dir("header_crash");
   {
     DurableEngine engine(base_graph(3), dir, {});
     engine.apply(EdgeMutation::remove_edge(0));
@@ -278,7 +276,7 @@ TEST(DurableEngine, CrashBeforeRotatedWalHeaderRecovers) {
 }
 
 TEST(DurableEngine, FullLengthWalHeaderWithWrongMagicIsRefused) {
-  const std::string dir = dir_with_short_wal("bad_magic_wal", 0);
+  const ScopedDir dir = dir_with_short_wal("bad_magic_wal", 0);
   {
     std::ofstream out(DurableEngine::wal_path(dir, 1), std::ios::binary);
     const std::string bogus = "NOTAWAL1" + std::string(8, '\0');
@@ -292,7 +290,7 @@ TEST(DurableEngine, FallbackChainsThroughRotatedWals) {
   // Corrupt the NEWEST checkpoint with pruning off: recovery must fall
   // back to the older checkpoint AND chain through both WAL
   // generations — records living only in the newer log must survive.
-  const std::string dir = fresh_dir("chain");
+  const ScopedDir dir = fresh_dir("chain");
   DurableOptions options;
   options.prune_old_files = false;
   std::mt19937_64 rng(13);
@@ -355,7 +353,7 @@ std::string recovery_error_of(const std::string& dir) {
 }
 
 TEST(DurableEngine, EdgeIdMismatchInLogIsRefused) {
-  const std::string dir = fresh_dir("id_mismatch");
+  const ScopedDir dir = fresh_dir("id_mismatch");
   { DurableEngine engine(base_graph(5), dir, {}); }
   // Forge a record whose assigned id does not match what replay will
   // hand out (an add on a 24-edge base must get id 24, not 99). The
@@ -373,7 +371,7 @@ TEST(DurableEngine, EdgeIdMismatchInLogIsRefused) {
 }
 
 TEST(DurableEngine, OutOfRangeRecordInLogIsRefused) {
-  const std::string dir = fresh_dir("out_of_range");
+  const ScopedDir dir = fresh_dir("out_of_range");
   { DurableEngine engine(base_graph(5), dir, {}); }
   const std::uint64_t seq = append_after_valid_records(
       dir, EdgeMutation::patch_presence(500, Presence::always()),
@@ -386,7 +384,7 @@ TEST(DurableEngine, OutOfRangeRecordInLogIsRefused) {
 }
 
 TEST(DurableEngine, SyncPolicyLagIsVisibleAndRecoveryKeepsSyncedPrefix) {
-  const std::string dir = fresh_dir("lag");
+  const ScopedDir dir = fresh_dir("lag");
   DurableOptions options;
   options.wal.sync = SyncPolicy::kEveryN;
   options.wal.every_n = 4;
@@ -409,7 +407,7 @@ TEST(DurableEngine, SyncPolicyLagIsVisibleAndRecoveryKeepsSyncedPrefix) {
 }
 
 TEST(DurableEngine, WalStatsAccumulateAcrossRotation) {
-  const std::string dir = fresh_dir("stats");
+  const ScopedDir dir = fresh_dir("stats");
   DurableEngine engine(base_graph(2), dir, {});
   for (int i = 0; i < 3; ++i) {
     engine.apply(EdgeMutation::remove_edge(EdgeId(i)));
@@ -440,7 +438,7 @@ TEST(DurableEngine, FailedSnapshotBuildIsNeitherLoggedNorVisible) {
   // The snapshot build runs before the log write: when it fails, the
   // record is nowhere, and the next add gets the id it would have had.
   const FailPointGuard guard;
-  const std::string dir = fresh_dir("publish_fail");
+  const ScopedDir dir = fresh_dir("publish_fail");
   const EdgeId base_edges = base_graph(4).edge_count();
   std::vector<EdgeMutation> acked;
   {
@@ -464,7 +462,7 @@ TEST(DurableEngine, WriteFailingAfterItsLogWriteRefusesLaterWrites) {
   // The record reached the log but the apply failed: it may survive
   // recovery, so the engine takes no write that would get its id.
   const FailPointGuard guard;
-  const std::string dir = fresh_dir("after_fail");
+  const ScopedDir dir = fresh_dir("after_fail");
   std::vector<EdgeMutation> stream = {fresh_add(0, 1), fresh_add(1, 2)};
   {
     DurableEngine engine(base_graph(4), dir, {});
@@ -489,7 +487,7 @@ TEST(DurableEngine, ShortWalWriteRefusesLaterWritesAndLosesNoAck) {
   // A torn frame at the end of the log: records appended after it would
   // be cut away with it by recovery's tail repair, so none is taken.
   const FailPointGuard guard;
-  const std::string dir = fresh_dir("short_write");
+  const ScopedDir dir = fresh_dir("short_write");
   std::vector<EdgeMutation> acked = {fresh_add(0, 1)};
   {
     DurableEngine engine(base_graph(4), dir, {});  // kAlways
@@ -514,7 +512,7 @@ TEST(DurableEngine, FailedRotationPoisonsTheLog) {
   // appended to the old log would be invisible to recovery, which
   // replays from the new checkpoint.
   const FailPointGuard guard;
-  const std::string dir = fresh_dir("rotation_fail");
+  const ScopedDir dir = fresh_dir("rotation_fail");
   std::vector<EdgeMutation> acked = {EdgeMutation::remove_edge(0),
                                      EdgeMutation::remove_edge(1)};
   {
@@ -541,7 +539,7 @@ TEST(DurableEngine, FailedRotationPoisonsTheLog) {
 TEST(DurableEngine, MutableEngineWritesAreLogged) {
   // A front end wired to mutable_engine() writes through the same
   // logged path as DurableEngine::apply.
-  const std::string dir = fresh_dir("mutable_logged");
+  const ScopedDir dir = fresh_dir("mutable_logged");
   std::vector<EdgeMutation> stream = {fresh_add(0, 1), fresh_add(1, 2),
                                       fresh_add(2, 3)};
   std::string expected;
@@ -577,7 +575,7 @@ void run_torture_schedule(const std::string& site, std::uint64_t seed,
   SCOPED_TRACE("site=" + site + " seed=" + std::to_string(seed) +
                " kind=" + (use_error_kind ? "error" : "crash"));
   const FailPointGuard guard;
-  const std::string dir = fresh_dir(tag);
+  const ScopedDir dir = fresh_dir(tag);
   std::mt19937_64 rng(seed * 2654435761u + 1);
 
   std::vector<EdgeMutation> stream;
@@ -675,7 +673,7 @@ TEST(RecoveryTorture, SeededRandomSiteSoak) {
     const std::uint64_t seed = base * 31 + round;
     SCOPED_TRACE("soak seed=" + std::to_string(seed));
     const FailPointGuard guard;
-    const std::string dir =
+    const ScopedDir dir =
         fresh_dir("soak_" + std::to_string(base) + "_" +
                   std::to_string(round));
     std::mt19937_64 rng(seed ^ 0x9E3779B97F4A7C15ULL);
@@ -718,7 +716,7 @@ TEST(RecoveryTorture, SeededRandomSiteSoak) {
 // ---------------------------------------------------------------------------
 
 TEST(RecoveryConcurrency, ConcurrentApplyCheckpointReadThenRecover) {
-  const std::string dir = fresh_dir("concurrent");
+  const ScopedDir dir = fresh_dir("concurrent");
   std::string final_text;
   std::uint64_t final_seq = 0;
   {

@@ -7,9 +7,9 @@
 //  * sat_sub itself (src/tvg/time.hpp) — the new primitive;
 //  * metrics: eccentricity / closeness / characteristic temporal
 //    distance with a finite-but-huge arrival and a negative start;
-//  * algorithms: the calendar-bucket window guard must saturate and
-//    fall back to the heap backend instead of overflowing
-//    `horizon - t_min` (single-source and multi-source kernels);
+//  * algorithms: the calendar queue sizes its ring from the window
+//    `horizon - t_min`, which must saturate to a full ring instead of
+//    overflowing (single-source and multi-source kernels);
 //  * journeys: wait_before / validate_journey with a huge departure;
 //  * contact extraction whose presence tail runs to the horizon;
 //  * presence: periodic next_present wrapping past the representable
@@ -114,9 +114,9 @@ TEST(TimeArithMetrics, CharacteristicDistanceRowsSaturate) {
   EXPECT_GT(*d, 1e18);  // ~ kTimeInfinity as a double; positive
 }
 
-// The calendar-bucket backend requires a finite window
-// `horizon - t_min`; a huge finite horizon minus a negative start must
-// saturate (routing to the heap backend), not overflow.
+// The calendar queue sizes its ring from the window `horizon - t_min`;
+// a huge finite horizon minus a negative start must saturate (a full
+// ring, negative instants included), not overflow.
 TEST(TimeArithSearch, BucketWindowGuardSaturatesSingleSource) {
   TimeVaryingGraph g;
   const NodeId a = g.add_node("a");

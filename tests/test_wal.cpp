@@ -20,18 +20,15 @@
 #include "tvg/failpoint.hpp"
 #include "tvg/io.hpp"
 #include "tvg/serialization.hpp"
+#include "scoped_dir.hpp"
 
 namespace fs = std::filesystem;
 
 namespace tvg {
 namespace {
 
-std::string fresh_dir(const std::string& tag) {
-  const std::string dir =
-      (fs::path(::testing::TempDir()) / ("tvg_wal_" + std::to_string(::getpid()) + "_" + tag)).string();
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
+ScopedDir fresh_dir(const std::string& tag) {
+  return ScopedDir("wal", tag, /*create=*/true);
 }
 
 std::vector<EdgeMutation> sample_mutations() {
@@ -123,7 +120,7 @@ TEST(Crc32c, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
 // ---------------------------------------------------------------------------
 
 TEST(Wal, AppendReplayRoundTrip) {
-  const std::string dir = fresh_dir("roundtrip");
+  const ScopedDir dir = fresh_dir("roundtrip");
   const std::string path = dir + "/wal-0.log";
   const auto muts = sample_mutations();
   {
@@ -189,7 +186,7 @@ std::string escaped(std::string_view bytes) {
 // One record per mutation kind, payload bytes as the stream-based
 // writer produced them: every log already on disk holds this encoding.
 TEST(Wal, FrameBytesArePinned) {
-  const std::string dir = fresh_dir("pinned");
+  const ScopedDir dir = fresh_dir("pinned");
   const std::string path = dir + "/wal-0.log";
   const std::vector<EdgeMutation> muts = {
       EdgeMutation::add_edge(2, 0, 'z',
@@ -239,7 +236,7 @@ TEST(Wal, FrameBytesArePinned) {
 }
 
 TEST(Wal, ReopenContinuesSequence) {
-  const std::string dir = fresh_dir("reopen");
+  const ScopedDir dir = fresh_dir("reopen");
   const std::string path = dir + "/wal-0.log";
   const auto muts = sample_mutations();
   {
@@ -264,7 +261,7 @@ TEST(Wal, ReopenContinuesSequence) {
 }
 
 TEST(Wal, BatchAppendIsOneRunOfRecords) {
-  const std::string dir = fresh_dir("batch");
+  const ScopedDir dir = fresh_dir("batch");
   const std::string path = dir + "/wal-0.log";
   const auto muts = sample_mutations();
   const std::vector<EdgeId> ids = {20, 21, 0, 1, 0};
@@ -294,7 +291,7 @@ TEST(Wal, BatchAppendIsOneRunOfRecords) {
 }
 
 TEST(Wal, RotateContinuesInANewFileWithCountersCarried) {
-  const std::string dir = fresh_dir("rotate");
+  const ScopedDir dir = fresh_dir("rotate");
   const auto muts = sample_mutations();
   Wal wal(dir + "/wal-0.log", WalOptions{}, 0, 1);
   wal.append(muts[0], 10);
@@ -319,7 +316,7 @@ TEST(Wal, RotateContinuesInANewFileWithCountersCarried) {
 }
 
 TEST(Wal, RuntimeOnlyScheduleRejectedBeforeWrite) {
-  const std::string dir = fresh_dir("runtime_only");
+  const ScopedDir dir = fresh_dir("runtime_only");
   const std::string path = dir + "/wal-0.log";
   Wal wal(path, WalOptions{}, 0, 1);
   const auto size_before = fs::file_size(path);
@@ -339,7 +336,7 @@ TEST(Wal, RuntimeOnlyScheduleRejectedBeforeWrite) {
 // ---------------------------------------------------------------------------
 
 TEST(Wal, SyncPolicyEveryN) {
-  const std::string dir = fresh_dir("every_n");
+  const ScopedDir dir = fresh_dir("every_n");
   WalOptions options;
   options.sync = SyncPolicy::kEveryN;
   options.every_n = 3;
@@ -363,7 +360,7 @@ TEST(Wal, SyncPolicyEveryN) {
 }
 
 TEST(Wal, SyncPolicyInterval) {
-  const std::string dir = fresh_dir("interval");
+  const ScopedDir dir = fresh_dir("interval");
   WalOptions options;
   options.sync = SyncPolicy::kInterval;
   options.interval = std::chrono::milliseconds(0);  // always elapsed
@@ -388,7 +385,7 @@ TEST(Wal, SyncPolicyInterval) {
 // ---------------------------------------------------------------------------
 
 TEST(Wal, TornTailDetectedAndTruncated) {
-  const std::string dir = fresh_dir("torn");
+  const ScopedDir dir = fresh_dir("torn");
   const std::string path = dir + "/wal-0.log";
   const auto muts = sample_mutations();
   {
@@ -419,7 +416,7 @@ TEST(Wal, TornTailDetectedAndTruncated) {
 }
 
 TEST(Wal, BitFlipStopsReplayAtFlippedRecord) {
-  const std::string dir = fresh_dir("bitflip");
+  const ScopedDir dir = fresh_dir("bitflip");
   const std::string path = dir + "/wal-0.log";
   const auto muts = sample_mutations();
   {
@@ -442,7 +439,7 @@ TEST(Wal, ShortHeaderIsATornTailOnlyForItsBase) {
   // A crash between creating a log and writing its header leaves an
   // empty file or a header prefix: torn at offset 0 when the caller
   // names the base it expects, still corrupt otherwise.
-  const std::string dir = fresh_dir("short_header");
+  const ScopedDir dir = fresh_dir("short_header");
   const std::string path = dir + "/wal-5.log";
   { Wal wal(path, {}, 5, 6); }
   const std::string header = read_raw(path);
@@ -465,7 +462,7 @@ TEST(Wal, ShortHeaderIsATornTailOnlyForItsBase) {
 }
 
 TEST(Wal, CorruptHeaderThrowsRecoveryError) {
-  const std::string dir = fresh_dir("header");
+  const ScopedDir dir = fresh_dir("header");
   const std::string path = dir + "/bad.log";
   write_raw(path, "this is not a TVGWAL01 file at all");
   EXPECT_THROW(Wal::replay(path), RecoveryError);
@@ -480,7 +477,7 @@ TEST(Wal, CorruptHeaderThrowsRecoveryError) {
 
 TEST(WalFailpoints, PartialAppendLeavesTornTail) {
   const FailPointGuard guard;
-  const std::string dir = fresh_dir("fp_partial");
+  const ScopedDir dir = fresh_dir("fp_partial");
   const std::string path = dir + "/wal-0.log";
   const auto muts = sample_mutations();
   {
@@ -514,7 +511,7 @@ TEST(WalFailpoints, PartialAppendLeavesTornTail) {
 
 TEST(WalFailpoints, FsyncFailureSurfacesAndDoesNotAdvanceSyncedSeq) {
   const FailPointGuard guard;
-  const std::string dir = fresh_dir("fp_fsync");
+  const ScopedDir dir = fresh_dir("fp_fsync");
   Wal wal(dir + "/wal-0.log", WalOptions{}, 0, 1);
   wal.append(sample_mutations()[0], 10);
   FailPointRegistry::instance().arm_on_hit("wal.fsync", 1,
@@ -528,7 +525,7 @@ TEST(WalFailpoints, FsyncFailureSurfacesAndDoesNotAdvanceSyncedSeq) {
 
 TEST(WalFailpoints, FailedWritePoisonsTheHandle) {
   const FailPointGuard guard;
-  const std::string dir = fresh_dir("fp_poison");
+  const ScopedDir dir = fresh_dir("fp_poison");
   const std::string path = dir + "/wal-0.log";
   const auto muts = sample_mutations();
   Wal wal(path, WalOptions{}, 0, 1);
@@ -641,7 +638,7 @@ TEST(FailPointRegistry, DisarmAllClearsFastPath) {
 // ---------------------------------------------------------------------------
 
 TEST(CheckedFileIo, WriteToImpossiblePathThrowsIoError) {
-  const std::string dir = fresh_dir("io_err");
+  const ScopedDir dir = fresh_dir("io_err");
   // A path whose parent is a regular FILE fails with ENOTDIR for any
   // user (a read-only directory would not stop root, and tests run as
   // root in some CI containers).
@@ -657,7 +654,7 @@ TEST(CheckedFileIo, WriteToImpossiblePathThrowsIoError) {
 }
 
 TEST(CheckedFileIo, ReadMissingFileThrowsIoError) {
-  const std::string dir = fresh_dir("io_missing");
+  const ScopedDir dir = fresh_dir("io_missing");
   try {
     (void)read_text_file(dir + "/no_such_file.txt");
     FAIL() << "expected tvg::IoError";
@@ -667,7 +664,7 @@ TEST(CheckedFileIo, ReadMissingFileThrowsIoError) {
 }
 
 TEST(CheckedFileIo, RoundTrip) {
-  const std::string dir = fresh_dir("io_roundtrip");
+  const ScopedDir dir = fresh_dir("io_roundtrip");
   const std::string content = "tvg 1\nnode v0\n# with a comment\n";
   write_text_file(dir + "/file.txt", content);
   EXPECT_EQ(read_text_file(dir + "/file.txt"), content);
