@@ -38,6 +38,12 @@ namespace {
 
 using namespace tvg;
 
+// Each row is one ~1 s iteration whose time also depends on what ran
+// before it in the process, so a single run cannot resolve a 10-20%
+// change. Every row reports the mean / median / stddev / cv of this many
+// runs instead.
+constexpr int kRepetitions = 3;
+
 FrontierMode direction_from_env() {
   const char* v = std::getenv("TVG_BENCH_DIRECTION");
   if (v == nullptr) return FrontierMode::kAuto;
@@ -136,7 +142,9 @@ void BM_AnalyticsClosureDense(benchmark::State& state) {
   state.counters["edges"] = static_cast<double>(g.edge_count());
   state.counters["mode"] = static_cast<double>(direction_from_env());
 }
-BENCHMARK(BM_AnalyticsClosureDense)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnalyticsClosureDense)->Arg(64)->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_AnalyticsClosureSparse(benchmark::State& state) {
   const TimeVaryingGraph& g = sparse_graph();
@@ -148,7 +156,9 @@ void BM_AnalyticsClosureSparse(benchmark::State& state) {
   }
   state.counters["mode"] = static_cast<double>(direction_from_env());
 }
-BENCHMARK(BM_AnalyticsClosureSparse)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnalyticsClosureSparse)->Arg(64)->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 /// The pre-lane-packing reference: one foremost_scan row per source on a
 /// reused workspace. Ignores the env knob so both merged runs carry the
@@ -169,7 +179,9 @@ void BM_AnalyticsClosureSerialRef(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
 }
-BENCHMARK(BM_AnalyticsClosureSerialRef)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnalyticsClosureSerialRef)->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_KReachability(benchmark::State& state) {
   const TimeVaryingGraph& g = dense_graph();
@@ -181,7 +193,9 @@ void BM_KReachability(benchmark::State& state) {
     benchmark::DoNotOptimize(engine.k_reachability(q).nodes.size());
   }
 }
-BENCHMARK(BM_KReachability)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KReachability)->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_InfluenceSpread(benchmark::State& state) {
   const TimeVaryingGraph& g = dense_graph();
@@ -197,7 +211,9 @@ void BM_InfluenceSpread(benchmark::State& state) {
     benchmark::DoNotOptimize(engine.influence_spread(q).total.size());
   }
 }
-BENCHMARK(BM_InfluenceSpread)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_InfluenceSpread)->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_Betweenness(benchmark::State& state) {
   const TimeVaryingGraph& g = dense_graph();
@@ -210,7 +226,9 @@ void BM_Betweenness(benchmark::State& state) {
     benchmark::DoNotOptimize(engine.betweenness(q).score.size());
   }
 }
-BENCHMARK(BM_Betweenness)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Betweenness)->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_Centrality(benchmark::State& state) {
   const TimeVaryingGraph& g = dense_graph();
@@ -222,7 +240,9 @@ void BM_Centrality(benchmark::State& state) {
     benchmark::DoNotOptimize(engine.centrality(q).score.size());
   }
 }
-BENCHMARK(BM_Centrality)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Centrality)->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void print_reproduction() {
   std::printf("=== Direction-optimized packed closure, 64 sources on the "

@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <random>
+#include <vector>
 
 #include "bench_report.hpp"
 #include "tvg/algorithms.hpp"
@@ -130,6 +132,49 @@ void BM_ForemostBoundedWait(benchmark::State& state) {
   state.counters["d"] = static_cast<double>(d);
 }
 BENCHMARK(BM_ForemostBoundedWait)->Arg(0)->Arg(2)->Arg(8)->Arg(32);
+
+// Targeted foremost reads, the served journey query: the full-stack
+// bench's two read pools. Arg 256 is its small NoWait graph (256 nodes,
+// period 16, density 0.25), Arg 8192 its serving graph (8192 nodes,
+// 60k edges, period 64, density 0.03); either way 4096 random
+// (source, target, start in [0, 4)) reads at horizon 8, one policy per
+// row: 0 = Wait, 1 = NoWait, 2 = BoundedWait(3). Cache-disabled
+// 1-thread engine, so every iteration runs one search; time is per read.
+void BM_TargetedForemost(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  RandomPeriodicParams params;
+  params.nodes = nodes;
+  params.edges = nodes == 256 ? 2048 : 60000;
+  params.period = nodes == 256 ? 16 : 64;
+  params.density = nodes == 256 ? 0.25 : 0.03;
+  params.max_latency = nodes == 256 ? 1 : 2;
+  params.seed = 1;
+  const TimeVaryingGraph g = make_random_periodic(params);
+  const Policy policies[] = {Policy::wait(), Policy::no_wait(),
+                             Policy::bounded_wait(3)};
+  const Policy policy = policies[state.range(1)];
+  std::mt19937_64 rng(7);
+  std::vector<JourneyQuery> pool;
+  for (int i = 0; i < 4096; ++i) {
+    const auto source = static_cast<NodeId>(rng() % nodes);
+    const auto target = static_cast<NodeId>(rng() % nodes);
+    const auto start = static_cast<Time>(rng() % 4);
+    pool.push_back(JourneyQuery::foremost(source, start)
+                       .to(target)
+                       .under(policy)
+                       .within(SearchLimits::up_to(8)));
+  }
+  const QueryEngine engine(g, 1, CacheConfig::disabled());
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.run(pool[next]));
+    next = (next + 1) % pool.size();
+  }
+  state.counters["nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_TargetedForemost)
+    ->ArgsProduct({{256, 8192}, {0, 1, 2}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ShortestJourney(benchmark::State& state) {
   const TimeVaryingGraph g =

@@ -10,8 +10,11 @@ the bench binaries emit via bench_report.hpp, TVG_BENCH_JSON=..., or
 --benchmark_out=...). The merged document keeps both runs verbatim under
 "runs" and adds a "speedup" map (before_real_time / after_real_time, so
 values > 1 mean the 'after' build is faster) over the benchmark names the
-two runs share. Aggregate entries (mean/median/stddev rows emitted with
---benchmark_repetitions) are skipped.
+two runs share. A repeated row (--benchmark_repetitions, or a bench's
+own Repetitions) is compared at its median aggregate; the other
+aggregates (mean/stddev/cv) are skipped. When the two runs share no
+names (say, a baseline from before a row was renamed) the script still
+writes OUT.json but warns and exits 1.
 
 Workflow for a perf PR:
     # on the pre-PR commit
@@ -36,13 +39,20 @@ def load_run(path):
     return doc
 
 
-def timings(doc):
+def rows(doc):
+    """Benchmark name -> entry: a repeated row's median aggregate (under
+    the row's name), else its single run."""
     out = {}
     for b in doc["benchmarks"]:
-        if b.get("run_type") == "aggregate":
-            continue
-        out[b["name"]] = b["real_time"]
+        if b.get("run_type") != "aggregate":
+            out.setdefault(b["name"], b)
+        elif b.get("aggregate_name") == "median":
+            out[b["run_name"]] = b
     return out
+
+
+def timings(doc):
+    return {name: b["real_time"] for name, b in rows(doc).items()}
 
 
 # Google-Benchmark JSON spells user counters (state.counters[...]) as
@@ -60,13 +70,11 @@ _STANDARD_KEYS = {
 def counters(doc):
     """Per-benchmark user counters (percentiles, qps, shed, ...)."""
     out = {}
-    for b in doc["benchmarks"]:
-        if b.get("run_type") == "aggregate":
-            continue
+    for name, b in rows(doc).items():
         extra = {k: v for k, v in b.items()
                  if k not in _STANDARD_KEYS and isinstance(v, (int, float))}
         if extra:
-            out[b["name"]] = extra
+            out[name] = extra
     return out
 
 
@@ -111,10 +119,15 @@ def main():
         json.dump(merged, f, indent=1)
         f.write("\n")
 
+    if not speedup:
+        print(f"warning: {args.before} and {args.after} share no benchmark "
+              "names; the speedup map is empty (re-run the baseline with "
+              "the current bench binary)", file=sys.stderr)
+    unit = {name: b.get("time_unit", "ns") for name, b in rows(after).items()}
     width = max((len(n) for n in speedup), default=0)
     for name in sorted(speedup):
-        print(f"{name:<{width}}  {t_before[name]:>12.0f} ns -> "
-              f"{t_after[name]:>12.0f} ns   x{speedup[name]}")
+        print(f"{name:<{width}}  {t_before[name]:>12.0f} {unit[name]} -> "
+              f"{t_after[name]:>12.0f} {unit[name]}   x{speedup[name]}")
     shown = ("p50_us", "p99_us", "p999_us", "p99_high_us", "qps", "shed")
     for name in sorted(counter_diff):
         pre, post = counter_diff[name]["pre_pr"], counter_diff[name]["post_pr"]
@@ -124,7 +137,8 @@ def main():
         print(f"{name}:")
         for k in keys:
             print(f"    {k:<12} {pre[k]:>14.1f} -> {post[k]:>14.1f}")
+    return 0 if speedup else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

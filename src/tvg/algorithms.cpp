@@ -163,7 +163,25 @@ struct SearchArenas {
   ConfigAdmission admission{kTimeInfinity};
   CalendarQueue<std::int64_t> buckets;  // Dijkstra config indices
   bool truncated{false};
-  std::int64_t first_goal{-1};  // first config hitting `goal` (BFS only)
+  std::int64_t first_goal{-1};  // first config hitting a kHop goal (BFS)
+
+  /// Re-arms the per-source fields for a search over n nodes. A run
+  /// writes arrival/best only at its configs' nodes, so this costs
+  /// O(touched) unless the arrays have another size (or were moved out).
+  void begin_search(std::size_t n) {
+    if (arrival.size() == n && best.size() == n) {
+      for (const ConfigRec& c : configs) {
+        arrival[c.node] = kTimeInfinity;
+        best[c.node] = -1;
+      }
+    } else {
+      arrival.assign(n, kTimeInfinity);
+      best.assign(n, -1);
+    }
+    configs.clear();
+    truncated = false;
+    first_goal = -1;
+  }
 
   /// Bit-parallel multi-source kernel state (multi_source_foremost);
   /// disjoint from the per-source fields above so a packed word that
@@ -213,19 +231,23 @@ using detail::SearchArenas;
           : std::numeric_limits<std::size_t>::max());
 }
 
+/// An early stop for run_search: kHop ends a config BFS at the first
+/// config reaching `node` (min hops); kForemost ends any search once
+/// `node`'s arrival and witness are final, i.e. equal the full search's.
+struct Goal {
+  enum Kind : std::uint8_t { kNone, kHop, kForemost };
+  Kind kind{kNone};
+  NodeId node{kInvalidNode};
+};
+
 /// Dijkstra over (node, arrival) — exact for the Wait policy, where
 /// earlier arrivals dominate. `initial` are root configs. Results land in
 /// the arenas (configs / best / arrival / truncated). The calendar queue
 /// pops by arrival, then config creation order, at any horizon.
 template <typename View>
 void dijkstra_wait(const View& vw, std::span<const ConfigRec> initial,
-                   SearchLimits limits, SearchArenas& a) {
-  const std::size_t n = vw.node_count();
-  a.arrival.assign(n, kTimeInfinity);
-  a.best.assign(n, -1);
-  a.configs.clear();
-  a.truncated = false;
-  a.first_goal = -1;
+                   SearchLimits limits, SearchArenas& a, Goal goal) {
+  a.begin_search(vw.node_count());
 
   Time t_min = kTimeInfinity;
   for (const ConfigRec& c : initial) {
@@ -253,6 +275,9 @@ void dijkstra_wait(const View& vw, std::span<const ConfigRec> initial,
 
   for (Time t = queue.next_instant(); t != kTimeInfinity;
        t = queue.next_instant()) {
+    // Every config earlier than t is expanded, and a later one arrives
+    // no earlier than t, so an arrival at or before t is final.
+    if (goal.kind == Goal::kForemost && t >= a.arrival[goal.node]) return;
     queue.advance_to(t);
     const std::vector<std::int64_t>& bucket = queue.current();
     // Index loop: a zero-latency relaxation may append to the bucket
@@ -282,20 +307,15 @@ void dijkstra_wait(const View& vw, std::span<const ConfigRec> initial,
 }
 
 /// Hop-ordered BFS over all (node, time) configurations — required for
-/// NoWait / BoundedWait where early arrivals do not dominate. If
-/// `goal` is set, records the first config reaching it (min hops).
+/// NoWait / BoundedWait where early arrivals do not dominate. A kHop
+/// goal records the first config reaching it (min hops).
 /// Every admitted config is appended to a.configs exactly once and in
 /// FIFO order, so the frontier queue is just a scan index over a.configs.
 template <typename View>
 void config_bfs(const View& vw, std::span<const ConfigRec> initial,
                 Policy policy, SearchLimits limits, SearchArenas& a,
-                std::optional<NodeId> goal = std::nullopt) {
-  const std::size_t n = vw.node_count();
-  a.arrival.assign(n, kTimeInfinity);
-  a.best.assign(n, -1);
-  a.configs.clear();
-  a.truncated = false;
-  a.first_goal = -1;
+                Goal goal) {
+  a.begin_search(vw.node_count());
 
   // Exact (node, time) dedup — membership compares the full pair, never a
   // hash of it, so a collision can no longer drop a reachable config (the
@@ -316,6 +336,14 @@ void config_bfs(const View& vw, std::span<const ConfigRec> initial,
   std::size_t expansion_steps = 0;
   const std::size_t max_expansion_steps = watchdog_steps(limits.max_configs);
 
+  // kForemost stop: `early` counts the queued configs (configs[queued..])
+  // earlier than the goal's best arrival T, recounted when T drops. A
+  // config arrives no earlier than its parent's time, so at 0 nothing can
+  // beat T or replace its witness (that takes a strict improvement).
+  const bool to_target = goal.kind == Goal::kForemost;
+  std::size_t queued = 0;
+  std::size_t early = 0;
+
   // Returns false once a budget is exhausted; that stops the departure
   // enumeration feeding it (see for_each_policy_departure).
   auto push = [&](const ConfigRec& c) -> bool {
@@ -330,8 +358,18 @@ void config_bfs(const View& vw, std::span<const ConfigRec> initial,
     if (c.time < a.arrival[c.node]) {
       a.arrival[c.node] = c.time;
       a.best[c.node] = idx;
+      if (to_target && c.node == goal.node) {
+        early = static_cast<std::size_t>(std::count_if(
+            a.configs.begin() + static_cast<std::ptrdiff_t>(queued),
+            a.configs.end(),
+            [&](const ConfigRec& q) { return q.time < c.time; }));
+        return true;
+      }
     }
-    if (goal && c.node == *goal && a.first_goal < 0) a.first_goal = idx;
+    if (to_target && c.time < a.arrival[goal.node]) ++early;
+    if (goal.kind == Goal::kHop && c.node == goal.node && a.first_goal < 0) {
+      a.first_goal = idx;
+    }
     return true;
   };
 
@@ -341,8 +379,11 @@ void config_bfs(const View& vw, std::span<const ConfigRec> initial,
 
   for (std::size_t next = 0; next < a.configs.size() && !a.truncated;
        ++next) {
-    if (goal && a.first_goal >= 0) break;  // min-hop goal reached
+    if (goal.kind == Goal::kHop && a.first_goal >= 0) break;
+    if (to_target && early == 0) break;  // the goal's arrival is final
     const ConfigRec cur = a.configs[next];
+    queued = next + 1;
+    if (to_target && cur.time < a.arrival[goal.node]) --early;
     const auto idx = static_cast<std::int64_t>(next);
     expansion_steps = 0;
     vw.for_each_out(cur.node, [&](EdgeId eid) {
@@ -364,14 +405,14 @@ void config_bfs(const View& vw, std::span<const ConfigRec> initial,
 template <typename View>
 void run_search(const View& vw, std::span<const ConfigRec> initial,
                 Policy policy, SearchLimits limits, SearchArenas& a,
-                std::optional<NodeId> goal = std::nullopt) {
+                Goal goal = {}) {
   if (policy.kind == WaitingPolicy::kWait && vw.all_latency_constant()) {
     // Dominance argument requires that departing later never arrives
     // earlier, which constant latencies guarantee. The fact is the
     // view's (= effective over base ∪ delta for an overlay): one
     // non-constant latency override must route the whole search to the
     // enumeration kernel, exactly as a rebuild's index would.
-    dijkstra_wait(vw, initial, limits, a);
+    dijkstra_wait(vw, initial, limits, a, goal);
     return;
   }
   if (policy.kind == WaitingPolicy::kWait) {
@@ -838,13 +879,35 @@ ForemostTree Kernels<View>::foremost_arrivals(const View& vw, NodeId source,
 }
 
 template <typename View>
+JourneyResult Kernels<View>::foremost_read(const View& vw, NodeId source,
+                                           NodeId target, Time start_time,
+                                           Policy policy, SearchLimits limits,
+                                           SearchArenas& a,
+                                           std::uint64_t* footprint) {
+  const ConfigRec root{source, start_time, -1, kInvalidEdge, 0};
+  run_search(vw, {&root, 1}, policy, limits, a,
+             Goal{Goal::kForemost, target});
+  if (footprint) {
+    *footprint = foremost_footprint(source, a.configs, a.truncated);
+  }
+  JourneyResult out;
+  out.truncated = a.truncated;
+  out.arrival = a.arrival[target];
+  if (a.best[target] >= 0) {
+    out.journey =
+        journey_from_config(a.configs, a.best[target], source, start_time);
+  }
+  return out;
+}
+
+template <typename View>
 ForemostScan Kernels<View>::foremost_scan(const View& vw, NodeId source,
                                           Time start_time, Policy policy,
                                           SearchLimits limits,
                                           SearchArenas& a) {
   const ConfigRec root{source, start_time, -1, kInvalidEdge, 0};
   run_search(vw, {&root, 1}, policy, limits, a);
-  return ForemostScan{std::span<const Time>(a.arrival), a.truncated};
+  return ForemostScan{a.arrival, a.truncated, a.configs};
 }
 
 template <typename View>
@@ -958,7 +1021,7 @@ std::optional<Journey> Kernels<View>::shortest_journey(
     return std::nullopt;
   }
   const ConfigRec root{source, start_time, -1, kInvalidEdge, 0};
-  run_search(vw, {&root, 1}, policy, limits, a, target);
+  run_search(vw, {&root, 1}, policy, limits, a, Goal{Goal::kHop, target});
   if (a.first_goal < 0) return std::nullopt;
   return journey_from_config(a.configs, a.first_goal, source, start_time);
 }

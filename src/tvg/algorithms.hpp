@@ -174,6 +174,8 @@ struct ForemostScan {
   /// Points into `ws`; valid until the next search that uses `ws`.
   std::span<const Time> arrival;
   bool truncated{false};
+  /// The configs the search admitted; their nodes are the reached ones.
+  std::span<const ForemostTree::ConfigRec> configs;
 };
 
 /// Throws std::out_of_range for a bad source.

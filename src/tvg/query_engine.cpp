@@ -879,6 +879,12 @@ std::vector<EdgeId> QueryEngine::apply(std::span<const EdgeMutation> batch) {
       for (std::size_t i = 0; i < batch.size(); ++i) {
         mask |= touch_mask(*cur.epoch, *next, batch[i], ids[i]);
       }
+      // A flip of the graph-wide latency fact switches every Wait search
+      // between Dijkstra and enumeration, whatever its footprint.
+      if (next->all_latency_constant() !=
+          cur.overlay->all_latency_constant()) {
+        mask = kFootprintAll;
+      }
       if (wal_) wal_->append(batch, ids);
     } catch (...) {
       log_.erase(log_.begin() + old_size, log_.end());

@@ -191,7 +191,10 @@ struct JourneyResult {
   /// Untargeted foremost only: the full arrival row (index = NodeId).
   std::vector<Time> arrivals;
   /// True when a search/enumeration budget truncated the query: absence
-  /// of a journey is then "not found within budget", not a proof.
+  /// of a journey is then "not found within budget", not a proof. A
+  /// targeted foremost read stops once the target's arrival is final, so
+  /// there it means a budget cut the search before that point; a budget
+  /// the full search would only exhaust later leaves it false.
   bool truncated{false};
 
   friend bool operator==(const JourneyResult&, const JourneyResult&) = default;

@@ -130,12 +130,21 @@ namespace detail {
 /// mode, falling back to serial scans where packing cannot guarantee
 /// that. Both spans need sources.size() entries (std::invalid_argument);
 /// a bad source throws std::out_of_range.
+/// foremost_read is a targeted foremost JourneyQuery: the arrival and
+/// journey of foremost_arrivals at `target`, from a search that stops
+/// once that arrival is final (`truncated` then means a budget cut it
+/// before that point); `footprint`, if set, gets its foremost_footprint.
 /// shortest_journey is the minimum-hop journey and
 /// fastest_journey_checked the minimum-duration journey whose first
 /// edge departs in [depart_lo, depart_hi], scanning the presence events
 /// of the source's out-edges as candidate first departures.
 template <typename View>
 struct Kernels {
+  static JourneyResult foremost_read(const View& vw, NodeId source,
+                                     NodeId target, Time start_time,
+                                     Policy policy, SearchLimits limits,
+                                     SearchArenas& a,
+                                     std::uint64_t* footprint);
   static ForemostTree foremost_arrivals(const View& vw, NodeId source,
                                         Time start_time, Policy policy,
                                         SearchLimits limits, SearchArenas& a);
@@ -198,15 +207,18 @@ template <typename View>
          (r.journey ? approx_bytes(*r.journey) : 0);
 }
 
-/// Cache footprint of a foremost search (see result_cache.hpp): the
-/// source's partition plus every reached node's, or kFootprintAll when
-/// the search was truncated (its reached set is then incomplete).
+/// Cache footprint of a foremost read (see result_cache.hpp): the
+/// source's partition plus every explored config's node, or
+/// kFootprintAll when truncated (the explored set is then incomplete).
+/// A search that stopped early never expanded a node outside this set,
+/// so a write on such a node's out-edges cannot change what it saw.
 [[nodiscard]] inline std::uint64_t foremost_footprint(
-    NodeId source, std::span<const Time> arrival, bool truncated) {
+    NodeId source, std::span<const ForemostTree::ConfigRec> explored,
+    bool truncated) {
   if (truncated) return kFootprintAll;
   std::uint64_t footprint = footprint_bit(source);
-  for (NodeId v = 0; v < arrival.size(); ++v) {
-    if (arrival[v] != kTimeInfinity) footprint |= footprint_bit(v);
+  for (const ForemostTree::ConfigRec& c : explored) {
+    footprint |= footprint_bit(c.node);
   }
   return footprint;
 }
@@ -233,24 +245,16 @@ template <typename View>
   switch (q.objective) {
     case JourneyObjective::kForemost: {
       if (q.target) {
-        const ForemostTree tree = K::foremost_arrivals(
-            view, q.source, q.start_time, q.policy, q.limits, a);
-        result.truncated = tree.truncated;
-        result.arrival = tree.arrival[*q.target];
-        result.journey = tree.journey_to(*q.target);
-        if (footprint) {
-          *footprint =
-              foremost_footprint(q.source, tree.arrival, tree.truncated);
-        }
-      } else {
-        const ForemostScan scan = K::foremost_scan(
-            view, q.source, q.start_time, q.policy, q.limits, a);
-        result.truncated = scan.truncated;
-        result.arrivals.assign(scan.arrival.begin(), scan.arrival.end());
-        if (footprint) {
-          *footprint =
-              foremost_footprint(q.source, scan.arrival, scan.truncated);
-        }
+        return K::foremost_read(view, q.source, *q.target, q.start_time,
+                                q.policy, q.limits, a, footprint);
+      }
+      const ForemostScan scan = K::foremost_scan(
+          view, q.source, q.start_time, q.policy, q.limits, a);
+      result.truncated = scan.truncated;
+      result.arrivals.assign(scan.arrival.begin(), scan.arrival.end());
+      if (footprint) {
+        *footprint =
+            foremost_footprint(q.source, scan.configs, scan.truncated);
       }
       return result;
     }

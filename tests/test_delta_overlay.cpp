@@ -557,6 +557,83 @@ TEST(DeltaOverlay, PerEdgeCacheInvalidationHitsSurvivorsAndDrops) {
   expect_reads_match(me, "cache invalidation graph");
 }
 
+TEST(DeltaOverlay, LatencyKindFlipDropsEveryCachedRead) {
+  // Wait reads run Dijkstra only while every latency is constant. A
+  // function latency on a far component routes every Wait read to the
+  // bounded enumeration, whose budget this read's answer then depends
+  // on, although the write is nowhere near its footprint.
+  TimeVaryingGraph g;
+  g.add_nodes(6);
+  (void)g.add_edge(0, 1, 'a', Presence::always(), Latency::constant(1));
+  (void)g.add_edge(1, 2, 'a', Presence::always(), Latency::constant(1));
+  const EdgeId far = g.add_edge(4, 5, 'a', Presence::always(),
+                                Latency::constant(1));
+  QueryEngine me(std::move(g), 1);
+  SearchLimits limits;
+  limits.max_configs = 64;
+  const auto q = JourneyQuery::foremost(0, 0).to(2).within(limits);
+  const JourneyResult cold = me.run(q);
+  EXPECT_EQ(cold.arrival, 2);
+  EXPECT_FALSE(cold.truncated);
+
+  me.override_latency(far, Latency::function([](Time) { return 1; }));
+  const JourneyResult after = me.run(q);
+  const TimeVaryingGraph rebuilt = me.materialize();
+  const QueryEngine ref(rebuilt, 1, CacheConfig::disabled());
+  EXPECT_EQ(after, ref.run(q));
+  EXPECT_EQ(after.arrival, kTimeInfinity);
+  EXPECT_TRUE(after.truncated);
+  EXPECT_EQ(me.cache_stats().invalidations, 1u);
+
+  // Back to all-constant latencies: Dijkstra again, and the cached
+  // enumeration answer is dropped just the same.
+  me.override_latency(far, Latency::constant(1));
+  EXPECT_EQ(me.run(q), cold);
+  EXPECT_EQ(me.cache_stats().invalidations, 2u);
+}
+
+TEST(DeltaOverlay, StoppedSearchFootprintIsItsExploredNodes) {
+  // A targeted read of 0 -> 1 stops once 1's arrival is final. Wait
+  // admits node 2 (queued, never expanded) and NoWait only {0, 1}; both
+  // full searches reach node 3 through 1, but neither stopped one does.
+  TimeVaryingGraph g;
+  g.add_nodes(5);
+  const EdgeId e01 =
+      g.add_edge(0, 1, 'a', Presence::at_times({0}), Latency::constant(1));
+  (void)g.add_edge(0, 2, 'a', Presence::at_times({3}), Latency::constant(1));
+  (void)g.add_edge(1, 3, 'a', Presence::at_times({1}), Latency::constant(1));
+  (void)g.add_edge(2, 3, 'a', Presence::at_times({5}), Latency::constant(1));
+  const EdgeId e34 =
+      g.add_edge(3, 4, 'a', Presence::at_times({7}), Latency::constant(1));
+  QueryEngine me(std::move(g), 1);
+  const std::vector<JourneyQuery> queries = {
+      JourneyQuery::foremost(0, 0).to(1).under(Policy::wait()),
+      JourneyQuery::foremost(0, 0).to(1).under(Policy::no_wait())};
+  std::vector<JourneyResult> cold;
+  for (const JourneyQuery& q : queries) cold.push_back(me.run(q));
+  ASSERT_EQ(cold[0].arrival, 1);
+  ASSERT_FALSE(cold[0].truncated);
+  ASSERT_EQ(cold[1], cold[0]);
+
+  // An out-edge of unreached node 3 stamps {3, 4}: both entries survive.
+  me.patch_presence(e34, Presence::at_times({8}));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(me.run(queries[i]), cold[i]) << i;
+  }
+  CacheStats stats = me.cache_stats();
+  EXPECT_EQ(stats.survivors, 2u);
+  EXPECT_EQ(stats.invalidations, 0u);
+  expect_reads_match(me, "write beyond the stopped searches");
+
+  // An out-edge of expanded node 0 stamps {0, 1}: both entries drop.
+  me.patch_presence(e01, Presence::at_times({2}));
+  EXPECT_EQ(me.run(queries[0]).arrival, 3);
+  EXPECT_EQ(me.run(queries[1]).arrival, kTimeInfinity);
+  stats = me.cache_stats();
+  EXPECT_EQ(stats.invalidations, 2u);
+  expect_reads_match(me, "write on an expanded node");
+}
+
 TEST(DeltaOverlay, ConcurrentMutateQueryCompactStress) {
   // The TSan target: mutators, readers and background compactions race
   // while every read stays internally consistent; final state must

@@ -15,7 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/tvg_automaton.hpp"
@@ -174,6 +177,218 @@ TEST(QueryEngineRun, AgreesWithTheBareKernelsOnEveryObjective) {
       EXPECT_FALSE(row.journey.has_value());
     }
   }
+}
+
+/// The targeted-read oracle: every engine.run(foremost(s, 0).to(d)) has
+/// the arrival and journey of the full foremost_arrivals tree over `g`
+/// (the engine's effective graph), and is truncated only where the full
+/// tree is. An untruncated read is exact: a run with a budget at least
+/// as generous reads the same arrival.
+void expect_targeted_reads_match_full_trees(const QueryEngine& engine,
+                                            const TimeVaryingGraph& g,
+                                            const std::string& where) {
+  SearchWorkspace ws;
+  const auto n = static_cast<NodeId>(g.node_count());
+  for (const Policy policy :
+       {Policy::wait(), Policy::no_wait(), Policy::bounded_wait(3)}) {
+    for (const Time horizon : {Time{8}, Time{80}, kTimeInfinity}) {
+      for (const std::size_t budget :
+           {std::size_t{4}, std::size_t{24}, SearchLimits{}.max_configs}) {
+        SearchLimits limits = SearchLimits::up_to(horizon);
+        limits.max_configs = budget;
+        SearchLimits generous = limits;
+        generous.max_configs = std::max<std::size_t>(budget, 1 << 14);
+        for (NodeId s = 0; s < n; ++s) {
+          const ForemostTree tree =
+              foremost_arrivals(g, s, 0, policy, limits, ws);
+          const ForemostTree wide =
+              generous == limits
+                  ? tree
+                  : foremost_arrivals(g, s, 0, policy, generous, ws);
+          for (NodeId d = 0; d < n; ++d) {
+            const JourneyResult r = engine.run(
+                JourneyQuery::foremost(s, 0).to(d).under(policy).within(
+                    limits));
+            const std::string at = where + " " + policy.to_string() +
+                                   " horizon=" + std::to_string(horizon) +
+                                   " budget=" + std::to_string(budget) +
+                                   " " + std::to_string(s) + "->" +
+                                   std::to_string(d);
+            ASSERT_EQ(r.arrival, tree.arrival[d]) << at;
+            ASSERT_EQ(r.journey, tree.journey_to(d)) << at;
+            if (!tree.truncated) {
+              ASSERT_FALSE(r.truncated) << at;
+            }
+            if (r.truncated) {
+              ASSERT_TRUE(tree.truncated) << at;
+            } else {
+              ASSERT_EQ(r.arrival, wide.arrival[d]) << at;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QueryEngineRun, TargetedForemostMatchesTheFullTree) {
+  std::vector<std::pair<std::string, TimeVaryingGraph>> graphs;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    RandomScheduledParams scheduled;
+    scheduled.nodes = 7;
+    scheduled.edges = 18;
+    scheduled.horizon = 40;
+    scheduled.seed = seed;
+    graphs.emplace_back("scheduled seed=" + std::to_string(seed),
+                        make_random_scheduled(scheduled));
+    EdgeMarkovianParams markovian;
+    markovian.nodes = 7;
+    markovian.initial_on = 0.2;
+    markovian.p_birth = 0.05;
+    markovian.p_death = 0.4;
+    markovian.horizon = 40;
+    markovian.seed = seed;
+    graphs.emplace_back("markovian seed=" + std::to_string(seed),
+                        make_edge_markovian(markovian));
+  }
+  // One small periodic graph: there the NoWait and BoundedWait searches
+  // at horizon ∞ never run dry, so each full tree and each unreachable
+  // target costs the whole default budget.
+  RandomPeriodicParams periodic;
+  periodic.nodes = 5;
+  periodic.edges = 12;
+  periodic.period = 6;
+  periodic.max_latency = 2;
+  graphs.emplace_back("periodic", make_random_periodic(periodic));
+  for (const auto& [name, g] : graphs) {
+    const QueryEngine engine(g, 1, CacheConfig::disabled());
+    expect_targeted_reads_match_full_trees(engine, g, name);
+  }
+}
+
+TEST(QueryEngineRun, TargetedForemostOverAnOverlayMatchesTheFullTree) {
+  RandomScheduledParams params;
+  params.nodes = 7;
+  params.edges = 18;
+  params.horizon = 40;
+  params.seed = 5;
+  QueryEngine engine(make_random_scheduled(params), 1,
+                     CacheConfig::disabled());
+  engine.override_latency(0, Latency::constant(3));
+  (void)engine.add_edge(6, 0, 'a', Presence::at_times({2, 9, 30}),
+                        Latency::constant(1));
+  engine.patch_presence(1, Presence::at_times({1, 4, 5, 6}));
+  engine.remove_edge(2);
+  const TimeVaryingGraph rebuilt = engine.materialize();
+  expect_targeted_reads_match_full_trees(engine, rebuilt, "overlay");
+}
+
+TEST(QueryEngineRun, TargetedNoWaitRingReadIsExactUnderDefaultLimits) {
+  // An always-present NoWait ring never stops generating (node, time)
+  // configs, so the full tree always exhausts its budget. The target's
+  // arrival is final after two hops, and the targeted read says so.
+  TimeVaryingGraph g;
+  g.add_nodes(4);
+  for (NodeId v = 0; v < 4; ++v) {
+    g.add_edge(v, (v + 1) % 4, 'a', Presence::always(), Latency::constant(1));
+  }
+  const QueryEngine engine(g, 1, CacheConfig::disabled());
+  const auto q = JourneyQuery::foremost(0, 0).to(2).under(Policy::no_wait());
+  const JourneyResult r = engine.run(q);
+  EXPECT_EQ(r.arrival, 2);
+  EXPECT_FALSE(r.truncated);
+  ASSERT_TRUE(r.journey.has_value());
+  EXPECT_EQ(r.journey->legs.size(), 2u);
+
+  SearchLimits small;
+  small.max_configs = 1 << 12;
+  SearchWorkspace ws;
+  const ForemostTree tree =
+      foremost_arrivals(g, 0, 0, Policy::no_wait(), small, ws);
+  EXPECT_TRUE(tree.truncated);
+  EXPECT_EQ(engine.run(JourneyQuery(q).within(small)).journey,
+            tree.journey_to(2));
+
+  // A budget spent before the arrival is final still reports truncation.
+  small.max_configs = 2;
+  const JourneyResult cut = engine.run(JourneyQuery(q).within(small));
+  EXPECT_TRUE(cut.truncated);
+  EXPECT_EQ(cut.arrival, kTimeInfinity);
+}
+
+TEST(QueryEngineRun, ReusedWorkspaceReadsMatchAFreshOne) {
+  // One workspace runs a foremost_arrivals (which moves its arrays out),
+  // reads on a larger graph, then a smaller one, then a search that
+  // throws mid-run on a graph of the smaller one's size. A read that
+  // restores only the previous run's touched nodes must still see clean
+  // arrays every time.
+  RandomPeriodicParams big;
+  big.nodes = 12;
+  big.edges = 40;
+  big.seed = 3;
+  RandomPeriodicParams small = big;
+  small.nodes = 7;
+  small.edges = 20;
+  small.seed = 4;
+  const TimeVaryingGraph g_big = make_random_periodic(big);
+  const TimeVaryingGraph g_small = make_random_periodic(small);
+  TimeVaryingGraph g_throw;
+  g_throw.add_nodes(small.nodes);
+  bool armed = false;
+  for (NodeId v = 0; v + 1 < small.nodes; ++v) {
+    g_throw.add_edge(v, v + 1, 'a', Presence::always(), Latency::constant(1));
+  }
+  g_throw.add_edge(small.nodes - 1, 0, 'a',
+                   Presence::predicate(
+                       [&armed](Time t) {
+                         if (armed) throw std::runtime_error("predicate");
+                         return t % 2 == 0;
+                       },
+                       "throwing"),
+                   Latency::constant(1));
+  (void)g_throw.schedule_index();
+
+  const SearchLimits limits = SearchLimits::up_to(40);
+  SearchWorkspace ws;
+  const auto expect_fresh = [&](const TimeVaryingGraph& g,
+                                const std::string& where) {
+    const FrozenView view(g);
+    const auto n = static_cast<NodeId>(g.node_count());
+    for (const Policy policy :
+         {Policy::wait(), Policy::no_wait(), Policy::bounded_wait(2)}) {
+      for (NodeId s = 0; s < n; ++s) {
+        for (NodeId d = 0; d < n; ++d) {
+          const auto q =
+              JourneyQuery::foremost(s, 1).to(d).under(policy).within(limits);
+          SearchWorkspace fresh;
+          EXPECT_EQ(read_journey(view, q, ws), read_journey(view, q, fresh))
+              << where << " " << policy.to_string() << " " << s << "->" << d;
+        }
+        const auto row =
+            JourneyQuery::foremost(s, 1).under(policy).within(limits);
+        SearchWorkspace fresh;
+        EXPECT_EQ(read_journey(view, row, ws), read_journey(view, row, fresh))
+            << where << " row from " << s;
+      }
+    }
+  };
+
+  (void)foremost_arrivals(g_small, 0, 0, Policy::wait(), limits, ws);
+  expect_fresh(g_big, "larger graph");
+  expect_fresh(g_small, "smaller graph");
+  armed = true;
+  for (const Policy policy : {Policy::wait(), Policy::no_wait()}) {
+    // Node 0 is reachable from 1 only over the throwing edge.
+    EXPECT_THROW((void)read_journey(FrozenView(g_throw),
+                                    JourneyQuery::foremost(1, 0)
+                                        .to(0)
+                                        .under(policy)
+                                        .within(SearchLimits{}),
+                                    ws),
+                 std::runtime_error);
+  }
+  armed = false;
+  expect_fresh(g_small, "after a throwing search");
 }
 
 TEST(QueryEngineRun, ThreadedBatchMatchesOneAtATime) {
